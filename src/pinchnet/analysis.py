@@ -21,17 +21,20 @@ quadrature directions see an analytic integrand.
 
 Repeated spatial averages (rate integrals, threshold sweeps) would otherwise
 re-evaluate the derivative stack tens of thousands of times per epsilon, so
-the per-branch coverage sum C_B(omega) is tabulated once per parameter set
-on a log-omega grid with exact slopes (the derivative of the truncated sum
-telescopes to a single term) and read back through cubic Hermite
-interpolation.  The scalar conditional_outage path stays direct, which the
-tests use to pin the table error.
+the per-branch coverage sum C_B(omega) is tabulated on a log-omega grid with
+exact slopes (the derivative of the truncated sum telescopes to a single
+term) and read back through cubic Hermite interpolation.  The table pair is
+the only cached state: one lru_cache whose key is the complete list of
+inputs the tables are computed from, so sweeps over Np, L or R reuse it and
+no stale entry can match a different input.  The scalar conditional_outage
+path stays direct, which the tests use to pin the table error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -137,7 +140,7 @@ class OutageInputs:
 
 
 class _NodeTables:
-    """Gauss-Chebyshev node data for one (params, K) pair.
+    """Gauss-Chebyshev node data of the interference transform.
 
     a_L/a_N fold the node weight w_k sin(phi)/cos^3(phi) together with the
     blockage split exp(-beta d) / 1 - exp(-beta d); D_L/D_N are d^alpha per
@@ -146,37 +149,28 @@ class _NodeTables:
 
     __slots__ = ("pref", "a_L", "a_N", "D_L", "D_N", "N_L", "N_N")
 
-    def __init__(self, params: SystemParams, K: int):
+    def __init__(self, K: int, lam: float, H: float, beta: float,
+                 alpha_L: float, alpha_N: float, N_L: int, N_N: int):
         nodes = gauss_chebyshev_nodes(K)
         tan_phi = np.tan(nodes.phi)
-        d = np.hypot(tan_phi, params.H)
+        d = np.hypot(tan_phi, H)
         c = nodes.weight * np.sin(nodes.phi) / np.cos(nodes.phi) ** 3
-        p_los = np.exp(-params.beta * d)
-        self.pref = math.pi ** 3 * params.lam / (2.0 * K)
+        p_los = np.exp(-beta * d)
+        self.pref = math.pi ** 3 * lam / (2.0 * K)
         self.a_L = c * p_los
         self.a_N = c * (1.0 - p_los)
-        self.D_L = d ** params.alpha_L
-        self.D_N = d ** params.alpha_N
-        self.N_L = params.N_L
-        self.N_N = params.N_N
+        self.D_L = d ** alpha_L
+        self.D_N = d ** alpha_N
+        self.N_L = N_L
+        self.N_N = N_N
 
     def branches(self):
         return ((self.a_L, self.D_L, self.N_L), (self.a_N, self.D_N, self.N_N))
 
 
-_node_cache: dict[tuple, _NodeTables] = {}
-
-
 def _tables(params: SystemParams, cfg: AnalysisConfig) -> _NodeTables:
-    key = (cfg.K, params.lam, params.H, params.beta,
-           params.alpha_L, params.alpha_N, params.N_L, params.N_N)
-    tab = _node_cache.get(key)
-    if tab is None:
-        if len(_node_cache) > 64:
-            _node_cache.clear()
-        tab = _NodeTables(params, cfg.K)
-        _node_cache[key] = tab
-    return tab
+    return _NodeTables(cfg.K, params.lam, params.H, params.beta,
+                       params.alpha_L, params.alpha_N, params.N_L, params.N_N)
 
 
 def _log_laplace(s, tab: _NodeTables):
@@ -392,25 +386,12 @@ class _CoverageTable:
         return np.clip(out, 0.0, 1.0)
 
 
-_coverage_cache: dict[tuple, _CoverageTable] = {}
-
-
-def _coverage_tables(inputs: OutageInputs, cfg: AnalysisConfig):
-    params = inputs.params
-    base = (cfg.K, inputs.xi, params.lam, params.H, params.beta,
-            params.alpha_L, params.alpha_N, params.N_L, params.N_N)
-    tab = _tables(params, cfg)
-    out = []
-    for label, n in (("L", params.N_L), ("N", params.N_N)):
-        key = base + (label,)
-        table = _coverage_cache.get(key)
-        if table is None:
-            if len(_coverage_cache) > 64:
-                _coverage_cache.clear()
-            table = _CoverageTable(n, inputs.xi, tab)
-            _coverage_cache[key] = table
-        out.append(table)
-    return out
+@lru_cache(maxsize=64)
+def _coverage_tables(K: int, xi: float, lam: float, H: float, beta: float,
+                     alpha_L: float, alpha_N: float, N_L: int, N_N: int):
+    """LoS and NLoS coverage tables; the arguments are all they depend on."""
+    tab = _NodeTables(K, lam, H, beta, alpha_L, alpha_N, N_L, N_N)
+    return _CoverageTable(N_L, xi, tab), _CoverageTable(N_N, xi, tab)
 
 
 def _outage_batch(d0: np.ndarray, inputs: OutageInputs,
@@ -419,7 +400,9 @@ def _outage_batch(d0: np.ndarray, inputs: OutageInputs,
     if inputs.epsilon == 0.0:
         return np.zeros_like(d0)
     params = inputs.params
-    table_l, table_n = _coverage_tables(inputs, cfg)
+    table_l, table_n = _coverage_tables(
+        cfg.K, inputs.xi, params.lam, params.H, params.beta,
+        params.alpha_L, params.alpha_N, params.N_L, params.N_N)
     p_los = np.exp(-params.beta * d0)
     cov = p_los * table_l.eval(params.N_L * inputs.epsilon * d0 ** params.alpha_L)
     cov += (1.0 - p_los) * table_n.eval(params.N_N * inputs.epsilon * d0 ** params.alpha_N)
@@ -432,14 +415,25 @@ def _outage_batch(d0: np.ndarray, inputs: OutageInputs,
 
 @dataclass(frozen=True)
 class _Decomposition:
-    """Flattened quadrature points of a planar average: serving distances
-    and weights (weights carry every Jacobian; their sum is the region area)."""
+    """Flattened quadrature points of a spatial average over user positions.
+
+    d0 holds the serving distances and weight every Jacobian, so weight sums
+    to the measure of the region; scale is the reciprocal of that measure
+    (the uniform user density), which makes scale * sum(weight * f) the
+    mean of f.
+    """
 
     d0: np.ndarray
     weight: np.ndarray
+    scale: float
 
 
-_decomp_cache: dict[tuple, _Decomposition] = {}
+def _radial_rule(params: SystemParams, order: int) -> _Decomposition:
+    """Antenna fixed at the disc center: the radial density of a uniform
+    user on the disc is 2r/R^2, so the r dr weights carry scale 2/R^2."""
+    rule = gauss_legendre_rule(order, 0.0, params.R)
+    return _Decomposition(np.sqrt(rule.nodes ** 2 + params.H ** 2),
+                          rule.weights * rule.nodes, 2.0 / params.R ** 2)
 
 
 def _half_disc_strips(params: SystemParams, order: int) -> _Decomposition:
@@ -448,13 +442,10 @@ def _half_disc_strips(params: SystemParams, order: int) -> _Decomposition:
     Interior strips are x-outer / y-inner.  The two edge strips reach the
     disc rim where sqrt(R^2 - x^2) has a vertical tangent, so they swap to
     y-outer / x-inner; the circular bound sqrt(R^2 - y^2) is analytic there
-    because the strips stay clear of x = 0.
+    because the strips stay clear of x = 0.  The y > 0 half carries the
+    whole average by symmetry, so scale is 2/(pi R^2).
     """
     R, L, Np, H = params.R, params.L, params.Np, params.H
-    key = (R, L, Np, H, order)
-    dec = _decomp_cache.get(key)
-    if dec is not None:
-        return dec
     offsets = preset_offsets(L, Np)
     d_parts, w_parts = [], []
     for n in range(1, Np + 1):
@@ -483,25 +474,19 @@ def _half_disc_strips(params: SystemParams, order: int) -> _Decomposition:
             d0 = np.sqrt((xr.nodes[:, None] - xn) ** 2 + y ** 2 + H * H)
         d_parts.append(d0.ravel())
         w_parts.append(w.ravel())
-    dec = _Decomposition(np.concatenate(d_parts), np.concatenate(w_parts))
-    if len(_decomp_cache) > 32:
-        _decomp_cache.clear()
-    _decomp_cache[key] = dec
-    return dec
+    return _Decomposition(np.concatenate(d_parts), np.concatenate(w_parts),
+                          2.0 / (math.pi * R * R))
 
 
 def _continuum_strips(params: SystemParams, order: int) -> _Decomposition:
-    """Quadrature of the continuum-feed lower bound over the upper half disc.
+    """Quadrature of the continuum-feed lower bound over the x > 0, y > 0
+    quarter disc (scale 4/(pi R^2) by symmetry).
 
     Users beyond the waveguide tip (x > L/2) are served from the tip; users
     alongside it from the perpendicular foot.  The x > L/2 lobe touches the
     rim at (R, 0) and is integrated y-outer / x-inner for smoothness.
     """
     R, L, H = params.R, params.L, params.H
-    key = (R, L, H, order, "continuum")
-    dec = _decomp_cache.get(key)
-    if dec is not None:
-        return dec
     half_l = 0.5 * L
     # tip lobe: y in [0, sqrt(R^2 - (L/2)^2)], x in [L/2, sqrt(R^2 - y^2)]
     yr = gauss_legendre_rule(order, 0.0, math.sqrt(R * R - half_l * half_l))
@@ -520,74 +505,74 @@ def _continuum_strips(params: SystemParams, order: int) -> _Decomposition:
     y = ymax[:, None] * base01.nodes[None, :]
     w_side = (zr.weights * ymax)[:, None] * base01.weights[None, :]
     d_side = np.sqrt(y ** 2 + H * H)
-    dec = _Decomposition(np.concatenate([d_tip.ravel(), d_side.ravel()]),
-                         np.concatenate([w_tip.ravel(), w_side.ravel()]))
-    if len(_decomp_cache) > 32:
-        _decomp_cache.clear()
-    _decomp_cache[key] = dec
-    return dec
+    return _Decomposition(np.concatenate([d_tip.ravel(), d_side.ravel()]),
+                          np.concatenate([w_tip.ravel(), w_side.ravel()]),
+                          4.0 / (math.pi * R * R))
+
+
+def _serving_decomposition(params: SystemParams, cfg: AnalysisConfig) -> _Decomposition:
+    """Voronoi strips of the presets; a single preset is the radial rule."""
+    if params.Np == 1:
+        return _radial_rule(params, cfg.gl_order_radial)
+    return _half_disc_strips(params, cfg.gl_order_2d)
+
+
+def _spatial_average(dec: _Decomposition, inputs: OutageInputs,
+                     cfg: AnalysisConfig, context: str) -> float:
+    """Mean conditional outage over a decomposition.
+
+    np.sum reduces pairwise inside numpy, so unlike a BLAS dot the result
+    does not depend on the BLAS thread count.
+    """
+    p = _outage_batch(dec.d0, inputs, cfg)
+    return _clamp_probability(dec.scale * float(np.sum(dec.weight * p)), context)
 
 
 def outage_probability(inputs: OutageInputs, cfg: AnalysisConfig) -> float:
     """Spatially averaged outage of the typical user.
 
     Averages conditional_outage over the user position, uniform on the disc,
-    with the serving preset fixed per Voronoi strip of the waveguide; the
-    y > 0 half carries factor 2/(pi R^2).  Np = 1 reduces to the radial
-    fixed-antenna form.
+    with the serving preset fixed per Voronoi strip of the waveguide.
+    Np = 1 reduces to the radial fixed-antenna form.
     """
-    params = inputs.params
-    if params.Np == 1:
-        return outage_upper_bound(inputs, cfg)
-    dec = _half_disc_strips(params, cfg.gl_order_2d)
-    p = _outage_batch(dec.d0, inputs, cfg)
-    val = 2.0 / (math.pi * params.R ** 2) * float(np.dot(dec.weight, p))
-    return min(max(val, 0.0), 1.0)
+    return _spatial_average(_serving_decomposition(inputs.params, cfg), inputs,
+                            cfg, "outage probability")
 
 
 def outage_upper_bound(inputs: OutageInputs, cfg: AnalysisConfig) -> float:
     """Outage of a single antenna fixed at the disc center's preset.
 
-    (2/R^2) int_0^R P_out(sqrt(r^2 + H^2)) r dr: the radial density of a
-    uniform user on the disc is 2r/R^2.
+    (2/R^2) int_0^R P_out(sqrt(r^2 + H^2)) r dr.
     """
-    params = inputs.params
-    rule = gauss_legendre_rule(cfg.gl_order_radial, 0.0, params.R)
-    d0 = np.sqrt(rule.nodes ** 2 + params.H ** 2)
-    p = _outage_batch(d0, inputs, cfg)
-    val = 2.0 / params.R ** 2 * float(np.dot(rule.weights * rule.nodes, p))
-    return min(max(val, 0.0), 1.0)
+    return _spatial_average(_radial_rule(inputs.params, cfg.gl_order_radial),
+                            inputs, cfg, "outage upper bound")
 
 
 def outage_lower_bound(inputs: OutageInputs, cfg: AnalysisConfig) -> float:
     """Outage when the antenna can sit anywhere on the waveguide.
 
     The serving point is the nearest point of the segment: the perpendicular
-    foot alongside it, the tip beyond it.  By symmetry only the x > 0,
-    y > 0 quarter is integrated, with factor 4/(pi R^2).
+    foot alongside it, the tip beyond it.
     """
-    params = inputs.params
-    dec = _continuum_strips(params, cfg.gl_order_2d)
-    p = _outage_batch(dec.d0, inputs, cfg)
-    val = 4.0 / (math.pi * params.R ** 2) * float(np.dot(dec.weight, p))
-    return min(max(val, 0.0), 1.0)
+    return _spatial_average(_continuum_strips(inputs.params, cfg.gl_order_2d),
+                            inputs, cfg, "outage lower bound")
 
 
 def ergodic_rate(params: SystemParams, cfg: AnalysisConfig) -> float:
     """rate_prefactor * int_0^inf (1 - P_out(eps)) / (1 + eps) d eps.
 
     With the default prefactor 1/ln2 this is E[log2(1 + SINR)] of the
-    typical user.  The integrand is evaluated through the spatial average
-    at each threshold; octave panels handle the slowly decaying tail.
+    typical user.  The decomposition is built once and the integrand
+    averages over it at each threshold; octave panels handle the slowly
+    decaying tail.
     """
     xi = link_budget(params).xi
+    dec = _serving_decomposition(params, cfg)
 
-    def integrand(eps):
-        eps_arr = np.atleast_1d(np.asarray(eps, dtype=float))
-        out = np.empty(eps_arr.shape)
-        for k, e in enumerate(eps_arr):
-            p_out = outage_probability(OutageInputs(float(e), xi, params), cfg)
-            out[k] = (1.0 - p_out) / (1.0 + e)
-        return out if np.ndim(eps) else float(out[0])
+    def integrand(eps: np.ndarray) -> np.ndarray:
+        return np.array([
+            (1.0 - _spatial_average(dec, OutageInputs(float(e), xi, params), cfg,
+                                    "outage probability")) / (1.0 + e)
+            for e in eps])
 
     return cfg.rate_prefactor * integrate_semi_infinite(integrand, cfg)

@@ -1,46 +1,21 @@
-"""Link-level model: blockage, Nakagami fading, path loss, SINR."""
+"""Link budget and SINR threshold shared by both engines."""
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InvalidParameterError
 from .geometry import SystemParams
 
 __all__ = [
     "SPEED_OF_LIGHT",
-    "LOS",
-    "NLOS",
-    "LinkSample",
     "LinkBudget",
-    "los_probability",
-    "sample_link",
     "link_budget",
-    "received_power",
-    "sinr",
     "sinr_threshold",
-    "inwaveguide_phase",
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
-
-LOS = "LoS"
-NLOS = "NLoS"
-
-
-@dataclass(frozen=True)
-class LinkSample:
-    """One sampled link: distance, blockage state, and the fading draw."""
-
-    d: float
-    state: str            # LOS or NLOS
-    fading_power: float   # |g|^2, normalized Gamma draw with mean 1
-    alpha: float          # path-loss exponent in force for this state
-    N: int                # Nakagami shape in force for this state
 
 
 @dataclass(frozen=True)
@@ -51,25 +26,6 @@ class LinkBudget:
     xi: float
 
 
-def los_probability(d: float, beta: float) -> float:
-    """P(link of length d is line-of-sight) = exp(-beta d)."""
-    if d < 0 or beta < 0:
-        raise InvalidParameterError(f"d and beta must be nonnegative, got d={d!r}, beta={beta!r}")
-    return math.exp(-beta * d)
-
-
-def sample_link(d: float, params: SystemParams, rng: np.random.Generator) -> LinkSample:
-    """Draw blockage state and normalized Nakagami fading power for a link."""
-    p_los = los_probability(d, params.beta)
-    if rng.random() < p_los:
-        state, alpha, shape = LOS, params.alpha_L, params.N_L
-    else:
-        state, alpha, shape = NLOS, params.alpha_N, params.N_N
-    fading = rng.gamma(shape, 1.0 / shape)
-    return LinkSample(d=d, state=state, fading_power=float(fading),
-                      alpha=alpha, N=int(shape))
-
-
 def link_budget(params: SystemParams) -> LinkBudget:
     """Free-space reference gain and normalized noise level."""
     eta = (SPEED_OF_LIGHT / (4.0 * math.pi * params.f_c)) ** 2
@@ -77,31 +33,8 @@ def link_budget(params: SystemParams) -> LinkBudget:
     return LinkBudget(eta=eta, xi=xi)
 
 
-def received_power(link: LinkSample) -> float:
-    """Normalized received power |g|^2 d^-alpha (the etaP factor cancels)."""
-    return link.fading_power * link.d ** (-link.alpha)
-
-
-def sinr(signal_power: float, interference_sum: float, xi: float) -> float:
-    """signal / (interference + normalized noise)."""
-    return signal_power / (interference_sum + xi)
-
-
 def sinr_threshold(rbar: float) -> float:
     """SINR level below which a target rate of rbar bits/use is in outage."""
     if rbar < 0:
         raise InvalidParameterError(f"rbar must be >= 0, got {rbar!r}")
     return 2.0 ** rbar - 1.0
-
-
-def inwaveguide_phase(arc_length: float, f_c: float) -> complex:
-    """Phase rotation accumulated along the waveguide; unit modulus.
-
-    The guide wavelength is taken equal to the free-space wavelength c/f_c.
-    This factor cancels in every power expression and is kept only for
-    completeness of the link model.
-    """
-    if arc_length < 0:
-        raise InvalidParameterError(f"arc_length must be >= 0, got {arc_length!r}")
-    lam_g = SPEED_OF_LIGHT / f_c
-    return cmath.exp(-2j * math.pi * arc_length / lam_g)

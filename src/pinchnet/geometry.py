@@ -1,10 +1,11 @@
-"""Spatial model: cluster PPP, waveguides, preset antenna locations, users.
+"""Spatial model: system parameters, PPP radii, preset layout, Voronoi cells.
 
 The typical cluster sits at the origin with its waveguide on the x-axis.
 Interfering cluster centers form a PPP of intensity lam truncated to a disc
 of radius R_sim; each interfering cluster carries its own uniformly
-oriented waveguide and an independently sampled served user, which fixes
-the activated preset antenna.
+oriented waveguide and a served user whose projection onto the waveguide
+fixes the activated preset (nearest_preset_offset).  The simulator draws
+the marks; this module holds the shared geometry.
 """
 
 from __future__ import annotations
@@ -18,18 +19,11 @@ from .errors import InvalidParameterError
 
 __all__ = [
     "SystemParams",
-    "NetworkRealization",
     "default_params",
-    "sample_ppp_disc",
     "ppp_disc_radii",
-    "preset_locations",
     "preset_offsets",
-    "nearest_preset",
     "nearest_preset_offset",
-    "sample_cluster_user",
     "voronoi_cell_bounds",
-    "antenna_user_distance",
-    "sample_realization",
 ]
 
 _PPP_CHUNK = 128  # exponential arrivals drawn this many at a time
@@ -52,7 +46,6 @@ class SystemParams:
     sigma2    noise power (W)
     P         transmit power (W)
     Rbar      target rate (bits per channel use)
-    Ku        users per cluster (>= 1; only one is served per block)
     """
 
     lam: float = 1e-6
@@ -69,7 +62,6 @@ class SystemParams:
     sigma2: float = 10 ** (-12.4)  # -94 dBm: -174 dBm/Hz over 100 MHz
     P: float = 0.1                 # 20 dBm
     Rbar: float = 1.0
-    Ku: int = 1
 
     def __post_init__(self):
         if not isinstance(self.Np, (int, np.integer)) or self.Np < 1 or self.Np % 2 == 0:
@@ -93,8 +85,6 @@ class SystemParams:
             raise InvalidParameterError("f_c, sigma2 and P must be positive")
         if not self.Rbar >= 0:
             raise InvalidParameterError(f"Rbar must be >= 0, got {self.Rbar!r}")
-        if not isinstance(self.Ku, (int, np.integer)) or self.Ku < 1:
-            raise InvalidParameterError(f"Ku must be an integer >= 1, got {self.Ku!r}")
 
     def with_(self, **kw) -> "SystemParams":
         """Copy with selected fields replaced."""
@@ -104,15 +94,6 @@ class SystemParams:
 def default_params(**overrides) -> SystemParams:
     """Baseline parameter set (28 GHz, -94 dBm noise, 20 m clusters)."""
     return SystemParams(**overrides)
-
-
-@dataclass
-class NetworkRealization:
-    """One sampled network snapshot around the typical cluster."""
-
-    typical_user: np.ndarray           # (2,)
-    typical_antenna: np.ndarray        # (2,), on [-L/2, L/2] x {0}
-    interferer_antennas: np.ndarray    # (M, 2)
 
 
 # -------------------- point process sampling --------------------
@@ -148,25 +129,6 @@ def ppp_disc_radii(lam: float, R_sim: float, rng: np.random.Generator) -> np.nda
     return np.sqrt(arrivals / (lam * math.pi))
 
 
-def sample_ppp_disc(lam: float, R_sim: float, rng: np.random.Generator) -> np.ndarray:
-    """Sample a PPP on the disc of radius R_sim; returns an (M, 2) array."""
-    radii = ppp_disc_radii(lam, R_sim, rng)
-    m = radii.size
-    if m == 0:
-        return np.empty((0, 2))
-    ang = 2.0 * np.pi * rng.random(m)
-    return np.column_stack((radii * np.cos(ang), radii * np.sin(ang)))
-
-
-def sample_cluster_user(center, R: float, rng: np.random.Generator) -> np.ndarray:
-    """Uniform point on the disc of radius R about center (sqrt transform)."""
-    if not R > 0:
-        raise InvalidParameterError(f"R must be positive, got {R!r}")
-    r = R * math.sqrt(rng.random())
-    a = 2.0 * math.pi * rng.random()
-    return np.asarray(center, dtype=np.float64) + np.array([r * math.cos(a), r * math.sin(a)])
-
-
 # -------------------- preset geometry --------------------
 
 def preset_offsets(L: float, Np: int) -> np.ndarray:
@@ -183,28 +145,12 @@ def preset_offsets(L: float, Np: int) -> np.ndarray:
     return (L / (Np - 1)) * (n - (Np + 1) / 2.0)
 
 
-def preset_locations(center, theta: float, L: float, Np: int) -> np.ndarray:
-    """Planar coordinates of the Np preset locations on one waveguide."""
-    offs = preset_offsets(L, Np)
-    direction = np.array([math.cos(theta), math.sin(theta)])
-    return np.asarray(center, dtype=np.float64) + offs[:, None] * direction[None, :]
-
-
-def nearest_preset(user, presets) -> int:
-    """Index of the preset closest to the user; ties go to the lowest index."""
-    pts = np.asarray(presets, dtype=np.float64)
-    if pts.size == 0:
-        raise InvalidParameterError("presets must be non-empty")
-    d2 = np.sum((pts - np.asarray(user, dtype=np.float64)) ** 2, axis=1)
-    return int(np.argmin(d2))  # argmin returns the first minimum
-
-
 def nearest_preset_offset(proj, L: float, Np: int):
     """Axis offset of the preset nearest to an axial coordinate proj.
 
     Closed form of the nearest-preset rule for points projected onto the
     waveguide axis; vectorized over proj.  Exact midpoint ties resolve to
-    the lower-index (more negative) preset, matching nearest_preset.
+    the lower-index (more negative) preset.
     """
     if Np % 2 == 0 or Np < 1:
         raise InvalidParameterError(f"Np must be an odd positive integer, got {Np!r}")
@@ -234,44 +180,3 @@ def voronoi_cell_bounds(n: int, Np: int, L: float, R: float) -> tuple[float, flo
     a_lo = -R if n == 1 else delta * (n - Np / 2.0 - 1.0)
     a_hi = R if n == Np else delta * (n - Np / 2.0)
     return float(a_lo), float(a_hi)
-
-
-def antenna_user_distance(user, antenna, H: float) -> float:
-    """3-D separation between a ground user and an antenna at height H."""
-    du = np.asarray(user, dtype=np.float64) - np.asarray(antenna, dtype=np.float64)
-    return math.sqrt(float(du @ du) + H * H)
-
-
-# -------------------- full realization --------------------
-
-def sample_realization(params: SystemParams, simcfg,
-                       rng: np.random.Generator) -> NetworkRealization:
-    """Sample the typical cluster and all interfering antennas.
-
-    The typical cluster center is pinned at the origin (Slivnyak: it is not
-    counted among the interferers) with its waveguide on the x-axis.  Every
-    interfering cluster gets an independent orientation uniform on [0, pi),
-    an independent served user uniform on its disc, and activates the
-    preset nearest to that user.
-    """
-    R_sim = float(simcfg.R_sim)
-    user = sample_cluster_user((0.0, 0.0), params.R, rng)
-    ax = float(nearest_preset_offset(user[0], params.L, params.Np))
-    typical_antenna = np.array([ax, 0.0])
-
-    centers = sample_ppp_disc(params.lam, R_sim, rng)
-    m = centers.shape[0]
-    if m == 0:
-        return NetworkRealization(user, typical_antenna, np.empty((0, 2)))
-
-    theta = np.pi * rng.random(m)
-    r_u = params.R * np.sqrt(rng.random(m))
-    a_u = 2.0 * np.pi * rng.random(m)
-    off_x = r_u * np.cos(a_u)
-    off_y = r_u * np.sin(a_u)
-    cos_t = np.cos(theta)
-    sin_t = np.sin(theta)
-    proj = off_x * cos_t + off_y * sin_t
-    axial = nearest_preset_offset(proj, params.L, params.Np)
-    antennas = centers + np.column_stack((axial * cos_t, axial * sin_t))
-    return NetworkRealization(user, typical_antenna, antennas)

@@ -34,7 +34,6 @@ from .geometry import SystemParams, nearest_preset_offset, ppp_disc_radii
 __all__ = [
     "SimConfig",
     "EstimateReport",
-    "run_realization",
     "estimate_outage",
     "estimate_ergodic_rate",
     "estimate_laplace",
@@ -100,14 +99,6 @@ class EstimateReport:
     wall_time: float
 
 
-@dataclass(frozen=True)
-class _Hooks:
-    """Test-only sampling overrides; nothing in the CLI constructs these."""
-
-    pin_fading: bool = False
-    force_state: str | None = None  # "LoS" or "NLoS"
-
-
 def _check_run(params: SystemParams, simcfg: SimConfig) -> None:
     if not simcfg.R_sim > 2.0 * params.R:
         raise InvalidParameterError(
@@ -118,7 +109,7 @@ def _check_run(params: SystemParams, simcfg: SimConfig) -> None:
 
 
 def _run_one(params: SystemParams, simcfg: SimConfig, geom_rng, unif_rng,
-             gamma_rng, hooks: _Hooks | None = None):
+             gamma_rng):
     """One network realization; returns (serving power, interference sum).
 
     Draw order is part of the reproducibility contract: radial arrivals
@@ -147,16 +138,10 @@ def _run_one(params: SystemParams, simcfg: SimConfig, geom_rng, unif_rng,
         off = float(nearest_preset_offset(ux, params.L, params.Np))
         d0 = math.sqrt((ux - off) ** 2 + uy * uy + params.H ** 2)
 
-    if hooks is not None and hooks.force_state is not None:
-        los0 = hooks.force_state == "LoS"
-    else:
-        los0 = head[2] < math.exp(-params.beta * d0)
+    los0 = head[2] < math.exp(-params.beta * d0)
     alpha0, n0 = ((params.alpha_L, params.N_L) if los0
                   else (params.alpha_N, params.N_N))
-    if hooks is not None and hooks.pin_fading:
-        g0 = 1.0
-    else:
-        g0 = float(gamma_rng.gamma(n0, 1.0 / n0))
+    g0 = float(gamma_rng.gamma(n0, 1.0 / n0))
     signal = g0 * d0 ** -alpha0
 
     if m == 0:
@@ -178,28 +163,11 @@ def _run_one(params: SystemParams, simcfg: SimConfig, geom_rng, unif_rng,
     dy = cy + axial * sin_t - uy
     d_i = np.sqrt(dx * dx + dy * dy + params.H ** 2)
 
-    if hooks is not None and hooks.force_state is not None:
-        los_i = np.full(m, hooks.force_state == "LoS")
-    else:
-        los_i = marks[:, 4] < np.exp(-params.beta * d_i)
+    los_i = marks[:, 4] < np.exp(-params.beta * d_i)
     alpha_i = np.where(los_i, params.alpha_L, params.alpha_N)
-    if hooks is not None and hooks.pin_fading:
-        g_i = 1.0
-    else:
-        shape = np.where(los_i, params.N_L, params.N_N).astype(float)
-        g_i = gamma_rng.gamma(shape, 1.0 / shape)
+    shape = np.where(los_i, params.N_L, params.N_N).astype(float)
+    g_i = gamma_rng.gamma(shape, 1.0 / shape)
     return signal, float(np.sum(g_i * d_i ** -alpha_i))
-
-
-def run_realization(params: SystemParams, simcfg: SimConfig,
-                    rng: np.random.Generator, *, _hooks: _Hooks | None = None):
-    """Simulate one realization; returns (sinr, outage indicator, rate sample)."""
-    _check_run(params, simcfg)
-    signal, interference = _run_one(params, simcfg, rng, rng, rng, _hooks)
-    xi = link_budget(params).xi
-    value = signal / (interference + xi)
-    outage = int(value < sinr_threshold(params.Rbar))
-    return value, outage, math.log2(1.0 + value)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +194,7 @@ def _reset(bitgen, key, lane: int, index: int) -> None:
 
 
 def _chunk_values(params: SystemParams, simcfg: SimConfig, lo: int, hi: int,
-                  mode: str, s: float, hooks: _Hooks | None) -> np.ndarray:
+                  mode: str, s: float) -> np.ndarray:
     key, bitgens, gens = _lane_state(simcfg.seed)
     xi = link_budget(params).xi
     eps = sinr_threshold(params.Rbar)
@@ -235,8 +203,7 @@ def _chunk_values(params: SystemParams, simcfg: SimConfig, lo: int, hi: int,
         _reset(bitgens[0], key, _LANE_GEOM, idx)
         _reset(bitgens[1], key, _LANE_UNIF, idx)
         _reset(bitgens[2], key, _LANE_GAMMA, idx)
-        signal, interference = _run_one(params, simcfg, gens[0], gens[1],
-                                        gens[2], hooks)
+        signal, interference = _run_one(params, simcfg, gens[0], gens[1], gens[2])
         if mode == "outage":
             out[k] = signal / (interference + xi) < eps
         elif mode == "rate":
@@ -251,16 +218,16 @@ def _chunk_worker(args):
 
 
 def _simulate_values(params: SystemParams, simcfg: SimConfig, mode: str,
-                     s: float = 0.0, hooks: _Hooks | None = None) -> np.ndarray:
+                     s: float = 0.0) -> np.ndarray:
     _check_run(params, simcfg)
     n = simcfg.n_realizations
     spans = [(lo, min(lo + simcfg.batch_size, n))
              for lo in range(0, n, simcfg.batch_size)]
     if simcfg.workers == 1 or len(spans) == 1:
-        parts = [_chunk_values(params, simcfg, lo, hi, mode, s, hooks)
+        parts = [_chunk_values(params, simcfg, lo, hi, mode, s)
                  for lo, hi in spans]
     else:
-        jobs = [(params, simcfg, lo, hi, mode, s, hooks) for lo, hi in spans]
+        jobs = [(params, simcfg, lo, hi, mode, s) for lo, hi in spans]
         with ProcessPoolExecutor(max_workers=simcfg.workers) as pool:
             parts = list(pool.map(_chunk_worker, jobs))
     # fixed batch boundaries and index-ordered concatenation keep the
@@ -274,32 +241,30 @@ def _sample_std_error(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / math.sqrt(values.size))
 
 
-def estimate_outage(params: SystemParams, simcfg: SimConfig, *,
-                    _hooks: _Hooks | None = None) -> EstimateReport:
+def estimate_outage(params: SystemParams, simcfg: SimConfig) -> EstimateReport:
     """Empirical P(log2(1 + SINR) < Rbar) with binomial standard error."""
     t0 = time.perf_counter()
-    values = _simulate_values(params, simcfg, "outage", hooks=_hooks)
+    values = _simulate_values(params, simcfg, "outage")
     p = float(values.mean())
     se = math.sqrt(p * (1.0 - p) / values.size)
     return EstimateReport(p, se, values.size, simcfg.seed,
                           time.perf_counter() - t0)
 
 
-def estimate_ergodic_rate(params: SystemParams, simcfg: SimConfig, *,
-                          _hooks: _Hooks | None = None) -> EstimateReport:
+def estimate_ergodic_rate(params: SystemParams, simcfg: SimConfig) -> EstimateReport:
     """Empirical mean of log2(1 + SINR) with sample standard error."""
     t0 = time.perf_counter()
-    values = _simulate_values(params, simcfg, "rate", hooks=_hooks)
+    values = _simulate_values(params, simcfg, "rate")
     return EstimateReport(float(values.mean()), _sample_std_error(values),
                           values.size, simcfg.seed, time.perf_counter() - t0)
 
 
-def estimate_laplace(s: float, params: SystemParams, simcfg: SimConfig, *,
-                     _hooks: _Hooks | None = None) -> EstimateReport:
+def estimate_laplace(s: float, params: SystemParams,
+                     simcfg: SimConfig) -> EstimateReport:
     """Empirical E[exp(-s I)] over the interference sum I."""
     if not (s >= 0 and math.isfinite(s)):
         raise InvalidParameterError(f"s must be finite and >= 0, got {s!r}")
     t0 = time.perf_counter()
-    values = _simulate_values(params, simcfg, "laplace", s=float(s), hooks=_hooks)
+    values = _simulate_values(params, simcfg, "laplace", s=float(s))
     return EstimateReport(float(values.mean()), _sample_std_error(values),
                           values.size, simcfg.seed, time.perf_counter() - t0)

@@ -1,4 +1,4 @@
-"""Quadrature rules and finite differences for the closed-form engine.
+"""Quadrature rules for the closed-form engine.
 
 Three quadrature families are used by the analysis layer:
 
@@ -29,7 +29,6 @@ __all__ = [
     "gauss_chebyshev_nodes",
     "gauss_legendre_rule",
     "integrate_semi_infinite",
-    "finite_difference",
 ]
 
 _NEWTON_TOL = 1e-15
@@ -51,10 +50,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     interval: tuple[float, float]
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Weighted sum of integrand values at the nodes."""
-        return float(np.dot(self.weights, values))
 
 
 def gauss_chebyshev_nodes(K: int) -> ChebyshevNodes:
@@ -142,17 +137,6 @@ def gauss_legendre_rule(n: int, lo: float, hi: float) -> QuadratureRule:
                           interval=(float(lo), float(hi)))
 
 
-def _eval_panel(f: Callable, eps: np.ndarray) -> np.ndarray:
-    """Evaluate f on a node vector, accepting scalar-only callables."""
-    try:
-        vals = np.asarray(f(eps), dtype=np.float64)
-        if vals.shape == eps.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f(float(e))) for e in eps], dtype=np.float64)
-
-
 def integrate_semi_infinite(f: Callable, cfg) -> float:
     """Approximate integral of f over [0, inf).
 
@@ -165,9 +149,11 @@ def integrate_semi_infinite(f: Callable, cfg) -> float:
     two consecutive contributions fall below ``cfg.tolerance`` relative to
     the running total.
 
-    ``f`` may be vectorized (ndarray -> ndarray); scalar callables are
-    looped over.  A non-finite integrand value raises NumericError carrying
-    the offending eps.
+    ``f`` must be vectorized: it maps the panel's eps array to an array of
+    the same shape.  A non-finite integrand value raises NumericError
+    carrying the offending eps.  Panel sums use np.sum, which reduces
+    pairwise inside numpy, so the result does not depend on the BLAS
+    thread count.
     """
     order = int(cfg.gl_order_rate)
     tol = float(cfg.tolerance)
@@ -183,14 +169,14 @@ def integrate_semi_infinite(f: Callable, cfg) -> float:
         half = 0.5 * (s_hi - s_lo)
         s = (s_lo + half) - half * base_x  # descending s = ascending eps
         eps = 1.0 / s - 1.0
-        vals = _eval_panel(f, eps)
+        vals = np.asarray(f(eps), dtype=np.float64)
         bad = ~np.isfinite(vals)
         if np.any(bad):
             e_bad = float(eps[np.argmax(bad)])
             raise NumericError(
                 f"integrand returned a non-finite value at eps={e_bad!r}",
                 epsilon=e_bad)
-        contrib = half * float(np.dot(base_w, vals / (s * s)))
+        contrib = half * float(np.sum(base_w * (vals / (s * s))))
         total += contrib
         if abs(contrib) <= tol * max(abs(total), 1e-300):
             small_streak += 1
@@ -204,20 +190,3 @@ def integrate_semi_infinite(f: Callable, cfg) -> float:
             f"panels (last contribution {contrib!r} against total {total!r})")
     return total
 
-
-def finite_difference(f: Callable[[float], float], x: float, order: int,
-                      h: float) -> float:
-    """Central finite-difference derivative estimate.
-
-    order 1: (f(x+h) - f(x-h)) / (2h)
-    order 2: (f(x+h) - 2 f(x) + f(x-h)) / h^2
-
-    The caller owns the step-size tradeoff between truncation and roundoff.
-    """
-    if order not in (1, 2):
-        raise InvalidParameterError(f"order must be 1 or 2, got {order!r}")
-    if not (h > 0 and math.isfinite(h)):
-        raise InvalidParameterError(f"step h must be positive, got {h!r}")
-    if order == 1:
-        return (f(x + h) - f(x - h)) / (2.0 * h)
-    return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)

@@ -26,7 +26,7 @@ from pinchnet import cli
 from pinchnet import montecarlo as mc
 from pinchnet.channel import link_budget
 from pinchnet.geometry import default_params
-from pinchnet.numerics import finite_difference
+from test_finite_difference import finite_difference
 
 CFG = an.AnalysisConfig()
 FIG2 = default_params()

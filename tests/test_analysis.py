@@ -2,21 +2,28 @@
 
 Derivative formulas are checked against central finite differences of the
 transform itself; the lambda = 0 cases against the Poisson/Gamma closed
-forms they degenerate to; the batched table path against the direct scalar
-path point by point.
+forms they degenerate to, both pointwise and averaged over the disc by
+scipy's adaptive quadrature; the batched table path against the direct
+scalar path point by point.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.special import gammaincc
 
 from pinchnet import analysis as an
 from pinchnet.channel import link_budget
-from pinchnet.errors import InvalidParameterError
+from pinchnet.errors import InvalidParameterError, NumericInstabilityError
+from pinchnet.geometry import preset_offsets, voronoi_cell_bounds
 from pinchnet.geometry import default_params
-from pinchnet.numerics import finite_difference
+from test_finite_difference import finite_difference
 
 CFG = an.AnalysisConfig()
 PARAMS = default_params()
@@ -293,6 +300,120 @@ def test_batched_path_matches_direct_path():
     direct = np.array([an.conditional_outage(float(dec.d0[i]), io, CFG)
                        for i in idx])
     assert np.max(np.abs(batch[idx] - direct)) < 1e-9
+
+
+@pytest.mark.parametrize("level,raises", [(1.0 + 1e-6, True), (1.0 + 1e-12, False)],
+                         ids=["raises", "rounds"])
+def test_spatial_averages_clamp_only_rounding(monkeypatch, level, raises):
+    # an average more than 1e-9 outside [0, 1] is a numerical failure, not
+    # a probability to be clamped; rounding-level excess reads exactly 1
+    monkeypatch.setattr(an, "_outage_batch",
+                        lambda d0, inputs, cfg: np.full(d0.shape, level))
+    io = an.OutageInputs(1.0, XI, PARAMS)
+    for average in (an.outage_probability, an.outage_upper_bound,
+                    an.outage_lower_bound):
+        if raises:
+            with pytest.raises(NumericInstabilityError):
+                average(io, CFG)
+        else:
+            assert average(io, CFG) == 1.0
+
+
+def _noise_only_outage(d0, eps, params):
+    """Exact conditional outage without interferers: a blockage-weighted
+    mix of Gamma(N, 1/N) tails at the scaled noise level."""
+    xi = link_budget(params).xi
+    p_los = math.exp(-params.beta * d0)
+    return 1.0 - (
+        p_los * gammaincc(params.N_L, params.N_L * eps * d0 ** params.alpha_L * xi)
+        + (1.0 - p_los) * gammaincc(params.N_N,
+                                    params.N_N * eps * d0 ** params.alpha_N * xi))
+
+
+def _radial_oracle(params, eps):
+    R, H = params.R, params.H
+    val = integrate.quad(lambda r: _noise_only_outage(math.hypot(r, H), eps, params) * r,
+                         0.0, R, epsabs=1e-13, epsrel=1e-12)[0]
+    return 2.0 / R ** 2 * val
+
+
+def _strip_oracle(params, eps):
+    # upper half disc, one Voronoi strip of the presets at a time
+    R, H = params.R, params.H
+    offsets = preset_offsets(params.L, params.Np)
+    total = 0.0
+    for n in range(1, params.Np + 1):
+        a, b = voronoi_cell_bounds(n, params.Np, params.L, R)
+        xn = offsets[n - 1]
+        total += integrate.dblquad(
+            lambda y, x: _noise_only_outage(math.sqrt((x - xn) ** 2 + y * y + H * H),
+                                            eps, params),
+            a, b, 0.0, lambda x: math.sqrt(max(R * R - x * x, 0.0)),
+            epsabs=1e-11, epsrel=1e-11)[0]
+    return 2.0 / (math.pi * R ** 2) * total
+
+
+def _segment_oracle(params, eps):
+    # x > 0, y > 0 quarter disc, served from the nearest point of the
+    # waveguide segment; split at the tip where the distance has a kink
+    R, H, tip = params.R, params.H, 0.5 * params.L
+
+    def outage(y, x):
+        rho = y if x <= tip else math.hypot(x - tip, y)
+        return _noise_only_outage(math.hypot(rho, H), eps, params)
+
+    total = sum(integrate.dblquad(outage, lo, hi, 0.0,
+                                  lambda x: math.sqrt(max(R * R - x * x, 0.0)),
+                                  epsabs=1e-11, epsrel=1e-11)[0]
+                for lo, hi in ((0.0, tip), (tip, R)))
+    return 4.0 / (math.pi * R ** 2) * total
+
+
+@pytest.mark.parametrize("rbar", [8.0, 10.0])
+def test_noise_only_averages_match_quadrature_oracle(rbar):
+    # lam = 0 makes the conditional outage an exact Gamma-tail mix, so the
+    # coverage tables and the planar decompositions are pinned end to end
+    params = PARAMS.with_(lam=0.0, Rbar=rbar)
+    eps = 2.0 ** rbar - 1.0
+    io = an.OutageInputs.from_system(params)
+    assert an.outage_upper_bound(io, CFG) == pytest.approx(
+        _radial_oracle(params, eps), abs=1e-8)
+    assert an.outage_lower_bound(io, CFG) == pytest.approx(
+        _segment_oracle(params, eps), abs=1e-8)
+    single = params.with_(Np=1)
+    assert an.outage_probability(an.OutageInputs.from_system(single), CFG) \
+        == pytest.approx(_radial_oracle(single, eps), abs=1e-8)
+    for n in (11, 51):
+        p = params.with_(Np=n)
+        assert an.outage_probability(an.OutageInputs.from_system(p), CFG) \
+            == pytest.approx(_strip_oracle(p, eps), abs=1e-8)
+
+
+_HEX_SCRIPT = """
+from pinchnet import analysis as an
+from pinchnet.geometry import default_params
+cfg = an.AnalysisConfig()
+for n in (11, 51):
+    print(an.outage_probability(an.OutageInputs.from_system(default_params(Np=n)), cfg).hex())
+io = an.OutageInputs.from_system(default_params())
+print(an.outage_upper_bound(io, cfg).hex(), an.outage_lower_bound(io, cfg).hex())
+"""
+
+
+def test_analysis_bit_identical_across_blas_threads():
+    # analytic results are a pure function of (params, AnalysisConfig),
+    # bit for bit, whatever the BLAS thread count
+    src = str(Path(an.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", _HEX_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].split()) == 4
 
 
 def test_outage_stable_under_order_doubling():

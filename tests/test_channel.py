@@ -1,84 +1,12 @@
-"""Link-model tests: blockage probabilities, fading statistics, budget constants."""
+"""Link-budget constants and the SINR threshold."""
 
 import math
 
-import numpy as np
 import pytest
-from scipy import stats
 
-from pinchnet.channel import (
-    LOS,
-    NLOS,
-    SPEED_OF_LIGHT,
-    LinkSample,
-    inwaveguide_phase,
-    link_budget,
-    los_probability,
-    received_power,
-    sample_link,
-    sinr,
-    sinr_threshold,
-)
+from pinchnet.channel import SPEED_OF_LIGHT, link_budget, sinr_threshold
 from pinchnet.errors import InvalidParameterError
 from pinchnet.geometry import default_params
-
-
-def test_los_probability_values():
-    assert los_probability(0.0, 0.05) == 1.0
-    assert los_probability(123.0, 0.0) == 1.0
-    assert los_probability(100.0, 0.01) == pytest.approx(math.exp(-1.0), rel=1e-12)
-
-
-def test_los_probability_rejects_negative():
-    with pytest.raises(InvalidParameterError):
-        los_probability(-1.0, 0.01)
-    with pytest.raises(InvalidParameterError):
-        los_probability(1.0, -0.01)
-
-
-def test_sample_link_fading_moments():
-    p = default_params()
-    rng = np.random.default_rng(101)
-    n = 200_000
-    links = [sample_link(50.0, p, rng) for _ in range(n)]
-    for state, shape in ((LOS, p.N_L), (NLOS, p.N_N)):
-        f = np.array([l.fading_power for l in links if l.state == state])
-        assert f.size > 1000
-        # mean 1, variance 1/N for the normalized Gamma draw
-        assert abs(f.mean() - 1.0) < 3 * f.std(ddof=1) / math.sqrt(f.size)
-        var = f.var(ddof=1)
-        # std error of the variance estimate from the fourth central moment
-        m4 = np.mean((f - f.mean()) ** 4)
-        se_var = math.sqrt(max(m4 - var ** 2, 0.0) / f.size)
-        assert abs(var - 1.0 / shape) < 3 * se_var
-
-
-def test_sample_link_state_fractions():
-    p = default_params(beta=0.01)
-    rng = np.random.default_rng(7)
-    d = 100.0
-    n = 100_000
-    los_frac = np.mean([sample_link(d, p, rng).state == LOS for _ in range(n)])
-    target = math.exp(-1.0)
-    assert abs(los_frac - target) < 3 * math.sqrt(target * (1 - target) / n)
-
-
-def test_sample_link_alpha_n_follow_state():
-    p = default_params()
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        l = sample_link(25.0, p, rng)
-        if l.state == LOS:
-            assert (l.alpha, l.N) == (p.alpha_L, p.N_L)
-        else:
-            assert (l.alpha, l.N) == (p.alpha_N, p.N_N)
-
-
-def test_fading_exponential_when_shape_one():
-    p = default_params(N_L=1, N_N=1)
-    rng = np.random.default_rng(11)
-    f = np.array([sample_link(10.0, p, rng).fading_power for _ in range(10_000)])
-    assert stats.kstest(f, "expon").pvalue > 0.01
 
 
 def test_link_budget_eta():
@@ -102,18 +30,6 @@ def test_link_budget_xi_halves_with_doubled_power():
     assert link_budget(p1).xi == pytest.approx(2 * link_budget(p2).xi, rel=1e-14)
 
 
-def test_received_power_values():
-    assert received_power(LinkSample(1.0, LOS, 1.0, 2.0, 3)) == 1.0
-    assert received_power(LinkSample(10.0, LOS, 2.0, 2.0, 3)) == pytest.approx(0.02)
-    assert received_power(LinkSample(10.0, NLOS, 1.0, 3.0, 2)) == pytest.approx(1e-3)
-
-
-def test_sinr_values():
-    assert sinr(1.0, 0.0, 1.0) == 1.0
-    assert sinr(0.0, 5.0, 1.0) == 0.0
-    assert sinr(2.0, 1.0, 1.0) == 1.0
-
-
 def test_sinr_threshold():
     assert sinr_threshold(0.0) == 0.0
     assert sinr_threshold(1.0) == 1.0
@@ -121,11 +37,3 @@ def test_sinr_threshold():
     with pytest.raises(InvalidParameterError):
         sinr_threshold(-0.5)
 
-
-def test_inwaveguide_phase_unit_modulus():
-    assert inwaveguide_phase(0.0, 28e9) == 1 + 0j
-    lam_g = SPEED_OF_LIGHT / 28e9
-    z = inwaveguide_phase(lam_g / 2, 28e9)
-    assert z.real == pytest.approx(-1.0, abs=1e-12)
-    for arc in (0.3, 1.7, 12.0):
-        assert abs(inwaveguide_phase(arc, 28e9)) == pytest.approx(1.0, abs=1e-12)

@@ -95,6 +95,13 @@ def test_unknown_param_rejected(tmp_path):
         cli.load_config(path)
 
 
+def test_users_per_cluster_is_not_a_parameter(tmp_path):
+    # one user is served per cluster and block; nothing reads a user count
+    path = _write(tmp_path, "mode: analyze\nparams: {Ku: 2}\n")
+    with pytest.raises(ConfigError, match="Ku"):
+        cli.load_config(path)
+
+
 def test_unknown_top_level_key_rejected(tmp_path):
     with pytest.raises(ConfigError, match="modee"):
         cli.load_config(_write(tmp_path, "modee: analyze\n"))

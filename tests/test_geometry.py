@@ -1,4 +1,7 @@
-"""Spatial sampling and preset-geometry tests."""
+"""PPP radii, preset layout, nearest-preset rule and Voronoi-cell tests.
+
+Every function tested here is one the simulator or the analysis runs.
+"""
 
 import math
 
@@ -8,25 +11,12 @@ from scipy import integrate, stats
 
 from pinchnet.errors import InvalidParameterError
 from pinchnet.geometry import (
-    NetworkRealization,
-    SystemParams,
-    antenna_user_distance,
     default_params,
-    nearest_preset,
     nearest_preset_offset,
     ppp_disc_radii,
-    preset_locations,
     preset_offsets,
-    sample_cluster_user,
-    sample_ppp_disc,
-    sample_realization,
     voronoi_cell_bounds,
 )
-
-
-class SimStub:
-    def __init__(self, R_sim):
-        self.R_sim = R_sim
 
 
 # ---------------- SystemParams validation ----------------
@@ -71,7 +61,7 @@ def test_params_allows_zero_intensity():
 
 def test_ppp_zero_intensity_empty():
     rng = np.random.default_rng(0)
-    assert sample_ppp_disc(0.0, 5000.0, rng).shape == (0, 2)
+    assert ppp_disc_radii(0.0, 5000.0, rng).size == 0
 
 
 def test_ppp_mean_count():
@@ -91,16 +81,14 @@ def test_ppp_variance_matches_mean():
 
 
 def test_ppp_points_uniform():
-    # squared radii uniform on [0, R^2]; angles uniform on [0, 2pi)
+    # points uniform on the disc have squared radii uniform on [0, R^2]
+    # (the simulator draws the uniform angles itself)
     rng = np.random.default_rng(3)
-    pts = []
-    while sum(p.shape[0] for p in pts) < 20_000:
-        pts.append(sample_ppp_disc(5e-6, 2000.0, rng))
-    xy = np.vstack(pts)
-    r2 = np.sum(xy ** 2, axis=1) / 2000.0 ** 2
-    ang = (np.arctan2(xy[:, 1], xy[:, 0]) + 2 * np.pi) % (2 * np.pi) / (2 * np.pi)
+    radii = []
+    while sum(r.size for r in radii) < 20_000:
+        radii.append(ppp_disc_radii(5e-6, 2000.0, rng))
+    r2 = np.concatenate(radii) ** 2 / 2000.0 ** 2
     assert stats.kstest(r2, "uniform").pvalue > 0.01
-    assert stats.kstest(ang, "uniform").pvalue > 0.01
 
 
 def test_ppp_radii_nest_with_truncation_radius():
@@ -115,29 +103,20 @@ def test_ppp_radii_nest_with_truncation_radius():
 # ---------------- presets ----------------
 
 def test_preset_middle_index_at_center():
-    pts = preset_locations((0, 0), 0.0, 10.0, 11)
-    assert pts[5] == pytest.approx([0.0, 0.0], abs=1e-12)  # n=6, 1-based
+    assert preset_offsets(10.0, 11)[5] == 0.0  # n=6, 1-based
 
 
 def test_preset_first_index():
-    pts = preset_locations((0, 0), 0.0, 10.0, 11)
-    assert pts[0] == pytest.approx([-5.0, 0.0], abs=1e-12)
-
-
-def test_preset_rotated():
-    pts = preset_locations((3, 4), math.pi / 2, 10.0, 11)
-    assert pts[10] == pytest.approx([3.0, 9.0], abs=1e-12)
+    assert preset_offsets(10.0, 11)[0] == pytest.approx(-5.0, abs=1e-12)
 
 
 def test_preset_single():
-    pts = preset_locations((2, -1), 0.7, 10.0, 1)
-    assert pts.shape == (1, 2)
-    assert pts[0] == pytest.approx([2.0, -1.0], abs=1e-15)
+    assert np.array_equal(preset_offsets(10.0, 1), [0.0])
 
 
 def test_preset_even_np_rejected():
     with pytest.raises(InvalidParameterError):
-        preset_locations((0, 0), 0.0, 10.0, 4)
+        preset_offsets(10.0, 4)
 
 
 def test_preset_symmetry_and_spacing():
@@ -150,35 +129,37 @@ def test_preset_symmetry_and_spacing():
 # ---------------- nearest preset ----------------
 
 def test_nearest_preset_basic():
-    presets = preset_locations((0, 0), 0.0, 10.0, 11)
-    assert nearest_preset((0.3, 7.0), presets) == 5  # preset at x=0
+    assert float(nearest_preset_offset(0.3, 10.0, 11)) == 0.0
+    got = nearest_preset_offset(np.array([-4.8, 2.4, 3.6]), 10.0, 11)
+    assert np.array_equal(got, [-5.0, 2.0, 4.0])
 
 
 def test_nearest_preset_tie_lowest_index():
-    presets = np.array([[0.0, 0.0], [2.0, 0.0], [5.0, 0.0]])
-    # user on the perpendicular bisector of the first two presets
-    assert nearest_preset((1.0, 3.0), presets) == 0
+    # every midpoint between adjacent presets goes to the lower preset
+    offs = preset_offsets(10.0, 11)
+    mids = 0.5 * (offs[:-1] + offs[1:])
+    assert np.array_equal(nearest_preset_offset(mids, 10.0, 11), offs[:-1])
 
 
 def test_nearest_preset_single():
-    assert nearest_preset((9.0, 9.0), np.array([[1.0, 1.0]])) == 0
+    got = nearest_preset_offset(np.array([-9.0, 0.0, 9.0]), 10.0, 1)
+    assert np.array_equal(got, np.zeros(3))
 
 
 def test_nearest_preset_empty():
-    with pytest.raises(InvalidParameterError):
-        nearest_preset((0, 0), np.empty((0, 2)))
+    # no preset (Np = 0) or an even count has no nearest-preset rule
+    for np_ in (0, 4):
+        with pytest.raises(InvalidParameterError):
+            nearest_preset_offset(0.0, 10.0, np_)
 
 
 def test_nearest_offset_matches_argmin():
     rng = np.random.default_rng(5)
-    presets = preset_locations((0, 0), 0.0, 10.0, 11)
-    for _ in range(500):
-        u = rng.uniform(-20, 20, size=2)
-        # project onto the x-axis: the axial closed form must agree with the
-        # generic argmin rule for points off the axis too
-        k = nearest_preset(u, presets)
-        off = float(nearest_preset_offset(u[0], 10.0, 11))
-        assert off == pytest.approx(presets[k, 0], abs=1e-12)
+    offs = preset_offsets(10.0, 11)
+    proj = rng.uniform(-20, 20, size=500)
+    # brute-force rule: first minimum of the distance to every preset
+    want = offs[np.argmin(np.abs(proj[:, None] - offs[None, :]), axis=1)]
+    assert np.allclose(nearest_preset_offset(proj, 10.0, 11), want, atol=1e-12)
 
 
 def test_nearest_offset_midpoint_tie_breaks_low():
@@ -186,22 +167,6 @@ def test_nearest_offset_midpoint_tie_breaks_low():
     assert float(nearest_preset_offset(0.5, 10.0, 11)) == 0.0
     assert float(nearest_preset_offset(-0.5, 10.0, 11)) == -1.0
     assert float(nearest_preset_offset(100.0, 10.0, 11)) == 5.0  # clamped
-
-
-# ---------------- cluster user ----------------
-
-def test_cluster_user_statistics():
-    rng = np.random.default_rng(19)
-    R = 20.0
-    n = 100_000
-    pts = np.array([sample_cluster_user((0, 0), R, rng) for _ in range(n)])
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    assert np.all(r <= R)
-    mean_r = 2 * R / 3
-    sd_r = math.sqrt(R * R / 2 - mean_r ** 2)  # E[r^2] = R^2/2
-    assert abs(r.mean() - mean_r) < 3 * sd_r / math.sqrt(n)
-    p_half = np.mean(r <= R / 2)
-    assert abs(p_half - 0.25) < 3 * math.sqrt(0.25 * 0.75 / n)
 
 
 # ---------------- Voronoi cells ----------------
@@ -242,47 +207,17 @@ def test_voronoi_bad_index():
         voronoi_cell_bounds(1, 1, 10.0, 20.0)
 
 
-# ---------------- distances ----------------
-
-def test_distance_overhead():
-    assert antenna_user_distance((2.0, 5.0), (2.0, 5.0), 3.0) == pytest.approx(3.0)
-
-
-def test_distance_ground():
-    assert antenna_user_distance((3.0, 4.0), (0.0, 0.0), 0.0) == pytest.approx(5.0)
-
-
-def test_distance_3d():
-    d = antenna_user_distance((1.0, 2.0), (-1.0, 0.0), 2.0)
-    assert d == pytest.approx(2.0 * math.sqrt(3.0))
-
-
-# ---------------- full realization ----------------
-
-def test_realization_no_interferers():
-    p = default_params(lam=0.0)
-    nr = sample_realization(p, SimStub(5000.0), np.random.default_rng(1))
-    assert nr.interferer_antennas.shape == (0, 2)
-    assert np.hypot(*nr.typical_user) <= p.R
-    assert abs(nr.typical_antenna[0]) <= p.L / 2 and nr.typical_antenna[1] == 0.0
-
-
-def test_realization_single_preset_antenna_at_origin():
-    p = default_params(lam=0.0, Np=1)
-    for seed in range(5):
-        nr = sample_realization(p, SimStub(5000.0), np.random.default_rng(seed))
-        assert nr.typical_antenna[0] == 0.0 and nr.typical_antenna[1] == 0.0
-
+# ---------------- preset selection vs the Voronoi partition ----------------
 
 def test_realization_antenna_distribution_matches_cell_areas():
-    # with no interferers the typical antenna lands on preset n with
-    # probability equal to that Voronoi cell's share of the disc area
-    p = default_params(lam=0.0)
+    # a user uniform on the disc lands on preset n with probability equal
+    # to that Voronoi cell's share of the disc area: the simulator's preset
+    # rule and the analysis' strip partition describe the same cells
+    p = default_params()
     rng = np.random.default_rng(23)
     n_draws = 20_000
-    xs = np.empty(n_draws)
-    for i in range(n_draws):
-        xs[i] = sample_realization(p, SimStub(5000.0), rng).typical_antenna[0]
+    r = p.R * np.sqrt(rng.random(n_draws))
+    xs = nearest_preset_offset(r * np.cos(2 * np.pi * rng.random(n_draws)), p.L, p.Np)
     offs = preset_offsets(p.L, p.Np)
     area = math.pi * p.R ** 2
     for n in range(1, p.Np + 1):
@@ -291,34 +226,3 @@ def test_realization_antenna_distribution_matches_cell_areas():
         hits = np.mean(np.isclose(xs, offs[n - 1], atol=1e-9))
         se = math.sqrt(frac * (1 - frac) / n_draws)
         assert abs(hits - frac) < 3.5 * se, f"cell {n}: {hits} vs {frac}"
-
-
-def test_realization_interferer_antennas_near_centers():
-    p = default_params(lam=5e-6)
-    nr = sample_realization(p, SimStub(2000.0), np.random.default_rng(9))
-    assert nr.interferer_antennas.shape[0] > 0
-    # antennas lie within L/2 of some center by construction; all within
-    # the truncation disc plus the waveguide half-length
-    r = np.hypot(nr.interferer_antennas[:, 0], nr.interferer_antennas[:, 1])
-    assert np.all(r <= 2000.0 + p.L / 2 + 1e-9)
-
-
-def test_displacement_property_counts_poissonian():
-    # count-in-ball statistics of the interferer-antenna pattern match a
-    # homogeneous PPP of the same intensity despite the displacement
-    p = default_params(lam=1e-6)
-    rng = np.random.default_rng(31)
-    n_real = 20_000
-    center = np.array([800.0, 0.0])
-    rad = 400.0
-    counts = np.empty(n_real)
-    for i in range(n_real):
-        nr = sample_realization(p, SimStub(2000.0), rng)
-        d = np.hypot(nr.interferer_antennas[:, 0] - center[0],
-                     nr.interferer_antennas[:, 1] - center[1])
-        counts[i] = np.sum(d <= rad)
-    lam_ball = p.lam * math.pi * rad ** 2
-    se_mean = math.sqrt(lam_ball / n_real)
-    assert abs(counts.mean() - lam_ball) < 3 * se_mean
-    fano = counts.var(ddof=1) / counts.mean()
-    assert abs(fano - 1.0) < 0.05
