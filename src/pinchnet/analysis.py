@@ -447,35 +447,45 @@ def _half_disc_strips(params: SystemParams, order: int) -> _Decomposition:
     """
     R, L, Np, H = params.R, params.L, params.Np, params.H
     offsets = preset_offsets(L, Np)
-    d_parts, w_parts = [], []
-    for n in range(1, Np + 1):
+    base = gauss_legendre_rule(order, -1.0, 1.0)
+    # axis 0 is the strip n - 1
+    d0 = np.empty((Np, order, order))
+    weight = np.empty((Np, order, order))
+    for n in (1, Np):
         a, b = voronoi_cell_bounds(n, Np, L, R)
-        xn = offsets[n - 1]
-        if n == 1 or n == Np:
-            edge = b if n == 1 else a
-            yr = gauss_legendre_rule(order, 0.0, math.sqrt(R * R - edge * edge))
-            x_rim = np.sqrt(R * R - yr.nodes ** 2)
-            if n == 1:
-                x_lo, x_hi = -x_rim, np.full(order, b)
-            else:
-                x_lo, x_hi = np.full(order, a), x_rim
-            half = 0.5 * (x_hi - x_lo)
-            mid = 0.5 * (x_hi + x_lo)
-            base = gauss_legendre_rule(order, -1.0, 1.0)
-            x = mid[:, None] + half[:, None] * base.nodes[None, :]
-            w = (yr.weights * half)[:, None] * base.weights[None, :]
-            d0 = np.sqrt((x - xn) ** 2 + yr.nodes[:, None] ** 2 + H * H)
+        edge = b if n == 1 else a
+        yr = gauss_legendre_rule(order, 0.0, math.sqrt(R * R - edge * edge))
+        x_rim = np.sqrt(R * R - yr.nodes ** 2)
+        if n == 1:
+            x_lo, x_hi = -x_rim, np.full(order, b)
         else:
-            xr = gauss_legendre_rule(order, a, b)
-            ymax = np.sqrt(R * R - xr.nodes ** 2)
-            base = gauss_legendre_rule(order, 0.0, 1.0)
-            y = ymax[:, None] * base.nodes[None, :]
-            w = (xr.weights * ymax)[:, None] * base.weights[None, :]
-            d0 = np.sqrt((xr.nodes[:, None] - xn) ** 2 + y ** 2 + H * H)
-        d_parts.append(d0.ravel())
-        w_parts.append(w.ravel())
-    return _Decomposition(np.concatenate(d_parts), np.concatenate(w_parts),
-                          2.0 / (math.pi * R * R))
+            x_lo, x_hi = np.full(order, a), x_rim
+        half = 0.5 * (x_hi - x_lo)
+        mid = 0.5 * (x_hi + x_lo)
+        x = mid[:, None] + half[:, None] * base.nodes[None, :]
+        weight[n - 1] = (yr.weights * half)[:, None] * base.weights[None, :]
+        d0[n - 1] = np.sqrt((x - offsets[n - 1]) ** 2 + yr.nodes[:, None] ** 2 + H * H)
+    # interior strips n = 2..Np-1 in one pass: the arithmetic of
+    # voronoi_cell_bounds and gauss_legendre_rule repeated elementwise, so
+    # each strip's points equal those of a rule built on its cell alone,
+    # bit for bit
+    n = np.arange(2, Np, dtype=np.float64)[:, None]
+    delta = L / (Np - 1)
+    a = delta * (n - Np / 2.0 - 1.0)
+    b = delta * (n - Np / 2.0)
+    x_nodes = 0.5 * (b + a) + 0.5 * (b - a) * base.nodes
+    x_weights = 0.5 * (b - a) * base.weights
+    ymax = np.sqrt(R * R - x_nodes ** 2)
+    unit = gauss_legendre_rule(order, 0.0, 1.0)
+    np.multiply((x_weights * ymax)[:, :, None], unit.weights, out=weight[1:-1])
+    # (x - xn)^2 + y^2 + H^2, in place
+    inner = d0[1:-1]
+    np.multiply(ymax[:, :, None], unit.nodes, out=inner)
+    np.square(inner, out=inner)
+    inner += ((x_nodes - offsets[1:-1, None]) ** 2)[:, :, None]
+    inner += H * H
+    np.sqrt(inner, out=inner)
+    return _Decomposition(d0.ravel(), weight.ravel(), 2.0 / (math.pi * R * R))
 
 
 def _continuum_strips(params: SystemParams, order: int) -> _Decomposition:

@@ -1,16 +1,15 @@
-"""Spatial model: system parameters, PPP radii, preset layout, Voronoi cells.
+"""Spatial model: system parameters, preset layout, Voronoi cells.
 
 The typical cluster sits at the origin with its waveguide on the x-axis.
 Interfering cluster centers form a PPP of intensity lam truncated to a disc
 of radius R_sim; each interfering cluster carries its own uniformly
 oriented waveguide and a served user whose projection onto the waveguide
 fixes the activated preset (nearest_preset_offset).  The simulator draws
-the marks; this module holds the shared geometry.
+the points and their marks; this module holds the shared geometry.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,13 +19,10 @@ from .errors import InvalidParameterError
 __all__ = [
     "SystemParams",
     "default_params",
-    "ppp_disc_radii",
     "preset_offsets",
     "nearest_preset_offset",
     "voronoi_cell_bounds",
 ]
-
-_PPP_CHUNK = 128  # exponential arrivals drawn this many at a time
 
 
 @dataclass(frozen=True)
@@ -94,39 +90,6 @@ class SystemParams:
 def default_params(**overrides) -> SystemParams:
     """Baseline parameter set (28 GHz, -94 dBm noise, 20 m clusters)."""
     return SystemParams(**overrides)
-
-
-# -------------------- point process sampling --------------------
-
-def ppp_disc_radii(lam: float, R_sim: float, rng: np.random.Generator) -> np.ndarray:
-    """Ascending radii of a PPP of intensity lam on a disc of radius R_sim.
-
-    Sorted squared radii of a disc PPP are the arrival times of a unit-rate
-    Poisson process scaled by 1/(lam pi), so radii are generated from
-    cumulative exponential increments drawn in fixed-size chunks.  With a
-    fixed stream this nests: a larger R_sim reproduces every point of a
-    smaller one and appends farther points.
-    """
-    if lam < 0:
-        raise InvalidParameterError(f"lam must be >= 0, got {lam!r}")
-    if not R_sim > 0:
-        raise InvalidParameterError(f"R_sim must be positive, got {R_sim!r}")
-    if lam == 0.0:
-        return np.empty(0)
-    limit = lam * math.pi * R_sim * R_sim
-    chunks = []
-    total = 0.0
-    while True:
-        c = rng.standard_exponential(_PPP_CHUNK)
-        c[0] += total
-        np.cumsum(c, out=c)
-        total = c[-1]
-        chunks.append(c)
-        if total > limit:
-            break
-    arrivals = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-    arrivals = arrivals[arrivals <= limit]
-    return np.sqrt(arrivals / (lam * math.pi))
 
 
 # -------------------- preset geometry --------------------

@@ -6,16 +6,21 @@ user's nearest preset activated, independent blockage and Nakagami fading
 per link, and the resulting SINR of the typical user at threshold
 2^Rbar - 1.
 
-Reproducibility is structural, not incidental.  Every realization owns
-three counter-based random lanes (Philox counter words [0, 0, lane, index]
-under one key derived from the seed): lane 0 feeds the radial Poisson
-arrivals, lane 1 all uniform marks, lane 2 the fading draws.  Realization
-values are materialized into one array and reduced in index order, so the
-estimate is bit-identical for any batch size and any worker count.  The
-lanes also make truncation studies meaningful: enlarging R_sim extends the
-arrival sequence and the mark matrix without disturbing the draws of the
-points both discs share, so the estimate shift measures truncation error
-rather than resampling noise.
+Realizations are simulated in fixed blocks of 256, and reproducibility is
+structural, not incidental.  Every random number comes from a numpy Philox
+stream keyed by the seed with counter words [0, chunk, lane, block]:
+lane 0, chunk 0 holds a block's head (user position, serving blockage and
+serving fading); lane 1, chunk c holds interferer columns c*128 to
+c*128+127 of every realization in the block (radial arrival increments,
+five uniform marks, fading exponentials).  Every draw has a fixed shape, so
+a realization's numbers depend only on (seed, realization index) and a
+run's values are cut from whole blocks whatever the batch size or worker
+count; values are reduced in index order, so estimates are bit-identical
+across both.  The layout also makes truncation studies meaningful:
+enlarging R_sim only admits more of the same arrival columns (drawing
+further chunks where needed) without disturbing the points both discs
+share, so the estimate shift measures truncation error rather than
+resampling noise.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 
 from .channel import link_budget, sinr_threshold
 from .errors import InvalidParameterError
-from .geometry import SystemParams, nearest_preset_offset, ppp_disc_radii
+from .geometry import SystemParams, nearest_preset_offset
 
 __all__ = [
     "SimConfig",
@@ -39,10 +44,13 @@ __all__ = [
     "estimate_laplace",
 ]
 
+# Realizations per block and interferer columns per chunk.  Both fix the
+# layout of the random draws: changing either changes every seed's sample.
+_BLOCK = 256
+_CHUNK = 128
 # Philox counter lane per random role
-_LANE_GEOM = 0
-_LANE_UNIF = 1
-_LANE_GAMMA = 2
+_LANE_HEAD = 0
+_LANE_FIELD = 1
 
 _TWO_PI = 2.0 * math.pi
 
@@ -108,109 +116,117 @@ def _check_run(params: SystemParams, simcfg: SimConfig) -> None:
             f"pinned_d0={simcfg.pinned_d0!r} is below the antenna height {params.H!r}")
 
 
-def _run_one(params: SystemParams, simcfg: SimConfig, geom_rng, unif_rng,
-             gamma_rng):
-    """One network realization; returns (serving power, interference sum).
+def _stream(key: np.ndarray, chunk: int, lane: int, block: int):
+    # Philox counter words [0, chunk, lane, block]: draws advance word 0
+    # only, leaving 2^64 counter steps of headroom per stream
+    return np.random.Generator(
+        np.random.Philox(key=key, counter=[0, chunk, lane, block]))
 
-    Draw order is part of the reproducibility contract: radial arrivals
-    from the geometry lane; then 3 head uniforms (user radius, user angle,
-    serving blockage) and an (m, 5) mark matrix (center angle, orientation,
-    cluster-user radius, cluster-user angle, blockage) from the uniform
-    lane; then the serving fading followed by the interferer fading vector
-    from the gamma lane.  Both the arrival sequence and the row-major mark
-    matrix extend prefix-stably when R_sim grows.
+
+def _received(exps: np.ndarray, d: np.ndarray, los: np.ndarray,
+              params: SystemParams) -> np.ndarray:
+    """Faded received powers g d^-alpha of links at distances d.
+
+    Gamma(N, 1/N) gains are the mean of the first N unit exponentials
+    along axis 0 of exps, N and alpha picked per link by its LoS state.
     """
-    radii = ppp_disc_radii(params.lam, simcfg.R_sim, geom_rng)
-    m = radii.size
-    head = unif_rng.random(3)
-    marks = unif_rng.random((m, 5))
+    g_los = sum(exps[:params.N_L]) / params.N_L
+    g_nlos = sum(exps[:params.N_N]) / params.N_N
+    return np.where(los, g_los * d ** -params.alpha_L,
+                    g_nlos * d ** -params.alpha_N)
 
+
+def _block_interference(params: SystemParams, simcfg: SimConfig, key: np.ndarray,
+                        block: int, ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
+    """Interference sums of one block, drawn chunk by chunk from lane 1.
+
+    Sorted squared radii of a disc PPP, times lam pi, are the arrival
+    times of a unit-rate Poisson process.  Row i of a chunk extends
+    realization i's arrival sequence by _CHUNK points; chunks are drawn
+    until every row has passed lam pi R_sim^2, and only arrivals inside
+    that limit contribute.
+    """
+    interference = np.zeros(_BLOCK)
+    if params.lam == 0.0:
+        return interference
+    limit = params.lam * math.pi * simcfg.R_sim ** 2
+    n_max = max(params.N_L, params.N_N)
+    last = np.zeros(_BLOCK)
+    chunk = 0
+    while np.any(last <= limit):
+        rng = _stream(key, chunk, _LANE_FIELD, block)
+        arrivals = rng.standard_exponential((_BLOCK, _CHUNK))
+        arrivals[:, 0] += last
+        arrivals = np.cumsum(arrivals, axis=1)
+        last = arrivals[:, -1]
+        marks = rng.random((5, _BLOCK * _CHUNK))
+        exps = rng.standard_exponential((n_max, _BLOCK * _CHUNK))
+        chunk += 1
+
+        inside = np.flatnonzero(arrivals <= limit)
+        rows = inside // _CHUNK
+        radius = np.sqrt(arrivals.ravel()[inside] / (params.lam * math.pi))
+        # center angle, orientation, cluster-user radius and angle, blockage
+        u_center, u_orient, u_radius, u_angle, u_block = np.take(
+            marks, inside, axis=1)
+        c_ang = _TWO_PI * u_center
+        theta = math.pi * u_orient
+        cos_t = np.cos(theta)
+        sin_t = np.sin(theta)
+        # each interferer's waveguide activates the preset nearest to its
+        # own served user's projection onto the waveguide axis; the user's
+        # angle relative to that axis is uniform
+        proj = params.R * np.sqrt(u_radius) * np.cos(_TWO_PI * u_angle)
+        axial = nearest_preset_offset(proj, params.L, params.Np)
+        dx = radius * np.cos(c_ang) + axial * cos_t - ux[rows]
+        dy = radius * np.sin(c_ang) + axial * sin_t - uy[rows]
+        d = np.sqrt(dx * dx + dy * dy + params.H ** 2)
+        los = u_block < np.exp(-params.beta * d)
+        power = _received(np.take(exps, inside, axis=1), d, los, params)
+        interference += np.bincount(rows, weights=power, minlength=_BLOCK)
+    return interference
+
+
+def _block_values(params: SystemParams, simcfg: SimConfig, key: np.ndarray,
+                  block: int, mode: str, s: float) -> np.ndarray:
+    """Per-realization values of block `block` (realizations
+    block * _BLOCK ... block * _BLOCK + _BLOCK - 1)."""
+    head = _stream(key, 0, _LANE_HEAD, block)
+    # user radius, user angle, serving blockage; serving fading
+    u = head.random((3, _BLOCK))
+    exps = head.standard_exponential((max(params.N_L, params.N_N), _BLOCK))
     if simcfg.pinned_d0 is not None:
-        ux = uy = 0.0
-        d0 = simcfg.pinned_d0
+        ux = uy = np.zeros(_BLOCK)
+        d0 = np.full(_BLOCK, simcfg.pinned_d0)
     else:
         # typical cluster at the origin, its waveguide along the x axis
         # (rotation invariance of everything else)
-        r_u = params.R * math.sqrt(head[0])
-        ang = _TWO_PI * head[1]
-        ux = r_u * math.cos(ang)
-        uy = r_u * math.sin(ang)
-        off = float(nearest_preset_offset(ux, params.L, params.Np))
-        d0 = math.sqrt((ux - off) ** 2 + uy * uy + params.H ** 2)
-
-    los0 = head[2] < math.exp(-params.beta * d0)
-    alpha0, n0 = ((params.alpha_L, params.N_L) if los0
-                  else (params.alpha_N, params.N_N))
-    g0 = float(gamma_rng.gamma(n0, 1.0 / n0))
-    signal = g0 * d0 ** -alpha0
-
-    if m == 0:
-        return signal, 0.0
-
-    c_ang = _TWO_PI * marks[:, 0]
-    cx = radii * np.cos(c_ang)
-    cy = radii * np.sin(c_ang)
-    theta = math.pi * marks[:, 1]
-    cos_t = np.cos(theta)
-    sin_t = np.sin(theta)
-    r_off = params.R * np.sqrt(marks[:, 2])
-    a_off = _TWO_PI * marks[:, 3]
-    # each interferer's waveguide activates the preset nearest to its own
-    # served user, projected onto the waveguide axis
-    proj = r_off * (np.cos(a_off) * cos_t + np.sin(a_off) * sin_t)
-    axial = nearest_preset_offset(proj, params.L, params.Np)
-    dx = cx + axial * cos_t - ux
-    dy = cy + axial * sin_t - uy
-    d_i = np.sqrt(dx * dx + dy * dy + params.H ** 2)
-
-    los_i = marks[:, 4] < np.exp(-params.beta * d_i)
-    alpha_i = np.where(los_i, params.alpha_L, params.alpha_N)
-    shape = np.where(los_i, params.N_L, params.N_N).astype(float)
-    g_i = gamma_rng.gamma(shape, 1.0 / shape)
-    return signal, float(np.sum(g_i * d_i ** -alpha_i))
-
-
-# ---------------------------------------------------------------------------
-# batch engine
-
-
-def _lane_state(seed: int):
-    key = np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64)
-    bitgens = [np.random.Philox(key=key) for _ in range(3)]
-    gens = [np.random.Generator(b) for b in bitgens]
-    return key, bitgens, gens
-
-
-def _reset(bitgen, key, lane: int, index: int) -> None:
-    # counter words [0, 0, lane, index]: words 0-1 leave 2^128 blocks of
-    # draw headroom per (lane, index), so lanes never collide
-    st = bitgen.state
-    st["state"]["counter"][:] = (0, 0, lane, index)
-    st["state"]["key"][:] = key
-    st["buffer_pos"] = 4
-    st["has_uint32"] = 0
-    st["uinteger"] = 0
-    bitgen.state = st
+        r_u = params.R * np.sqrt(u[0])
+        ang = _TWO_PI * u[1]
+        ux = r_u * np.cos(ang)
+        uy = r_u * np.sin(ang)
+        off = nearest_preset_offset(ux, params.L, params.Np)
+        d0 = np.sqrt((ux - off) ** 2 + uy * uy + params.H ** 2)
+    los0 = u[2] < np.exp(-params.beta * d0)
+    signal = _received(exps, d0, los0, params)
+    interference = _block_interference(params, simcfg, key, block, ux, uy)
+    if mode == "outage":
+        sinr = signal / (interference + link_budget(params).xi)
+        return (sinr < sinr_threshold(params.Rbar)).astype(float)
+    if mode == "rate":
+        return np.log2(1.0 + signal / (interference + link_budget(params).xi))
+    return np.exp(-s * interference)
 
 
 def _chunk_values(params: SystemParams, simcfg: SimConfig, lo: int, hi: int,
                   mode: str, s: float) -> np.ndarray:
-    key, bitgens, gens = _lane_state(simcfg.seed)
-    xi = link_budget(params).xi
-    eps = sinr_threshold(params.Rbar)
-    out = np.empty(hi - lo)
-    for k, idx in enumerate(range(lo, hi)):
-        _reset(bitgens[0], key, _LANE_GEOM, idx)
-        _reset(bitgens[1], key, _LANE_UNIF, idx)
-        _reset(bitgens[2], key, _LANE_GAMMA, idx)
-        signal, interference = _run_one(params, simcfg, gens[0], gens[1], gens[2])
-        if mode == "outage":
-            out[k] = signal / (interference + xi) < eps
-        elif mode == "rate":
-            out[k] = math.log2(1.0 + signal / (interference + xi))
-        else:
-            out[k] = math.exp(-s * interference)
-    return out
+    """Values of realizations lo..hi-1, cut from the blocks covering them."""
+    key = np.random.SeedSequence(simcfg.seed).generate_state(2, dtype=np.uint64)
+    first = lo // _BLOCK
+    values = np.concatenate([
+        _block_values(params, simcfg, key, b, mode, s)
+        for b in range(first, (hi - 1) // _BLOCK + 1)])
+    return values[lo - first * _BLOCK:hi - first * _BLOCK]
 
 
 def _chunk_worker(args):

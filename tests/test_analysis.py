@@ -22,6 +22,7 @@ from pinchnet import analysis as an
 from pinchnet.channel import link_budget
 from pinchnet.errors import InvalidParameterError, NumericInstabilityError
 from pinchnet.geometry import preset_offsets, voronoi_cell_bounds
+from pinchnet.numerics import gauss_legendre_rule
 from pinchnet.geometry import default_params
 from test_finite_difference import finite_difference
 
@@ -285,6 +286,28 @@ def test_strip_weights_cover_half_disc():
     dec = an._half_disc_strips(PARAMS, CFG.gl_order_2d)
     assert dec.weight.sum() == pytest.approx(math.pi * PARAMS.R ** 2 / 2, rel=1e-13)
     assert np.all(dec.d0 >= PARAMS.H)
+
+
+@pytest.mark.parametrize("Np", [3, 11, 51])
+def test_interior_strips_equal_per_cell_rules(Np):
+    # the one-pass interior build against rules built cell by cell
+    params = PARAMS.with_(Np=Np)
+    order = 16
+    dec = an._half_disc_strips(params, order)
+    offsets = preset_offsets(params.L, Np)
+    unit = gauss_legendre_rule(order, 0.0, 1.0)
+    size = order * order
+    for n in range(2, Np):
+        xr = gauss_legendre_rule(
+            order, *voronoi_cell_bounds(n, Np, params.L, params.R))
+        ymax = np.sqrt(params.R ** 2 - xr.nodes ** 2)
+        y = ymax[:, None] * unit.nodes[None, :]
+        w = (xr.weights * ymax)[:, None] * unit.weights[None, :]
+        d0 = np.sqrt((xr.nodes[:, None] - offsets[n - 1]) ** 2 + y ** 2
+                     + params.H * params.H)
+        cut = slice((n - 1) * size, n * size)
+        assert dec.d0[cut].tobytes() == d0.ravel().tobytes()
+        assert dec.weight[cut].tobytes() == w.ravel().tobytes()
 
 
 def test_continuum_weights_cover_quarter_disc():

@@ -1,4 +1,4 @@
-"""PPP radii, preset layout, nearest-preset rule and Voronoi-cell tests.
+"""Cluster-center PPP, preset layout, nearest-preset rule and Voronoi-cell tests.
 
 Every function tested here is one the simulator or the analysis runs.
 """
@@ -7,13 +7,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate
 
+from pinchnet import montecarlo as mc
 from pinchnet.errors import InvalidParameterError
 from pinchnet.geometry import (
     default_params,
     nearest_preset_offset,
-    ppp_disc_radii,
     preset_offsets,
     voronoi_cell_bounds,
 )
@@ -58,46 +58,51 @@ def test_params_allows_zero_intensity():
 
 
 # ---------------- PPP on the disc ----------------
+#
+# The simulator owns the sampling of the cluster-center PPP, so these tests
+# read it through the simulator.  At s = 1e300 the Laplace sample
+# exp(-s I) is the indicator that a realization has no interferer, whose
+# probability on a disc of radius r is exp(-lam pi r^2).
 
-def test_ppp_zero_intensity_empty():
-    rng = np.random.default_rng(0)
-    assert ppp_disc_radii(0.0, 5000.0, rng).size == 0
+VOID_S = 1e300
+
+
+def _void_estimate(lam, R_sim, n, seed):
+    return mc.estimate_laplace(
+        VOID_S, default_params(lam=lam),
+        mc.SimConfig(n_realizations=n, R_sim=R_sim, seed=seed))
 
 
 def test_ppp_mean_count():
-    rng = np.random.default_rng(7)
-    n = 10_000
-    counts = np.array([ppp_disc_radii(1e-6, 5000.0, rng).size for _ in range(n)])
-    lam_area = 1e-6 * math.pi * 5000.0 ** 2
-    se = math.sqrt(lam_area / n)
-    assert abs(counts.mean() - lam_area) < 3 * se
-
-
-def test_ppp_variance_matches_mean():
-    rng = np.random.default_rng(11)
-    n = 100_000
-    counts = np.array([ppp_disc_radii(2e-6, 1000.0, rng).size for _ in range(n)])
-    assert abs(counts.var(ddof=1) / counts.mean() - 1.0) < 0.05
+    # lam pi R_sim^2 = 1 interferer on average: P(none) = e^-1
+    R_sim = 1000.0
+    report = _void_estimate(1.0 / (math.pi * R_sim ** 2), R_sim, 20_000, 29)
+    assert abs(report.estimate - math.exp(-1.0)) <= 3.0 * report.std_error
 
 
 def test_ppp_points_uniform():
-    # points uniform on the disc have squared radii uniform on [0, R^2]
-    # (the simulator draws the uniform angles itself)
-    rng = np.random.default_rng(3)
-    radii = []
-    while sum(r.size for r in radii) < 20_000:
-        radii.append(ppp_disc_radii(5e-6, 2000.0, rng))
-    r2 = np.concatenate(radii) ** 2 / 2000.0 ** 2
-    assert stats.kstest(r2, "uniform").pvalue > 0.01
+    # points uniform on the disc: the void probability of every inner disc
+    # is exp(-lam pi r^2), which pins the intensity per unit area
+    lam = 1e-6
+    for R_sim in (300.0, 600.0, 1200.0):
+        report = _void_estimate(lam, R_sim, 20_000, 31)
+        want = math.exp(-lam * math.pi * R_sim ** 2)
+        assert abs(report.estimate - want) <= 3.0 * report.std_error
 
 
 def test_ppp_radii_nest_with_truncation_radius():
-    # same stream, larger disc: identical prefix plus farther points
-    r1 = ppp_disc_radii(1e-6, 5000.0, np.random.default_rng(42))
-    r2 = ppp_disc_radii(1e-6, 10000.0, np.random.default_rng(42))
-    assert r2.size > r1.size
-    assert np.array_equal(r1, r2[: r1.size])
-    assert np.all(np.diff(r2) >= 0)
+    # same seed, larger disc: every interferer of the small disc is kept
+    # with its marks and fading, so exp(-s I) can only fall; the pair
+    # straddles the 128-column chunk of arrivals (78.5 vs 201 on average)
+    params = default_params()
+    values = {
+        R_sim: mc._simulate_values(
+            params, mc.SimConfig(n_realizations=600, seed=5, R_sim=R_sim),
+            mode="laplace", s=1e8)
+        for R_sim in (5000.0, 8000.0)}
+    assert params.lam * math.pi * 5000.0 ** 2 < 128 < params.lam * math.pi * 8000.0 ** 2
+    assert np.all(values[8000.0] <= values[5000.0])
+    assert np.mean(values[8000.0] < values[5000.0]) > 0.9
 
 
 # ---------------- presets ----------------

@@ -108,6 +108,33 @@ def test_worker_count_invariance_reports():
     assert _report_tuple(a) == _report_tuple(b)
 
 
+def test_values_identical_across_block_cuts():
+    # 256-realization blocks: spans that end inside, on and just past a
+    # block boundary all cut the same values
+    params = default_params()
+    sim = mc.SimConfig(n_realizations=600, seed=5, batch_size=600)
+    ref = mc._simulate_values(params, sim, mode="rate")
+    for batch in (1, 255, 256, 257, 2000):
+        got = mc._simulate_values(
+            params, mc.SimConfig(n_realizations=600, seed=5, batch_size=batch),
+            mode="rate")
+        assert got.tobytes() == ref.tobytes()
+    par = mc._simulate_values(
+        params,
+        mc.SimConfig(n_realizations=600, seed=5, batch_size=100, workers=3),
+        mode="rate")
+    assert par.tobytes() == ref.tobytes()
+
+
+def test_values_nest_in_sample_size():
+    params = default_params()
+    short = mc._simulate_values(
+        params, mc.SimConfig(n_realizations=300, seed=12), mode="rate")
+    long = mc._simulate_values(
+        params, mc.SimConfig(n_realizations=1000, seed=12), mode="rate")
+    assert short.tobytes() == long[:300].tobytes()
+
+
 def test_report_metadata():
     sim = mc.SimConfig(n_realizations=500, seed=3)
     report = mc.estimate_outage(default_params(), sim)
@@ -138,28 +165,41 @@ def test_outage_flag_matches_sinr():
 
 
 def test_no_clusters_means_no_interference():
+    # at s = 1e300 a single interferer would send exp(-s I) to 0, so every
+    # realization's interference sum is exactly zero; the signal is not
     params = default_params(lam=0.0)
-    sim = mc.SimConfig(n_realizations=10)
-    geom, unif, gamma = (np.random.default_rng(4) for _ in range(3))
-    for _ in range(20):
-        signal, interference = mc._run_one(params, sim, geom, unif, gamma)
-        assert interference == 0.0
-        assert signal > 0.0
+    sim = mc.SimConfig(n_realizations=600, seed=4)
+    laplace = mc._simulate_values(params, sim, mode="laplace", s=1e300)
+    rate = mc._simulate_values(params, sim, mode="rate")
+    assert np.all(laplace == 1.0)
+    assert np.all(rate > 0.0)
 
 
-def test_pinned_distance_rate_matches_gamma_oracle():
-    # no interferers, no blockage, forced distance: the rate sample is
-    # log2(1 + G d0^-alpha_L / xi) with G ~ Gamma(N_L, 1/N_L)
-    params = default_params(lam=0.0, beta=0.0)
-    xi = link_budget(params).xi
+def _pinned_rate_oracle(params, alpha, shape, seed):
+    """(simulated, oracle, SE) of the rate at pinned d0 = 5 without
+    interferers: E[log2(1 + G d0^-alpha / xi)] with G ~ Gamma(shape, 1/shape)."""
     d0 = 5.0
-    snr = d0 ** (-params.alpha_L) / xi
-    gain = stats.gamma(params.N_L, scale=1.0 / params.N_L)
+    snr = d0 ** (-alpha) / link_budget(params).xi
+    gain = stats.gamma(shape, scale=1.0 / shape)
     want = integrate.quad(lambda g: math.log2(1.0 + g * snr) * gain.pdf(g),
                           0.0, np.inf)[0]
     report = mc.estimate_ergodic_rate(
-        params, mc.SimConfig(n_realizations=20_000, seed=7, pinned_d0=d0))
-    assert abs(report.estimate - want) <= 3.0 * report.std_error
+        params, mc.SimConfig(n_realizations=20_000, seed=seed, pinned_d0=d0))
+    return report.estimate, want, report.std_error
+
+
+def test_pinned_distance_rate_matches_gamma_oracle():
+    # no blockage: every serving link is LoS
+    params = default_params(lam=0.0, beta=0.0)
+    got, want, se = _pinned_rate_oracle(params, params.alpha_L, params.N_L, 7)
+    assert abs(got - want) <= 3.0 * se
+
+
+def test_pinned_distance_nlos_rate_matches_gamma_oracle():
+    # blockage certain at d0 = 5 (exp(-1e3 * 5) underflows to 0)
+    params = default_params(lam=0.0, beta=1e3)
+    got, want, se = _pinned_rate_oracle(params, params.alpha_N, params.N_N, 19)
+    assert abs(got - want) <= 3.0 * se
 
 
 def test_laplace_at_zero_is_one():
