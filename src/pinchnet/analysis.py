@@ -19,15 +19,25 @@ strips touch the disc boundary where y_max(x) = sqrt(R^2 - x^2) has a
 vertical tangent; those strips are integrated y-outer / x-inner so both
 quadrature directions see an analytic integrand.
 
-Repeated spatial averages (rate integrals, threshold sweeps) would otherwise
-re-evaluate the derivative stack tens of thousands of times per epsilon, so
-the per-branch coverage sum C_B(omega) is tabulated on a log-omega grid with
-exact slopes (the derivative of the truncated sum telescopes to a single
-term) and read back through cubic Hermite interpolation.  The table pair is
-the only cached state: one lru_cache whose key is the complete list of
-inputs the tables are computed from, so sweeps over Np, L or R reuse it and
-no stale entry can match a different input.  The scalar conditional_outage
-path stays direct, which the tests use to pin the table error.
+A spatial average would otherwise re-evaluate the derivative stack at every
+one of its 12k-200k strip points, so the per-branch coverage sum C_B(omega)
+is tabulated on a log-omega grid with exact slopes (the derivative of the
+truncated sum telescopes to a single term) and read back through cubic
+Hermite interpolation.  A value read from the table depends only on omega
+and the table inputs, never on how far earlier calls widened the grid.  The
+table pair is the only cached state: one lru_cache whose key is the complete
+list of inputs the tables are computed from, so sweeps over Np, L or R reuse
+it and no stale entry can match a different input.  The scalar
+conditional_outage path stays direct, which the tests use to pin the table
+error.
+
+The ergodic rate needs neither the tables nor the derivatives.  Hamdi's
+lemma (IEEE Trans. Commun. 58(2), 2010) gives
+E[ln(1 + S/(I + xi))] = int_0^inf z^-1 e^{-z xi} (1 - M_S(z)) L_I(z) dz for
+independent S and I, where M_S is the Laplace transform of the serving
+power.  Given the serving distance d0, M_S is a blockage mix of Gamma
+transforms, so the user position enters only through d0, and the serving
+decomposition collapses to a short rule in ln d0 once per call.
 """
 
 from __future__ import annotations
@@ -58,9 +68,9 @@ __all__ = [
     "ergodic_rate",
 ]
 
-# Prefactor of the rate integral int_0^inf (1 - P_out)/(1 + eps) d eps.
-# 1/ln2 makes the integral equal E[log2(1 + SINR)] exactly; 0.5 is kept
-# selectable for models that charge a half resource to the link.
+# Prefactor of the rate integral, which equals E[ln(1 + SINR)]: 1/ln2
+# makes the rate E[log2(1 + SINR)] exactly; 0.5 is kept selectable for
+# models that charge a half resource to the link.
 RATE_PREFACTOR_BITS = 1.0 / math.log(2.0)
 RATE_PREFACTOR_HALF = 0.5
 
@@ -88,7 +98,8 @@ class AnalysisConfig:
     K: Gauss-Chebyshev order of the interference transform
     gl_order_2d: Gauss-Legendre order per axis of the Voronoi-strip average
     gl_order_radial: order for the radial fixed-antenna bound
-    gl_order_rate: order per octave panel of the rate integral
+    gl_order_rate: order per octave panel of the rate's z-integral, and
+        the number of Chebyshev nodes of its serving-distance rule
     rate_prefactor: multiplier of the rate integral (1/ln2 or 0.5)
     tolerance: relative convergence target of the rate panels
     """
@@ -360,7 +371,8 @@ class _CoverageTable:
         if self.val is not None and lo >= self.i_lo and hi <= self.i_hi:
             return
         if self.val is None:
-            # first build: pad 2 decades down, 4 up (rate sweeps walk upward)
+            # first build: pad 2 decades down, 4 up, so that later
+            # thresholds at the same noise level mostly read built points
             lo -= 2 * _GRID_PER_DECADE
             hi += 4 * _GRID_PER_DECADE
         else:
@@ -374,9 +386,13 @@ class _CoverageTable:
         w = np.asarray(omega, dtype=float)
         ln = np.log(w)
         self._ensure(float(np.min(ln)), float(np.max(ln)))
-        pos = np.clip(ln / _H_GRID - self.i_lo, 0.0, self.i_hi - self.i_lo - 1e-12)
-        i = np.floor(pos).astype(np.intp)
-        u = pos - i
+        # cell and offset from the absolute grid position: relative to
+        # i_lo they would round differently once the grid has grown
+        # (in place: at Np = 51 each array here is 1.7 MB)
+        pos = np.divide(ln, _H_GRID, out=ln)
+        cell = np.clip(np.floor(pos), self.i_lo, self.i_hi - 1)
+        u = np.clip(pos - cell, 0.0, 1.0, out=pos)
+        i = cell.astype(np.intp) - self.i_lo
         y0, y1 = self.val[i], self.val[i + 1]
         m0, m1 = self.slope[i], self.slope[i + 1]
         u2 = u * u
@@ -568,21 +584,65 @@ def outage_lower_bound(inputs: OutageInputs, cfg: AnalysisConfig) -> float:
                             inputs, cfg, "outage lower bound")
 
 
+def _distance_rule(dec: _Decomposition, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Serving distances and weights of an m-point rule in ln d0 that
+    averages like dec for any integrand depending on d0 alone.
+
+    The nodes are Chebyshev points of ln d0 over the decomposition's range.
+    The weights integrate the degree m - 1 Chebyshev interpolant exactly
+    against dec's measure: Chebyshev moments from the three-term recurrence
+    (one pass over the points per degree, so no m x n matrix), turned into
+    point weights by the discrete cosine sum.  The weights sum to dec's
+    total mass, which is 1.
+    """
+    ln_d = np.log(dec.d0)
+    lo, hi = float(np.min(ln_d)), float(np.max(ln_d))
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    t = (ln_d - mid) / half if half > 0.0 else np.zeros_like(ln_d)
+    w = dec.scale * dec.weight
+    moments = np.empty(m)
+    prev, cheb = np.ones_like(t), t
+    moments[0] = np.sum(w)
+    for k in range(1, m):
+        moments[k] = np.sum(w * cheb)
+        prev, cheb = cheb, 2.0 * t * cheb - prev
+    theta = math.pi * (np.arange(m) + 0.5) / m
+    coef = np.full(m, 2.0 / m)
+    coef[0] = 1.0 / m
+    weights = np.sum((coef * moments)[:, None]
+                     * np.cos(np.arange(m)[:, None] * theta), axis=0)
+    return np.exp(mid + half * np.cos(theta)), weights
+
+
 def ergodic_rate(params: SystemParams, cfg: AnalysisConfig) -> float:
-    """rate_prefactor * int_0^inf (1 - P_out(eps)) / (1 + eps) d eps.
+    """rate_prefactor * int_0^inf z^-1 e^{-z xi} L_I(z) (1 - E[M_S(z | d0)]) dz.
 
     With the default prefactor 1/ln2 this is E[log2(1 + SINR)] of the
-    typical user.  The decomposition is built once and the integrand
-    averages over it at each threshold; octave panels handle the slowly
-    decaying tail.
+    typical user (Hamdi's lemma).  M_S(z | d0) = sum_B p_B(d0)
+    (1 + z d0^-alpha_B / N_B)^-N_B is the Laplace transform of the serving
+    power; its mean over user positions runs through _distance_rule, built
+    once per call from the serving decomposition.  Octave panels in z
+    resolve the integrand's log-wide plateau between the mean signal power
+    and the noise level.  A non-finite rate, or one below zero by more
+    than rounding, raises NumericInstabilityError.
     """
     xi = link_budget(params).xi
-    dec = _serving_decomposition(params, cfg)
+    tab = _tables(params, cfg)
+    d0, weight = _distance_rule(_serving_decomposition(params, cfg), cfg.gl_order_rate)
+    p_los = np.exp(-params.beta * d0)
+    branches = ((weight * p_los, d0 ** -params.alpha_L / params.N_L, params.N_L),
+                (weight * (1.0 - p_los), d0 ** -params.alpha_N / params.N_N, params.N_N))
 
-    def integrand(eps: np.ndarray) -> np.ndarray:
-        return np.array([
-            (1.0 - _spatial_average(dec, OutageInputs(float(e), xi, params), cfg,
-                                    "outage probability")) / (1.0 + e)
-            for e in eps])
+    def integrand(z: np.ndarray) -> np.ndarray:
+        zc = z[:, None]
+        # 1 - (1 + x)^-N as -expm1(-N log1p(x)) keeps its digits at small z
+        miss = 0.0
+        for w, gain, n in branches:
+            miss = miss + np.sum(w * -np.expm1(-n * np.log1p(zc * gain)), axis=-1)
+        return np.exp(_log_laplace(z, tab) - z * xi) * miss / z
 
-    return cfg.rate_prefactor * integrate_semi_infinite(integrand, cfg)
+    rate = cfg.rate_prefactor * integrate_semi_infinite(integrand, cfg)
+    if not (math.isfinite(rate) and rate >= -_CLAMP):
+        raise NumericInstabilityError(
+            f"ergodic rate evaluated to {rate!r}; quadrature order too low")
+    return max(rate, 0.0)

@@ -61,7 +61,8 @@ class SimConfig:
 
     R_sim truncates the interferer field; it must exceed 2R of the params
     in force (checked at run time, where both are known).  batch_size and
-    workers only shape execution, never results.
+    workers only shape execution, never results; batch edges round down to
+    whole 256-realization blocks.
     """
 
     n_realizations: int = 100_000
@@ -237,8 +238,9 @@ def _simulate_values(params: SystemParams, simcfg: SimConfig, mode: str,
                      s: float = 0.0) -> np.ndarray:
     _check_run(params, simcfg)
     n = simcfg.n_realizations
-    spans = [(lo, min(lo + simcfg.batch_size, n))
-             for lo in range(0, n, simcfg.batch_size)]
+    # span edges rounded down to whole blocks, so no block is computed twice
+    edges = sorted({lo // _BLOCK * _BLOCK for lo in range(0, n, simcfg.batch_size)})
+    spans = list(zip(edges, edges[1:] + [n]))
     if simcfg.workers == 1 or len(spans) == 1:
         parts = [_chunk_values(params, simcfg, lo, hi, mode, s)
                  for lo, hi in spans]

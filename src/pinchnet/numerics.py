@@ -7,9 +7,10 @@ Three quadrature families are used by the analysis layer:
   interval via phi = (pi/4)(1 + theta).
 * Gauss-Legendre rules built by Newton iteration on the Legendre
   recurrence, used for all finite-interval integrals.
-* A semi-infinite rule for threshold integrals over [0, inf), built from
-  the substitution eps = u / (1 - u) with panels refined toward u = 1 so
-  integrands whose mass spans many decades of eps are still resolved.
+* A semi-infinite rule for integrals over [0, inf), such as the ergodic
+  rate's z-integral, built from the substitution x = u / (1 - u) with
+  panels refined toward u = 1 so integrands whose mass spans many decades
+  of x are still resolved.
 """
 
 from __future__ import annotations
@@ -140,42 +141,42 @@ def gauss_legendre_rule(n: int, lo: float, hi: float) -> QuadratureRule:
 def integrate_semi_infinite(f: Callable, cfg) -> float:
     """Approximate integral of f over [0, inf).
 
-    The substitution eps = u/(1-u) (Jacobian 1/(1-u)^2) maps the half line
+    The substitution x = u/(1-u) (Jacobian 1/(1-u)^2) maps the half line
     onto (0, 1).  A single fixed-order rule cannot resolve integrands whose
-    mass is spread over many decades of eps, so the u interval is split
+    mass is spread over many decades of x, so the u interval is split
     into panels [0, 1/2], [1/2, 3/4], ... refined geometrically toward
-    u = 1 (each panel covers one octave of eps) and a Gauss-Legendre rule
-    of order ``cfg.gl_order_rate`` is applied per panel.  Panels stop once
-    two consecutive contributions fall below ``cfg.tolerance`` relative to
-    the running total.
+    u = 1 (panel j covers x in [2^j - 1, 2^(j+1) - 1], about one octave)
+    and a Gauss-Legendre rule of order ``cfg.gl_order_rate`` is applied
+    per panel.  Panels stop once two consecutive contributions fall below
+    ``cfg.tolerance`` relative to the running total.
 
-    ``f`` must be vectorized: it maps the panel's eps array to an array of
+    ``f`` must be vectorized: it maps the panel's x array to an array of
     the same shape.  A non-finite integrand value raises NumericError
-    carrying the offending eps.  Panel sums use np.sum, which reduces
-    pairwise inside numpy, so the result does not depend on the BLAS
-    thread count.
+    whose ``epsilon`` attribute carries the offending x.  Panel sums use
+    np.sum, which reduces pairwise inside numpy, so the result does not
+    depend on the BLAS thread count.
     """
     order = int(cfg.gl_order_rate)
     tol = float(cfg.tolerance)
     base_x, base_w = _legendre_base(order)
 
     # work in s = 1 - u so the dyadic panel edges stay exact; then
-    # eps = 1/s - 1 and the Jacobian is 1/s^2
+    # x = 1/s - 1 and the Jacobian is 1/s^2
     total = 0.0
     small_streak = 0
     for j in range(_MAX_PANELS):
         s_hi = 2.0 ** (-j)        # panel covers s in [s_hi/2, s_hi]
         s_lo = 0.5 * s_hi
         half = 0.5 * (s_hi - s_lo)
-        s = (s_lo + half) - half * base_x  # descending s = ascending eps
-        eps = 1.0 / s - 1.0
-        vals = np.asarray(f(eps), dtype=np.float64)
+        s = (s_lo + half) - half * base_x  # descending s = ascending x
+        x = 1.0 / s - 1.0
+        vals = np.asarray(f(x), dtype=np.float64)
         bad = ~np.isfinite(vals)
         if np.any(bad):
-            e_bad = float(eps[np.argmax(bad)])
+            x_bad = float(x[np.argmax(bad)])
             raise NumericError(
-                f"integrand returned a non-finite value at eps={e_bad!r}",
-                epsilon=e_bad)
+                f"integrand returned a non-finite value at x={x_bad!r}",
+                epsilon=x_bad)
         contrib = half * float(np.sum(base_w * (vals / (s * s))))
         total += contrib
         if abs(contrib) <= tol * max(abs(total), 1e-300):

@@ -4,7 +4,8 @@ Derivative formulas are checked against central finite differences of the
 transform itself; the lambda = 0 cases against the Poisson/Gamma closed
 forms they degenerate to, both pointwise and averaged over the disc by
 scipy's adaptive quadrature; the batched table path against the direct
-scalar path point by point.
+scalar path point by point; the z-integral rate against the threshold
+integral of the spatially averaged outage.
 """
 
 import math
@@ -15,14 +16,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 from scipy.special import gammaincc
 
 from pinchnet import analysis as an
 from pinchnet.channel import link_budget
 from pinchnet.errors import InvalidParameterError, NumericInstabilityError
 from pinchnet.geometry import preset_offsets, voronoi_cell_bounds
-from pinchnet.numerics import gauss_legendre_rule
+from pinchnet.numerics import gauss_legendre_rule, integrate_semi_infinite
 from pinchnet.geometry import default_params
 from test_finite_difference import finite_difference
 
@@ -34,6 +35,9 @@ XI = link_budget(PARAMS).xi
 # finite-difference checks (at lam = 1e-6 the second derivative sits nine
 # orders below L-bar itself and plain central differences lose digits)
 PARAMS_FD = default_params(lam=1e-2)
+
+# README rate-figure geometry at 30 dBm
+RATE_PARAMS = default_params(alpha_N=4.0, lam=1e-5, R=100.0, L=100.0, H=4.0, P=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +416,16 @@ def test_noise_only_averages_match_quadrature_oracle(rbar):
             == pytest.approx(_strip_oracle(p, eps), abs=1e-8)
 
 
+def _run_fresh(script, *args, threads="1"):
+    """Stdout of script run in a new interpreter on this checkout's src."""
+    src = str(Path(an.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 _HEX_SCRIPT = """
 from pinchnet import analysis as an
 from pinchnet.geometry import default_params
@@ -420,23 +434,36 @@ for n in (11, 51):
     print(an.outage_probability(an.OutageInputs.from_system(default_params(Np=n)), cfg).hex())
 io = an.OutageInputs.from_system(default_params())
 print(an.outage_upper_bound(io, cfg).hex(), an.outage_lower_bound(io, cfg).hex())
+rate = default_params(alpha_N=4.0, lam=1e-5, R=100.0, L=100.0, H=4.0, P=1.0, Np=3)
+print(an.ergodic_rate(rate, cfg).hex())
 """
 
 
 def test_analysis_bit_identical_across_blas_threads():
     # analytic results are a pure function of (params, AnalysisConfig),
     # bit for bit, whatever the BLAS thread count
-    src = str(Path(an.__file__).resolve().parents[1])
-    outputs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        run = subprocess.run([sys.executable, "-c", _HEX_SCRIPT], env=env,
-                             capture_output=True, text=True, check=True)
-        outputs.append(run.stdout)
+    outputs = [_run_fresh(_HEX_SCRIPT, threads=threads) for threads in ("1", "2")]
     assert outputs[0] == outputs[1]
-    assert len(outputs[0].split()) == 4
+    assert len(outputs[0].split()) == 5
+
+
+_HISTORY_SCRIPT = """
+import sys
+from pinchnet import analysis as an
+from pinchnet.geometry import default_params
+cfg = an.AnalysisConfig()
+io = an.OutageInputs.from_system(default_params())
+if sys.argv[1] == "widened":
+    # same noise level, so the same cached tables, grown upward first
+    an.outage_probability(an.OutageInputs(1e4 * io.epsilon, io.xi, io.params), cfg)
+print(an.outage_probability(io, cfg).hex())
+"""
+
+
+def test_outage_independent_of_call_history():
+    # a table read depends on omega alone, not on how far the grid has grown
+    outputs = [_run_fresh(_HISTORY_SCRIPT, order) for order in ("fresh", "widened")]
+    assert outputs[0] == outputs[1]
 
 
 def test_outage_stable_under_order_doubling():
@@ -453,8 +480,36 @@ def test_outage_stable_under_order_doubling():
 # ergodic rate
 
 
+def _adaptive_z_rate(params, cfg):
+    """The rate's z-integral by scipy's adaptive quadrature over ln z, on
+    the same serving-distance rule and interference transform."""
+    xi = link_budget(params).xi
+    tab = an._tables(params, cfg)
+    d0, weight = an._distance_rule(an._serving_decomposition(params, cfg),
+                                   cfg.gl_order_rate)
+    p_los = np.exp(-params.beta * d0)
+
+    def miss(z, alpha, shape):
+        return 1.0 - (1.0 + z * d0 ** -alpha / shape) ** -shape
+
+    def integrand(ln_z):
+        z = math.exp(ln_z)
+        m = np.sum(weight * (p_los * miss(z, params.alpha_L, params.N_L)
+                             + (1.0 - p_los) * miss(z, params.alpha_N, params.N_N)))
+        return math.exp(float(an._log_laplace(z, tab)) - z * xi) * m
+
+    val = integrate.quad(integrand, -30.0, 30.0, limit=500, epsabs=1e-15, epsrel=1e-12)[0]
+    return cfg.rate_prefactor * val
+
+
 def test_rate_vanishes_under_dense_interference():
-    assert an.ergodic_rate(default_params(lam=10.0), CFG) < 1e-4
+    # at lam = 10 the interference transform has fallen to e^-19 by z = 0.1,
+    # so the whole rate sits in the first z panel; adaptive quadrature
+    # checks that panel (the rate is 1.1633e-4 bits)
+    dense = default_params(lam=10.0)
+    rate = an.ergodic_rate(dense, CFG)
+    assert rate == pytest.approx(_adaptive_z_rate(dense, CFG), rel=1e-8)
+    assert rate < 2e-4
 
 
 def test_rate_monotone_in_power_without_interference():
@@ -471,3 +526,72 @@ def test_rate_scales_with_prefactor():
     assert b == pytest.approx(a * an.RATE_PREFACTOR_HALF / an.RATE_PREFACTOR_BITS,
                               rel=1e-12)
     assert a > 0
+
+
+def _threshold_rate(params, cfg):
+    """rate_prefactor * int_0^inf (1 - P_out(eps)) / (1 + eps) d eps, with the
+    outage averaged over the serving decomposition through the coverage
+    tables: the rate by a route that shares only L_I with the z-integral."""
+    xi = link_budget(params).xi
+    dec = an._serving_decomposition(params, cfg)
+
+    def integrand(eps):
+        return np.array([
+            (1.0 - an._spatial_average(dec, an.OutageInputs(float(e), xi, params),
+                                       cfg, "outage probability")) / (1.0 + e)
+            for e in eps])
+
+    return cfg.rate_prefactor * integrate_semi_infinite(integrand, cfg)
+
+
+@pytest.mark.parametrize("params", [RATE_PARAMS.with_(Np=1), RATE_PARAMS.with_(Np=3),
+                                    PARAMS], ids=["rate-Np1", "rate-Np3", "default"])
+def test_rate_matches_threshold_integral(params):
+    assert an.ergodic_rate(params, CFG) == pytest.approx(
+        _threshold_rate(params, CFG), abs=1e-5)
+
+
+def _noise_only_rate(params):
+    """(2/R^2) int_0^R E[log2(1 + G d^-alpha_B / xi)] r dr without
+    interferers, G ~ Gamma(N_B, 1/N_B) and B LoS with probability
+    exp(-beta d), by nested scipy quadrature."""
+    xi = link_budget(params).xi
+
+    def mean_log(d, alpha, shape):
+        snr = d ** -alpha / xi
+        return integrate.quad(
+            lambda g: math.log2(1.0 + g * snr) * stats.gamma.pdf(g, shape, scale=1.0 / shape),
+            0.0, np.inf, epsabs=1e-13, epsrel=1e-12)[0]
+
+    def at_radius(r):
+        d = math.hypot(r, params.H)
+        p_los = math.exp(-params.beta * d)
+        return r * (p_los * mean_log(d, params.alpha_L, params.N_L)
+                    + (1.0 - p_los) * mean_log(d, params.alpha_N, params.N_N))
+
+    val = integrate.quad(at_radius, 0.0, params.R, epsabs=1e-11, epsrel=1e-11)[0]
+    return 2.0 / params.R ** 2 * val
+
+
+@pytest.mark.parametrize("params", [PARAMS, RATE_PARAMS], ids=["default", "rate"])
+def test_noise_only_rate_matches_quadrature_oracle(params):
+    single = params.with_(lam=0.0, Np=1)
+    assert an.ergodic_rate(single, CFG) == pytest.approx(
+        _noise_only_rate(single), abs=1e-8)
+
+
+@pytest.mark.parametrize("level,want", [(-1e-12, 0.0), (-1e-6, None), (math.nan, None)],
+                         ids=["rounds", "negative", "nan"])
+def test_rate_rejects_nonfinite_or_negative(monkeypatch, level, want):
+    # a rate below zero by more than rounding is a numerical failure
+    monkeypatch.setattr(an, "integrate_semi_infinite", lambda f, cfg: level)
+    if want is None:
+        with pytest.raises(NumericInstabilityError):
+            an.ergodic_rate(PARAMS, CFG)
+    else:
+        assert an.ergodic_rate(PARAMS, CFG) == want
+
+
+def test_rate_overflow_raises():
+    with pytest.raises(NumericInstabilityError):
+        an.ergodic_rate(PARAMS, an.AnalysisConfig(rate_prefactor=1e308))

@@ -126,6 +126,25 @@ def test_values_identical_across_block_cuts():
     assert par.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("n,batch,blocks", [(600, 1, 3), (60_000, 25_000, 235)],
+                         ids=["batch1", "default-batch"])
+def test_spans_compute_each_block_once(monkeypatch, n, batch, blocks):
+    # span edges fall on block edges: ceil(n / 256) blocks, whatever the
+    # batch size (lam = 0 keeps the 235 blocks cheap)
+    calls = []
+    block_values = mc._block_values
+
+    def counted(*args):
+        calls.append(args[3])
+        return block_values(*args)
+
+    monkeypatch.setattr(mc, "_block_values", counted)
+    mc._simulate_values(default_params(lam=0.0),
+                        mc.SimConfig(n_realizations=n, seed=5, batch_size=batch),
+                        mode="rate")
+    assert sorted(calls) == list(range(blocks))
+
+
 def test_values_nest_in_sample_size():
     params = default_params()
     short = mc._simulate_values(
