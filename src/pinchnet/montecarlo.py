@@ -61,8 +61,8 @@ class SimConfig:
 
     R_sim truncates the interferer field; it must exceed 2R of the params
     in force (checked at run time, where both are known).  batch_size and
-    workers only shape execution, never results; batch edges round down to
-    whole 256-realization blocks.
+    workers only shape execution, never results; batch_size rounds down to
+    whole 256-realization blocks (one block at least).
     """
 
     n_realizations: int = 100_000
@@ -238,9 +238,9 @@ def _simulate_values(params: SystemParams, simcfg: SimConfig, mode: str,
                      s: float = 0.0) -> np.ndarray:
     _check_run(params, simcfg)
     n = simcfg.n_realizations
-    # span edges rounded down to whole blocks, so no block is computed twice
-    edges = sorted({lo // _BLOCK * _BLOCK for lo in range(0, n, simcfg.batch_size)})
-    spans = list(zip(edges, edges[1:] + [n]))
+    # spans of whole blocks, so no block is computed twice
+    step = max(1, simcfg.batch_size // _BLOCK) * _BLOCK
+    spans = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
     if simcfg.workers == 1 or len(spans) == 1:
         parts = [_chunk_values(params, simcfg, lo, hi, mode, s)
                  for lo, hi in spans]

@@ -109,8 +109,8 @@ def test_worker_count_invariance_reports():
 
 
 def test_values_identical_across_block_cuts():
-    # 256-realization blocks: spans that end inside, on and just past a
-    # block boundary all cut the same values
+    # 256-realization blocks: batch sizes below, on and just past a block,
+    # and one past n, all give the same values
     params = default_params()
     sim = mc.SimConfig(n_realizations=600, seed=5, batch_size=600)
     ref = mc._simulate_values(params, sim, mode="rate")
