@@ -16,35 +16,29 @@ terms all share the sign (-1)^j.
 Spatial averaging integrates the conditional outage over Voronoi strips of
 the serving waveguide.  The per-strip integrand is smooth, but the two edge
 strips touch the disc boundary where y_max(x) = sqrt(R^2 - x^2) has a
-vertical tangent; those strips are integrated y-outer / x-inner so both
-quadrature directions see an analytic integrand.
+vertical tangent; those strips are integrated x-inner under an outer rule
+in the rim angle, so both quadrature directions see an analytic integrand.
 
-A spatial average would otherwise re-evaluate the derivative stack at every
-one of its 12k-200k strip points, so the per-branch coverage sum C_B(omega)
-is tabulated on a log-omega grid with exact slopes (the derivative of the
-truncated sum telescopes to a single term) and read back through cubic
-Hermite interpolation.  A value read from the table depends only on omega
-and the table inputs, never on how far earlier calls widened the grid.  The
-table pair is the only cached state: one lru_cache whose key is the complete
-list of inputs the tables are computed from, so sweeps over Np, L or R reuse
-it and no stale entry can match a different input.  The scalar
-conditional_outage path stays direct, which the tests use to pin the table
-error.
+Every quantity averaged over the user position (the outage, both bounds,
+the rate) depends on that position only through the serving distance d0.
+So each decomposition's 12k-200k points are reduced once per call to a
+short rule of Chebyshev nodes in ln d0 (_distance_rule), and the integrand
+is evaluated only at those nodes: the outage runs the derivative recursion
+directly there.  Nothing is cached between calls, so every result is a pure
+function of (params, AnalysisConfig).
 
-The ergodic rate needs neither the tables nor the derivatives.  Hamdi's
-lemma (IEEE Trans. Commun. 58(2), 2010) gives
+The ergodic rate needs no derivatives.  Hamdi's lemma (IEEE Trans.
+Commun. 58(2), 2010) gives
 E[ln(1 + S/(I + xi))] = int_0^inf z^-1 e^{-z xi} (1 - M_S(z)) L_I(z) dz for
 independent S and I, where M_S is the Laplace transform of the serving
 power.  Given the serving distance d0, M_S is a blockage mix of Gamma
-transforms, so the user position enters only through d0, and the serving
-decomposition collapses to a short rule in ln d0 once per call.
+transforms, averaged over the same rule in ln d0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -74,13 +68,10 @@ __all__ = [
 RATE_PREFACTOR_BITS = 1.0 / math.log(2.0)
 RATE_PREFACTOR_HALF = 0.5
 
-# Probabilities produced by the coverage sum are clamped inside this window;
-# anything worse signals that a quadrature order is too low.
+# Rounding window of a probability (and of the rate below 0): a value up to
+# this far outside [0, 1] is rounded onto it; anything further, or not
+# finite, signals that a quadrature order is too low.
 _CLAMP = 1e-9
-
-# Coverage-table resolution, points per decade of omega.
-_GRID_PER_DECADE = 128
-_H_GRID = math.log(10.0) / _GRID_PER_DECADE
 
 
 def _positive_int(value, name: str) -> int:
@@ -99,7 +90,8 @@ class AnalysisConfig:
     gl_order_2d: Gauss-Legendre order per axis of the Voronoi-strip average
     gl_order_radial: order for the radial fixed-antenna bound
     gl_order_rate: order per octave panel of the rate's z-integral, and
-        the number of Chebyshev nodes of its serving-distance rule
+        the number of Chebyshev nodes of every serving-distance rule (the
+        outage, both bounds and the rate)
     rate_prefactor: multiplier of the rate integral (1/ln2 or 0.5)
     tolerance: relative convergence target of the rate panels
     """
@@ -260,8 +252,7 @@ def lbar_derivatives(omega: float, max_order: int, xi: float,
     """L-bar(omega) = L_I(omega) e^{-omega xi} and derivatives up to max_order.
 
     Returns orders 0..max_order inclusive.  Outage needs orders up to
-    N_B - 1; the exact table slope additionally uses order N_B, so the
-    recursion accepts any nonnegative order.
+    N_B - 1; the recursion accepts any nonnegative order.
     """
     if isinstance(max_order, bool) or not isinstance(max_order, (int, np.integer)):
         raise InvalidParameterError(f"max_order must be an integer, got {max_order!r}")
@@ -278,17 +269,36 @@ def lbar_derivatives(omega: float, max_order: int, xi: float,
 
 
 def _clamp_probability(value: float, context: str) -> float:
-    if value < 0.0:
-        if value >= -_CLAMP:
-            return 0.0
+    """value rounded onto [0, 1] if it lies within _CLAMP of it."""
+    # written so that NaN fails the test too
+    if not -_CLAMP <= value <= 1.0 + _CLAMP:
         raise NumericInstabilityError(
-            f"{context} evaluated to {value!r}; quadrature order too low")
-    if value > 1.0:
-        if value <= 1.0 + _CLAMP:
-            return 1.0
-        raise NumericInstabilityError(
-            f"{context} evaluated to {value!r}; quadrature order too low")
-    return value
+            f"{context} evaluated to {value!r}; quadrature order too low "
+            "or floating-point overflow")
+    return min(max(value, 0.0), 1.0)
+
+
+def _outage_batch(d0: np.ndarray, inputs: OutageInputs,
+                  tab: _NodeTables) -> np.ndarray:
+    """conditional_outage at an array of serving distances, unvalidated
+    and unclamped.  Every term of a coverage sum is nonnegative, since
+    L-bar^(j) has the sign (-1)^j."""
+    if inputs.epsilon == 0.0:
+        return np.zeros_like(d0)
+    params = inputs.params
+    p_los = np.exp(-params.beta * d0)
+    coverage = 0.0
+    for weight, alpha, n in ((p_los, params.alpha_L, params.N_L),
+                             (1.0 - p_los, params.alpha_N, params.N_N)):
+        omega = n * inputs.epsilon * d0 ** alpha
+        lbars = _lbar_vec(omega, n - 1, inputs.xi, tab)
+        term = 1.0
+        c = lbars[0]
+        for j in range(1, n):
+            term *= -omega / j
+            c += term * lbars[j]
+        coverage += weight * c
+    return 1.0 - coverage
 
 
 def conditional_outage(d0: float, inputs: OutageInputs, cfg: AnalysisConfig) -> float:
@@ -296,133 +306,16 @@ def conditional_outage(d0: float, inputs: OutageInputs, cfg: AnalysisConfig) -> 
 
     Per blockage state B the coverage sum is sum_{j<N_B} ((-w)^j / j!)
     L-bar^(j)(w) at w = N_B eps d0^alpha_B; the states are mixed with
-    exp(-beta d0) / 1 - exp(-beta d0) and subtracted from 1.
+    exp(-beta d0) / 1 - exp(-beta d0) and subtracted from 1.  A value that
+    is not finite, or leaves [0, 1] by more than rounding, raises
+    NumericInstabilityError.
     """
     params = inputs.params
     if not (d0 >= params.H and math.isfinite(d0)):
         raise InvalidParameterError(
             f"d0 must be finite and >= H={params.H!r}, got {d0!r}")
-    tab = _tables(params, cfg)
-    p_los = math.exp(-params.beta * d0)
-    coverage = 0.0
-    for weight, alpha, n in ((p_los, params.alpha_L, params.N_L),
-                             (1.0 - p_los, params.alpha_N, params.N_N)):
-        omega = n * inputs.epsilon * d0 ** alpha
-        lbars = _lbar_vec(omega, n - 1, inputs.xi, tab)
-        term = 1.0
-        c = float(lbars[0])
-        for j in range(1, n):
-            term *= -omega / j
-            c += term * float(lbars[j])
-        coverage += weight * c
-    return _clamp_probability(1.0 - coverage, f"conditional outage at d0={d0!r}")
-
-
-class _CoverageTable:
-    """Cubic-Hermite table of one branch coverage sum over log(omega).
-
-    Values carry exact slopes: d/dw of the truncated sum telescopes to
-    ((-w)^{N-1}/(N-1)!) L-bar^(N)(w), so each grid point stores C and
-    w C'(w) (the log-omega derivative).  The grid grows geometrically on
-    demand; queries outside it clamp to the end values, which is safe
-    because C has flat tails (1 at small omega, its large-omega limit at
-    the high end, reached to ~omega^{-N} long before the grid cap).
-    """
-
-    __slots__ = ("n", "xi", "tab", "i_lo", "i_hi", "val", "slope", "cap_hi")
-
-    def __init__(self, n: int, xi: float, tab: _NodeTables):
-        self.n = n
-        self.xi = xi
-        self.tab = tab
-        self.i_lo = 0
-        self.i_hi = -1
-        self.val = None
-        self.slope = None
-        # keep omega^{n-1} representable on the grid
-        self.cap_hi = int(math.floor(min(60.0, 290.0 / max(1, n - 1))
-                                     * math.log(10.0) / _H_GRID))
-
-    def _build(self, i_lo: int, i_hi: int) -> None:
-        if i_hi <= i_lo:
-            i_lo = i_hi - 1
-        idx = np.arange(i_lo, i_hi + 1)
-        omega = np.exp(idx * _H_GRID)
-        lbars = _lbar_vec(omega, self.n, self.xi, self.tab)
-        cov = lbars[0].copy()
-        term = np.ones_like(omega)
-        for j in range(1, self.n):
-            term *= -omega / j
-            cov += term * lbars[j]
-        # after the loop term = (-w)^{n-1}/(n-1)!, so C' telescopes to
-        # term * L-bar^(n); the extra omega converts d/dw to d/dln(w)
-        slope = omega * term * lbars[self.n]
-        worst = float(max(np.max(cov) - 1.0, -np.min(cov), 0.0))
-        if worst > _CLAMP:
-            raise NumericInstabilityError(
-                f"coverage sum left [0, 1] by {worst!r}; quadrature order too low")
-        np.clip(cov, 0.0, 1.0, out=cov)
-        self.i_lo, self.i_hi = i_lo, i_hi
-        self.val, self.slope = cov, slope
-
-    def _ensure(self, ln_lo: float, ln_hi: float) -> None:
-        lo = max(int(math.floor(ln_lo / _H_GRID)) - 1, -self.cap_hi)
-        hi = min(int(math.ceil(ln_hi / _H_GRID)) + 1, self.cap_hi)
-        if self.val is not None and lo >= self.i_lo and hi <= self.i_hi:
-            return
-        if self.val is None:
-            # first build: pad 2 decades down, 4 up, so that later
-            # thresholds at the same noise level mostly read built points
-            lo -= 2 * _GRID_PER_DECADE
-            hi += 4 * _GRID_PER_DECADE
-        else:
-            # geometric growth keeps the number of rebuilds logarithmic
-            span = self.i_hi - self.i_lo
-            lo = min(lo, self.i_lo - span if lo < self.i_lo else self.i_lo)
-            hi = max(hi, self.i_hi + span if hi > self.i_hi else self.i_hi)
-        self._build(max(lo, -self.cap_hi), min(hi, self.cap_hi))
-
-    def eval(self, omega: np.ndarray) -> np.ndarray:
-        w = np.asarray(omega, dtype=float)
-        ln = np.log(w)
-        self._ensure(float(np.min(ln)), float(np.max(ln)))
-        # cell and offset from the absolute grid position: relative to
-        # i_lo they would round differently once the grid has grown
-        # (in place: at Np = 51 each array here is 1.7 MB)
-        pos = np.divide(ln, _H_GRID, out=ln)
-        cell = np.clip(np.floor(pos), self.i_lo, self.i_hi - 1)
-        u = np.clip(pos - cell, 0.0, 1.0, out=pos)
-        i = cell.astype(np.intp) - self.i_lo
-        y0, y1 = self.val[i], self.val[i + 1]
-        m0, m1 = self.slope[i], self.slope[i + 1]
-        u2 = u * u
-        u3 = u2 * u
-        out = ((2.0 * u3 - 3.0 * u2 + 1.0) * y0 + (-2.0 * u3 + 3.0 * u2) * y1
-               + _H_GRID * ((u3 - 2.0 * u2 + u) * m0 + (u3 - u2) * m1))
-        return np.clip(out, 0.0, 1.0)
-
-
-@lru_cache(maxsize=64)
-def _coverage_tables(K: int, xi: float, lam: float, H: float, beta: float,
-                     alpha_L: float, alpha_N: float, N_L: int, N_N: int):
-    """LoS and NLoS coverage tables; the arguments are all they depend on."""
-    tab = _NodeTables(K, lam, H, beta, alpha_L, alpha_N, N_L, N_N)
-    return _CoverageTable(N_L, xi, tab), _CoverageTable(N_N, xi, tab)
-
-
-def _outage_batch(d0: np.ndarray, inputs: OutageInputs,
-                  cfg: AnalysisConfig) -> np.ndarray:
-    """conditional_outage over an array of serving distances (table path)."""
-    if inputs.epsilon == 0.0:
-        return np.zeros_like(d0)
-    params = inputs.params
-    table_l, table_n = _coverage_tables(
-        cfg.K, inputs.xi, params.lam, params.H, params.beta,
-        params.alpha_L, params.alpha_N, params.N_L, params.N_N)
-    p_los = np.exp(-params.beta * d0)
-    cov = p_los * table_l.eval(params.N_L * inputs.epsilon * d0 ** params.alpha_L)
-    cov += (1.0 - p_los) * table_n.eval(params.N_N * inputs.epsilon * d0 ** params.alpha_N)
-    return 1.0 - cov
+    p = _outage_batch(np.array([float(d0)]), inputs, _tables(params, cfg))
+    return _clamp_probability(float(p[0]), f"conditional outage at d0={d0!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +345,25 @@ def _radial_rule(params: SystemParams, order: int) -> _Decomposition:
                           rule.weights * rule.nodes, 2.0 / params.R ** 2)
 
 
+def _rim_rule(R: float, x_min: float, order: int):
+    """Outer rule over y in [0, sqrt(R^2 - x_min^2)] for a region bounded by
+    the rim x = sqrt(R^2 - y^2), taken in the angle y = R sin phi, where both
+    the rim and dy = R cos phi dphi are analytic: nodes y, weights dy and the
+    rim abscissae x_rim at the nodes."""
+    rule = gauss_legendre_rule(order, 0.0, math.acos(x_min / R))
+    cos_phi = np.cos(rule.nodes)
+    return R * np.sin(rule.nodes), rule.weights * R * cos_phi, R * cos_phi
+
+
 def _half_disc_strips(params: SystemParams, order: int) -> _Decomposition:
     """Voronoi-strip quadrature of the upper half disc, serving preset per strip.
 
     Interior strips are x-outer / y-inner.  The two edge strips reach the
     disc rim where sqrt(R^2 - x^2) has a vertical tangent, so they swap to
-    y-outer / x-inner; the circular bound sqrt(R^2 - y^2) is analytic there
-    because the strips stay clear of x = 0.  The y > 0 half carries the
-    whole average by symmetry, so scale is 2/(pi R^2).
+    x-inner and an outer rule in the rim angle phi (y = R sin phi, rim at
+    x = R cos phi): a y-outer rule would end next to the branch point of
+    sqrt(R^2 - y^2) at y = R and lose digits once R >> L.  The y > 0 half
+    carries the whole average by symmetry, so scale is 2/(pi R^2).
     """
     R, L, Np, H = params.R, params.L, params.Np, params.H
     offsets = preset_offsets(L, Np)
@@ -470,8 +374,7 @@ def _half_disc_strips(params: SystemParams, order: int) -> _Decomposition:
     for n in (1, Np):
         a, b = voronoi_cell_bounds(n, Np, L, R)
         edge = b if n == 1 else a
-        yr = gauss_legendre_rule(order, 0.0, math.sqrt(R * R - edge * edge))
-        x_rim = np.sqrt(R * R - yr.nodes ** 2)
+        y, dy, x_rim = _rim_rule(R, abs(edge), order)
         if n == 1:
             x_lo, x_hi = -x_rim, np.full(order, b)
         else:
@@ -479,8 +382,8 @@ def _half_disc_strips(params: SystemParams, order: int) -> _Decomposition:
         half = 0.5 * (x_hi - x_lo)
         mid = 0.5 * (x_hi + x_lo)
         x = mid[:, None] + half[:, None] * base.nodes[None, :]
-        weight[n - 1] = (yr.weights * half)[:, None] * base.weights[None, :]
-        d0[n - 1] = np.sqrt((x - offsets[n - 1]) ** 2 + yr.nodes[:, None] ** 2 + H * H)
+        weight[n - 1] = (dy * half)[:, None] * base.weights[None, :]
+        d0[n - 1] = np.sqrt((x - offsets[n - 1]) ** 2 + y[:, None] ** 2 + H * H)
     # interior strips n = 2..Np-1 in one pass: the arithmetic of
     # voronoi_cell_bounds and gauss_legendre_rule repeated elementwise, so
     # each strip's points equal those of a rule built on its cell alone,
@@ -510,19 +413,19 @@ def _continuum_strips(params: SystemParams, order: int) -> _Decomposition:
 
     Users beyond the waveguide tip (x > L/2) are served from the tip; users
     alongside it from the perpendicular foot.  The x > L/2 lobe touches the
-    rim at (R, 0) and is integrated y-outer / x-inner for smoothness.
+    rim at (R, 0) and is integrated x-inner under an outer rim-angle rule,
+    as the edge strips are.
     """
     R, L, H = params.R, params.L, params.H
     half_l = 0.5 * L
     # tip lobe: y in [0, sqrt(R^2 - (L/2)^2)], x in [L/2, sqrt(R^2 - y^2)]
-    yr = gauss_legendre_rule(order, 0.0, math.sqrt(R * R - half_l * half_l))
-    x_rim = np.sqrt(R * R - yr.nodes ** 2)
+    y, dy, x_rim = _rim_rule(R, half_l, order)
     half = 0.5 * (x_rim - half_l)
     mid = 0.5 * (x_rim + half_l)
     base = gauss_legendre_rule(order, -1.0, 1.0)
     x = mid[:, None] + half[:, None] * base.nodes[None, :]
-    w_tip = (yr.weights * half)[:, None] * base.weights[None, :]
-    d_tip = np.sqrt((x - half_l) ** 2 + yr.nodes[:, None] ** 2 + H * H)
+    w_tip = (dy * half)[:, None] * base.weights[None, :]
+    d_tip = np.sqrt((x - half_l) ** 2 + y[:, None] ** 2 + H * H)
     # side lobe: z in [0, L/2], y in [0, sqrt(R^2 - z^2)], served at distance
     # sqrt(y^2 + H^2) regardless of z
     zr = gauss_legendre_rule(order, 0.0, half_l)
@@ -545,13 +448,14 @@ def _serving_decomposition(params: SystemParams, cfg: AnalysisConfig) -> _Decomp
 
 def _spatial_average(dec: _Decomposition, inputs: OutageInputs,
                      cfg: AnalysisConfig, context: str) -> float:
-    """Mean conditional outage over a decomposition.
+    """Mean conditional outage over a decomposition, through its distance rule.
 
     np.sum reduces pairwise inside numpy, so unlike a BLAS dot the result
     does not depend on the BLAS thread count.
     """
-    p = _outage_batch(dec.d0, inputs, cfg)
-    return _clamp_probability(dec.scale * float(np.sum(dec.weight * p)), context)
+    d0, weight = _distance_rule(dec, cfg.gl_order_rate)
+    p = _outage_batch(d0, inputs, _tables(inputs.params, cfg))
+    return _clamp_probability(float(np.sum(weight * p)), context)
 
 
 def outage_probability(inputs: OutageInputs, cfg: AnalysisConfig) -> float:
@@ -601,11 +505,16 @@ def _distance_rule(dec: _Decomposition, m: int) -> tuple[np.ndarray, np.ndarray]
     t = (ln_d - mid) / half if half > 0.0 else np.zeros_like(ln_d)
     w = dec.scale * dec.weight
     moments = np.empty(m)
-    prev, cheb = np.ones_like(t), t
     moments[0] = np.sum(w)
+    # T_k in three rotating buffers: a fresh array per degree would have
+    # its pages faulted in anew
+    two_t = 2.0 * t
+    prev, cheb, spare = np.ones_like(t), t, np.empty_like(t)
     for k in range(1, m):
-        moments[k] = np.sum(w * cheb)
-        prev, cheb = cheb, 2.0 * t * cheb - prev
+        moments[k] = np.sum(np.multiply(w, cheb, out=spare))
+        np.multiply(two_t, cheb, out=spare)
+        spare -= prev
+        prev, cheb, spare = cheb, spare, prev
     theta = math.pi * (np.arange(m) + 0.5) / m
     coef = np.full(m, 2.0 / m)
     coef[0] = 1.0 / m

@@ -138,30 +138,34 @@ def _received(exps: np.ndarray, d: np.ndarray, los: np.ndarray,
 
 
 def _block_interference(params: SystemParams, simcfg: SimConfig, key: np.ndarray,
-                        block: int, ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
+                        block: int, ux: np.ndarray, uy: np.ndarray,
+                        buf: np.ndarray) -> np.ndarray:
     """Interference sums of one block, drawn chunk by chunk from lane 1.
 
     Sorted squared radii of a disc PPP, times lam pi, are the arrival
     times of a unit-rate Poisson process.  Row i of a chunk extends
     realization i's arrival sequence by _CHUNK points; chunks are drawn
     until every row has passed lam pi R_sim^2, and only arrivals inside
-    that limit contribute.
+    that limit contribute.  Every chunk is drawn into buf, whose rows hold
+    the arrivals, the five marks and the fading exponentials.
     """
     interference = np.zeros(_BLOCK)
     if params.lam == 0.0:
         return interference
     limit = params.lam * math.pi * simcfg.R_sim ** 2
-    n_max = max(params.N_L, params.N_N)
+    arrivals = buf[0].reshape(_BLOCK, _CHUNK)
+    marks = buf[1:6]
+    exps = buf[6:6 + max(params.N_L, params.N_N)]
     last = np.zeros(_BLOCK)
     chunk = 0
     while np.any(last <= limit):
         rng = _stream(key, chunk, _LANE_FIELD, block)
-        arrivals = rng.standard_exponential((_BLOCK, _CHUNK))
+        rng.standard_exponential(out=arrivals)
         arrivals[:, 0] += last
-        arrivals = np.cumsum(arrivals, axis=1)
-        last = arrivals[:, -1]
-        marks = rng.random((5, _BLOCK * _CHUNK))
-        exps = rng.standard_exponential((n_max, _BLOCK * _CHUNK))
+        np.cumsum(arrivals, axis=1, out=arrivals)
+        last = arrivals[:, -1].copy()
+        rng.random(out=marks)
+        rng.standard_exponential(out=exps)
         chunk += 1
 
         inside = np.flatnonzero(arrivals <= limit)
@@ -189,7 +193,7 @@ def _block_interference(params: SystemParams, simcfg: SimConfig, key: np.ndarray
 
 
 def _block_values(params: SystemParams, simcfg: SimConfig, key: np.ndarray,
-                  block: int, mode: str, s: float) -> np.ndarray:
+                  block: int, mode: str, s: float, buf: np.ndarray) -> np.ndarray:
     """Per-realization values of block `block` (realizations
     block * _BLOCK ... block * _BLOCK + _BLOCK - 1)."""
     head = _stream(key, 0, _LANE_HEAD, block)
@@ -210,7 +214,7 @@ def _block_values(params: SystemParams, simcfg: SimConfig, key: np.ndarray,
         d0 = np.sqrt((ux - off) ** 2 + uy * uy + params.H ** 2)
     los0 = u[2] < np.exp(-params.beta * d0)
     signal = _received(exps, d0, los0, params)
-    interference = _block_interference(params, simcfg, key, block, ux, uy)
+    interference = _block_interference(params, simcfg, key, block, ux, uy, buf)
     if mode == "outage":
         sinr = signal / (interference + link_budget(params).xi)
         return (sinr < sinr_threshold(params.Rbar)).astype(float)
@@ -223,9 +227,13 @@ def _chunk_values(params: SystemParams, simcfg: SimConfig, lo: int, hi: int,
                   mode: str, s: float) -> np.ndarray:
     """Values of realizations lo..hi-1, cut from the blocks covering them."""
     key = np.random.SeedSequence(simcfg.seed).generate_state(2, dtype=np.uint64)
+    # one chunk's draws, reused by every block: fresh multi-MB arrays per
+    # chunk let the allocator return their pages to the system and fault
+    # them in again on every block
+    buf = np.empty((6 + max(params.N_L, params.N_N), _BLOCK * _CHUNK))
     first = lo // _BLOCK
     values = np.concatenate([
-        _block_values(params, simcfg, key, b, mode, s)
+        _block_values(params, simcfg, key, b, mode, s, buf)
         for b in range(first, (hi - 1) // _BLOCK + 1)])
     return values[lo - first * _BLOCK:hi - first * _BLOCK]
 

@@ -3,9 +3,9 @@
 Derivative formulas are checked against central finite differences of the
 transform itself; the lambda = 0 cases against the Poisson/Gamma closed
 forms they degenerate to, both pointwise and averaged over the disc by
-scipy's adaptive quadrature; the batched table path against the direct
-scalar path point by point; the z-integral rate against the threshold
-integral of the spatially averaged outage.
+scipy's adaptive quadrature; the distance-rule averages at lambda > 0
+against scipy integrals of the pointwise conditional outage; the z-integral
+rate against the threshold integral of the spatially averaged outage.
 """
 
 import math
@@ -286,10 +286,17 @@ def test_dense_presets_reach_lower_bound():
     assert got >= lower - 1e-12
 
 
+# R >> L puts the edge strips' and the tip lobe's rim next to the branch
+# point of sqrt(R^2 - y^2) at y = R
+AREA_GEOMETRIES = [PARAMS, PARAMS.with_(R=1000.0, L=100.0),
+                   PARAMS.with_(R=5000.0, L=10.0, Np=3)]
+
+
 def test_strip_weights_cover_half_disc():
-    dec = an._half_disc_strips(PARAMS, CFG.gl_order_2d)
-    assert dec.weight.sum() == pytest.approx(math.pi * PARAMS.R ** 2 / 2, rel=1e-13)
-    assert np.all(dec.d0 >= PARAMS.H)
+    for params in AREA_GEOMETRIES:
+        dec = an._half_disc_strips(params, CFG.gl_order_2d)
+        assert dec.weight.sum() == pytest.approx(math.pi * params.R ** 2 / 2, rel=1e-13)
+        assert np.all(dec.d0 >= params.H)
 
 
 @pytest.mark.parametrize("Np", [3, 11, 51])
@@ -315,18 +322,27 @@ def test_interior_strips_equal_per_cell_rules(Np):
 
 
 def test_continuum_weights_cover_quarter_disc():
-    dec = an._continuum_strips(PARAMS, CFG.gl_order_2d)
-    assert dec.weight.sum() == pytest.approx(math.pi * PARAMS.R ** 2 / 4, rel=1e-13)
+    for params in AREA_GEOMETRIES:
+        dec = an._continuum_strips(params, CFG.gl_order_2d)
+        assert dec.weight.sum() == pytest.approx(math.pi * params.R ** 2 / 4, rel=1e-13)
 
 
-def test_batched_path_matches_direct_path():
-    dec = an._half_disc_strips(PARAMS, CFG.gl_order_2d)
-    io = an.OutageInputs(1.0, XI, PARAMS)
-    batch = an._outage_batch(dec.d0, io, CFG)
-    idx = np.random.default_rng(7).choice(dec.d0.size, 300, replace=False)
-    direct = np.array([an.conditional_outage(float(dec.d0[i]), io, CFG)
-                       for i in idx])
-    assert np.max(np.abs(batch[idx] - direct)) < 1e-9
+def test_outage_near_one_at_large_radius():
+    # an outage close to 1 stays inside [0, 1] only if the strip weights
+    # sum to the half-disc area; edge strips with a y-outer rule summed to
+    # 1 + 3.9e-9 of it here, and the average raised
+    params = default_params(lam=1e-7, H=1.0, alpha_N=6.0, R=1000.0, L=100.0)
+    io = an.OutageInputs(1e7, link_budget(params).xi, params)
+    assert an.outage_probability(io, CFG) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_nonfinite_outage_raises():
+    # NaN compares false both ways, so it must not pass as a probability
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericInstabilityError):
+            an.conditional_outage(5.0, an.OutageInputs(1e300, XI, PARAMS), CFG)
+        with pytest.raises(NumericInstabilityError):
+            an.outage_probability(an.OutageInputs(1e307, XI, PARAMS), CFG)
 
 
 @pytest.mark.parametrize("level,raises", [(1.0 + 1e-6, True), (1.0 + 1e-12, False)],
@@ -335,7 +351,7 @@ def test_spatial_averages_clamp_only_rounding(monkeypatch, level, raises):
     # an average more than 1e-9 outside [0, 1] is a numerical failure, not
     # a probability to be clamped; rounding-level excess reads exactly 1
     monkeypatch.setattr(an, "_outage_batch",
-                        lambda d0, inputs, cfg: np.full(d0.shape, level))
+                        lambda d0, inputs, tab: np.full(d0.shape, level))
     io = an.OutageInputs(1.0, XI, PARAMS)
     for average in (an.outage_probability, an.outage_upper_bound,
                     an.outage_lower_bound):
@@ -357,9 +373,11 @@ def _noise_only_outage(d0, eps, params):
                                     params.N_N * eps * d0 ** params.alpha_N * xi))
 
 
-def _radial_oracle(params, eps):
+def _radial_mean(params, f):
+    """Mean of f(d0) over a user uniform on the disc, served from above
+    the center: scipy over the radius."""
     R, H = params.R, params.H
-    val = integrate.quad(lambda r: _noise_only_outage(math.hypot(r, H), eps, params) * r,
+    val = integrate.quad(lambda r: f(math.hypot(r, H)) * r,
                          0.0, R, epsabs=1e-13, epsrel=1e-12)[0]
     return 2.0 / R ** 2 * val
 
@@ -380,44 +398,129 @@ def _strip_mean(params, f, epsabs=1e-11):
     return 2.0 / (math.pi * R ** 2) * total
 
 
-def _strip_oracle(params, eps):
-    return _strip_mean(params, lambda d0: _noise_only_outage(d0, eps, params))
-
-
-def _segment_oracle(params, eps):
-    # x > 0, y > 0 quarter disc, served from the nearest point of the
-    # waveguide segment; split at the tip where the distance has a kink
+def _segment_mean(params, f):
+    """Mean of f(d0) over a user uniform on the disc, served from the
+    nearest point of the waveguide segment: scipy over the x > 0, y > 0
+    quarter disc, split at the tip where the distance has a kink."""
     R, H, tip = params.R, params.H, 0.5 * params.L
 
-    def outage(y, x):
+    def at(y, x):
         rho = y if x <= tip else math.hypot(x - tip, y)
-        return _noise_only_outage(math.hypot(rho, H), eps, params)
+        return f(math.hypot(rho, H))
 
-    total = sum(integrate.dblquad(outage, lo, hi, 0.0,
+    total = sum(integrate.dblquad(at, lo, hi, 0.0,
                                   lambda x: math.sqrt(max(R * R - x * x, 0.0)),
                                   epsabs=1e-11, epsrel=1e-11)[0]
                 for lo, hi in ((0.0, tip), (tip, R)))
     return 4.0 / (math.pi * R ** 2) * total
 
 
+def _polar_integral(f, xc, a, b, R, H):
+    """Integral of f(sqrt(rho^2 + H^2)) over {a <= x <= b, y >= 0, inside
+    the disc of radius R}, rho the distance to (xc, 0): one scipy quad over
+    rho of rho times the angle of the circle of radius rho about (xc, 0)
+    inside the region.  Each bound confines cos(theta) to an interval; the
+    rim bound x^2 + y^2 <= R^2 reads xc^2 + 2 xc rho cos(theta) + rho^2 <= R^2.
+    The angle has kinks where a bound starts or stops to bind."""
+    def angle(rho):
+        lo = max(-1.0, (a - xc) / rho)
+        hi = min(1.0, (b - xc) / rho)
+        if xc > 0.0:
+            hi = min(hi, (R * R - xc * xc - rho * rho) / (2.0 * xc * rho))
+        elif xc < 0.0:
+            lo = max(lo, (R * R - xc * xc - rho * rho) / (2.0 * xc * rho))
+        elif rho > R:
+            return 0.0
+        return math.acos(lo) - math.acos(hi) if lo < hi else 0.0
+
+    top = R + abs(xc)
+    kinks = {abs(a - xc), abs(b - xc), R - abs(xc)}
+    kinks |= {math.sqrt((x - xc) ** 2 + R * R - x * x) for x in (a, b)}
+    return integrate.quad(lambda r: f(math.hypot(r, H)) * r * angle(r), 0.0, top,
+                          points=sorted(k for k in kinks if 0.0 < k < top),
+                          epsabs=0.0, epsrel=1e-11, limit=200)[0]
+
+
+def _polar_strip_mean(params, f):
+    """_strip_mean by one radial quad per strip, about the strip's preset:
+    fast enough for an f that costs a transform evaluation per call."""
+    R = params.R
+    offsets = preset_offsets(params.L, params.Np)
+    total = sum(_polar_integral(f, offsets[n - 1],
+                                *voronoi_cell_bounds(n, params.Np, params.L, R), R, params.H)
+                for n in range(1, params.Np + 1))
+    return 2.0 / (math.pi * R ** 2) * total
+
+
+def _polar_segment_mean(params, f):
+    """_segment_mean by radial quads: alongside the waveguide the distance
+    is |y| over a width min(L/2, sqrt(R^2 - y^2)); beyond the tip, polar
+    about the tip."""
+    R, H, tip = params.R, params.H, 0.5 * params.L
+    side = integrate.quad(
+        lambda y: f(math.hypot(y, H)) * min(tip, math.sqrt(max(R * R - y * y, 0.0))),
+        0.0, R, points=[math.sqrt(R * R - tip * tip)], epsabs=0.0, epsrel=1e-11,
+        limit=200)[0]
+    return 4.0 / (math.pi * R ** 2) * (side + _polar_integral(f, tip, tip, R, R, H))
+
+
 @pytest.mark.parametrize("rbar", [8.0, 10.0])
 def test_noise_only_averages_match_quadrature_oracle(rbar):
     # lam = 0 makes the conditional outage an exact Gamma-tail mix, so the
-    # coverage tables and the planar decompositions are pinned end to end
+    # distance rules and the planar decompositions are pinned end to end
     params = PARAMS.with_(lam=0.0, Rbar=rbar)
     eps = 2.0 ** rbar - 1.0
+
+    def outage(d0):
+        return _noise_only_outage(d0, eps, params)
+
     io = an.OutageInputs.from_system(params)
     assert an.outage_upper_bound(io, CFG) == pytest.approx(
-        _radial_oracle(params, eps), abs=1e-8)
+        _radial_mean(params, outage), abs=1e-8)
     assert an.outage_lower_bound(io, CFG) == pytest.approx(
-        _segment_oracle(params, eps), abs=1e-8)
+        _segment_mean(params, outage), abs=1e-8)
     single = params.with_(Np=1)
     assert an.outage_probability(an.OutageInputs.from_system(single), CFG) \
-        == pytest.approx(_radial_oracle(single, eps), abs=1e-8)
+        == pytest.approx(_radial_mean(single, outage), abs=1e-8)
     for n in (11, 51):
         p = params.with_(Np=n)
         assert an.outage_probability(an.OutageInputs.from_system(p), CFG) \
-            == pytest.approx(_strip_oracle(p, eps), abs=1e-8)
+            == pytest.approx(_strip_mean(p, outage), abs=1e-8)
+
+
+@pytest.mark.parametrize("params", [PARAMS, PARAMS.with_(R=300.0, L=100.0)],
+                         ids=["default", "R300"])
+def test_polar_oracles_match_planar_oracles(params):
+    # the radial-quad oracles of the lam > 0 test against the planar
+    # dblquad ones, on the noise-only outage where both are cheap
+    eps = 2.0 ** 10 - 1.0
+    single = params.with_(lam=0.0)
+
+    def outage(d0):
+        return _noise_only_outage(d0, eps, single)
+
+    assert _polar_strip_mean(single, outage) == pytest.approx(
+        _strip_mean(single, outage), abs=1e-12)
+    assert _polar_segment_mean(single, outage) == pytest.approx(
+        _segment_mean(single, outage), abs=1e-12)
+
+
+def test_averages_match_quadrature_oracle_with_interference():
+    # lam > 0: the outage and both bounds, each a sum over a rule in ln d0,
+    # against scipy integrals of the pointwise conditional outage over the
+    # disc (which test_conditional_outage_* and the derivative tests pin)
+    for params in (PARAMS, PARAMS.with_(R=300.0, L=100.0)):
+        io = an.OutageInputs.from_system(params)
+
+        def outage(d0):
+            return an.conditional_outage(d0, io, CFG)
+
+        assert an.outage_probability(io, CFG) == pytest.approx(
+            _polar_strip_mean(params, outage), abs=1e-8)
+        assert an.outage_upper_bound(io, CFG) == pytest.approx(
+            _radial_mean(params, outage), abs=1e-8)
+        assert an.outage_lower_bound(io, CFG) == pytest.approx(
+            _polar_segment_mean(params, outage), abs=1e-8)
 
 
 def _run_fresh(script, *args, threads="1"):
@@ -445,7 +548,9 @@ print(an.ergodic_rate(rate, cfg).hex())
 
 def test_analysis_bit_identical_across_blas_threads():
     # analytic results are a pure function of (params, AnalysisConfig),
-    # bit for bit, whatever the BLAS thread count
+    # bit for bit, whatever the BLAS thread count: every reduction (the
+    # distance rule's moments and weights, the averages, the rate panels)
+    # is an np.sum, never a BLAS dot
     outputs = [_run_fresh(_HEX_SCRIPT, threads=threads) for threads in ("1", "2")]
     assert outputs[0] == outputs[1]
     assert len(outputs[0].split()) == 5
@@ -458,14 +563,15 @@ from pinchnet.geometry import default_params
 cfg = an.AnalysisConfig()
 io = an.OutageInputs.from_system(default_params())
 if sys.argv[1] == "widened":
-    # same noise level, so the same cached tables, grown upward first
+    # an earlier call at the same noise level and a far higher threshold
     an.outage_probability(an.OutageInputs(1e4 * io.epsilon, io.xi, io.params), cfg)
 print(an.outage_probability(io, cfg).hex())
 """
 
 
 def test_outage_independent_of_call_history():
-    # a table read depends on omega alone, not on how far the grid has grown
+    # analysis keeps no state between calls, so an earlier call cannot
+    # move a later value (a grown coverage-table grid once did)
     outputs = [_run_fresh(_HISTORY_SCRIPT, order) for order in ("fresh", "widened")]
     assert outputs[0] == outputs[1]
 
@@ -557,15 +663,20 @@ def test_rate_scales_with_prefactor():
 
 def _threshold_rate(params, cfg):
     """rate_prefactor * int_0^inf (1 - P_out(eps)) / (1 + eps) d eps, with the
-    outage averaged over the serving decomposition through the coverage
-    tables: the rate by a route that shares only L_I with the z-integral."""
+    outage averaged by the derivative recursion over the serving-distance
+    rule: the rate by a route that shares only L_I and the distance rule
+    with the z-integral.  The rule is built once per call, as the rate
+    builds it."""
     xi = link_budget(params).xi
-    dec = an._serving_decomposition(params, cfg)
+    tab = an._tables(params, cfg)
+    d0, weight = an._distance_rule(an._serving_decomposition(params, cfg),
+                                   cfg.gl_order_rate)
 
     def integrand(eps):
         return np.array([
-            (1.0 - an._spatial_average(dec, an.OutageInputs(float(e), xi, params),
-                                       cfg, "outage probability")) / (1.0 + e)
+            (1.0 - an._clamp_probability(float(np.sum(
+                weight * an._outage_batch(d0, an.OutageInputs(float(e), xi, params), tab))),
+                "outage probability")) / (1.0 + e)
             for e in eps])
 
     return cfg.rate_prefactor * integrate_semi_infinite(integrand, cfg)
