@@ -13,15 +13,14 @@ needs L-bar and its first N_B - 1 derivatives at omega = N_B eps d0^alpha_B;
 the derivative recursion is cancellation-free because the j-th derivative
 terms all share the sign (-1)^j.
 
-Spatial averaging integrates the conditional outage over Voronoi strips of
-the serving waveguide.  The per-strip integrand is smooth, but the two edge
-strips touch the disc boundary where y_max(x) = sqrt(R^2 - x^2) has a
-vertical tangent; those strips are integrated x-inner under an outer rule
-in the rim angle, so both quadrature directions see an analytic integrand.
-
 Every quantity averaged over the user position (the outage, both bounds,
-the rate) depends on that position only through the serving distance d0.
-So each decomposition's 12k-200k points are reduced once per call to a
+the rate) depends on that position only through rho, its horizontal
+distance to the serving point, since d0 = sqrt(rho^2 + H^2).  So each
+average is a 1-D measure in rho (_polar_rule): about each Voronoi cell's
+preset, or about the waveguide tip for the lower bound, the density is
+rho theta(rho) drho with theta the closed-form angle of the circle of
+radius rho inside the region, split into panels at the kinks of theta.
+That measure, a few hundred points per cell, is reduced once per call to a
 short rule of Chebyshev nodes in ln d0 (_distance_rule), and the integrand
 is evaluated only at those nodes: the outage runs the derivative recursion
 directly there.  Nothing is cached between calls, so every result is a pure
@@ -87,26 +86,25 @@ class AnalysisConfig:
     """Quadrature orders and the rate-integral prefactor.
 
     K: Gauss-Chebyshev order of the interference transform
-    gl_order_2d: Gauss-Legendre order per axis of the Voronoi-strip average
-    gl_order_radial: order for the radial fixed-antenna bound
-    gl_order_rate: order per octave panel of the rate's z-integral, and
-        the number of Chebyshev nodes of every serving-distance rule (the
-        outage, both bounds and the rate)
+    gl_order_rate: order of every 1-D rule: each octave panel of the rate's
+        z-integral, each rho-panel of the polar measure, and the number of
+        Chebyshev nodes of every serving-distance rule (the outage, both
+        bounds and the rate)
     rate_prefactor: multiplier of the rate integral (1/ln2 or 0.5)
     tolerance: relative convergence target of the rate panels
     """
 
     # defaults sized so that doubling any order moves results by well
-    # under 1e-5 even at the dense-cluster rate geometry (lam=1e-5, R=100)
+    # under 1e-5 even at the dense-cluster rate geometry (lam=1e-5, R=100);
+    # 96 serving-distance nodes keep the averages 1.3e-11 off independent
+    # quadrature at R = 1000, L = 100, where 48 nodes leave 3e-7
     K: int = 400
-    gl_order_2d: int = 64
-    gl_order_radial: int = 256
-    gl_order_rate: int = 48
+    gl_order_rate: int = 96
     rate_prefactor: float = RATE_PREFACTOR_BITS
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        for name in ("K", "gl_order_2d", "gl_order_radial", "gl_order_rate"):
+        for name in ("K", "gl_order_rate"):
             object.__setattr__(self, name, _positive_int(getattr(self, name), name))
         if not (self.rate_prefactor > 0 and math.isfinite(self.rate_prefactor)):
             raise InvalidParameterError(
@@ -322,138 +320,100 @@ def conditional_outage(d0: float, inputs: OutageInputs, cfg: AnalysisConfig) -> 
 # spatial averages
 
 
-@dataclass(frozen=True)
-class _Decomposition:
-    """Flattened quadrature points of a spatial average over user positions.
+def _panel_rule(kinks: np.ndarray, order: int):
+    """Points and weights of order nodes per panel between the sorted kinks
+    on the last axis.  Each panel is mapped by t = lo + (hi - lo) sin^2(phi),
+    which makes square-root ends analytic; a panel that starts off the
+    origin takes the map in ln t instead, so that a panel reaching far past
+    its start still resolves the scale of its start.  Zero-width panels
+    carry zero weight."""
+    rule = gauss_legendre_rule(order, 0.0, 0.5 * math.pi)
+    s = np.sin(rule.nodes) ** 2
+    lo = kinks[..., :-1, None]
+    width = np.diff(kinks)[..., None]
+    # a panel from the origin takes the plain map; its log span is unused
+    with np.errstate(divide="ignore", invalid="ignore"):
+        span = np.log1p(width / lo)
+        t = np.where(lo > 0.0, lo * np.exp(span * s), width * s)
+        jac = np.where(lo > 0.0, t * span, width)
+    return t, np.where(width > 0.0, jac * rule.weights * np.sin(2.0 * rule.nodes), 0.0)
 
-    d0 holds the serving distances and weight every Jacobian, so weight sums
-    to the measure of the region; scale is the reciprocal of that measure
-    (the uniform user density), which makes scale * sum(weight * f) the
-    mean of f.
+
+def _polar_rule(xc, a, b, R: float, H: float, order: int):
+    """Serving distances and area weights of the regions {a <= x <= b,
+    y >= 0, x^2 + y^2 <= R^2}, one per row of the broadcast (xc, a, b),
+    each measured about its serving point (xc, 0).
+
+    In polar coordinates about (xc, 0) the area element is rho theta(rho)
+    drho, theta = asin(hi) - asin(lo) the angle of the circle of radius rho
+    inside the region: each bound confines cos(theta) to [lo, hi], the rim
+    through xc^2 + 2 xc rho cos(theta) + rho^2 <= R^2.  theta kinks where a
+    bound starts or stops to bind: at |a - xc| and |b - xc|, and at the two
+    rim corners; the farther corner is the region's farthest point, where
+    theta falls to 0.  (The rim alone starts to bind at R - |xc| only where
+    the region ends on the rim, at |a - xc| or |b - xc|.)
     """
-
-    d0: np.ndarray
-    weight: np.ndarray
-    scale: float
-
-
-def _radial_rule(params: SystemParams, order: int) -> _Decomposition:
-    """Antenna fixed at the disc center: the radial density of a uniform
-    user on the disc is 2r/R^2, so the r dr weights carry scale 2/R^2."""
-    rule = gauss_legendre_rule(order, 0.0, params.R)
-    return _Decomposition(np.sqrt(rule.nodes ** 2 + params.H ** 2),
-                          rule.weights * rule.nodes, 2.0 / params.R ** 2)
-
-
-def _rim_rule(R: float, x_min: float, order: int):
-    """Outer rule over y in [0, sqrt(R^2 - x_min^2)] for a region bounded by
-    the rim x = sqrt(R^2 - y^2), taken in the angle y = R sin phi, where both
-    the rim and dy = R cos phi dphi are analytic: nodes y, weights dy and the
-    rim abscissae x_rim at the nodes."""
-    rule = gauss_legendre_rule(order, 0.0, math.acos(x_min / R))
-    cos_phi = np.cos(rule.nodes)
-    return R * np.sin(rule.nodes), rule.weights * R * cos_phi, R * cos_phi
+    xc, a, b = (np.reshape(np.asarray(v, dtype=float), (-1, 1)) for v in (xc, a, b))
+    ends = np.concatenate([a, b], axis=1)
+    corners = np.sqrt((ends - xc) ** 2 + (R - ends) * (R + ends))
+    kinks = np.sort(np.concatenate(
+        [np.zeros_like(xc), np.abs(ends - xc), corners], axis=1), axis=1)
+    rho, drho = _panel_rule(kinks, order)
+    xc, a, b = xc[:, :, None], a[:, :, None], b[:, :, None]
+    # the zero-width panel at rho = 0 divides 0 by 0, and a row about
+    # xc = 0 has no rim bound; neither value is used
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo = np.maximum((a - xc) / rho, -1.0)
+        hi = np.minimum((b - xc) / rho, 1.0)
+        rim = ((R - rho) * (R + rho) - xc * xc) / (2.0 * xc * rho)
+        lo = np.where(xc < 0.0, np.maximum(lo, rim), lo)
+        hi = np.maximum(np.where(xc > 0.0, np.minimum(hi, rim), hi), lo)
+        # asin rather than acos: lo <= 0 <= hi over most of a thin cell, so
+        # its thin angle is a sum, not a difference of two near pi/2
+        weight = np.where(drho > 0.0, rho * (np.arcsin(hi) - np.arcsin(lo)) * drho, 0.0)
+    return np.sqrt(rho * rho + H * H).ravel(), weight.ravel()
 
 
-def _half_disc_strips(params: SystemParams, order: int) -> _Decomposition:
-    """Voronoi-strip quadrature of the upper half disc, serving preset per strip.
+def _serving_rule(params: SystemParams, order: int):
+    """Serving distances and user-density weights of the outage average:
+    the y > 0 half disc (density 2/(pi R^2) by symmetry), one polar row per
+    Voronoi cell about its preset; a single preset is the row (0, -R, R)."""
+    R, Np = params.R, params.Np
+    if Np == 1:
+        rows = (0.0, -R, R)
+    else:
+        cells = np.array([voronoi_cell_bounds(n, Np, params.L, R) for n in range(1, Np + 1)])
+        rows = (preset_offsets(params.L, Np), cells[:, 0], cells[:, 1])
+    d0, weight = _polar_rule(*rows, R, params.H, order)
+    return d0, weight * (2.0 / (math.pi * R * R))
 
-    Interior strips are x-outer / y-inner.  The two edge strips reach the
-    disc rim where sqrt(R^2 - x^2) has a vertical tangent, so they swap to
-    x-inner and an outer rule in the rim angle phi (y = R sin phi, rim at
-    x = R cos phi): a y-outer rule would end next to the branch point of
-    sqrt(R^2 - y^2) at y = R and lose digits once R >> L.  The y > 0 half
-    carries the whole average by symmetry, so scale is 2/(pi R^2).
+
+def _continuum_rule(params: SystemParams, order: int):
+    """Serving distances and user-density weights of the continuum-feed
+    lower bound over the x > 0, y > 0 quarter disc (density 4/(pi R^2)).
+
+    Users beyond the waveguide tip are served from the tip: the polar row
+    (L/2, L/2, R).  Users alongside it are served from the perpendicular
+    foot at distance sqrt(y^2 + H^2), over a width min(L/2, sqrt(R^2 - y^2))
+    that kinks at y = sqrt(R^2 - L^2/4).
     """
-    R, L, Np, H = params.R, params.L, params.Np, params.H
-    offsets = preset_offsets(L, Np)
-    base = gauss_legendre_rule(order, -1.0, 1.0)
-    # axis 0 is the strip n - 1
-    d0 = np.empty((Np, order, order))
-    weight = np.empty((Np, order, order))
-    for n in (1, Np):
-        a, b = voronoi_cell_bounds(n, Np, L, R)
-        edge = b if n == 1 else a
-        y, dy, x_rim = _rim_rule(R, abs(edge), order)
-        if n == 1:
-            x_lo, x_hi = -x_rim, np.full(order, b)
-        else:
-            x_lo, x_hi = np.full(order, a), x_rim
-        half = 0.5 * (x_hi - x_lo)
-        mid = 0.5 * (x_hi + x_lo)
-        x = mid[:, None] + half[:, None] * base.nodes[None, :]
-        weight[n - 1] = (dy * half)[:, None] * base.weights[None, :]
-        d0[n - 1] = np.sqrt((x - offsets[n - 1]) ** 2 + y[:, None] ** 2 + H * H)
-    # interior strips n = 2..Np-1 in one pass: the arithmetic of
-    # voronoi_cell_bounds and gauss_legendre_rule repeated elementwise, so
-    # each strip's points equal those of a rule built on its cell alone,
-    # bit for bit
-    n = np.arange(2, Np, dtype=np.float64)[:, None]
-    delta = L / (Np - 1)
-    a = delta * (n - Np / 2.0 - 1.0)
-    b = delta * (n - Np / 2.0)
-    x_nodes = 0.5 * (b + a) + 0.5 * (b - a) * base.nodes
-    x_weights = 0.5 * (b - a) * base.weights
-    ymax = np.sqrt(R * R - x_nodes ** 2)
-    unit = gauss_legendre_rule(order, 0.0, 1.0)
-    np.multiply((x_weights * ymax)[:, :, None], unit.weights, out=weight[1:-1])
-    # (x - xn)^2 + y^2 + H^2, in place
-    inner = d0[1:-1]
-    np.multiply(ymax[:, :, None], unit.nodes, out=inner)
-    np.square(inner, out=inner)
-    inner += ((x_nodes - offsets[1:-1, None]) ** 2)[:, :, None]
-    inner += H * H
-    np.sqrt(inner, out=inner)
-    return _Decomposition(d0.ravel(), weight.ravel(), 2.0 / (math.pi * R * R))
+    R, H, tip = params.R, params.H, 0.5 * params.L
+    d_tip, w_tip = _polar_rule(tip, tip, R, R, H, order)
+    y, dy = _panel_rule(np.array([0.0, math.sqrt((R - tip) * (R + tip)), R]), order)
+    w_side = np.minimum(tip, np.sqrt((R - y) * (R + y))) * dy
+    return (np.concatenate([d_tip, np.sqrt(y * y + H * H).ravel()]),
+            np.concatenate([w_tip, w_side.ravel()]) * (4.0 / (math.pi * R * R)))
 
 
-def _continuum_strips(params: SystemParams, order: int) -> _Decomposition:
-    """Quadrature of the continuum-feed lower bound over the x > 0, y > 0
-    quarter disc (scale 4/(pi R^2) by symmetry).
-
-    Users beyond the waveguide tip (x > L/2) are served from the tip; users
-    alongside it from the perpendicular foot.  The x > L/2 lobe touches the
-    rim at (R, 0) and is integrated x-inner under an outer rim-angle rule,
-    as the edge strips are.
-    """
-    R, L, H = params.R, params.L, params.H
-    half_l = 0.5 * L
-    # tip lobe: y in [0, sqrt(R^2 - (L/2)^2)], x in [L/2, sqrt(R^2 - y^2)]
-    y, dy, x_rim = _rim_rule(R, half_l, order)
-    half = 0.5 * (x_rim - half_l)
-    mid = 0.5 * (x_rim + half_l)
-    base = gauss_legendre_rule(order, -1.0, 1.0)
-    x = mid[:, None] + half[:, None] * base.nodes[None, :]
-    w_tip = (dy * half)[:, None] * base.weights[None, :]
-    d_tip = np.sqrt((x - half_l) ** 2 + y[:, None] ** 2 + H * H)
-    # side lobe: z in [0, L/2], y in [0, sqrt(R^2 - z^2)], served at distance
-    # sqrt(y^2 + H^2) regardless of z
-    zr = gauss_legendre_rule(order, 0.0, half_l)
-    ymax = np.sqrt(R * R - zr.nodes ** 2)
-    base01 = gauss_legendre_rule(order, 0.0, 1.0)
-    y = ymax[:, None] * base01.nodes[None, :]
-    w_side = (zr.weights * ymax)[:, None] * base01.weights[None, :]
-    d_side = np.sqrt(y ** 2 + H * H)
-    return _Decomposition(np.concatenate([d_tip.ravel(), d_side.ravel()]),
-                          np.concatenate([w_tip.ravel(), w_side.ravel()]),
-                          4.0 / (math.pi * R * R))
-
-
-def _serving_decomposition(params: SystemParams, cfg: AnalysisConfig) -> _Decomposition:
-    """Voronoi strips of the presets; a single preset is the radial rule."""
-    if params.Np == 1:
-        return _radial_rule(params, cfg.gl_order_radial)
-    return _half_disc_strips(params, cfg.gl_order_2d)
-
-
-def _spatial_average(dec: _Decomposition, inputs: OutageInputs,
-                     cfg: AnalysisConfig, context: str) -> float:
-    """Mean conditional outage over a decomposition, through its distance rule.
+def _spatial_average(rule, inputs: OutageInputs, cfg: AnalysisConfig,
+                     context: str) -> float:
+    """Mean conditional outage over a (d0, weight) rule, through its
+    distance rule.
 
     np.sum reduces pairwise inside numpy, so unlike a BLAS dot the result
     does not depend on the BLAS thread count.
     """
-    d0, weight = _distance_rule(dec, cfg.gl_order_rate)
+    d0, weight = _distance_rule(*rule, cfg.gl_order_rate)
     p = _outage_batch(d0, inputs, _tables(inputs.params, cfg))
     return _clamp_probability(float(np.sum(weight * p)), context)
 
@@ -465,7 +425,7 @@ def outage_probability(inputs: OutageInputs, cfg: AnalysisConfig) -> float:
     with the serving preset fixed per Voronoi strip of the waveguide.
     Np = 1 reduces to the radial fixed-antenna form.
     """
-    return _spatial_average(_serving_decomposition(inputs.params, cfg), inputs,
+    return _spatial_average(_serving_rule(inputs.params, cfg.gl_order_rate), inputs,
                             cfg, "outage probability")
 
 
@@ -474,7 +434,8 @@ def outage_upper_bound(inputs: OutageInputs, cfg: AnalysisConfig) -> float:
 
     (2/R^2) int_0^R P_out(sqrt(r^2 + H^2)) r dr.
     """
-    return _spatial_average(_radial_rule(inputs.params, cfg.gl_order_radial),
+    single = inputs.params.with_(Np=1)
+    return _spatial_average(_serving_rule(single, cfg.gl_order_rate),
                             inputs, cfg, "outage upper bound")
 
 
@@ -484,34 +445,35 @@ def outage_lower_bound(inputs: OutageInputs, cfg: AnalysisConfig) -> float:
     The serving point is the nearest point of the segment: the perpendicular
     foot alongside it, the tip beyond it.
     """
-    return _spatial_average(_continuum_strips(inputs.params, cfg.gl_order_2d),
+    return _spatial_average(_continuum_rule(inputs.params, cfg.gl_order_rate),
                             inputs, cfg, "outage lower bound")
 
 
-def _distance_rule(dec: _Decomposition, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _distance_rule(d0: np.ndarray, weight: np.ndarray,
+                   m: int) -> tuple[np.ndarray, np.ndarray]:
     """Serving distances and weights of an m-point rule in ln d0 that
-    averages like dec for any integrand depending on d0 alone.
+    averages like the (d0, weight) rule for any integrand depending on d0
+    alone.
 
-    The nodes are Chebyshev points of ln d0 over the decomposition's range.
-    The weights integrate the degree m - 1 Chebyshev interpolant exactly
-    against dec's measure: Chebyshev moments from the three-term recurrence
-    (one pass over the points per degree, so no m x n matrix), turned into
-    point weights by the discrete cosine sum.  The weights sum to dec's
-    total mass, which is 1.
+    The nodes are Chebyshev points of ln d0 over the rule's range.  The
+    weights integrate the degree m - 1 Chebyshev interpolant exactly
+    against the rule's measure: Chebyshev moments from the three-term
+    recurrence (one pass over the points per degree, so no m x n matrix),
+    turned into point weights by the discrete cosine sum.  The weights sum
+    to the rule's total mass, which is 1.
     """
-    ln_d = np.log(dec.d0)
+    ln_d = np.log(d0)
     lo, hi = float(np.min(ln_d)), float(np.max(ln_d))
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     t = (ln_d - mid) / half if half > 0.0 else np.zeros_like(ln_d)
-    w = dec.scale * dec.weight
     moments = np.empty(m)
-    moments[0] = np.sum(w)
+    moments[0] = np.sum(weight)
     # T_k in three rotating buffers: a fresh array per degree would have
     # its pages faulted in anew
     two_t = 2.0 * t
     prev, cheb, spare = np.ones_like(t), t, np.empty_like(t)
     for k in range(1, m):
-        moments[k] = np.sum(np.multiply(w, cheb, out=spare))
+        moments[k] = np.sum(np.multiply(weight, cheb, out=spare))
         np.multiply(two_t, cheb, out=spare)
         spare -= prev
         prev, cheb, spare = cheb, spare, prev
@@ -530,14 +492,15 @@ def ergodic_rate(params: SystemParams, cfg: AnalysisConfig) -> float:
     typical user (Hamdi's lemma).  M_S(z | d0) = sum_B p_B(d0)
     (1 + z d0^-alpha_B / N_B)^-N_B is the Laplace transform of the serving
     power; its mean over user positions runs through _distance_rule, built
-    once per call from the serving decomposition.  Octave panels in z
+    once per call from the serving rule.  Octave panels in z
     resolve the integrand's log-wide plateau between the mean signal power
     and the noise level.  A non-finite rate, or one below zero by more
     than rounding, raises NumericInstabilityError.
     """
     xi = link_budget(params).xi
     tab = _tables(params, cfg)
-    d0, weight = _distance_rule(_serving_decomposition(params, cfg), cfg.gl_order_rate)
+    d0, weight = _distance_rule(*_serving_rule(params, cfg.gl_order_rate),
+                                cfg.gl_order_rate)
     p_los = np.exp(-params.beta * d0)
     branches = ((weight * p_los, d0 ** -params.alpha_L / params.N_L, params.N_L),
                 (weight * (1.0 - p_los), d0 ** -params.alpha_N / params.N_N, params.N_N))

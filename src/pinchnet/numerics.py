@@ -50,7 +50,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    interval: tuple[float, float]
 
 
 def gauss_chebyshev_nodes(K: int) -> ChebyshevNodes:
@@ -134,8 +133,7 @@ def gauss_legendre_rule(n: int, lo: float, hi: float) -> QuadratureRule:
     base_x, base_w = _legendre_base(int(n))
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    return QuadratureRule(nodes=mid + half * base_x, weights=half * base_w,
-                          interval=(float(lo), float(hi)))
+    return QuadratureRule(nodes=mid + half * base_x, weights=half * base_w)
 
 
 def integrate_semi_infinite(f: Callable, cfg) -> float:

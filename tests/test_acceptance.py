@@ -236,9 +236,7 @@ def test_criterion_8_worker_determinism(capsys, tmp_path):
 
 def test_criterion_9_resolution_robustness(capsys):
     # analysis: double every quadrature knob at once
-    dense = an.AnalysisConfig(K=2 * CFG.K, gl_order_2d=2 * CFG.gl_order_2d,
-                              gl_order_radial=2 * CFG.gl_order_radial,
-                              gl_order_rate=2 * CFG.gl_order_rate)
+    dense = an.AnalysisConfig(K=2 * CFG.K, gl_order_rate=2 * CFG.gl_order_rate)
     outage_params = FIG2
     inputs = an.OutageInputs.from_system(outage_params)
     outage_shift = abs(an.outage_probability(inputs, CFG)

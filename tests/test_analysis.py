@@ -18,12 +18,13 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 from scipy.special import gammaincc
+from hypothesis import assume, given, settings, strategies as st
 
 from pinchnet import analysis as an
 from pinchnet.channel import link_budget
 from pinchnet.errors import InvalidParameterError, NumericInstabilityError
 from pinchnet.geometry import preset_offsets, voronoi_cell_bounds
-from pinchnet.numerics import gauss_legendre_rule, integrate_semi_infinite
+from pinchnet.numerics import integrate_semi_infinite
 from pinchnet.geometry import default_params
 from test_finite_difference import finite_difference
 
@@ -48,7 +49,7 @@ def test_config_rejects_bad_orders():
     with pytest.raises(InvalidParameterError):
         an.AnalysisConfig(K=0)
     with pytest.raises(InvalidParameterError):
-        an.AnalysisConfig(gl_order_2d=-3)
+        an.AnalysisConfig(gl_order_rate=-3)
     with pytest.raises(InvalidParameterError):
         an.AnalysisConfig(gl_order_rate=1.5)
 
@@ -263,9 +264,8 @@ def test_outage_zero_threshold_everywhere():
 def test_single_preset_equals_upper_bound():
     p1 = PARAMS.with_(Np=1)
     io = an.OutageInputs(1.0, XI, p1)
-    a = an.outage_probability(io, CFG)
-    b = an.outage_upper_bound(io, CFG)
-    assert abs(a - b) <= 1e-9
+    # one rule, the polar row (0, -R, R), serves both
+    assert an.outage_probability(io, CFG) == an.outage_upper_bound(io, CFG)
 
 
 @pytest.mark.parametrize("eps", [0.5, 1.0, 3.0, 7.0])
@@ -286,51 +286,68 @@ def test_dense_presets_reach_lower_bound():
     assert got >= lower - 1e-12
 
 
-# R >> L puts the edge strips' and the tip lobe's rim next to the branch
-# point of sqrt(R^2 - y^2) at y = R
+# R >> L: the edge cells and the tip lobe meet the rim hundreds of
+# half-lengths from their serving point; at Np = 1001 an interior cell is
+# 1e-6 R wide, so it holds only a thin angle of each far circle about its
+# preset, and that angle varies on the scale of the cell's width
 AREA_GEOMETRIES = [PARAMS, PARAMS.with_(R=1000.0, L=100.0),
-                   PARAMS.with_(R=5000.0, L=10.0, Np=3)]
+                   PARAMS.with_(R=5000.0, L=10.0, Np=3),
+                   PARAMS.with_(R=1000.0, L=1.0, Np=1001)]
+
+
+def _cell_area(a, b, R):
+    """Area of {a <= x <= b, y >= 0, x^2 + y^2 <= R^2} by scipy over x,
+    which keeps its relative digits for a thin cell (a difference of
+    closed-form primitives of size R^2 would not)."""
+    return integrate.quad(lambda x: math.sqrt((R - x) * (R + x)), a, b,
+                          epsabs=0.0, epsrel=1e-13)[0]
 
 
 def test_strip_weights_cover_half_disc():
+    # the weights carry the user density 2/(pi R^2) over the half disc, and
+    # each polar row measures its own Voronoi cell
     for params in AREA_GEOMETRIES:
-        dec = an._half_disc_strips(params, CFG.gl_order_2d)
-        assert dec.weight.sum() == pytest.approx(math.pi * params.R ** 2 / 2, rel=1e-13)
-        assert np.all(dec.d0 >= params.H)
-
-
-@pytest.mark.parametrize("Np", [3, 11, 51])
-def test_interior_strips_equal_per_cell_rules(Np):
-    # the one-pass interior build against rules built cell by cell
-    params = PARAMS.with_(Np=Np)
-    order = 16
-    dec = an._half_disc_strips(params, order)
-    offsets = preset_offsets(params.L, Np)
-    unit = gauss_legendre_rule(order, 0.0, 1.0)
-    size = order * order
-    for n in range(2, Np):
-        xr = gauss_legendre_rule(
-            order, *voronoi_cell_bounds(n, Np, params.L, params.R))
-        ymax = np.sqrt(params.R ** 2 - xr.nodes ** 2)
-        y = ymax[:, None] * unit.nodes[None, :]
-        w = (xr.weights * ymax)[:, None] * unit.weights[None, :]
-        d0 = np.sqrt((xr.nodes[:, None] - offsets[n - 1]) ** 2 + y ** 2
-                     + params.H * params.H)
-        cut = slice((n - 1) * size, n * size)
-        assert dec.d0[cut].tobytes() == d0.ravel().tobytes()
-        assert dec.weight[cut].tobytes() == w.ravel().tobytes()
+        d0, weight = an._serving_rule(params, CFG.gl_order_rate)
+        assert weight.sum() == pytest.approx(1.0, rel=1e-13)
+        assert np.all(d0 >= params.H)
+        R, Np = params.R, params.Np
+        for n, xn in enumerate(preset_offsets(params.L, Np), start=1):
+            a, b = voronoi_cell_bounds(n, Np, params.L, R)
+            _, row = an._polar_rule(xn, a, b, R, params.H, CFG.gl_order_rate)
+            assert row.sum() == pytest.approx(_cell_area(a, b, R), rel=1e-13)
 
 
 def test_continuum_weights_cover_quarter_disc():
+    # the density 4/(pi R^2) over the quarter disc: tip lobe plus side lobe
     for params in AREA_GEOMETRIES:
-        dec = an._continuum_strips(params, CFG.gl_order_2d)
-        assert dec.weight.sum() == pytest.approx(math.pi * params.R ** 2 / 4, rel=1e-13)
+        d0, weight = an._continuum_rule(params, CFG.gl_order_rate)
+        assert weight.sum() == pytest.approx(1.0, rel=1e-13)
+        assert np.all(d0 >= params.H)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(L=st.floats(0.1, 1000.0),
+       spread=st.floats(1.0, 2e4, exclude_min=True),
+       half_np=st.integers(0, 500),
+       H=st.floats(0.1, 100.0))
+def test_measure_is_a_probability_over_the_geometry_domain(L, spread, half_np, H):
+    # Np from 1 to 1001 and R up to 2e4 half-lengths: every weight is
+    # nonnegative, every serving distance at least H, and both averages'
+    # weights sum to 1 two orders inside the clamp window
+    R = spread * 0.5 * L
+    assume(R > 0.5 * L)  # a spread next to 1 can round onto the tip
+    params = default_params(L=L, R=R, Np=2 * half_np + 1, H=H)
+    for build in (an._serving_rule, an._continuum_rule):
+        d0, weight = build(params, CFG.gl_order_rate)
+        assert np.all(weight >= 0.0)
+        assert np.all(d0 >= H)
+        assert abs(np.sum(weight) - 1.0) <= 1e-11
 
 
 def test_outage_near_one_at_large_radius():
-    # an outage close to 1 stays inside [0, 1] only if the strip weights
-    # sum to the half-disc area; edge strips with a y-outer rule summed to
-    # 1 + 3.9e-9 of it here, and the average raised
+    # an outage close to 1 stays inside [0, 1] only if the serving weights
+    # sum to 1 well inside the 1e-9 clamp window; a rule off by 3.9e-9 here
+    # made the average raise
     params = default_params(lam=1e-7, H=1.0, alpha_N=6.0, R=1000.0, L=100.0)
     io = an.OutageInputs(1e7, link_budget(params).xi, params)
     assert an.outage_probability(io, CFG) == pytest.approx(1.0, abs=1e-9)
@@ -488,6 +505,19 @@ def test_noise_only_averages_match_quadrature_oracle(rbar):
             == pytest.approx(_strip_mean(p, outage), abs=1e-8)
 
 
+def test_noise_only_outage_matches_planar_oracle_far_rim():
+    # R >> L: each edge cell meets the rim a thousand half-lengths out,
+    # where a rule that misses the rim's square root is ~3e-7 off
+    params = PARAMS.with_(lam=0.0, Rbar=1.0, R=5000.0, L=10.0, Np=3)
+    eps = 2.0 ** params.Rbar - 1.0
+
+    def outage(d0):
+        return _noise_only_outage(d0, eps, params)
+
+    assert an.outage_probability(an.OutageInputs.from_system(params), CFG) \
+        == pytest.approx(_strip_mean(params, outage), abs=1e-8)
+
+
 @pytest.mark.parametrize("params", [PARAMS, PARAMS.with_(R=300.0, L=100.0)],
                          ids=["default", "R300"])
 def test_polar_oracles_match_planar_oracles(params):
@@ -508,8 +538,10 @@ def test_polar_oracles_match_planar_oracles(params):
 def test_averages_match_quadrature_oracle_with_interference():
     # lam > 0: the outage and both bounds, each a sum over a rule in ln d0,
     # against scipy integrals of the pointwise conditional outage over the
-    # disc (which test_conditional_outage_* and the derivative tests pin)
-    for params in (PARAMS, PARAMS.with_(R=300.0, L=100.0)):
+    # disc (which test_conditional_outage_* and the derivative tests pin);
+    # R = 1000 needs the 96-node distance rule
+    for params in (PARAMS, PARAMS.with_(R=300.0, L=100.0),
+                   PARAMS.with_(R=1000.0, L=100.0)):
         io = an.OutageInputs.from_system(params)
 
         def outage(d0):
@@ -577,9 +609,7 @@ def test_outage_independent_of_call_history():
 
 
 def test_outage_stable_under_order_doubling():
-    fine = an.AnalysisConfig(K=2 * CFG.K, gl_order_2d=2 * CFG.gl_order_2d,
-                             gl_order_radial=2 * CFG.gl_order_radial,
-                             gl_order_rate=2 * CFG.gl_order_rate)
+    fine = an.AnalysisConfig(K=2 * CFG.K, gl_order_rate=2 * CFG.gl_order_rate)
     for eps in (0.5, 1.0, 3.0):
         io = an.OutageInputs(eps, XI, PARAMS)
         assert abs(an.outage_probability(io, CFG)
@@ -669,7 +699,7 @@ def _threshold_rate(params, cfg):
     builds it."""
     xi = link_budget(params).xi
     tab = an._tables(params, cfg)
-    d0, weight = an._distance_rule(an._serving_decomposition(params, cfg),
+    d0, weight = an._distance_rule(*an._serving_rule(params, cfg.gl_order_rate),
                                    cfg.gl_order_rate)
 
     def integrand(eps):
@@ -685,8 +715,10 @@ def _threshold_rate(params, cfg):
 @pytest.mark.parametrize("params", [RATE_PARAMS.with_(Np=1), RATE_PARAMS.with_(Np=3),
                                     PARAMS], ids=["rate-Np1", "rate-Np3", "default"])
 def test_rate_matches_threshold_integral(params):
+    # the oracle's agreement (2.5e-13) was established at 48 nodes, which
+    # cost a third of the default's time under the threshold integral
     assert an.ergodic_rate(params, CFG) == pytest.approx(
-        _threshold_rate(params, CFG), abs=1e-5)
+        _threshold_rate(params, an.AnalysisConfig(gl_order_rate=48)), abs=1e-5)
 
 
 def _noise_only_rate(params):

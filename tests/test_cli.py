@@ -277,6 +277,18 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "Np" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["gl_order_2d", "gl_order_radial"])
+def test_removed_analysis_orders_rejected(tmp_path, capsys, key):
+    # gl_order_rate is the order of every 1-D rule; an order that no longer
+    # exists must stop the run rather than be ignored
+    path = _write(tmp_path, f"mode: analyze\nanalysis: {{{key}: 64}}\n")
+    assert cli.main([str(path)]) == 2
+    assert f"analysis.{key}: unknown key" in capsys.readouterr().err
+    path = _write(tmp_path, "mode: analyze\n", name="plain.yaml")
+    assert cli.main([str(path), "--set", f"analysis.{key}=64"]) == 2
+    assert f"analysis.{key}: unknown key" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert cli.main([str(tmp_path / "absent.yaml")]) == 2
     assert "no such config" in capsys.readouterr().err
