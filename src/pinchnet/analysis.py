@@ -47,8 +47,6 @@ from .geometry import SystemParams, preset_offsets, voronoi_cell_bounds
 from .numerics import gauss_chebyshev_nodes, gauss_legendre_rule, integrate_semi_infinite
 
 __all__ = [
-    "RATE_PREFACTOR_BITS",
-    "RATE_PREFACTOR_HALF",
     "AnalysisConfig",
     "OutageInputs",
     "laplace_interference",
@@ -60,12 +58,6 @@ __all__ = [
     "outage_lower_bound",
     "ergodic_rate",
 ]
-
-# Prefactor of the rate integral, which equals E[ln(1 + SINR)]: 1/ln2
-# makes the rate E[log2(1 + SINR)] exactly; 0.5 is kept selectable for
-# models that charge a half resource to the link.
-RATE_PREFACTOR_BITS = 1.0 / math.log(2.0)
-RATE_PREFACTOR_HALF = 0.5
 
 # Rounding window of a probability (and of the rate below 0): a value up to
 # this far outside [0, 1] is rounded onto it; anything further, or not
@@ -83,15 +75,13 @@ def _positive_int(value, name: str) -> int:
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Quadrature orders and the rate-integral prefactor.
+    """Quadrature orders.
 
     K: Gauss-Chebyshev order of the interference transform
     gl_order_rate: order of every 1-D rule: each octave panel of the rate's
         z-integral, each rho-panel of the polar measure, and the number of
         Chebyshev nodes of every serving-distance rule (the outage, both
         bounds and the rate)
-    rate_prefactor: multiplier of the rate integral (1/ln2 or 0.5)
-    tolerance: relative convergence target of the rate panels
     """
 
     # defaults sized so that doubling any order moves results by well
@@ -100,18 +90,10 @@ class AnalysisConfig:
     # quadrature at R = 1000, L = 100, where 48 nodes leave 3e-7
     K: int = 400
     gl_order_rate: int = 96
-    rate_prefactor: float = RATE_PREFACTOR_BITS
-    tolerance: float = 1e-9
 
     def __post_init__(self):
         for name in ("K", "gl_order_rate"):
             object.__setattr__(self, name, _positive_int(getattr(self, name), name))
-        if not (self.rate_prefactor > 0 and math.isfinite(self.rate_prefactor)):
-            raise InvalidParameterError(
-                f"rate_prefactor must be positive, got {self.rate_prefactor!r}")
-        if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
-            raise InvalidParameterError(
-                f"tolerance must be positive, got {self.tolerance!r}")
 
 
 @dataclass(frozen=True)
@@ -486,15 +468,14 @@ def _distance_rule(d0: np.ndarray, weight: np.ndarray,
 
 
 def ergodic_rate(params: SystemParams, cfg: AnalysisConfig) -> float:
-    """rate_prefactor * int_0^inf z^-1 e^{-z xi} L_I(z) (1 - E[M_S(z | d0)]) dz.
+    """(1/ln2) int_0^inf z^-1 e^{-z xi} L_I(z) (1 - E[M_S(z | d0)]) dz.
 
-    With the default prefactor 1/ln2 this is E[log2(1 + SINR)] of the
-    typical user (Hamdi's lemma).  M_S(z | d0) = sum_B p_B(d0)
-    (1 + z d0^-alpha_B / N_B)^-N_B is the Laplace transform of the serving
-    power; its mean over user positions runs through _distance_rule, built
-    once per call from the serving rule.  Octave panels in z
-    resolve the integrand's log-wide plateau between the mean signal power
-    and the noise level.  A non-finite rate, or one below zero by more
+    This is E[log2(1 + SINR)] of the typical user (Hamdi's lemma).
+    M_S(z | d0) = sum_B p_B(d0) (1 + z d0^-alpha_B / N_B)^-N_B is the
+    Laplace transform of the serving power; its mean over user positions
+    runs through _distance_rule, built once per call from the serving rule.
+    Octave panels in z resolve the integrand's log-wide plateau between the
+    mean signal power and the noise level.  A non-finite rate, or one below zero by more
     than rounding, raises NumericInstabilityError.
     """
     xi = link_budget(params).xi
@@ -513,7 +494,8 @@ def ergodic_rate(params: SystemParams, cfg: AnalysisConfig) -> float:
             miss = miss + np.sum(w * -np.expm1(-n * np.log1p(zc * gain)), axis=-1)
         return np.exp(_log_laplace(z, tab) - z * xi) * miss / z
 
-    rate = cfg.rate_prefactor * integrate_semi_infinite(integrand, cfg)
+    nats = integrate_semi_infinite(integrand, cfg.gl_order_rate)
+    rate = (1.0 / math.log(2.0)) * nats
     if not (math.isfinite(rate) and rate >= -_CLAMP):
         raise NumericInstabilityError(
             f"ergodic rate evaluated to {rate!r}; quadrature order too low")

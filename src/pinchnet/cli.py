@@ -3,7 +3,6 @@
 A single YAML (or JSON) document describes one experiment::
 
     mode: compare            # analyze | simulate | compare | bounds | rate
-    bounds: false            # analyze mode: also evaluate the two bounds
     params:
       lambda: 1.0e-6         # alias for lam
       P: "20 dBm"            # powers accept "x dBm" strings or plain watts
@@ -93,7 +92,6 @@ class ExperimentConfig:
     analysis: AnalysisConfig
     sim: SimConfig
     sweep: Sweep | None = None
-    bounds: bool = False
 
 
 # ------------------------------------------------------------------ load
@@ -223,7 +221,7 @@ def _normalize_sweep(section, params: SystemParams) -> Sweep | None:
 
 def _normalize(tree: dict) -> ExperimentConfig:
     tree = _require_mapping(tree, "config")
-    unknown = set(tree) - {"mode", "params", "analysis", "sim", "sweep", "bounds"}
+    unknown = set(tree) - {"mode", "params", "analysis", "sim", "sweep"}
     if unknown:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown top-level key")
 
@@ -233,17 +231,13 @@ def _normalize(tree: dict) -> ExperimentConfig:
     if mode not in MODES:
         raise ConfigError(f"mode: {mode!r} is not one of " + "/".join(MODES))
 
-    bounds = tree.get("bounds", False)
-    if not isinstance(bounds, bool):
-        raise ConfigError(f"bounds: expected true/false, got {bounds!r}")
-
     params = _normalize_params(tree.get("params"))
     analysis = _normalize_section(
         tree.get("analysis"), "analysis", _ANALYSIS_FIELDS, AnalysisConfig)
     sim = _normalize_section(tree.get("sim"), "sim", _SIM_FIELDS, SimConfig)
     sweep = _normalize_sweep(tree.get("sweep"), params)
     return ExperimentConfig(mode=mode, params=params, analysis=analysis,
-                            sim=sim, sweep=sweep, bounds=bounds)
+                            sim=sim, sweep=sweep)
 
 
 def _apply_override(tree: dict, spec: str) -> None:
@@ -298,7 +292,7 @@ def _compute_row(cfg: ExperimentConfig, params: SystemParams,
             t0 = time.perf_counter()
             inputs = OutageInputs.from_system(params)
             row.analytic_outage = outage_probability(inputs, cfg.analysis)
-            if mode == "bounds" or (mode == "analyze" and cfg.bounds):
+            if mode == "bounds":
                 row.upper_bound = outage_upper_bound(inputs, cfg.analysis)
                 row.lower_bound = outage_lower_bound(inputs, cfg.analysis)
             row.wall_time_analysis = time.perf_counter() - t0
@@ -349,25 +343,11 @@ def _write_csv(rows, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _echo_config(cfg: ExperimentConfig) -> dict:
-    echo = {
-        "mode": cfg.mode,
-        "bounds": cfg.bounds,
-        "params": dataclasses.asdict(cfg.params),
-        "analysis": dataclasses.asdict(cfg.analysis),
-        "sim": dataclasses.asdict(cfg.sim),
-    }
-    if cfg.sweep is not None:
-        echo["sweep"] = {"parameter": cfg.sweep.parameter,
-                         "values": list(cfg.sweep.values)}
-    return echo
-
-
 def _write_report(cfg: ExperimentConfig, rows, path: Path) -> None:
     payload = {
         "version": __version__,
         "seed": cfg.sim.seed,
-        "config": _echo_config(cfg),
+        "config": dataclasses.asdict(cfg),
         "rows": [dataclasses.asdict(row) for row in rows],
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

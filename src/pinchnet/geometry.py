@@ -10,7 +10,8 @@ the points and their marks; this module holds the shared geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -60,6 +61,12 @@ class SystemParams:
     Rbar: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            number = isinstance(v, (int, float, np.integer, np.floating)) \
+                and not isinstance(v, bool)
+            if f.type == "float" and not (number and -math.inf < v < math.inf):
+                raise InvalidParameterError(f"{f.name} must be a finite number, got {v!r}")
         if not isinstance(self.Np, (int, np.integer)) or self.Np < 1 or self.Np % 2 == 0:
             raise InvalidParameterError(f"Np must be an odd positive integer, got {self.Np!r}")
         if not self.lam >= 0:
@@ -79,8 +86,9 @@ class SystemParams:
                 raise InvalidParameterError(f"{name} must be a positive integer, got {v!r}")
         if not (self.f_c > 0 and self.sigma2 > 0 and self.P > 0):
             raise InvalidParameterError("f_c, sigma2 and P must be positive")
-        if not self.Rbar >= 0:
-            raise InvalidParameterError(f"Rbar must be >= 0, got {self.Rbar!r}")
+        # the SINR threshold 2^Rbar - 1 overflows a double from Rbar = 1024
+        if not 0 <= self.Rbar < 1024:
+            raise InvalidParameterError(f"Rbar must be in [0, 1024), got {self.Rbar!r}")
 
     def with_(self, **kw) -> "SystemParams":
         """Copy with selected fields replaced."""

@@ -13,10 +13,12 @@ lane 0, chunk 0 holds a block's head (user position, serving blockage and
 serving fading); lane 1, chunk c holds interferer columns c*128 to
 c*128+127 of every realization in the block (radial arrival increments,
 five uniform marks, fading exponentials).  Every draw has a fixed shape, so
-a realization's numbers depend only on (seed, realization index) and a
-run's values are cut from whole blocks whatever the batch size or worker
-count; values are reduced in index order, so estimates are bit-identical
-across both.  The layout also makes truncation studies meaningful:
+a realization's numbers depend only on (seed, realization index).  Each
+worker simulates one span of whole blocks, and the simulator returns every
+realization's (serving power, interference) sample in index order; each
+estimator reduces those samples with its own elementwise expression, so
+estimates are bit-identical whatever the worker count.  The layout also
+makes truncation studies meaningful:
 enlarging R_sim only admits more of the same arrival columns (drawing
 further chunks where needed) without disturbing the points both discs
 share, so the estimate shift measures truncation error rather than
@@ -60,15 +62,13 @@ class SimConfig:
     """Simulation run parameters.
 
     R_sim truncates the interferer field; it must exceed 2R of the params
-    in force (checked at run time, where both are known).  batch_size and
-    workers only shape execution, never results; batch_size rounds down to
-    whole 256-realization blocks (one block at least).
+    in force (checked at run time, where both are known).  workers only
+    shapes execution, never results.
     """
 
     n_realizations: int = 100_000
     R_sim: float = 5000.0
     seed: int = 12345
-    batch_size: int = 25_000
     pinned_d0: float | None = None
     workers: int = 1
 
@@ -83,10 +83,6 @@ class SimConfig:
                 or self.seed < 0):
             raise InvalidParameterError(
                 f"seed must be a non-negative integer, got {self.seed!r}")
-        if isinstance(self.batch_size, bool) or not isinstance(
-                self.batch_size, (int, np.integer)) or self.batch_size < 1:
-            raise InvalidParameterError(
-                f"batch_size must be a positive integer, got {self.batch_size!r}")
         if self.pinned_d0 is not None and not (
                 self.pinned_d0 > 0 and math.isfinite(self.pinned_d0)):
             raise InvalidParameterError(
@@ -192,9 +188,9 @@ def _block_interference(params: SystemParams, simcfg: SimConfig, key: np.ndarray
     return interference
 
 
-def _block_values(params: SystemParams, simcfg: SimConfig, key: np.ndarray,
-                  block: int, mode: str, s: float, buf: np.ndarray) -> np.ndarray:
-    """Per-realization values of block `block` (realizations
+def _block_samples(params: SystemParams, simcfg: SimConfig, key: np.ndarray,
+                   block: int, buf: np.ndarray) -> np.ndarray:
+    """(serving power, interference) rows of block `block` (realizations
     block * _BLOCK ... block * _BLOCK + _BLOCK - 1)."""
     head = _stream(key, 0, _LANE_HEAD, block)
     # user radius, user angle, serving blockage; serving fading
@@ -213,52 +209,48 @@ def _block_values(params: SystemParams, simcfg: SimConfig, key: np.ndarray,
         off = nearest_preset_offset(ux, params.L, params.Np)
         d0 = np.sqrt((ux - off) ** 2 + uy * uy + params.H ** 2)
     los0 = u[2] < np.exp(-params.beta * d0)
-    signal = _received(exps, d0, los0, params)
-    interference = _block_interference(params, simcfg, key, block, ux, uy, buf)
-    if mode == "outage":
-        sinr = signal / (interference + link_budget(params).xi)
-        return (sinr < sinr_threshold(params.Rbar)).astype(float)
-    if mode == "rate":
-        return np.log2(1.0 + signal / (interference + link_budget(params).xi))
-    return np.exp(-s * interference)
+    return np.stack([_received(exps, d0, los0, params),
+                     _block_interference(params, simcfg, key, block, ux, uy, buf)])
 
 
-def _chunk_values(params: SystemParams, simcfg: SimConfig, lo: int, hi: int,
-                  mode: str, s: float) -> np.ndarray:
-    """Values of realizations lo..hi-1, cut from the blocks covering them."""
+def _span_samples(params: SystemParams, simcfg: SimConfig, lo: int,
+                  hi: int) -> np.ndarray:
+    """Samples of realizations lo..hi-1, cut from the blocks covering them."""
     key = np.random.SeedSequence(simcfg.seed).generate_state(2, dtype=np.uint64)
     # one chunk's draws, reused by every block: fresh multi-MB arrays per
     # chunk let the allocator return their pages to the system and fault
     # them in again on every block
     buf = np.empty((6 + max(params.N_L, params.N_N), _BLOCK * _CHUNK))
     first = lo // _BLOCK
-    values = np.concatenate([
-        _block_values(params, simcfg, key, b, mode, s, buf)
-        for b in range(first, (hi - 1) // _BLOCK + 1)])
-    return values[lo - first * _BLOCK:hi - first * _BLOCK]
+    samples = np.concatenate([
+        _block_samples(params, simcfg, key, b, buf)
+        for b in range(first, (hi - 1) // _BLOCK + 1)], axis=1)
+    return samples[:, lo - first * _BLOCK:hi - first * _BLOCK]
 
 
-def _chunk_worker(args):
-    return _chunk_values(*args)
+def _spans(n: int, workers: int) -> list[tuple[int, int]]:
+    """One span of whole blocks per worker, so no block is computed twice."""
+    step = -(-n // (_BLOCK * workers)) * _BLOCK
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _simulate_values(params: SystemParams, simcfg: SimConfig, mode: str,
-                     s: float = 0.0) -> np.ndarray:
+def _simulate(params: SystemParams, simcfg: SimConfig) -> np.ndarray:
+    """Rows (serving power, interference) of every realization, in index
+    order."""
     _check_run(params, simcfg)
-    n = simcfg.n_realizations
-    # spans of whole blocks, so no block is computed twice
-    step = max(1, simcfg.batch_size // _BLOCK) * _BLOCK
-    spans = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-    if simcfg.workers == 1 or len(spans) == 1:
-        parts = [_chunk_values(params, simcfg, lo, hi, mode, s)
-                 for lo, hi in spans]
-    else:
-        jobs = [(params, simcfg, lo, hi, mode, s) for lo, hi in spans]
-        with ProcessPoolExecutor(max_workers=simcfg.workers) as pool:
-            parts = list(pool.map(_chunk_worker, jobs))
-    # fixed batch boundaries and index-ordered concatenation keep the
-    # floating-point reduction identical for every execution shape
-    return np.concatenate(parts)
+    spans = _spans(simcfg.n_realizations, simcfg.workers)
+    if len(spans) == 1:
+        return _span_samples(params, simcfg, *spans[0])
+    los, his = zip(*spans)
+    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+        parts = list(pool.map(_span_samples, [params] * len(spans),
+                              [simcfg] * len(spans), los, his))
+    return np.concatenate(parts, axis=1)
+
+
+def _sinr(params: SystemParams, simcfg: SimConfig) -> np.ndarray:
+    signal, interference = _simulate(params, simcfg)
+    return signal / (interference + link_budget(params).xi)
 
 
 def _sample_std_error(values: np.ndarray) -> float:
@@ -270,7 +262,7 @@ def _sample_std_error(values: np.ndarray) -> float:
 def estimate_outage(params: SystemParams, simcfg: SimConfig) -> EstimateReport:
     """Empirical P(log2(1 + SINR) < Rbar) with binomial standard error."""
     t0 = time.perf_counter()
-    values = _simulate_values(params, simcfg, "outage")
+    values = (_sinr(params, simcfg) < sinr_threshold(params.Rbar)).astype(float)
     p = float(values.mean())
     se = math.sqrt(p * (1.0 - p) / values.size)
     return EstimateReport(p, se, values.size, simcfg.seed,
@@ -280,7 +272,7 @@ def estimate_outage(params: SystemParams, simcfg: SimConfig) -> EstimateReport:
 def estimate_ergodic_rate(params: SystemParams, simcfg: SimConfig) -> EstimateReport:
     """Empirical mean of log2(1 + SINR) with sample standard error."""
     t0 = time.perf_counter()
-    values = _simulate_values(params, simcfg, "rate")
+    values = np.log2(1.0 + _sinr(params, simcfg))
     return EstimateReport(float(values.mean()), _sample_std_error(values),
                           values.size, simcfg.seed, time.perf_counter() - t0)
 
@@ -291,6 +283,6 @@ def estimate_laplace(s: float, params: SystemParams,
     if not (s >= 0 and math.isfinite(s)):
         raise InvalidParameterError(f"s must be finite and >= 0, got {s!r}")
     t0 = time.perf_counter()
-    values = _simulate_values(params, simcfg, "laplace", s=float(s))
+    values = np.exp(-float(s) * _simulate(params, simcfg)[1])
     return EstimateReport(float(values.mean()), _sample_std_error(values),
                           values.size, simcfg.seed, time.perf_counter() - t0)

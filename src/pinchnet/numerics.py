@@ -34,6 +34,9 @@ __all__ = [
 
 _NEWTON_TOL = 1e-15
 _MAX_PANELS = 64
+# the semi-infinite rule stops once two consecutive panels each add less
+# than this fraction of the running total
+_PANEL_TOL = 1e-9
 
 
 class ChebyshevNodes(NamedTuple):
@@ -136,7 +139,7 @@ def gauss_legendre_rule(n: int, lo: float, hi: float) -> QuadratureRule:
     return QuadratureRule(nodes=mid + half * base_x, weights=half * base_w)
 
 
-def integrate_semi_infinite(f: Callable, cfg) -> float:
+def integrate_semi_infinite(f: Callable, order: int) -> float:
     """Approximate integral of f over [0, inf).
 
     The substitution x = u/(1-u) (Jacobian 1/(1-u)^2) maps the half line
@@ -144,9 +147,9 @@ def integrate_semi_infinite(f: Callable, cfg) -> float:
     mass is spread over many decades of x, so the u interval is split
     into panels [0, 1/2], [1/2, 3/4], ... refined geometrically toward
     u = 1 (panel j covers x in [2^j - 1, 2^(j+1) - 1], about one octave)
-    and a Gauss-Legendre rule of order ``cfg.gl_order_rate`` is applied
-    per panel.  Panels stop once two consecutive contributions fall below
-    ``cfg.tolerance`` relative to the running total.
+    and a Gauss-Legendre rule of ``order`` nodes is applied per panel.
+    Panels stop once two consecutive contributions fall below 1e-9
+    relative to the running total.
 
     ``f`` must be vectorized: it maps the panel's x array to an array of
     the same shape.  A non-finite integrand value raises NumericError
@@ -154,9 +157,7 @@ def integrate_semi_infinite(f: Callable, cfg) -> float:
     np.sum, which reduces pairwise inside numpy, so the result does not
     depend on the BLAS thread count.
     """
-    order = int(cfg.gl_order_rate)
-    tol = float(cfg.tolerance)
-    base_x, base_w = _legendre_base(order)
+    base_x, base_w = _legendre_base(int(order))
 
     # work in s = 1 - u so the dyadic panel edges stay exact; then
     # x = 1/s - 1 and the Jacobian is 1/s^2
@@ -177,7 +178,7 @@ def integrate_semi_infinite(f: Callable, cfg) -> float:
                 epsilon=x_bad)
         contrib = half * float(np.sum(base_w * (vals / (s * s))))
         total += contrib
-        if abs(contrib) <= tol * max(abs(total), 1e-300):
+        if abs(contrib) <= _PANEL_TOL * max(abs(total), 1e-300):
             small_streak += 1
             if small_streak >= 2:
                 break

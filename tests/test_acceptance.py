@@ -217,7 +217,7 @@ def test_criterion_8_worker_determinism(capsys, tmp_path):
     config = tmp_path / "config.yaml"
     config.write_text(
         "mode: simulate\n"
-        "sim: {n_realizations: 5000, seed: 801, batch_size: 625}\n"
+        "sim: {n_realizations: 5000, seed: 801}\n"
         "sweep:\n"
         "  parameter: P\n"
         "  values: [\"10 dBm\", \"20 dBm\"]\n")

@@ -54,13 +54,6 @@ def test_config_rejects_bad_orders():
         an.AnalysisConfig(gl_order_rate=1.5)
 
 
-def test_config_rejects_bad_scalars():
-    with pytest.raises(InvalidParameterError):
-        an.AnalysisConfig(rate_prefactor=0.0)
-    with pytest.raises(InvalidParameterError):
-        an.AnalysisConfig(tolerance=-1e-9)
-
-
 def test_outage_inputs_validation():
     with pytest.raises(InvalidParameterError):
         an.OutageInputs(-0.5, XI, PARAMS)
@@ -682,17 +675,8 @@ def test_rate_monotone_in_power_without_interference():
     assert rates[0] < rates[1] < rates[2]
 
 
-def test_rate_scales_with_prefactor():
-    half = an.AnalysisConfig(rate_prefactor=an.RATE_PREFACTOR_HALF)
-    a = an.ergodic_rate(PARAMS, CFG)
-    b = an.ergodic_rate(PARAMS, half)
-    assert b == pytest.approx(a * an.RATE_PREFACTOR_HALF / an.RATE_PREFACTOR_BITS,
-                              rel=1e-12)
-    assert a > 0
-
-
 def _threshold_rate(params, cfg):
-    """rate_prefactor * int_0^inf (1 - P_out(eps)) / (1 + eps) d eps, with the
+    """(1/ln2) int_0^inf (1 - P_out(eps)) / (1 + eps) d eps, with the
     outage averaged by the derivative recursion over the serving-distance
     rule: the rate by a route that shares only L_I and the distance rule
     with the z-integral.  The rule is built once per call, as the rate
@@ -709,7 +693,7 @@ def _threshold_rate(params, cfg):
                 "outage probability")) / (1.0 + e)
             for e in eps])
 
-    return cfg.rate_prefactor * integrate_semi_infinite(integrand, cfg)
+    return integrate_semi_infinite(integrand, cfg.gl_order_rate) / math.log(2.0)
 
 
 @pytest.mark.parametrize("params", [RATE_PARAMS.with_(Np=1), RATE_PARAMS.with_(Np=3),
@@ -750,18 +734,15 @@ def test_noise_only_rate_matches_quadrature_oracle(params):
         _noise_only_rate(single), abs=1e-8)
 
 
-@pytest.mark.parametrize("level,want", [(-1e-12, 0.0), (-1e-6, None), (math.nan, None)],
-                         ids=["rounds", "negative", "nan"])
+@pytest.mark.parametrize("level,want", [(-1e-12, 0.0), (-1e-6, None), (math.nan, None),
+                                        (math.inf, None)],
+                         ids=["rounds", "negative", "nan", "inf"])
 def test_rate_rejects_nonfinite_or_negative(monkeypatch, level, want):
-    # a rate below zero by more than rounding is a numerical failure
-    monkeypatch.setattr(an, "integrate_semi_infinite", lambda f, cfg: level)
+    # a rate below zero by more than rounding, or not finite, is a
+    # numerical failure
+    monkeypatch.setattr(an, "integrate_semi_infinite", lambda f, order: level)
     if want is None:
         with pytest.raises(NumericInstabilityError):
             an.ergodic_rate(PARAMS, CFG)
     else:
         assert an.ergodic_rate(PARAMS, CFG) == want
-
-
-def test_rate_overflow_raises():
-    with pytest.raises(NumericInstabilityError):
-        an.ergodic_rate(PARAMS, an.AnalysisConfig(rate_prefactor=1e308))

@@ -121,6 +121,11 @@ def test_sweep_values_validated_up_front(tmp_path):
         "sweep: {parameter: Np, values: [3, 4, 5]}\n"))
     with pytest.raises(ConfigError, match=r"sweep.values\[1\]"):
         cli.load_config(path)
+    path = _write(tmp_path, (
+        "mode: analyze\n"
+        "sweep: {parameter: Rbar, values: [1, 2000]}\n"), name="rbar.yaml")
+    with pytest.raises(ConfigError, match=r"sweep.values\[1\]: Rbar"):
+        cli.load_config(path)
 
 
 def test_overrides_apply_before_validation(tmp_path):
@@ -180,7 +185,7 @@ def test_simulate_same_seed_byte_identical(tmp_path):
 def test_worker_count_does_not_change_csv(tmp_path):
     path = _write(tmp_path, (
         "mode: simulate\n"
-        "sim: {n_realizations: 2000, seed: 7, batch_size: 250}\n"))
+        "sim: {n_realizations: 2000, seed: 7}\n"))
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert cli.main([str(path), "--out", str(out_a)]) == 0
     assert cli.main([str(path), "--out", str(out_b), "--set",
@@ -216,8 +221,7 @@ def test_rate_mode_runs_both_engines(tmp_path):
 
 def test_report_echo_reproduces_csv(tmp_path):
     path = _write(tmp_path, (
-        "mode: analyze\n"
-        "bounds: true\n"
+        "mode: bounds\n"
         "params: {Rbar: 2.0, P: \"20 dBm\"}\n"
         "sweep: {parameter: Np, values: [3, 11]}\n"))
     out_a = tmp_path / "a"
@@ -225,6 +229,7 @@ def test_report_echo_reproduces_csv(tmp_path):
     report = json.loads((out_a / "report.json").read_text())
     assert report["version"]
     assert report["seed"] == 12345
+    assert set(report["config"]) == {"mode", "params", "analysis", "sim", "sweep"}
 
     echo_path = tmp_path / "echo.json"
     echo_path.write_text(json.dumps(report["config"]))
@@ -275,18 +280,38 @@ def test_config_error_exit_code(tmp_path, capsys):
     path = _write(tmp_path, "mode: analyze\nparams: {Np: 10}\n")
     assert cli.main([str(path)]) == 2
     assert "Np" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("key", ["gl_order_2d", "gl_order_radial"])
-def test_removed_analysis_orders_rejected(tmp_path, capsys, key):
-    # gl_order_rate is the order of every 1-D rule; an order that no longer
-    # exists must stop the run rather than be ignored
-    path = _write(tmp_path, f"mode: analyze\nanalysis: {{{key}: 64}}\n")
-    assert cli.main([str(path)]) == 2
-    assert f"analysis.{key}: unknown key" in capsys.readouterr().err
+    # out-of-domain numbers stop at load time, before any row is computed:
+    # 2^2000 - 1 overflows, and non-finite values are no parameters
     path = _write(tmp_path, "mode: analyze\n", name="plain.yaml")
-    assert cli.main([str(path), "--set", f"analysis.{key}=64"]) == 2
-    assert f"analysis.{key}: unknown key" in capsys.readouterr().err
+    for spec, field in (("params.Rbar=2000", "Rbar"), ("params.sigma2=inf", "sigma2"),
+                        ("params.lam=inf", "lam"), ("params.H=inf", "H"),
+                        ("params.R=inf", "R"), ("params.P=nan", "P")):
+        assert cli.main([str(path), "--set", spec, "--out", str(tmp_path)]) == 2
+        assert f"params: {field} must be" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    pytest.param("analysis.gl_order_2d", "64", id="gl_order_2d"),
+    pytest.param("analysis.gl_order_radial", "64", id="gl_order_radial"),
+    pytest.param("analysis.rate_prefactor", "0.5", id="rate_prefactor"),
+    pytest.param("analysis.tolerance", "1.0e-9", id="tolerance"),
+    pytest.param("sim.batch_size", "625", id="batch_size"),
+    pytest.param("bounds", "true", id="bounds"),
+])
+def test_removed_analysis_orders_rejected(tmp_path, capsys, key, value):
+    # a removed key must stop the run rather than be ignored: the rule
+    # orders (gl_order_rate is the order of every 1-D rule), the rate
+    # prefactor and panel tolerance (now constants), the batch size (each
+    # worker runs one span) and the bounds flag (mode: bounds)
+    section, _, name = key.rpartition(".")
+    entry = f"{section}: {{{name}: {value}}}" if section else f"{name}: {value}"
+    path = _write(tmp_path, f"mode: analyze\n{entry}\n")
+    assert cli.main([str(path)]) == 2
+    assert f"{key}: unknown" in capsys.readouterr().err
+    path = _write(tmp_path, "mode: analyze\n", name="plain.yaml")
+    assert cli.main([str(path), "--set", f"{key}={value}"]) == 2
+    assert f"{key}: unknown" in capsys.readouterr().err
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

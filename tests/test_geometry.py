@@ -57,6 +57,20 @@ def test_params_allows_zero_intensity():
         default_params(lam=-1e-6)
 
 
+def test_params_rejects_nonfinite_numbers():
+    for field in ("lam", "R", "L", "H", "beta", "alpha_L", "alpha_N", "f_c",
+                  "sigma2", "P", "Rbar"):
+        for value in (math.inf, -math.inf, math.nan, "1.0", True):
+            with pytest.raises(InvalidParameterError, match=field):
+                default_params(**{field: value})
+    # so is a finite Rbar whose threshold 2^Rbar - 1 overflows; the largest
+    # double below 1024 still gives a finite threshold
+    assert default_params(Rbar=math.nextafter(1024.0, 0.0)).Rbar < 1024.0
+    for rbar in (1024.0, 2000):
+        with pytest.raises(InvalidParameterError, match="Rbar"):
+            default_params(Rbar=rbar)
+
+
 # ---------------- PPP on the disc ----------------
 #
 # The simulator owns the sampling of the cluster-center PPP, so these tests
@@ -92,17 +106,17 @@ def test_ppp_points_uniform():
 
 def test_ppp_radii_nest_with_truncation_radius():
     # same seed, larger disc: every interferer of the small disc is kept
-    # with its marks and fading, so exp(-s I) can only fall; the pair
-    # straddles the 128-column chunk of arrivals (78.5 vs 201 on average)
+    # with its marks and fading, so the interference sum can only grow;
+    # the pair straddles the 128-column chunk of arrivals (78.5 vs 201 on
+    # average)
     params = default_params()
-    values = {
-        R_sim: mc._simulate_values(
-            params, mc.SimConfig(n_realizations=600, seed=5, R_sim=R_sim),
-            mode="laplace", s=1e8)
+    interference = {
+        R_sim: mc._simulate(
+            params, mc.SimConfig(n_realizations=600, seed=5, R_sim=R_sim))[1]
         for R_sim in (5000.0, 8000.0)}
     assert params.lam * math.pi * 5000.0 ** 2 < 128 < params.lam * math.pi * 8000.0 ** 2
-    assert np.all(values[8000.0] <= values[5000.0])
-    assert np.mean(values[8000.0] < values[5000.0]) > 0.9
+    assert np.all(interference[8000.0] >= interference[5000.0])
+    assert np.mean(interference[8000.0] > interference[5000.0]) > 0.9
 
 
 # ---------------- presets ----------------

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from pinchnet import analysis as an
@@ -43,7 +44,7 @@ def test_simconfig_defaults():
     {"R_sim": -5.0},
     {"seed": -1},
     {"seed": 2.5},
-    {"batch_size": 0},
+    {"R_sim": math.inf},
     {"pinned_d0": 0.0},
     {"pinned_d0": -3.0},
     {"workers": 0},
@@ -77,81 +78,90 @@ def test_estimates_reproducible():
 
 
 def test_batch_size_invariance():
+    # the samples of n realizations are the same whatever batches they are
+    # cut into: batches below, on and past a block, none of them aligned
     params = default_params()
-    ref = mc.estimate_ergodic_rate(
-        params, mc.SimConfig(n_realizations=2000, seed=5, batch_size=2000))
+    sim = mc.SimConfig(n_realizations=2000, seed=5)
+    ref = mc._simulate(params, sim)
     for batch in (137, 500, 1999):
-        got = mc.estimate_ergodic_rate(
-            params, mc.SimConfig(n_realizations=2000, seed=5, batch_size=batch))
-        assert _report_tuple(got) == _report_tuple(ref)
+        got = np.concatenate([
+            mc._span_samples(params, sim, lo, min(lo + batch, 2000))
+            for lo in range(0, 2000, batch)], axis=1)
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_worker_count_invariance():
     params = default_params()
-    ref = mc._simulate_values(
-        params, mc.SimConfig(n_realizations=2000, seed=9, batch_size=250),
-        mode="outage")
-    par = mc._simulate_values(
-        params,
-        mc.SimConfig(n_realizations=2000, seed=9, batch_size=250, workers=3),
-        mode="outage")
+    ref = mc._simulate(params, mc.SimConfig(n_realizations=2000, seed=9))
+    par = mc._simulate(params, mc.SimConfig(n_realizations=2000, seed=9, workers=3))
     assert np.array_equal(ref, par)
 
 
 def test_worker_count_invariance_reports():
     params = default_params()
-    a = mc.estimate_outage(
-        params, mc.SimConfig(n_realizations=2000, seed=41, batch_size=300))
+    a = mc.estimate_outage(params, mc.SimConfig(n_realizations=2000, seed=41))
     b = mc.estimate_outage(
-        params,
-        mc.SimConfig(n_realizations=2000, seed=41, batch_size=300, workers=4))
+        params, mc.SimConfig(n_realizations=2000, seed=41, workers=4))
     assert _report_tuple(a) == _report_tuple(b)
 
 
 def test_values_identical_across_block_cuts():
-    # 256-realization blocks: batch sizes below, on and just past a block,
-    # and one past n, all give the same values
+    # 256-realization blocks: cuts below, on and just past a block edge,
+    # and a worker count past the block count, all give the same samples
     params = default_params()
-    sim = mc.SimConfig(n_realizations=600, seed=5, batch_size=600)
-    ref = mc._simulate_values(params, sim, mode="rate")
-    for batch in (1, 255, 256, 257, 2000):
-        got = mc._simulate_values(
-            params, mc.SimConfig(n_realizations=600, seed=5, batch_size=batch),
-            mode="rate")
+    sim = mc.SimConfig(n_realizations=600, seed=5)
+    ref = mc._span_samples(params, sim, 0, 600)
+    for cut in (1, 255, 256, 257, 599):
+        got = np.concatenate([mc._span_samples(params, sim, 0, cut),
+                              mc._span_samples(params, sim, cut, 600)], axis=1)
         assert got.tobytes() == ref.tobytes()
-    par = mc._simulate_values(
-        params,
-        mc.SimConfig(n_realizations=600, seed=5, batch_size=100, workers=3),
-        mode="rate")
+    par = mc._simulate(params, mc.SimConfig(n_realizations=600, seed=5, workers=8))
     assert par.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("n,batch,blocks", [(600, 1, 3), (60_000, 25_000, 235)],
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 1000), data=st.data())
+def test_span_cuts_concatenate_bytewise(n, data):
+    # R_sim = 1000 keeps about three interferers per realization
+    cut = data.draw(st.integers(1, n - 1))
+    params = default_params()
+    sim = mc.SimConfig(n_realizations=n, seed=3, R_sim=1000.0)
+    whole = mc._span_samples(params, sim, 0, n)
+    parts = np.concatenate([mc._span_samples(params, sim, 0, cut),
+                            mc._span_samples(params, sim, cut, n)], axis=1)
+    assert parts.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("n,workers,blocks", [(600, 8, 3), (60_000, 1, 235)],
                          ids=["batch1", "default-batch"])
-def test_spans_compute_each_block_once(monkeypatch, n, batch, blocks):
-    # span edges fall on block edges: ceil(n / 256) blocks, whatever the
-    # batch size (lam = 0 keeps the 235 blocks cheap)
+def test_spans_compute_each_block_once(monkeypatch, n, workers, blocks):
+    # the worker plan cuts spans on block edges: ceil(n / 256) blocks, each
+    # computed once, whether each worker's batch is one block (more workers
+    # than blocks) or the whole run (one worker; lam = 0 keeps the 235
+    # blocks cheap)
     calls = []
-    block_values = mc._block_values
+    block_samples = mc._block_samples
 
     def counted(*args):
         calls.append(args[3])
-        return block_values(*args)
+        return block_samples(*args)
 
-    monkeypatch.setattr(mc, "_block_values", counted)
-    mc._simulate_values(default_params(lam=0.0),
-                        mc.SimConfig(n_realizations=n, seed=5, batch_size=batch),
-                        mode="rate")
+    monkeypatch.setattr(mc, "_block_samples", counted)
+    spans = mc._spans(n, workers)
+    assert len(spans) <= workers
+    assert [lo for lo, _ in spans[1:]] == [hi for _, hi in spans[:-1]]
+    assert spans[0][0] == 0 and spans[-1][1] == n
+    sim = mc.SimConfig(n_realizations=n, seed=5)
+    for lo, hi in spans:
+        mc._span_samples(default_params(lam=0.0), sim, lo, hi)
     assert sorted(calls) == list(range(blocks))
 
 
 def test_values_nest_in_sample_size():
     params = default_params()
-    short = mc._simulate_values(
-        params, mc.SimConfig(n_realizations=300, seed=12), mode="rate")
-    long = mc._simulate_values(
-        params, mc.SimConfig(n_realizations=1000, seed=12), mode="rate")
-    assert short.tobytes() == long[:300].tobytes()
+    short = mc._simulate(params, mc.SimConfig(n_realizations=300, seed=12))
+    long = mc._simulate(params, mc.SimConfig(n_realizations=1000, seed=12))
+    assert short.tobytes() == long[:, :300].tobytes()
 
 
 def test_report_metadata():
@@ -172,26 +182,27 @@ def test_zero_threshold_never_outage():
 
 
 def test_outage_flag_matches_sinr():
-    # same seed, same realizations: each outage flag is the rate sample
-    # falling short of Rbar, i.e. SINR below 2^Rbar - 1
+    # same seed, same samples: each outage flag is the rate sample falling
+    # short of Rbar, i.e. SINR below 2^Rbar - 1, and both estimates are
+    # the means of their flags and rate samples
     params = default_params(Rbar=4.0)
     sim = mc.SimConfig(n_realizations=500, seed=8)
-    outage = mc._simulate_values(params, sim, mode="outage")
-    rate = mc._simulate_values(params, sim, mode="rate")
-    sinr = 2.0 ** rate - 1.0
+    signal, interference = mc._simulate(params, sim)
+    sinr = signal / (interference + link_budget(params).xi)
+    outage = sinr < sinr_threshold(params.Rbar)
+    rate = np.log2(1.0 + sinr)
     assert 0 < outage.sum() < outage.size
-    assert np.array_equal(outage == 1.0, sinr < sinr_threshold(params.Rbar))
+    assert np.array_equal(outage, 2.0 ** rate - 1.0 < sinr_threshold(params.Rbar))
+    assert mc.estimate_outage(params, sim).estimate == outage.mean()
+    assert mc.estimate_ergodic_rate(params, sim).estimate == rate.mean()
 
 
 def test_no_clusters_means_no_interference():
-    # at s = 1e300 a single interferer would send exp(-s I) to 0, so every
-    # realization's interference sum is exactly zero; the signal is not
+    # every realization's interference sum is exactly zero; the signal is not
     params = default_params(lam=0.0)
-    sim = mc.SimConfig(n_realizations=600, seed=4)
-    laplace = mc._simulate_values(params, sim, mode="laplace", s=1e300)
-    rate = mc._simulate_values(params, sim, mode="rate")
-    assert np.all(laplace == 1.0)
-    assert np.all(rate > 0.0)
+    signal, interference = mc._simulate(params, mc.SimConfig(n_realizations=600, seed=4))
+    assert np.all(interference == 0.0)
+    assert np.all(signal > 0.0)
 
 
 def _pinned_rate_oracle(params, alpha, shape, seed):

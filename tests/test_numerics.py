@@ -6,7 +6,6 @@ order-doubling refinement).
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from pinchnet.numerics import (
     integrate_semi_infinite,
 )
 
-CFG = SimpleNamespace(gl_order_rate=32, tolerance=1e-9)
+ORDER = 32
 
 
 # ---------------- Gauss-Chebyshev ----------------
@@ -116,23 +115,23 @@ def test_legendre_invalid_interval():
 # ---------------- semi-infinite integrals ----------------
 
 def test_semi_infinite_exponential():
-    val = integrate_semi_infinite(lambda e: np.exp(-e), CFG)
+    val = integrate_semi_infinite(lambda e: np.exp(-e), ORDER)
     assert val == pytest.approx(1.0, abs=1e-8)
 
 
 def test_semi_infinite_rational():
-    val = integrate_semi_infinite(lambda e: (1.0 + e) ** -2, CFG)
+    val = integrate_semi_infinite(lambda e: (1.0 + e) ** -2, ORDER)
     assert val == pytest.approx(1.0, abs=1e-8)
 
 
 def test_semi_infinite_slow_tail():
     # integral of (1+eps)^(-3/2) = 2; mass spans many decades
-    val = integrate_semi_infinite(lambda e: (1.0 + e) ** -1.5, CFG)
+    val = integrate_semi_infinite(lambda e: (1.0 + e) ** -1.5, ORDER)
     assert val == pytest.approx(2.0, abs=1e-8)
 
 
 def test_semi_infinite_vectorized_matches_scalar():
-    a = integrate_semi_infinite(lambda e: np.exp(-e) * np.cos(e), CFG)
+    a = integrate_semi_infinite(lambda e: np.exp(-e) * np.cos(e), ORDER)
     assert a == pytest.approx(0.5, abs=1e-10)
 
 
@@ -141,7 +140,7 @@ def test_semi_infinite_nonfinite_raises_with_eps():
         return np.where(e > 3.0, np.nan, (1.0 + e) ** -2)
 
     with pytest.raises(NumericError) as exc:
-        integrate_semi_infinite(bad, CFG)
+        integrate_semi_infinite(bad, ORDER)
     assert exc.value.epsilon is not None and exc.value.epsilon > 3.0
 
 
@@ -149,8 +148,7 @@ def test_semi_infinite_order_doubling_converges():
     # order-doubling oracle on a heavy-tailed integrand
     prev = None
     for order in (8, 16, 32, 64):
-        cfg = SimpleNamespace(gl_order_rate=order, tolerance=1e-10)
-        val = integrate_semi_infinite(lambda e: 1.0 / ((1 + e) * (1 + e ** 1.5)), cfg)
+        val = integrate_semi_infinite(lambda e: 1.0 / ((1 + e) * (1 + e ** 1.5)), order)
         if prev is not None:
             assert abs(val - prev) < 1e-6
         prev = val
