@@ -24,7 +24,7 @@ That measure, a few hundred points per cell, is reduced once per call to a
 short rule of Chebyshev nodes in ln d0 (_distance_rule), and the integrand
 is evaluated only at those nodes: the outage runs the derivative recursion
 directly there.  Nothing is cached between calls, so every result is a pure
-function of (params, AnalysisConfig).
+function of (params, AnalysisConfig): eps and xi are params properties.
 
 The ergodic rate needs no derivatives.  Hamdi's lemma (IEEE Trans.
 Commun. 58(2), 2010) gives
@@ -41,14 +41,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import link_budget, sinr_threshold
 from .errors import InvalidParameterError, NumericInstabilityError
 from .geometry import SystemParams, preset_offsets, voronoi_cell_bounds
 from .numerics import gauss_chebyshev_nodes, gauss_legendre_rule, integrate_semi_infinite
 
 __all__ = [
     "AnalysisConfig",
-    "OutageInputs",
     "laplace_interference",
     "zeta_derivative",
     "lbar_derivatives",
@@ -94,28 +92,6 @@ class AnalysisConfig:
     def __post_init__(self):
         for name in ("K", "gl_order_rate"):
             object.__setattr__(self, name, _positive_int(getattr(self, name), name))
-
-
-@dataclass(frozen=True)
-class OutageInputs:
-    """SINR threshold, normalized noise, and the system parameters."""
-
-    epsilon: float
-    xi: float
-    params: SystemParams
-
-    def __post_init__(self):
-        if not (self.epsilon >= 0 and math.isfinite(self.epsilon)):
-            raise InvalidParameterError(
-                f"epsilon must be finite and >= 0, got {self.epsilon!r}")
-        if not (self.xi >= 0 and math.isfinite(self.xi)):
-            raise InvalidParameterError(f"xi must be finite and >= 0, got {self.xi!r}")
-
-    @classmethod
-    def from_system(cls, params: SystemParams) -> "OutageInputs":
-        """Threshold 2^Rbar - 1 and noise term sigma2/(eta P) from params."""
-        return cls(epsilon=sinr_threshold(params.Rbar),
-                   xi=link_budget(params).xi, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +147,8 @@ def _zeta_vec(j: int, omega, xi: float, tab: _NodeTables):
     acc = 0.0
     for a, D, N in tab.branches():
         rising = math.factorial(N + j - 1) // math.factorial(N - 1)
-        coef = (-1.0) ** j * rising / float(N ** j)
+        # int / int rounds once, and stays finite for any shape N
+        coef = (-1.0) ** j * (rising / N ** j)
         acc = acc + coef * np.sum(a / D ** j * (1.0 + w / (N * D)) ** (-N - j), axis=-1)
     out = tab.pref * acc
     if j == 1:
@@ -213,7 +190,7 @@ def laplace_interference(s: float, params: SystemParams, cfg: AnalysisConfig) ->
     return float(np.exp(_log_laplace(float(s), _tables(params, cfg))))
 
 
-def zeta_derivative(j: int, omega: float, xi: float, params: SystemParams,
+def zeta_derivative(j: int, omega: float, params: SystemParams,
                     cfg: AnalysisConfig) -> float:
     """j-th derivative (j >= 1) of zeta(w) = log L_I(w) - w xi at w = omega.
 
@@ -224,11 +201,11 @@ def zeta_derivative(j: int, omega: float, xi: float, params: SystemParams,
     j = _positive_int(j, "derivative order j")
     if not (omega >= 0 and math.isfinite(omega)):
         raise InvalidParameterError(f"omega must be finite and >= 0, got {omega!r}")
-    return float(_zeta_vec(j, float(omega), float(xi), _tables(params, cfg)))
+    return float(_zeta_vec(j, float(omega), params.xi, _tables(params, cfg)))
 
 
-def lbar_derivatives(omega: float, max_order: int, xi: float,
-                     params: SystemParams, cfg: AnalysisConfig) -> list[float]:
+def lbar_derivatives(omega: float, max_order: int, params: SystemParams,
+                     cfg: AnalysisConfig) -> list[float]:
     """L-bar(omega) = L_I(omega) e^{-omega xi} and derivatives up to max_order.
 
     Returns orders 0..max_order inclusive.  Outage needs orders up to
@@ -240,7 +217,7 @@ def lbar_derivatives(omega: float, max_order: int, xi: float,
         raise InvalidParameterError(f"max_order must be >= 0, got {max_order!r}")
     if not (omega >= 0 and math.isfinite(omega)):
         raise InvalidParameterError(f"omega must be finite and >= 0, got {omega!r}")
-    vals = _lbar_vec(float(omega), int(max_order), float(xi), _tables(params, cfg))
+    vals = _lbar_vec(float(omega), int(max_order), params.xi, _tables(params, cfg))
     return [float(v) for v in vals]
 
 
@@ -258,20 +235,20 @@ def _clamp_probability(value: float, context: str) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _outage_batch(d0: np.ndarray, inputs: OutageInputs,
+def _outage_batch(d0: np.ndarray, params: SystemParams,
                   tab: _NodeTables) -> np.ndarray:
     """conditional_outage at an array of serving distances, unvalidated
     and unclamped.  Every term of a coverage sum is nonnegative, since
     L-bar^(j) has the sign (-1)^j."""
-    if inputs.epsilon == 0.0:
+    eps, xi = params.epsilon, params.xi
+    if eps == 0.0:
         return np.zeros_like(d0)
-    params = inputs.params
     p_los = np.exp(-params.beta * d0)
     coverage = 0.0
     for weight, alpha, n in ((p_los, params.alpha_L, params.N_L),
                              (1.0 - p_los, params.alpha_N, params.N_N)):
-        omega = n * inputs.epsilon * d0 ** alpha
-        lbars = _lbar_vec(omega, n - 1, inputs.xi, tab)
+        omega = n * eps * d0 ** alpha
+        lbars = _lbar_vec(omega, n - 1, xi, tab)
         term = 1.0
         c = lbars[0]
         for j in range(1, n):
@@ -281,7 +258,7 @@ def _outage_batch(d0: np.ndarray, inputs: OutageInputs,
     return 1.0 - coverage
 
 
-def conditional_outage(d0: float, inputs: OutageInputs, cfg: AnalysisConfig) -> float:
+def conditional_outage(d0: float, params: SystemParams, cfg: AnalysisConfig) -> float:
     """Outage probability of a user served from distance d0.
 
     Per blockage state B the coverage sum is sum_{j<N_B} ((-w)^j / j!)
@@ -290,11 +267,10 @@ def conditional_outage(d0: float, inputs: OutageInputs, cfg: AnalysisConfig) -> 
     is not finite, or leaves [0, 1] by more than rounding, raises
     NumericInstabilityError.
     """
-    params = inputs.params
     if not (d0 >= params.H and math.isfinite(d0)):
         raise InvalidParameterError(
             f"d0 must be finite and >= H={params.H!r}, got {d0!r}")
-    p = _outage_batch(np.array([float(d0)]), inputs, _tables(params, cfg))
+    p = _outage_batch(np.array([float(d0)]), params, _tables(params, cfg))
     return _clamp_probability(float(p[0]), f"conditional outage at d0={d0!r}")
 
 
@@ -387,7 +363,7 @@ def _continuum_rule(params: SystemParams, order: int):
             np.concatenate([w_tip, w_side.ravel()]) * (4.0 / (math.pi * R * R)))
 
 
-def _spatial_average(rule, inputs: OutageInputs, cfg: AnalysisConfig,
+def _spatial_average(rule, params: SystemParams, cfg: AnalysisConfig,
                      context: str) -> float:
     """Mean conditional outage over a (d0, weight) rule, through its
     distance rule.
@@ -396,39 +372,38 @@ def _spatial_average(rule, inputs: OutageInputs, cfg: AnalysisConfig,
     does not depend on the BLAS thread count.
     """
     d0, weight = _distance_rule(*rule, cfg.gl_order_rate)
-    p = _outage_batch(d0, inputs, _tables(inputs.params, cfg))
+    p = _outage_batch(d0, params, _tables(params, cfg))
     return _clamp_probability(float(np.sum(weight * p)), context)
 
 
-def outage_probability(inputs: OutageInputs, cfg: AnalysisConfig) -> float:
+def outage_probability(params: SystemParams, cfg: AnalysisConfig) -> float:
     """Spatially averaged outage of the typical user.
 
     Averages conditional_outage over the user position, uniform on the disc,
     with the serving preset fixed per Voronoi strip of the waveguide.
     Np = 1 reduces to the radial fixed-antenna form.
     """
-    return _spatial_average(_serving_rule(inputs.params, cfg.gl_order_rate), inputs,
+    return _spatial_average(_serving_rule(params, cfg.gl_order_rate), params,
                             cfg, "outage probability")
 
 
-def outage_upper_bound(inputs: OutageInputs, cfg: AnalysisConfig) -> float:
+def outage_upper_bound(params: SystemParams, cfg: AnalysisConfig) -> float:
     """Outage of a single antenna fixed at the disc center's preset.
 
     (2/R^2) int_0^R P_out(sqrt(r^2 + H^2)) r dr.
     """
-    single = inputs.params.with_(Np=1)
-    return _spatial_average(_serving_rule(single, cfg.gl_order_rate),
-                            inputs, cfg, "outage upper bound")
+    return _spatial_average(_serving_rule(params.with_(Np=1), cfg.gl_order_rate),
+                            params, cfg, "outage upper bound")
 
 
-def outage_lower_bound(inputs: OutageInputs, cfg: AnalysisConfig) -> float:
+def outage_lower_bound(params: SystemParams, cfg: AnalysisConfig) -> float:
     """Outage when the antenna can sit anywhere on the waveguide.
 
     The serving point is the nearest point of the segment: the perpendicular
     foot alongside it, the tip beyond it.
     """
-    return _spatial_average(_continuum_rule(inputs.params, cfg.gl_order_rate),
-                            inputs, cfg, "outage lower bound")
+    return _spatial_average(_continuum_rule(params, cfg.gl_order_rate),
+                            params, cfg, "outage lower bound")
 
 
 def _distance_rule(d0: np.ndarray, weight: np.ndarray,
@@ -478,7 +453,7 @@ def ergodic_rate(params: SystemParams, cfg: AnalysisConfig) -> float:
     mean signal power and the noise level.  A non-finite rate, or one below zero by more
     than rounding, raises NumericInstabilityError.
     """
-    xi = link_budget(params).xi
+    xi = params.xi
     tab = _tables(params, cfg)
     d0, weight = _distance_rule(*_serving_rule(params, cfg.gl_order_rate),
                                 cfg.gl_order_rate)

@@ -35,12 +35,11 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .analysis import (AnalysisConfig, OutageInputs, ergodic_rate,
-                       outage_lower_bound, outage_probability,
-                       outage_upper_bound)
+from .analysis import (AnalysisConfig, ergodic_rate, outage_lower_bound,
+                       outage_probability, outage_upper_bound)
 from .errors import ConfigError, InvalidParameterError, NumericError
 from .geometry import SystemParams, default_params
-from .montecarlo import SimConfig, estimate_ergodic_rate, estimate_outage
+from .montecarlo import SimConfig, _check_run, estimate_ergodic_rate, estimate_outage
 
 MODES = ("analyze", "simulate", "compare", "bounds", "rate")
 
@@ -236,6 +235,14 @@ def _normalize(tree: dict) -> ExperimentConfig:
         tree.get("analysis"), "analysis", _ANALYSIS_FIELDS, AnalysisConfig)
     sim = _normalize_section(tree.get("sim"), "sim", _SIM_FIELDS, SimConfig)
     sweep = _normalize_sweep(tree.get("sweep"), params)
+    if mode in ("simulate", "compare", "rate"):
+        for i, (_, point) in enumerate(_points(params, sweep)):
+            try:
+                _check_run(point, sim)
+            except InvalidParameterError as exc:
+                # its messages open with the sim field at fault
+                where = "" if sweep is None else f"sweep.values[{i}]: "
+                raise ConfigError(f"{where}sim.{exc}") from exc
     return ExperimentConfig(mode=mode, params=params, analysis=analysis,
                             sim=sim, sweep=sweep)
 
@@ -283,6 +290,14 @@ def load_config(path, overrides=()) -> ExperimentConfig:
 
 # ------------------------------------------------------------------- run
 
+def _points(params: SystemParams, sweep: Sweep | None) -> list:
+    """(swept value, params) of every point a run evaluates."""
+    if sweep is None:
+        return [(None, params)]
+    return [(value, params.with_(**{sweep.parameter: value}))
+            for value in sweep.values]
+
+
 def _compute_row(cfg: ExperimentConfig, params: SystemParams,
                  swept_value) -> ResultRow:
     row = ResultRow(swept_value=swept_value)
@@ -290,11 +305,10 @@ def _compute_row(cfg: ExperimentConfig, params: SystemParams,
     try:
         if mode in ("analyze", "compare", "bounds"):
             t0 = time.perf_counter()
-            inputs = OutageInputs.from_system(params)
-            row.analytic_outage = outage_probability(inputs, cfg.analysis)
+            row.analytic_outage = outage_probability(params, cfg.analysis)
             if mode == "bounds":
-                row.upper_bound = outage_upper_bound(inputs, cfg.analysis)
-                row.lower_bound = outage_lower_bound(inputs, cfg.analysis)
+                row.upper_bound = outage_upper_bound(params, cfg.analysis)
+                row.lower_bound = outage_lower_bound(params, cfg.analysis)
             row.wall_time_analysis = time.perf_counter() - t0
         if mode in ("simulate", "compare"):
             report = estimate_outage(params, cfg.sim)
@@ -362,13 +376,8 @@ def run(cfg: ExperimentConfig, out_dir) -> int:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if cfg.sweep is None:
-        points = [(None, cfg.params)]
-    else:
-        points = [(value, cfg.params.with_(**{cfg.sweep.parameter: value}))
-                  for value in cfg.sweep.values]
-
-    rows = [_compute_row(cfg, params, value) for value, params in points]
+    rows = [_compute_row(cfg, params, value)
+            for value, params in _points(cfg.params, cfg.sweep)]
 
     _write_csv(rows, out_dir / "results.csv")
     _write_report(cfg, rows, out_dir / "report.json")

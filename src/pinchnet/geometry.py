@@ -1,4 +1,5 @@
-"""Spatial model: system parameters, preset layout, Voronoi cells.
+"""Spatial model: system parameters (with the SINR threshold epsilon and
+noise term xi both engines read from them), preset layout, Voronoi cells.
 
 The typical cluster sits at the origin with its waveguide on the x-axis.
 Interfering cluster centers form a PPP of intensity lam truncated to a disc
@@ -24,6 +25,8 @@ __all__ = [
     "nearest_preset_offset",
     "voronoi_cell_bounds",
 ]
+
+SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 
 @dataclass(frozen=True)
@@ -86,9 +89,26 @@ class SystemParams:
                 raise InvalidParameterError(f"{name} must be a positive integer, got {v!r}")
         if not (self.f_c > 0 and self.sigma2 > 0 and self.P > 0):
             raise InvalidParameterError("f_c, sigma2 and P must be positive")
-        # the SINR threshold 2^Rbar - 1 overflows a double from Rbar = 1024
+        # epsilon = 2^Rbar - 1 overflows a double from Rbar = 1024
         if not 0 <= self.Rbar < 1024:
             raise InvalidParameterError(f"Rbar must be in [0, 1024), got {self.Rbar!r}")
+        try:  # eta can overflow, and eta P underflow to 0
+            xi = self.xi
+        except (OverflowError, ZeroDivisionError):
+            xi = math.inf
+        if not math.isfinite(xi):
+            raise InvalidParameterError(f"noise term xi = sigma2/(eta P) overflows: {xi!r}")
+
+    @property
+    def epsilon(self) -> float:
+        """SINR below which the target rate Rbar is in outage."""
+        return 2.0 ** self.Rbar - 1.0
+
+    @property
+    def xi(self) -> float:
+        """Normalized noise sigma2/(eta P), eta = (c/(4 pi f_c))^2."""
+        eta = (SPEED_OF_LIGHT / (4.0 * math.pi * self.f_c)) ** 2
+        return self.sigma2 / (eta * self.P)
 
     def with_(self, **kw) -> "SystemParams":
         """Copy with selected fields replaced."""

@@ -3,8 +3,8 @@
 Simulates the full system end to end: Poisson cluster centers on a large
 disc, one waveguide per cluster with a random orientation, the served
 user's nearest preset activated, independent blockage and Nakagami fading
-per link, and the resulting SINR of the typical user at threshold
-2^Rbar - 1.
+per link, and the resulting SINR of the typical user against the
+threshold params.epsilon, with the noise term params.xi.
 
 Realizations are simulated in fixed blocks of 256, and reproducibility is
 structural, not incidental.  Every random number comes from a numpy Philox
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import link_budget, sinr_threshold
 from .errors import InvalidParameterError
 from .geometry import SystemParams, nearest_preset_offset
 
@@ -62,8 +61,8 @@ class SimConfig:
     """Simulation run parameters.
 
     R_sim truncates the interferer field; it must exceed 2R of the params
-    in force (checked at run time, where both are known).  workers only
-    shapes execution, never results.
+    in force, and pinned_d0 must reach H (both in _check_run).  workers
+    only shapes execution, never results.
     """
 
     n_realizations: int = 100_000
@@ -250,7 +249,7 @@ def _simulate(params: SystemParams, simcfg: SimConfig) -> np.ndarray:
 
 def _sinr(params: SystemParams, simcfg: SimConfig) -> np.ndarray:
     signal, interference = _simulate(params, simcfg)
-    return signal / (interference + link_budget(params).xi)
+    return signal / (interference + params.xi)
 
 
 def _sample_std_error(values: np.ndarray) -> float:
@@ -262,7 +261,7 @@ def _sample_std_error(values: np.ndarray) -> float:
 def estimate_outage(params: SystemParams, simcfg: SimConfig) -> EstimateReport:
     """Empirical P(log2(1 + SINR) < Rbar) with binomial standard error."""
     t0 = time.perf_counter()
-    values = (_sinr(params, simcfg) < sinr_threshold(params.Rbar)).astype(float)
+    values = (_sinr(params, simcfg) < params.epsilon).astype(float)
     p = float(values.mean())
     se = math.sqrt(p * (1.0 - p) / values.size)
     return EstimateReport(p, se, values.size, simcfg.seed,

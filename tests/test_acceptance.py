@@ -24,7 +24,6 @@ import pytest
 from pinchnet import analysis as an
 from pinchnet import cli
 from pinchnet import montecarlo as mc
-from pinchnet.channel import link_budget
 from pinchnet.geometry import default_params
 from test_finite_difference import finite_difference
 
@@ -75,20 +74,20 @@ def test_criterion_2_series_derivatives(capsys):
     # well-conditioned density for finite differences; the transform is
     # exactly linear in the density so this pins every density
     params = default_params(lam=1e-2)
-    xi = link_budget(params).xi
+    xi = params.xi
     worst = 0.0
     for omega in (0.1, 0.5, 2.0):
         for order, h in ((1, 1e-3), (2, 2e-3)):
-            zeta = an.zeta_derivative(order, omega, xi, params, CFG)
+            zeta = an.zeta_derivative(order, omega, params, CFG)
             zeta_fd = finite_difference(
                 lambda w: math.log(an.laplace_interference(w, params, CFG))
                 - w * xi,
                 omega, order=order, h=h)
             worst = max(worst, abs(zeta - zeta_fd) / abs(zeta_fd))
 
-            lbar = an.lbar_derivatives(omega, order, xi, params, CFG)[order]
+            lbar = an.lbar_derivatives(omega, order, params, CFG)[order]
             lbar_fd = finite_difference(
-                lambda w: an.lbar_derivatives(w, 0, xi, params, CFG)[0],
+                lambda w: an.lbar_derivatives(w, 0, params, CFG)[0],
                 omega, order=order, h=h)
             worst = max(worst, abs(lbar - lbar_fd) / abs(lbar_fd))
     ok = worst <= 1e-6
@@ -104,8 +103,7 @@ def test_criterion_3_conditional_outage(capsys):
     for d0 in (4.0, 8.0, 15.0):
         for eps in (0.5, 1.0, 3.0):
             params = FIG2.with_(Rbar=math.log2(1.0 + eps))
-            analytic = an.conditional_outage(
-                d0, an.OutageInputs.from_system(params), CFG)
+            analytic = an.conditional_outage(d0, params, CFG)
             gap, allowed, est = _outage_gap(
                 params, analytic, N_FULL, seed, pinned_d0=d0)
             ratio = gap / allowed if allowed > 0 else math.inf
@@ -125,7 +123,7 @@ def test_criterion_4_outage_curve(capsys):
     gaps = []
     for i, dbm in enumerate(range(0, 31, 5)):
         params = FIG2.with_(P=10.0 ** (dbm / 10.0) / 1000.0)
-        value = an.outage_probability(an.OutageInputs.from_system(params), CFG)
+        value = an.outage_probability(params, CFG)
         analytic.append(value)
         report = mc.estimate_outage(
             params, mc.SimConfig(n_realizations=N_FULL, seed=401 + i))
@@ -147,19 +145,16 @@ def test_criterion_5_preset_bounds(capsys):
     monotone = True
     for eps in (0.5, 1.0, 3.0, 7.0):
         params = FIG2.with_(Rbar=math.log2(1.0 + eps))
-        inputs = an.OutageInputs.from_system(params)
-        lower = an.outage_lower_bound(inputs, CFG)
-        upper = an.outage_upper_bound(inputs, CFG)
+        lower = an.outage_lower_bound(params, CFG)
+        upper = an.outage_upper_bound(params, CFG)
         previous = math.inf
         for npresets in (3, 11, 51):
-            value = an.outage_probability(
-                an.OutageInputs.from_system(params.with_(Np=npresets)), CFG)
+            value = an.outage_probability(params.with_(Np=npresets), CFG)
             worst_violation = max(worst_violation, lower - value, value - upper)
             if value > previous + 1e-12:
                 monotone = False
             previous = value
-        dense = an.outage_probability(
-            an.OutageInputs.from_system(params.with_(Np=201)), CFG)
+        dense = an.outage_probability(params.with_(Np=201), CFG)
         tail_gap = max(tail_gap, abs(dense - lower))
     ok = worst_violation <= 1e-12 and monotone and tail_gap <= 1e-3
     _emit(capsys, 5, ok,
@@ -238,9 +233,8 @@ def test_criterion_9_resolution_robustness(capsys):
     # analysis: double every quadrature knob at once
     dense = an.AnalysisConfig(K=2 * CFG.K, gl_order_rate=2 * CFG.gl_order_rate)
     outage_params = FIG2
-    inputs = an.OutageInputs.from_system(outage_params)
-    outage_shift = abs(an.outage_probability(inputs, CFG)
-                       - an.outage_probability(inputs, dense))
+    outage_shift = abs(an.outage_probability(outage_params, CFG)
+                       - an.outage_probability(outage_params, dense))
     rate_params = FIG3.with_(Np=3)
     rate_shift = abs(an.ergodic_rate(rate_params, CFG)
                      - an.ergodic_rate(rate_params, dense))
@@ -254,7 +248,7 @@ def test_criterion_9_resolution_robustness(capsys):
         sims[radius] = report
     sim_outage_shift = abs(sims[5000.0].estimate - sims[10_000.0].estimate)
     outage_se = max(sims[5000.0].std_error,
-                    _binomial_se(an.outage_probability(inputs, CFG), 20_000))
+                    _binomial_se(an.outage_probability(outage_params, CFG), 20_000))
 
     rates = {}
     for radius in (1500.0, 3000.0):

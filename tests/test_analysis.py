@@ -21,16 +21,15 @@ from scipy.special import gammaincc
 from hypothesis import assume, given, settings, strategies as st
 
 from pinchnet import analysis as an
-from pinchnet.channel import link_budget
 from pinchnet.errors import InvalidParameterError, NumericInstabilityError
-from pinchnet.geometry import preset_offsets, voronoi_cell_bounds
+from pinchnet.geometry import SPEED_OF_LIGHT, preset_offsets, voronoi_cell_bounds
 from pinchnet.numerics import integrate_semi_infinite
 from pinchnet.geometry import default_params
 from test_finite_difference import finite_difference
 
 CFG = an.AnalysisConfig()
 PARAMS = default_params()
-XI = link_budget(PARAMS).xi
+XI = PARAMS.xi
 
 # lam = 1e-2 keeps the transform's curvature large enough for sharp
 # finite-difference checks (at lam = 1e-6 the second derivative sits nine
@@ -41,8 +40,13 @@ PARAMS_FD = default_params(lam=1e-2)
 RATE_PARAMS = default_params(alpha_N=4.0, lam=1e-5, R=100.0, L=100.0, H=4.0, P=1.0)
 
 
+def _at(eps, params=PARAMS):
+    """params whose SINR threshold epsilon is eps, up to rounding."""
+    return params.with_(Rbar=math.log2(1 + eps))
+
+
 # ---------------------------------------------------------------------------
-# config and inputs
+# config
 
 
 def test_config_rejects_bad_orders():
@@ -54,17 +58,16 @@ def test_config_rejects_bad_orders():
         an.AnalysisConfig(gl_order_rate=1.5)
 
 
-def test_outage_inputs_validation():
-    with pytest.raises(InvalidParameterError):
-        an.OutageInputs(-0.5, XI, PARAMS)
-    with pytest.raises(InvalidParameterError):
-        an.OutageInputs(1.0, -1e-9, PARAMS)
-
-
 def test_outage_inputs_from_system():
-    io = an.OutageInputs.from_system(PARAMS)
-    assert io.epsilon == 2.0 ** PARAMS.Rbar - 1.0
-    assert io.xi == pytest.approx(PARAMS.sigma2 / (link_budget(PARAMS).eta * PARAMS.P))
+    # the engine reads Rbar, sigma2, P and f_c only through epsilon and xi
+    eta = (SPEED_OF_LIGHT / (4 * math.pi * PARAMS.f_c)) ** 2
+    assert PARAMS.epsilon == 2.0 ** PARAMS.Rbar - 1.0
+    assert PARAMS.xi == pytest.approx(PARAMS.sigma2 / (eta * PARAMS.P), rel=1e-14)
+    same_xi = PARAMS.with_(sigma2=2 * PARAMS.sigma2, P=2 * PARAMS.P)
+    assert same_xi.xi == PARAMS.xi
+    for d0 in (3.5, 7.5, 40.0):
+        assert (an.conditional_outage(d0, same_xi, CFG)
+                == an.conditional_outage(d0, PARAMS, CFG))
 
 
 # ---------------------------------------------------------------------------
@@ -108,25 +111,25 @@ def test_laplace_ignores_waveguide_layout():
 
 def test_zeta_rejects_order_zero():
     with pytest.raises(InvalidParameterError):
-        an.zeta_derivative(0, 0.5, XI, PARAMS, CFG)
+        an.zeta_derivative(0, 0.5, PARAMS, CFG)
 
 
 def test_zeta_no_interferers_closed_form():
     p0 = PARAMS.with_(lam=0.0)
-    assert an.zeta_derivative(1, 0.5, XI, p0, CFG) == -XI
-    assert an.zeta_derivative(2, 0.5, XI, p0, CFG) == 0.0
+    assert an.zeta_derivative(1, 0.5, p0, CFG) == -XI
+    assert an.zeta_derivative(2, 0.5, p0, CFG) == 0.0
 
 
 @pytest.mark.parametrize("omega", [0.1, 0.5, 2.0])
 @pytest.mark.parametrize("order,h", [(1, 1e-3), (2, 2e-3)])
 def test_zeta_matches_finite_difference(omega, order, h):
-    xi = XI
+    xi = PARAMS_FD.xi
 
     def zeta(w):
         return math.log(an.laplace_interference(w, PARAMS_FD, CFG)) - w * xi
 
     fd = finite_difference(zeta, omega, order, h)
-    got = an.zeta_derivative(order, omega, xi, PARAMS_FD, CFG)
+    got = an.zeta_derivative(order, omega, PARAMS_FD, CFG)
     assert got == pytest.approx(fd, rel=1e-6)
 
 
@@ -142,7 +145,7 @@ def test_zeta_matches_finite_difference_default_density(order, h):
         return float(an._log_laplace(w, tab)) - w * XI
 
     fd = finite_difference(zeta, 0.5, order, h)
-    got = an.zeta_derivative(order, 0.5, XI, PARAMS, CFG)
+    got = an.zeta_derivative(order, 0.5, PARAMS, CFG)
     assert got == pytest.approx(fd, rel=1e-6)
 
 
@@ -158,13 +161,13 @@ def test_zeta_scales_linearly_in_density():
 
 
 def test_lbar_order_zero_at_origin():
-    assert an.lbar_derivatives(0.0, 0, XI, PARAMS, CFG)[0] == 1.0
+    assert an.lbar_derivatives(0.0, 0, PARAMS, CFG)[0] == 1.0
 
 
 def test_lbar_no_interferers_closed_form():
     p0 = PARAMS.with_(lam=0.0)
     omega = 0.7
-    got = an.lbar_derivatives(omega, 3, XI, p0, CFG)
+    got = an.lbar_derivatives(omega, 3, p0, CFG)
     base = math.exp(-omega * XI)
     for j, v in enumerate(got):
         assert v == pytest.approx((-XI) ** j * base, rel=1e-13)
@@ -172,7 +175,7 @@ def test_lbar_no_interferers_closed_form():
 
 def test_lbar_consistent_with_laplace():
     omega = 1.3
-    got = an.lbar_derivatives(omega, 0, XI, PARAMS, CFG)[0]
+    got = an.lbar_derivatives(omega, 0, PARAMS, CFG)[0]
     want = an.laplace_interference(omega, PARAMS, CFG) * math.exp(-omega * XI)
     assert got == pytest.approx(want, rel=1e-14)
 
@@ -180,19 +183,17 @@ def test_lbar_consistent_with_laplace():
 @pytest.mark.parametrize("omega", [0.1, 0.5, 2.0])
 @pytest.mark.parametrize("order,h", [(1, 1e-3), (2, 2e-3)])
 def test_lbar_matches_finite_difference(omega, order, h):
-    xi = XI
-
     def lbar(w):
-        return an.lbar_derivatives(w, 0, xi, PARAMS_FD, CFG)[0]
+        return an.lbar_derivatives(w, 0, PARAMS_FD, CFG)[0]
 
     fd = finite_difference(lbar, omega, order, h)
-    got = an.lbar_derivatives(omega, order, xi, PARAMS_FD, CFG)[order]
+    got = an.lbar_derivatives(omega, order, PARAMS_FD, CFG)[order]
     assert got == pytest.approx(fd, rel=1e-6)
 
 
 def test_lbar_rejects_negative_order():
     with pytest.raises(InvalidParameterError):
-        an.lbar_derivatives(0.5, -1, XI, PARAMS, CFG)
+        an.lbar_derivatives(0.5, -1, PARAMS, CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -200,46 +201,41 @@ def test_lbar_rejects_negative_order():
 
 
 def test_conditional_outage_zero_threshold():
-    io = an.OutageInputs(0.0, XI, PARAMS)
-    assert an.conditional_outage(5.0, io, CFG) == 0.0
+    assert an.conditional_outage(5.0, _at(0.0), CFG) == 0.0
 
 
 def test_conditional_outage_huge_threshold():
-    io = an.OutageInputs(1e12, XI, PARAMS)
-    assert an.conditional_outage(5.0, io, CFG) == pytest.approx(1.0, abs=1e-6)
+    assert an.conditional_outage(5.0, _at(1e12), CFG) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_conditional_outage_rejects_close_distance():
-    io = an.OutageInputs(1.0, XI, PARAMS)
     with pytest.raises(InvalidParameterError):
-        an.conditional_outage(0.5 * PARAMS.H, io, CFG)
+        an.conditional_outage(0.5 * PARAMS.H, _at(1.0), CFG)
 
 
 def test_conditional_outage_monotone_in_threshold():
-    vals = [an.conditional_outage(6.0, an.OutageInputs(e, XI, PARAMS), CFG)
+    vals = [an.conditional_outage(6.0, _at(e), CFG)
             for e in np.logspace(-2, 2, 17)]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
 def test_conditional_outage_monotone_in_distance():
-    io = an.OutageInputs(1.0, XI, PARAMS)
     grid = np.linspace(PARAMS.H, 2 * PARAMS.R, 25)
-    vals = [an.conditional_outage(float(d), io, CFG) for d in grid]
+    vals = [an.conditional_outage(float(d), _at(1.0), CFG) for d in grid]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
 def test_conditional_outage_no_interferers_gamma_tail():
     # with no interference the coverage sum is the regularized upper
     # incomplete gamma of the scaled noise: P(Gamma(N, 1/N) > eps d^a xi)
-    p0 = PARAMS.with_(lam=0.0)
-    eps = 2.0
-    io = an.OutageInputs(eps, XI, p0)
+    p0 = _at(2.0, PARAMS.with_(lam=0.0))
+    eps = p0.epsilon
     for d0 in (4.0, 9.0, 17.0):
         p_los = math.exp(-p0.beta * d0)
         want = 1.0 - (
             p_los * gammaincc(p0.N_L, p0.N_L * eps * d0 ** p0.alpha_L * XI)
             + (1.0 - p_los) * gammaincc(p0.N_N, p0.N_N * eps * d0 ** p0.alpha_N * XI))
-        got = an.conditional_outage(d0, io, CFG)
+        got = an.conditional_outage(d0, p0, CFG)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-15)
 
 
@@ -248,33 +244,32 @@ def test_conditional_outage_no_interferers_gamma_tail():
 
 
 def test_outage_zero_threshold_everywhere():
-    io = an.OutageInputs(0.0, XI, PARAMS)
-    assert an.outage_probability(io, CFG) == 0.0
-    assert an.outage_upper_bound(io, CFG) == 0.0
-    assert an.outage_lower_bound(io, CFG) == 0.0
+    p = _at(0.0)
+    assert an.outage_probability(p, CFG) == 0.0
+    assert an.outage_upper_bound(p, CFG) == 0.0
+    assert an.outage_lower_bound(p, CFG) == 0.0
 
 
 def test_single_preset_equals_upper_bound():
-    p1 = PARAMS.with_(Np=1)
-    io = an.OutageInputs(1.0, XI, p1)
+    p1 = _at(1.0, PARAMS.with_(Np=1))
     # one rule, the polar row (0, -R, R), serves both
-    assert an.outage_probability(io, CFG) == an.outage_upper_bound(io, CFG)
+    assert an.outage_probability(p1, CFG) == an.outage_upper_bound(p1, CFG)
 
 
 @pytest.mark.parametrize("eps", [0.5, 1.0, 3.0, 7.0])
 def test_bound_sandwich_and_monotone_in_presets(eps):
-    vals = [an.outage_probability(an.OutageInputs(eps, XI, PARAMS.with_(Np=n)), CFG)
+    vals = [an.outage_probability(_at(eps, PARAMS.with_(Np=n)), CFG)
             for n in (3, 11, 51)]
-    lower = an.outage_lower_bound(an.OutageInputs(eps, XI, PARAMS), CFG)
-    upper = an.outage_upper_bound(an.OutageInputs(eps, XI, PARAMS), CFG)
+    lower = an.outage_lower_bound(_at(eps), CFG)
+    upper = an.outage_upper_bound(_at(eps), CFG)
     assert all(a >= b for a, b in zip(vals, vals[1:]))
     assert lower <= vals[-1] and vals[0] <= upper
-    assert lower <= an.outage_probability(an.OutageInputs(eps, XI, PARAMS), CFG) <= upper
+    assert lower <= an.outage_probability(_at(eps), CFG) <= upper
 
 
 def test_dense_presets_reach_lower_bound():
-    got = an.outage_probability(an.OutageInputs(1.0, XI, PARAMS.with_(Np=201)), CFG)
-    lower = an.outage_lower_bound(an.OutageInputs(1.0, XI, PARAMS), CFG)
+    got = an.outage_probability(_at(1.0, PARAMS.with_(Np=201)), CFG)
+    lower = an.outage_lower_bound(_at(1.0), CFG)
     assert got == pytest.approx(lower, abs=1e-3)
     assert got >= lower - 1e-12
 
@@ -341,18 +336,17 @@ def test_outage_near_one_at_large_radius():
     # an outage close to 1 stays inside [0, 1] only if the serving weights
     # sum to 1 well inside the 1e-9 clamp window; a rule off by 3.9e-9 here
     # made the average raise
-    params = default_params(lam=1e-7, H=1.0, alpha_N=6.0, R=1000.0, L=100.0)
-    io = an.OutageInputs(1e7, link_budget(params).xi, params)
-    assert an.outage_probability(io, CFG) == pytest.approx(1.0, abs=1e-9)
+    params = _at(1e7, default_params(lam=1e-7, H=1.0, alpha_N=6.0, R=1000.0, L=100.0))
+    assert an.outage_probability(params, CFG) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_nonfinite_outage_raises():
     # NaN compares false both ways, so it must not pass as a probability
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericInstabilityError):
-            an.conditional_outage(5.0, an.OutageInputs(1e300, XI, PARAMS), CFG)
+            an.conditional_outage(5.0, _at(1e300), CFG)
         with pytest.raises(NumericInstabilityError):
-            an.outage_probability(an.OutageInputs(1e307, XI, PARAMS), CFG)
+            an.outage_probability(_at(1e307), CFG)
 
 
 @pytest.mark.parametrize("level,raises", [(1.0 + 1e-6, True), (1.0 + 1e-12, False)],
@@ -361,21 +355,20 @@ def test_spatial_averages_clamp_only_rounding(monkeypatch, level, raises):
     # an average more than 1e-9 outside [0, 1] is a numerical failure, not
     # a probability to be clamped; rounding-level excess reads exactly 1
     monkeypatch.setattr(an, "_outage_batch",
-                        lambda d0, inputs, tab: np.full(d0.shape, level))
-    io = an.OutageInputs(1.0, XI, PARAMS)
+                        lambda d0, params, tab: np.full(d0.shape, level))
     for average in (an.outage_probability, an.outage_upper_bound,
                     an.outage_lower_bound):
         if raises:
             with pytest.raises(NumericInstabilityError):
-                average(io, CFG)
+                average(_at(1.0), CFG)
         else:
-            assert average(io, CFG) == 1.0
+            assert average(_at(1.0), CFG) == 1.0
 
 
 def _noise_only_outage(d0, eps, params):
     """Exact conditional outage without interferers: a blockage-weighted
     mix of Gamma(N, 1/N) tails at the scaled noise level."""
-    xi = link_budget(params).xi
+    xi = params.xi
     p_los = math.exp(-params.beta * d0)
     return 1.0 - (
         p_los * gammaincc(params.N_L, params.N_L * eps * d0 ** params.alpha_L * xi)
@@ -484,17 +477,16 @@ def test_noise_only_averages_match_quadrature_oracle(rbar):
     def outage(d0):
         return _noise_only_outage(d0, eps, params)
 
-    io = an.OutageInputs.from_system(params)
-    assert an.outage_upper_bound(io, CFG) == pytest.approx(
+    assert an.outage_upper_bound(params, CFG) == pytest.approx(
         _radial_mean(params, outage), abs=1e-8)
-    assert an.outage_lower_bound(io, CFG) == pytest.approx(
+    assert an.outage_lower_bound(params, CFG) == pytest.approx(
         _segment_mean(params, outage), abs=1e-8)
     single = params.with_(Np=1)
-    assert an.outage_probability(an.OutageInputs.from_system(single), CFG) \
+    assert an.outage_probability(single, CFG) \
         == pytest.approx(_radial_mean(single, outage), abs=1e-8)
     for n in (11, 51):
         p = params.with_(Np=n)
-        assert an.outage_probability(an.OutageInputs.from_system(p), CFG) \
+        assert an.outage_probability(p, CFG) \
             == pytest.approx(_strip_mean(p, outage), abs=1e-8)
 
 
@@ -507,7 +499,7 @@ def test_noise_only_outage_matches_planar_oracle_far_rim():
     def outage(d0):
         return _noise_only_outage(d0, eps, params)
 
-    assert an.outage_probability(an.OutageInputs.from_system(params), CFG) \
+    assert an.outage_probability(params, CFG) \
         == pytest.approx(_strip_mean(params, outage), abs=1e-8)
 
 
@@ -535,16 +527,14 @@ def test_averages_match_quadrature_oracle_with_interference():
     # R = 1000 needs the 96-node distance rule
     for params in (PARAMS, PARAMS.with_(R=300.0, L=100.0),
                    PARAMS.with_(R=1000.0, L=100.0)):
-        io = an.OutageInputs.from_system(params)
-
         def outage(d0):
-            return an.conditional_outage(d0, io, CFG)
+            return an.conditional_outage(d0, params, CFG)
 
-        assert an.outage_probability(io, CFG) == pytest.approx(
+        assert an.outage_probability(params, CFG) == pytest.approx(
             _polar_strip_mean(params, outage), abs=1e-8)
-        assert an.outage_upper_bound(io, CFG) == pytest.approx(
+        assert an.outage_upper_bound(params, CFG) == pytest.approx(
             _radial_mean(params, outage), abs=1e-8)
-        assert an.outage_lower_bound(io, CFG) == pytest.approx(
+        assert an.outage_lower_bound(params, CFG) == pytest.approx(
             _polar_segment_mean(params, outage), abs=1e-8)
 
 
@@ -563,9 +553,9 @@ from pinchnet import analysis as an
 from pinchnet.geometry import default_params
 cfg = an.AnalysisConfig()
 for n in (11, 51):
-    print(an.outage_probability(an.OutageInputs.from_system(default_params(Np=n)), cfg).hex())
-io = an.OutageInputs.from_system(default_params())
-print(an.outage_upper_bound(io, cfg).hex(), an.outage_lower_bound(io, cfg).hex())
+    print(an.outage_probability(default_params(Np=n), cfg).hex())
+p = default_params()
+print(an.outage_upper_bound(p, cfg).hex(), an.outage_lower_bound(p, cfg).hex())
 rate = default_params(alpha_N=4.0, lam=1e-5, R=100.0, L=100.0, H=4.0, P=1.0, Np=3)
 print(an.ergodic_rate(rate, cfg).hex())
 """
@@ -582,15 +572,15 @@ def test_analysis_bit_identical_across_blas_threads():
 
 
 _HISTORY_SCRIPT = """
-import sys
+import math, sys
 from pinchnet import analysis as an
 from pinchnet.geometry import default_params
 cfg = an.AnalysisConfig()
-io = an.OutageInputs.from_system(default_params())
+p = default_params()
 if sys.argv[1] == "widened":
     # an earlier call at the same noise level and a far higher threshold
-    an.outage_probability(an.OutageInputs(1e4 * io.epsilon, io.xi, io.params), cfg)
-print(an.outage_probability(io, cfg).hex())
+    an.outage_probability(p.with_(Rbar=math.log2(1 + 1e4 * p.epsilon)), cfg)
+print(an.outage_probability(p, cfg).hex())
 """
 
 
@@ -601,12 +591,23 @@ def test_outage_independent_of_call_history():
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("shape", [170, 200])
+def test_large_shapes_fail_as_numeric_error(shape):
+    # from N = 170 on, N^j and the rising factorial (N + j - 1)!/(N - 1)!
+    # leave the double range though their ratio does not: the derivatives
+    # stay finite, and the coverage sum's overflow is a NumericError
+    params = PARAMS.with_(N_L=shape, N_N=shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isfinite(an.zeta_derivative(shape - 1, 0.5, params, CFG))
+        with pytest.raises(NumericInstabilityError):
+            an.outage_probability(params, CFG)
+
+
 def test_outage_stable_under_order_doubling():
     fine = an.AnalysisConfig(K=2 * CFG.K, gl_order_rate=2 * CFG.gl_order_rate)
     for eps in (0.5, 1.0, 3.0):
-        io = an.OutageInputs(eps, XI, PARAMS)
-        assert abs(an.outage_probability(io, CFG)
-                   - an.outage_probability(io, fine)) < 1e-5
+        assert abs(an.outage_probability(_at(eps), CFG)
+                   - an.outage_probability(_at(eps), fine)) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -636,8 +637,8 @@ def _quad_rate(params, m=24):
     g(d0) = int z^-1 e^{-z xi} L_I(z) (1 - M_S(z | d0)) dz / ln 2 by adaptive
     quadrature over ln z at m Chebyshev points of ln d0, with L_I from
     _quad_log_laplace; its Chebyshev interpolant averaged over the strips
-    by _strip_mean.  Shares no code with analysis beyond link_budget."""
-    xi = link_budget(params).xi
+    by _strip_mean.  Shares no code with analysis beyond params.xi."""
+    xi = params.xi
     lo = math.log(params.H)
     hi = math.log(math.hypot(params.R + 0.5 * params.L, params.H))
     nodes = np.cos(math.pi * (np.arange(m) + 0.5) / m)
@@ -681,7 +682,6 @@ def _threshold_rate(params, cfg):
     rule: the rate by a route that shares only L_I and the distance rule
     with the z-integral.  The rule is built once per call, as the rate
     builds it."""
-    xi = link_budget(params).xi
     tab = an._tables(params, cfg)
     d0, weight = an._distance_rule(*an._serving_rule(params, cfg.gl_order_rate),
                                    cfg.gl_order_rate)
@@ -689,7 +689,7 @@ def _threshold_rate(params, cfg):
     def integrand(eps):
         return np.array([
             (1.0 - an._clamp_probability(float(np.sum(
-                weight * an._outage_batch(d0, an.OutageInputs(float(e), xi, params), tab))),
+                weight * an._outage_batch(d0, _at(float(e), params), tab))),
                 "outage probability")) / (1.0 + e)
             for e in eps])
 
@@ -709,7 +709,7 @@ def _noise_only_rate(params):
     """(2/R^2) int_0^R E[log2(1 + G d^-alpha_B / xi)] r dr without
     interferers, G ~ Gamma(N_B, 1/N_B) and B LoS with probability
     exp(-beta d), by nested scipy quadrature."""
-    xi = link_budget(params).xi
+    xi = params.xi
 
     def mean_log(d, alpha, shape):
         snr = d ** -alpha / xi

@@ -126,6 +126,15 @@ def test_sweep_values_validated_up_front(tmp_path):
         "sweep: {parameter: Rbar, values: [1, 2000]}\n"), name="rbar.yaml")
     with pytest.raises(ConfigError, match=r"sweep.values\[1\]: Rbar"):
         cli.load_config(path)
+    # a point the simulator would refuse (R_sim = 5000 <= 2R) stops every
+    # simulating mode; analysis alone runs it
+    path = _write(tmp_path, (
+        "mode: simulate\n"
+        "sweep: {parameter: R, values: [20.0, 3000.0]}\n"), name="rsim.yaml")
+    for mode in ("simulate", "compare", "rate"):
+        with pytest.raises(ConfigError, match=r"sweep.values\[1\]: sim.R_sim"):
+            cli.load_config(path, [f"mode={mode}"])
+    assert cli.load_config(path, ["mode=analyze"]).sweep.values == (20.0, 3000.0)
 
 
 def test_overrides_apply_before_validation(tmp_path):
@@ -255,11 +264,11 @@ def test_numeric_failure_marks_row_and_exit_status(tmp_path, monkeypatch):
     calls = {"n": 0}
     real = cli.outage_probability
 
-    def flaky(inputs, acfg):
+    def flaky(params, acfg):
         calls["n"] += 1
         if calls["n"] == 2:
             raise NumericError("synthetic instability")
-        return real(inputs, acfg)
+        return real(params, acfg)
 
     monkeypatch.setattr(cli, "outage_probability", flaky)
     path = _write(tmp_path, (
@@ -288,6 +297,13 @@ def test_config_error_exit_code(tmp_path, capsys):
                         ("params.R=inf", "R"), ("params.P=nan", "P")):
         assert cli.main([str(path), "--set", spec, "--out", str(tmp_path)]) == 2
         assert f"params: {field} must be" in capsys.readouterr().err
+    # so do a noise term that overflows and a run the simulator would refuse
+    for specs, message in ((("params.sigma2=1e300", "params.P=1e-300"), "params: noise term"),
+                           (("mode=simulate", "sim.pinned_d0=1.0"), "sim.pinned_d0=1.0"),
+                           (("mode=rate", "sim.R_sim=40"), "sim.R_sim=40")):
+        args = [arg for spec in specs for arg in ("--set", spec)]
+        assert cli.main([str(path), *args, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
     assert not (tmp_path / "results.csv").exists()
 
 

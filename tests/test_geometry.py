@@ -1,4 +1,5 @@
-"""Cluster-center PPP, preset layout, nearest-preset rule and Voronoi-cell tests.
+"""SystemParams (with its SINR threshold and noise term), cluster-center PPP,
+preset layout, nearest-preset rule and Voronoi-cell tests.
 
 Every function tested here is one the simulator or the analysis runs.
 """
@@ -12,6 +13,7 @@ from scipy import integrate
 from pinchnet import montecarlo as mc
 from pinchnet.errors import InvalidParameterError
 from pinchnet.geometry import (
+    SPEED_OF_LIGHT,
     default_params,
     nearest_preset_offset,
     preset_offsets,
@@ -69,6 +71,42 @@ def test_params_rejects_nonfinite_numbers():
     for rbar in (1024.0, 2000):
         with pytest.raises(InvalidParameterError, match="Rbar"):
             default_params(Rbar=rbar)
+
+
+# ---------------- SINR threshold and noise term ----------------
+
+def test_params_xi_reference_gain():
+    # eta = (c / (4 pi f_c))^2, the free-space gain at 1 m, is 7.26e-7 at 28 GHz
+    p = default_params(f_c=28e9)
+    eta = p.sigma2 / (p.xi * p.P)
+    assert eta == pytest.approx((SPEED_OF_LIGHT / (4 * math.pi * 28e9)) ** 2, rel=1e-14)
+    assert eta == pytest.approx(7.26e-7, rel=1e-2)
+
+
+def test_params_xi():
+    p = default_params(f_c=28e9, sigma2=10 ** (-12.4), P=1.0)  # 30 dBm
+    eta = (SPEED_OF_LIGHT / (4 * math.pi * 28e9)) ** 2
+    assert p.xi == pytest.approx(p.sigma2 / (eta * p.P), rel=1e-14)
+    assert p.xi == pytest.approx(5.5e-7, rel=2e-2)
+
+
+def test_params_xi_halves_with_doubled_power():
+    assert default_params(P=0.5).xi == pytest.approx(2 * default_params(P=1.0).xi,
+                                                     rel=1e-14)
+
+
+def test_params_validates_threshold_and_noise_term():
+    # a negative rate has no threshold
+    with pytest.raises(InvalidParameterError, match="Rbar"):
+        default_params(Rbar=-0.5)
+    # finite fields whose noise term overflows: through the division, through
+    # eta at a tiny carrier, and through eta P underflowing to 0
+    for kw in ({"sigma2": 1e300, "P": 1e-300}, {"f_c": 1e-300},
+               {"f_c": 1e300, "P": 1e-300}):
+        with pytest.raises(InvalidParameterError, match="noise term"):
+            default_params(**kw)
+    # an underflowing one is a noiseless link
+    assert default_params(sigma2=1e-300, P=1e300).xi == 0.0
 
 
 # ---------------- PPP on the disc ----------------

@@ -15,7 +15,6 @@ from scipy import integrate, stats
 
 from pinchnet import analysis as an
 from pinchnet import montecarlo as mc
-from pinchnet.channel import link_budget, sinr_threshold
 from pinchnet.errors import InvalidParameterError
 from pinchnet.geometry import default_params
 
@@ -188,11 +187,12 @@ def test_outage_flag_matches_sinr():
     params = default_params(Rbar=4.0)
     sim = mc.SimConfig(n_realizations=500, seed=8)
     signal, interference = mc._simulate(params, sim)
-    sinr = signal / (interference + link_budget(params).xi)
-    outage = sinr < sinr_threshold(params.Rbar)
+    threshold = 2.0 ** params.Rbar - 1.0
+    sinr = signal / (interference + params.xi)
+    outage = sinr < threshold
     rate = np.log2(1.0 + sinr)
     assert 0 < outage.sum() < outage.size
-    assert np.array_equal(outage, 2.0 ** rate - 1.0 < sinr_threshold(params.Rbar))
+    assert np.array_equal(outage, 2.0 ** rate - 1.0 < threshold)
     assert mc.estimate_outage(params, sim).estimate == outage.mean()
     assert mc.estimate_ergodic_rate(params, sim).estimate == rate.mean()
 
@@ -209,7 +209,7 @@ def _pinned_rate_oracle(params, alpha, shape, seed):
     """(simulated, oracle, SE) of the rate at pinned d0 = 5 without
     interferers: E[log2(1 + G d0^-alpha / xi)] with G ~ Gamma(shape, 1/shape)."""
     d0 = 5.0
-    snr = d0 ** (-alpha) / link_budget(params).xi
+    snr = d0 ** (-alpha) / params.xi
     gain = stats.gamma(shape, scale=1.0 / shape)
     want = integrate.quad(lambda g: math.log2(1.0 + g * snr) * gain.pdf(g),
                           0.0, np.inf)[0]
@@ -273,7 +273,7 @@ def test_truncation_radius_insensitive():
 def test_matches_analysis_without_interference():
     # lam = 0 with a large blockage exponent exercises the NLoS branch alone
     params = default_params(lam=0.0, beta=1e3, Np=1, Rbar=4.0)
-    analytic = an.outage_probability(an.OutageInputs.from_system(params), CFG)
+    analytic = an.outage_probability(params, CFG)
     report = mc.estimate_outage(params, mc.SimConfig(n_realizations=20_000, seed=17))
     assert abs(report.estimate - analytic) <= 3.0 * report.std_error
 
@@ -281,7 +281,7 @@ def test_matches_analysis_without_interference():
 def test_pinned_distance_matches_conditional_outage():
     params = default_params(Rbar=3.0)
     d0 = 15.0
-    analytic = an.conditional_outage(d0, an.OutageInputs.from_system(params), CFG)
+    analytic = an.conditional_outage(d0, params, CFG)
     report = mc.estimate_outage(
         params, mc.SimConfig(n_realizations=20_000, seed=23, pinned_d0=d0))
     assert abs(report.estimate - analytic) <= 3.0 * report.std_error
