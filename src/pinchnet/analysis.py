@@ -239,22 +239,25 @@ def _outage_batch(d0: np.ndarray, params: SystemParams,
                   tab: _NodeTables) -> np.ndarray:
     """conditional_outage at an array of serving distances, unvalidated
     and unclamped.  Every term of a coverage sum is nonnegative, since
-    L-bar^(j) has the sign (-1)^j."""
+    L-bar^(j) has the sign (-1)^j.  An overflow shows as inf or NaN in the
+    result, which _clamp_probability rejects, so numpy's warnings about it
+    are silenced."""
     eps, xi = params.epsilon, params.xi
     if eps == 0.0:
         return np.zeros_like(d0)
     p_los = np.exp(-params.beta * d0)
     coverage = 0.0
-    for weight, alpha, n in ((p_los, params.alpha_L, params.N_L),
-                             (1.0 - p_los, params.alpha_N, params.N_N)):
-        omega = n * eps * d0 ** alpha
-        lbars = _lbar_vec(omega, n - 1, xi, tab)
-        term = 1.0
-        c = lbars[0]
-        for j in range(1, n):
-            term *= -omega / j
-            c += term * lbars[j]
-        coverage += weight * c
+    with np.errstate(over="ignore", invalid="ignore"):
+        for weight, alpha, n in ((p_los, params.alpha_L, params.N_L),
+                                 (1.0 - p_los, params.alpha_N, params.N_N)):
+            omega = n * eps * d0 ** alpha
+            lbars = _lbar_vec(omega, n - 1, xi, tab)
+            term = 1.0
+            c = lbars[0]
+            for j in range(1, n):
+                term *= -omega / j
+                c += term * lbars[j]
+            coverage += weight * c
     return 1.0 - coverage
 
 

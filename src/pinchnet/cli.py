@@ -39,7 +39,7 @@ from .analysis import (AnalysisConfig, ergodic_rate, outage_lower_bound,
                        outage_probability, outage_upper_bound)
 from .errors import ConfigError, InvalidParameterError, NumericError
 from .geometry import SystemParams, default_params
-from .montecarlo import SimConfig, _check_run, estimate_ergodic_rate, estimate_outage
+from .montecarlo import SimConfig, _check_run, _draw_key, _outage, _rate, _simulate
 
 MODES = ("analyze", "simulate", "compare", "bounds", "rate")
 
@@ -298,8 +298,9 @@ def _points(params: SystemParams, sweep: Sweep | None) -> list:
             for value in sweep.values]
 
 
-def _compute_row(cfg: ExperimentConfig, params: SystemParams,
-                 swept_value) -> ResultRow:
+def _compute_row(cfg: ExperimentConfig, params: SystemParams, swept_value,
+                 samples) -> ResultRow:
+    """One row; samples(params) gives the simulator's draw at params."""
     row = ResultRow(swept_value=swept_value)
     mode = cfg.mode
     try:
@@ -311,10 +312,9 @@ def _compute_row(cfg: ExperimentConfig, params: SystemParams,
                 row.lower_bound = outage_lower_bound(params, cfg.analysis)
             row.wall_time_analysis = time.perf_counter() - t0
         if mode in ("simulate", "compare"):
-            report = estimate_outage(params, cfg.sim)
-            row.sim_outage = report.estimate
-            row.sim_std_error = report.std_error
-            row.wall_time_sim = report.wall_time
+            t0 = time.perf_counter()
+            row.sim_outage, row.sim_std_error = _outage(samples(params), params)
+            row.wall_time_sim = time.perf_counter() - t0
         if mode == "compare":
             gap = abs(row.analytic_outage - row.sim_outage)
             row.agreement = bool(gap <= max(0.01, 3.0 * row.sim_std_error))
@@ -322,10 +322,9 @@ def _compute_row(cfg: ExperimentConfig, params: SystemParams,
             t0 = time.perf_counter()
             row.analytic_rate = ergodic_rate(params, cfg.analysis)
             row.wall_time_analysis = time.perf_counter() - t0
-            report = estimate_ergodic_rate(params, cfg.sim)
-            row.sim_rate = report.estimate
-            row.sim_std_error = report.std_error
-            row.wall_time_sim = report.wall_time
+            t0 = time.perf_counter()
+            row.sim_rate, row.sim_std_error = _rate(samples(params), params)
+            row.wall_time_sim = time.perf_counter() - t0
     except NumericError as exc:
         row.error = f"{type(exc).__name__}: {exc}"
     return row
@@ -372,11 +371,24 @@ def run(cfg: ExperimentConfig, out_dir) -> int:
 
     Rows that hit a numeric failure carry the message in their error
     column; the files are still written and the exit status turns 1.
+    Consecutive points whose draw keys match reduce one simulation, so the
+    first row of such a group carries the draw in its wall_time_sim.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = [_compute_row(cfg, params, value)
+    drawn_key = drawn = None
+
+    def samples(params: SystemParams) -> np.ndarray:
+        nonlocal drawn_key, drawn
+        key = _draw_key(params)
+        if key != drawn_key:
+            drawn = None  # one sample set alive at a time
+            drawn = _simulate(params, cfg.sim)
+            drawn_key = key
+        return drawn
+
+    rows = [_compute_row(cfg, params, value, samples)
             for value, params in _points(cfg.params, cfg.sweep)]
 
     _write_csv(rows, out_dir / "results.csv")

@@ -23,6 +23,11 @@ enlarging R_sim only admits more of the same arrival columns (drawing
 further chunks where needed) without disturbing the points both discs
 share, so the estimate shift measures truncation error rather than
 resampling noise.
+
+The draw never reads P, sigma2, f_c or Rbar: they enter only through xi
+and epsilon, when a reduction turns samples into an estimate.  So the
+command line reuses one draw across consecutive sweep points that differ
+only in those fields, and reduces it at each point's own params.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -233,6 +238,18 @@ def _spans(n: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
+# SystemParams fields _simulate never reads; the reductions read them
+# through params.xi and params.epsilon
+_UNDRAWN = frozenset({"P", "sigma2", "f_c", "Rbar"})
+
+
+def _draw_key(params: SystemParams) -> tuple:
+    """The params fields _simulate reads: under one SimConfig, equal keys
+    give equal samples."""
+    return tuple(getattr(params, f.name) for f in fields(params)
+                 if f.name not in _UNDRAWN)
+
+
 def _simulate(params: SystemParams, simcfg: SimConfig) -> np.ndarray:
     """Rows (serving power, interference) of every realization, in index
     order."""
@@ -247,33 +264,41 @@ def _simulate(params: SystemParams, simcfg: SimConfig) -> np.ndarray:
     return np.concatenate(parts, axis=1)
 
 
-def _sinr(params: SystemParams, simcfg: SimConfig) -> np.ndarray:
-    signal, interference = _simulate(params, simcfg)
-    return signal / (interference + params.xi)
-
-
 def _sample_std_error(values: np.ndarray) -> float:
     if values.size < 2:
         return 0.0
     return float(values.std(ddof=1) / math.sqrt(values.size))
 
 
+def _outage(samples: np.ndarray, params: SystemParams) -> tuple[float, float]:
+    """(outage estimate, binomial standard error) of samples at params."""
+    signal, interference = samples
+    values = (signal / (interference + params.xi) < params.epsilon).astype(float)
+    p = float(values.mean())
+    return p, math.sqrt(p * (1.0 - p) / values.size)
+
+
+def _rate(samples: np.ndarray, params: SystemParams) -> tuple[float, float]:
+    """(ergodic rate estimate, sample standard error) of samples at params."""
+    signal, interference = samples
+    values = np.log2(1.0 + signal / (interference + params.xi))
+    return float(values.mean()), _sample_std_error(values)
+
+
 def estimate_outage(params: SystemParams, simcfg: SimConfig) -> EstimateReport:
     """Empirical P(log2(1 + SINR) < Rbar) with binomial standard error."""
     t0 = time.perf_counter()
-    values = (_sinr(params, simcfg) < params.epsilon).astype(float)
-    p = float(values.mean())
-    se = math.sqrt(p * (1.0 - p) / values.size)
-    return EstimateReport(p, se, values.size, simcfg.seed,
+    p, se = _outage(_simulate(params, simcfg), params)
+    return EstimateReport(p, se, int(simcfg.n_realizations), simcfg.seed,
                           time.perf_counter() - t0)
 
 
 def estimate_ergodic_rate(params: SystemParams, simcfg: SimConfig) -> EstimateReport:
     """Empirical mean of log2(1 + SINR) with sample standard error."""
     t0 = time.perf_counter()
-    values = np.log2(1.0 + _sinr(params, simcfg))
-    return EstimateReport(float(values.mean()), _sample_std_error(values),
-                          values.size, simcfg.seed, time.perf_counter() - t0)
+    rate, se = _rate(_simulate(params, simcfg), params)
+    return EstimateReport(rate, se, int(simcfg.n_realizations), simcfg.seed,
+                          time.perf_counter() - t0)
 
 
 def estimate_laplace(s: float, params: SystemParams,

@@ -3,10 +3,12 @@
 import csv
 import json
 import math
+import warnings
 
 import pytest
 
 from pinchnet import cli
+from pinchnet import montecarlo as mc
 from pinchnet.errors import ConfigError, NumericError
 
 
@@ -202,6 +204,42 @@ def test_worker_count_does_not_change_csv(tmp_path):
     assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
 
 
+@pytest.mark.parametrize("mode,parameter,values,draws", [
+    ("compare", "P", '["0 dBm", "15 dBm", "30 dBm"]', 1),
+    ("rate", "Rbar", "[0.5, 1.0, 2.0]", 1),
+    ("simulate", "lam", "[1.0e-6, 2.0e-6, 4.0e-6]", 3),
+], ids=["compare-P", "rate-Rbar", "simulate-lam"])
+def test_sweep_draws_once_per_draw_key(tmp_path, monkeypatch, mode, parameter,
+                                       values, draws):
+    # points that differ only in P, sigma2, f_c or Rbar reduce one draw;
+    # every row still equals the public estimator at its own point
+    path = _write(tmp_path, (
+        f"mode: {mode}\n"
+        "sim: {n_realizations: 600, seed: 19}\n"
+        f"sweep: {{parameter: {parameter}, values: {values}}}\n"))
+    calls = []
+    simulate = cli._simulate
+
+    def counted(params, simcfg):
+        calls.append(params)
+        return simulate(params, simcfg)
+
+    monkeypatch.setattr(cli, "_simulate", counted)
+    out = tmp_path / "out"
+    assert cli.main([str(path), "--out", str(out)]) == 0
+    assert len(calls) == draws
+    cfg = cli.load_config(path)
+    rows = json.loads((out / "report.json").read_text())["rows"]
+    estimate, column = ((mc.estimate_ergodic_rate, "sim_rate") if mode == "rate"
+                        else (mc.estimate_outage, "sim_outage"))
+    for row, (_, params) in zip(rows, cli._points(cfg.params, cfg.sweep),
+                                strict=True):
+        report = estimate(params, cfg.sim)
+        assert float.hex(row[column]) == float.hex(report.estimate)
+        assert float.hex(row["sim_std_error"]) == float.hex(report.std_error)
+        assert row["wall_time_sim"] > 0.0
+
+
 def test_compare_mode_flags_agreement(tmp_path):
     path = _write(tmp_path, (
         "mode: compare\n"
@@ -283,6 +321,20 @@ def test_numeric_failure_marks_row_and_exit_status(tmp_path, monkeypatch):
     assert "synthetic instability" in rows[1]["error"]
     assert rows[1]["analytic_outage"] == ""
     assert rows[2]["error"] == ""
+
+
+@pytest.mark.parametrize("mode", ["analyze", "bounds"])
+def test_numeric_failure_prints_no_numpy_warnings(tmp_path, capsys, mode):
+    # the coverage sum overflows at shape 200; the row's error line says
+    # so, and numpy's overflow warnings on the way would only be noise
+    path = _write(tmp_path, f"mode: {mode}\nparams: {{N_L: 200, N_N: 200}}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main([str(path), "--out", str(tmp_path)]) == 1
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert "error at swept_value=None: NumericInstabilityError" in err
+    assert "RuntimeWarning" not in err
 
 
 def test_config_error_exit_code(tmp_path, capsys):

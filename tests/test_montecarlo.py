@@ -7,6 +7,7 @@ runs at the published operating points live in test_acceptance.py.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from scipy import integrate, stats
 from pinchnet import analysis as an
 from pinchnet import montecarlo as mc
 from pinchnet.errors import InvalidParameterError
-from pinchnet.geometry import default_params
+from pinchnet.geometry import SystemParams, default_params
 
 CFG = an.AnalysisConfig()
 
@@ -161,6 +162,28 @@ def test_values_nest_in_sample_size():
     short = mc._simulate(params, mc.SimConfig(n_realizations=300, seed=12))
     long = mc._simulate(params, mc.SimConfig(n_realizations=1000, seed=12))
     assert short.tobytes() == long[:, :300].tobytes()
+
+
+# one changed value per SystemParams field; the simulator reads every
+# field but the first four, which enter only through xi and epsilon
+_FIELD_CHANGES = {"P": 1.0, "sigma2": 1e-10, "f_c": 3.5e9, "Rbar": 3.0,
+                  "lam": 2e-6, "R": 25.0, "L": 12.0, "Np": 13, "H": 4.0,
+                  "beta": 0.02, "alpha_L": 2.5, "alpha_N": 3.5, "N_L": 4,
+                  "N_N": 3}
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(SystemParams)])
+def test_draw_key_matches_sample_bytes(field):
+    # the key stays put exactly when the samples keep their bytes, and both
+    # stay put only for the four fields: a simulator that starts reading a
+    # new field, or a new field with no entry above, fails here
+    params = default_params()
+    sim = mc.SimConfig(n_realizations=300, seed=6)
+    changed = params.with_(**{field: _FIELD_CHANGES[field]})
+    same_bytes = (mc._simulate(changed, sim).tobytes()
+                  == mc._simulate(params, sim).tobytes())
+    same_key = mc._draw_key(changed) == mc._draw_key(params)
+    assert same_bytes == same_key == (field in ("P", "sigma2", "f_c", "Rbar"))
 
 
 def test_report_metadata():
