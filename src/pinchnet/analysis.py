@@ -23,7 +23,14 @@ radius rho inside the region, split into panels at the kinks of theta.
 That measure, a few hundred points per cell, is reduced once per call to a
 short rule of Chebyshev nodes in ln d0 (_distance_rule), and the integrand
 is evaluated only at those nodes: the outage runs the derivative recursion
-directly there.  Nothing is cached between calls, so every result is a pure
+directly there.
+
+P, sigma2 and f_c reach the outage only through the noise term xi, and xi
+only through L-bar = L_I e^{-w xi} and the -xi in zeta'.  So each average
+is two steps: a xi-free transform (_transform: the distance rule, and
+log L_I with its derivatives at the nodes), then a reduction at one xi
+(_average).  The transform is a value a caller may pass to several
+reductions; nothing is kept between calls, so every result is a pure
 function of (params, AnalysisConfig): eps and xi are params properties.
 
 The ergodic rate needs no derivatives.  Hamdi's lemma (IEEE Trans.
@@ -37,7 +44,8 @@ transforms, averaged over the same rule in ln d0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,8 +149,9 @@ def _log_laplace(s, tab: _NodeTables):
     return -tab.pref * acc
 
 
-def _zeta_vec(j: int, omega, xi: float, tab: _NodeTables):
-    """j-th derivative of zeta(w) = log L_I(w) - w xi, vectorized in omega."""
+def _zeta_vec(j: int, omega, tab: _NodeTables):
+    """j-th derivative of log L_I at omega, vectorized: zeta^(j) without the
+    -xi that zeta(w) = log L_I(w) - w xi adds at j = 1."""
     w = np.asarray(omega, dtype=float)[..., None]
     acc = 0.0
     for a, D, N in tab.branches():
@@ -150,24 +159,29 @@ def _zeta_vec(j: int, omega, xi: float, tab: _NodeTables):
         # int / int rounds once, and stays finite for any shape N
         coef = (-1.0) ** j * (rising / N ** j)
         acc = acc + coef * np.sum(a / D ** j * (1.0 + w / (N * D)) ** (-N - j), axis=-1)
-    out = tab.pref * acc
-    if j == 1:
-        out = out - xi
-    return out
+    return tab.pref * acc
 
 
-def _lbar_vec(omega, max_order: int, xi: float, tab: _NodeTables) -> list:
-    """L-bar(w) = L_I(w) e^{-w xi} and derivatives 0..max_order, vectorized.
+def _xi_free(omega, max_order: int, tab: _NodeTables):
+    """log L_I and its derivatives 1..max_order at omega: everything L-bar
+    needs but the noise term xi."""
+    w = np.asarray(omega, dtype=float)
+    return _log_laplace(w, tab), [_zeta_vec(j, w, tab) for j in range(1, max_order + 1)]
+
+
+def _lbar_vec(omega, log_l, zetas: list, xi: float) -> list:
+    """L-bar(w) = L_I(w) e^{-w xi} and derivatives 0..len(zetas) from the
+    xi-free parts at omega (_xi_free).
 
     The recursion L^(j) = sum_i C(j-1, i) zeta^(j-i) L^(i) only ever adds
     terms of one sign at a given j, so no precision is lost to cancellation.
     """
     w = np.asarray(omega, dtype=float)
-    vals = [np.exp(_log_laplace(w, tab) - w * xi)]
-    if max_order == 0:
+    vals = [np.exp(log_l - w * xi)]
+    if not zetas:
         return vals
-    zetas = [None] + [_zeta_vec(j, w, xi, tab) for j in range(1, max_order + 1)]
-    for j in range(1, max_order + 1):
+    zetas = [None, zetas[0] - xi, *zetas[1:]]
+    for j in range(1, len(zetas)):
         acc = 0.0
         for i in range(j):
             acc = acc + math.comb(j - 1, i) * zetas[j - i] * vals[i]
@@ -201,7 +215,8 @@ def zeta_derivative(j: int, omega: float, params: SystemParams,
     j = _positive_int(j, "derivative order j")
     if not (omega >= 0 and math.isfinite(omega)):
         raise InvalidParameterError(f"omega must be finite and >= 0, got {omega!r}")
-    return float(_zeta_vec(j, float(omega), params.xi, _tables(params, cfg)))
+    zeta = float(_zeta_vec(j, float(omega), _tables(params, cfg)))
+    return zeta - params.xi if j == 1 else zeta
 
 
 def lbar_derivatives(omega: float, max_order: int, params: SystemParams,
@@ -217,8 +232,9 @@ def lbar_derivatives(omega: float, max_order: int, params: SystemParams,
         raise InvalidParameterError(f"max_order must be >= 0, got {max_order!r}")
     if not (omega >= 0 and math.isfinite(omega)):
         raise InvalidParameterError(f"omega must be finite and >= 0, got {omega!r}")
-    vals = _lbar_vec(float(omega), int(max_order), params.xi, _tables(params, cfg))
-    return [float(v) for v in vals]
+    omega = float(omega)
+    xi_free = _xi_free(omega, int(max_order), _tables(params, cfg))
+    return [float(v) for v in _lbar_vec(omega, *xi_free, params.xi)]
 
 
 # ---------------------------------------------------------------------------
@@ -235,30 +251,79 @@ def _clamp_probability(value: float, context: str) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _outage_batch(d0: np.ndarray, params: SystemParams,
-                  tab: _NodeTables) -> np.ndarray:
-    """conditional_outage at an array of serving distances, unvalidated
-    and unclamped.  Every term of a coverage sum is nonnegative, since
-    L-bar^(j) has the sign (-1)^j.  An overflow shows as inf or NaN in the
-    result, which _clamp_probability rejects, so numpy's warnings about it
-    are silenced."""
-    eps, xi = params.epsilon, params.xi
-    if eps == 0.0:
-        return np.zeros_like(d0)
+# the params fields that reach the outage only through the noise term
+# xi = sigma2 / (eta P): _transform reads none of them
+_XI_FIELDS = frozenset({"P", "sigma2", "f_c"})
+
+
+def _transform_key(params: SystemParams) -> tuple:
+    """The params fields _transform reads: under one AnalysisConfig, equal
+    keys give equal transforms of the rules built from params."""
+    return tuple(getattr(params, f.name) for f in fields(params)
+                 if f.name not in _XI_FIELDS)
+
+
+class _Transform(NamedTuple):
+    """The xi-free part of a mean conditional outage: the rule's nodes d0
+    and weights and, per blockage state B, the tuple (p_B(d0), omega_B,
+    log L_I(omega_B), [d^j/dw^j log L_I(omega_B) for 1 <= j < N_B])."""
+
+    d0: np.ndarray
+    weight: np.ndarray
+    branches: tuple
+
+
+def _transform(rule, params: SystemParams, cfg: AnalysisConfig) -> _Transform:
+    """The xi-free part of the mean conditional outage over a (d0, weight)
+    rule, at the nodes of its distance rule.
+
+    It reads params only through eps and the geometry (_transform_key), so
+    a caller may reduce one transform at several noise terms.  An overflow
+    (shapes N >= 170) shows as inf here and fails the reduction, so numpy's
+    warnings about it are silenced.
+    """
+    d0, weight = _distance_rule(*rule, cfg.gl_order_rate)
+    tab = _tables(params, cfg)
     p_los = np.exp(-params.beta * d0)
+    branches = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p_b, alpha, n in ((p_los, params.alpha_L, params.N_L),
+                              (1.0 - p_los, params.alpha_N, params.N_N)):
+            omega = n * params.epsilon * d0 ** alpha
+            branches.append((p_b, omega, *_xi_free(omega, n - 1, tab)))
+    return _Transform(d0, weight, tuple(branches))
+
+
+def _outage_batch(transform: _Transform, params: SystemParams) -> np.ndarray:
+    """Conditional outage at the transform's nodes at the noise term
+    params.xi, unclamped.  Every term of a coverage sum is nonnegative,
+    since L-bar^(j) has the sign (-1)^j.  An overflow shows as inf or NaN
+    in the result, which _clamp_probability rejects, so numpy's warnings
+    about it are silenced."""
+    if params.epsilon == 0.0:
+        return np.zeros_like(transform.d0)
+    xi = params.xi
     coverage = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for weight, alpha, n in ((p_los, params.alpha_L, params.N_L),
-                                 (1.0 - p_los, params.alpha_N, params.N_N)):
-            omega = n * eps * d0 ** alpha
-            lbars = _lbar_vec(omega, n - 1, xi, tab)
+        for p_b, omega, log_l, zetas in transform.branches:
+            lbars = _lbar_vec(omega, log_l, zetas, xi)
             term = 1.0
             c = lbars[0]
-            for j in range(1, n):
+            for j in range(1, len(lbars)):
                 term *= -omega / j
                 c += term * lbars[j]
-            coverage += weight * c
+            coverage += p_b * c
     return 1.0 - coverage
+
+
+def _average(transform: _Transform, params: SystemParams, context: str) -> float:
+    """Mean conditional outage over the transform's rule at params.xi.
+
+    np.sum reduces pairwise inside numpy, so unlike a BLAS dot the result
+    does not depend on the BLAS thread count.
+    """
+    p = _outage_batch(transform, params)
+    return _clamp_probability(float(np.sum(transform.weight * p)), context)
 
 
 def conditional_outage(d0: float, params: SystemParams, cfg: AnalysisConfig) -> float:
@@ -273,8 +338,9 @@ def conditional_outage(d0: float, params: SystemParams, cfg: AnalysisConfig) -> 
     if not (d0 >= params.H and math.isfinite(d0)):
         raise InvalidParameterError(
             f"d0 must be finite and >= H={params.H!r}, got {d0!r}")
-    p = _outage_batch(np.array([float(d0)]), params, _tables(params, cfg))
-    return _clamp_probability(float(p[0]), f"conditional outage at d0={d0!r}")
+    rule = (np.array([float(d0)]), np.array([1.0]))
+    return _average(_transform(rule, params, cfg), params,
+                    f"conditional outage at d0={d0!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -366,17 +432,18 @@ def _continuum_rule(params: SystemParams, order: int):
             np.concatenate([w_tip, w_side.ravel()]) * (4.0 / (math.pi * R * R)))
 
 
-def _spatial_average(rule, params: SystemParams, cfg: AnalysisConfig,
-                     context: str) -> float:
-    """Mean conditional outage over a (d0, weight) rule, through its
-    distance rule.
+# the (d0, weight) measure of each spatial average, by its name in errors
+_MEASURES = {
+    "outage probability": _serving_rule,
+    "outage upper bound": lambda params, order: _serving_rule(params.with_(Np=1), order),
+    "outage lower bound": _continuum_rule,
+}
 
-    np.sum reduces pairwise inside numpy, so unlike a BLAS dot the result
-    does not depend on the BLAS thread count.
-    """
-    d0, weight = _distance_rule(*rule, cfg.gl_order_rate)
-    p = _outage_batch(d0, params, _tables(params, cfg))
-    return _clamp_probability(float(np.sum(weight * p)), context)
+
+def _spatial_average(name: str, params: SystemParams, cfg: AnalysisConfig) -> float:
+    """The named average: the transform of its measure, reduced at params.xi."""
+    rule = _MEASURES[name](params, cfg.gl_order_rate)
+    return _average(_transform(rule, params, cfg), params, name)
 
 
 def outage_probability(params: SystemParams, cfg: AnalysisConfig) -> float:
@@ -386,8 +453,7 @@ def outage_probability(params: SystemParams, cfg: AnalysisConfig) -> float:
     with the serving preset fixed per Voronoi strip of the waveguide.
     Np = 1 reduces to the radial fixed-antenna form.
     """
-    return _spatial_average(_serving_rule(params, cfg.gl_order_rate), params,
-                            cfg, "outage probability")
+    return _spatial_average("outage probability", params, cfg)
 
 
 def outage_upper_bound(params: SystemParams, cfg: AnalysisConfig) -> float:
@@ -395,8 +461,7 @@ def outage_upper_bound(params: SystemParams, cfg: AnalysisConfig) -> float:
 
     (2/R^2) int_0^R P_out(sqrt(r^2 + H^2)) r dr.
     """
-    return _spatial_average(_serving_rule(params.with_(Np=1), cfg.gl_order_rate),
-                            params, cfg, "outage upper bound")
+    return _spatial_average("outage upper bound", params, cfg)
 
 
 def outage_lower_bound(params: SystemParams, cfg: AnalysisConfig) -> float:
@@ -405,8 +470,7 @@ def outage_lower_bound(params: SystemParams, cfg: AnalysisConfig) -> float:
     The serving point is the nearest point of the segment: the perpendicular
     foot alongside it, the tip beyond it.
     """
-    return _spatial_average(_continuum_rule(params, cfg.gl_order_rate),
-                            params, cfg, "outage lower bound")
+    return _spatial_average("outage lower bound", params, cfg)
 
 
 def _distance_rule(d0: np.ndarray, weight: np.ndarray,
@@ -420,8 +484,11 @@ def _distance_rule(d0: np.ndarray, weight: np.ndarray,
     against the rule's measure: Chebyshev moments from the three-term
     recurrence (one pass over the points per degree, so no m x n matrix),
     turned into point weights by the discrete cosine sum.  The weights sum
-    to the rule's total mass, which is 1.
+    to the rule's total mass, which is 1.  A rule of at most m points is
+    returned as it is: it is already exact for its own measure.
     """
+    if d0.size <= m:
+        return d0, weight
     ln_d = np.log(d0)
     lo, hi = float(np.min(ln_d)), float(np.max(ln_d))
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)

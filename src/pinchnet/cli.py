@@ -35,8 +35,8 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .analysis import (AnalysisConfig, ergodic_rate, outage_lower_bound,
-                       outage_probability, outage_upper_bound)
+from .analysis import (AnalysisConfig, _MEASURES, _average, _transform,
+                       _transform_key, ergodic_rate)
 from .errors import ConfigError, InvalidParameterError, NumericError
 from .geometry import SystemParams, default_params
 from .montecarlo import SimConfig, _check_run, _draw_key, _outage, _rate, _simulate
@@ -299,17 +299,19 @@ def _points(params: SystemParams, sweep: Sweep | None) -> list:
 
 
 def _compute_row(cfg: ExperimentConfig, params: SystemParams, swept_value,
-                 samples) -> ResultRow:
-    """One row; samples(params) gives the simulator's draw at params."""
+                 samples, average) -> ResultRow:
+    """One row; samples(params) gives the simulator's draw at params, and
+    average(params, name) the spatial average of that name in
+    analysis._MEASURES, as outage_probability and the bounds compute it."""
     row = ResultRow(swept_value=swept_value)
     mode = cfg.mode
     try:
         if mode in ("analyze", "compare", "bounds"):
             t0 = time.perf_counter()
-            row.analytic_outage = outage_probability(params, cfg.analysis)
+            row.analytic_outage = average(params, "outage probability")
             if mode == "bounds":
-                row.upper_bound = outage_upper_bound(params, cfg.analysis)
-                row.lower_bound = outage_lower_bound(params, cfg.analysis)
+                row.upper_bound = average(params, "outage upper bound")
+                row.lower_bound = average(params, "outage lower bound")
             row.wall_time_analysis = time.perf_counter() - t0
         if mode in ("simulate", "compare"):
             t0 = time.perf_counter()
@@ -373,6 +375,10 @@ def run(cfg: ExperimentConfig, out_dir) -> int:
     column; the files are still written and the exit status turns 1.
     Consecutive points whose draw keys match reduce one simulation, so the
     first row of such a group carries the draw in its wall_time_sim.
+    Likewise consecutive points whose transform keys match (every params
+    field but P, sigma2 and f_c) reduce one analysis transform per spatial
+    average, and the first row of such a group carries the transforms in
+    its wall_time_analysis.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -388,7 +394,20 @@ def run(cfg: ExperimentConfig, out_dir) -> int:
             drawn_key = key
         return drawn
 
-    rows = [_compute_row(cfg, params, value, samples)
+    transformed_key, transformed = None, {}
+
+    def average(params: SystemParams, name: str) -> float:
+        nonlocal transformed_key, transformed
+        key = _transform_key(params)
+        if key != transformed_key:
+            # one key's transforms alive at a time
+            transformed_key, transformed = key, {}
+        if name not in transformed:
+            rule = _MEASURES[name](params, cfg.analysis.gl_order_rate)
+            transformed[name] = _transform(rule, params, cfg.analysis)
+        return _average(transformed[name], params, name)
+
+    rows = [_compute_row(cfg, params, value, samples, average)
             for value, params in _points(cfg.params, cfg.sweep)]
 
     _write_csv(rows, out_dir / "results.csv")

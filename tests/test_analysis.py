@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from pinchnet import analysis as an
 from pinchnet.errors import InvalidParameterError, NumericInstabilityError
-from pinchnet.geometry import SPEED_OF_LIGHT, preset_offsets, voronoi_cell_bounds
+from pinchnet.geometry import (SPEED_OF_LIGHT, SystemParams, preset_offsets,
+                               voronoi_cell_bounds)
 from pinchnet.numerics import integrate_semi_infinite
 from pinchnet.geometry import default_params
 from test_finite_difference import finite_difference
@@ -355,7 +357,7 @@ def test_spatial_averages_clamp_only_rounding(monkeypatch, level, raises):
     # an average more than 1e-9 outside [0, 1] is a numerical failure, not
     # a probability to be clamped; rounding-level excess reads exactly 1
     monkeypatch.setattr(an, "_outage_batch",
-                        lambda d0, params, tab: np.full(d0.shape, level))
+                        lambda transform, params: np.full(transform.d0.shape, level))
     for average in (an.outage_probability, an.outage_upper_bound,
                     an.outage_lower_bound):
         if raises:
@@ -591,6 +593,38 @@ def test_outage_independent_of_call_history():
     assert outputs[0] == outputs[1]
 
 
+# one changed value per SystemParams field; the transform reads every
+# field but the first three, which enter only through xi
+_FIELD_CHANGES = {"P": 1.0, "sigma2": 1e-10, "f_c": 3.5e9, "Rbar": 3.0,
+                  "lam": 2e-6, "R": 25.0, "L": 12.0, "Np": 13, "H": 4.0,
+                  "beta": 0.02, "alpha_L": 2.5, "alpha_N": 3.5, "N_L": 4,
+                  "N_N": 3}
+
+
+def _transform_bytes(params):
+    """The bytes of every array in the transforms of the three averages."""
+    arrays = []
+    for build in an._MEASURES.values():
+        t = an._transform(build(params, CFG.gl_order_rate), params, CFG)
+        arrays += [t.d0, t.weight]
+        for p_b, omega, log_l, zetas in t.branches:
+            arrays += [p_b, omega, log_l, *zetas]
+    return b"".join(a.tobytes() for a in arrays)
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(SystemParams)])
+def test_transform_key_matches_transform_bytes(field):
+    # the key stays put exactly when the transforms keep their bytes, and
+    # both stay put only for the three noise fields (Rbar moves omega): a
+    # transform that starts reading a new field, or a new field with no
+    # entry above, fails here
+    params = default_params()
+    changed = params.with_(**{field: _FIELD_CHANGES[field]})
+    same_bytes = _transform_bytes(changed) == _transform_bytes(params)
+    same_key = an._transform_key(changed) == an._transform_key(params)
+    assert same_bytes == same_key == (field in ("P", "sigma2", "f_c"))
+
+
 @pytest.mark.parametrize("shape", [170, 200])
 def test_large_shapes_fail_as_numeric_error(shape):
     # from N = 170 on, N^j and the rising factorial (N + j - 1)!/(N - 1)!
@@ -681,17 +715,16 @@ def _threshold_rate(params, cfg):
     outage averaged by the derivative recursion over the serving-distance
     rule: the rate by a route that shares only L_I and the distance rule
     with the z-integral.  The rule is built once per call, as the rate
-    builds it."""
-    tab = an._tables(params, cfg)
-    d0, weight = an._distance_rule(*an._serving_rule(params, cfg.gl_order_rate),
-                                   cfg.gl_order_rate)
+    builds it; each threshold moves the nodes omega, so takes a transform."""
+    rule = an._distance_rule(*an._serving_rule(params, cfg.gl_order_rate),
+                             cfg.gl_order_rate)
+
+    def outage(eps):
+        at_eps = _at(eps, params)
+        return an._average(an._transform(rule, at_eps, cfg), at_eps, "outage probability")
 
     def integrand(eps):
-        return np.array([
-            (1.0 - an._clamp_probability(float(np.sum(
-                weight * an._outage_batch(d0, _at(float(e), params), tab))),
-                "outage probability")) / (1.0 + e)
-            for e in eps])
+        return np.array([(1.0 - outage(float(e))) / (1.0 + e) for e in eps])
 
     return integrate_semi_infinite(integrand, cfg.gl_order_rate) / math.log(2.0)
 

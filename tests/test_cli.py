@@ -3,10 +3,15 @@
 import csv
 import json
 import math
+import tempfile
+import time
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pinchnet import analysis as an
 from pinchnet import cli
 from pinchnet import montecarlo as mc
 from pinchnet.errors import ConfigError, NumericError
@@ -240,6 +245,51 @@ def test_sweep_draws_once_per_draw_key(tmp_path, monkeypatch, mode, parameter,
         assert row["wall_time_sim"] > 0.0
 
 
+@pytest.mark.parametrize("mode,parameter,values,transforms", [
+    ("bounds", "P", '["0 dBm", "15 dBm", "30 dBm"]', 3),
+    ("analyze", "sigma2", "[1.0e-13, 1.0e-12, 1.0e-11]", 1),
+    ("compare", "f_c", "[3.5e9, 28.0e9, 60.0e9]", 1),
+    ("bounds", "Rbar", "[0.5, 1.0, 2.0]", 9),
+    ("analyze", "Np", "[3, 5, 11]", 3),
+], ids=["bounds-P", "analyze-sigma2", "compare-f_c", "bounds-Rbar", "analyze-Np"])
+def test_sweep_transforms_once_per_key(tmp_path, monkeypatch, mode, parameter,
+                                       values, transforms):
+    # points that differ only in P, sigma2 or f_c reduce one transform per
+    # spatial average (three in bounds mode, one otherwise); every row
+    # still equals the public function at its own point
+    path = _write(tmp_path, (
+        f"mode: {mode}\n"
+        "sim: {n_realizations: 600, seed: 19}\n"
+        f"sweep: {{parameter: {parameter}, values: {values}}}\n"))
+    calls = []
+    transform = cli._transform
+
+    def counted(rule, params, acfg):
+        t0 = time.perf_counter()
+        result = transform(rule, params, acfg)
+        calls.append((params, time.perf_counter() - t0))
+        return result
+
+    monkeypatch.setattr(cli, "_transform", counted)
+    out = tmp_path / "out"
+    assert cli.main([str(path), "--out", str(out)]) == 0
+    assert len(calls) == transforms
+    cfg = cli.load_config(path)
+    rows = json.loads((out / "report.json").read_text())["rows"]
+    public = {"analytic_outage": an.outage_probability}
+    if mode == "bounds":
+        public.update(upper_bound=an.outage_upper_bound,
+                      lower_bound=an.outage_lower_bound)
+    for row, (_, params) in zip(rows, cli._points(cfg.params, cfg.sweep),
+                                strict=True):
+        for column, function in public.items():
+            assert float.hex(row[column]) == float.hex(function(params, cfg.analysis))
+        assert row["wall_time_analysis"] > 0.0
+        # a group's first row times its transforms, its other rows none
+        assert row["wall_time_analysis"] >= sum(
+            spent for at, spent in calls if at == params)
+
+
 def test_compare_mode_flags_agreement(tmp_path):
     path = _write(tmp_path, (
         "mode: compare\n"
@@ -299,16 +349,17 @@ def test_report_rows_carry_wall_times(tmp_path):
 
 
 def test_numeric_failure_marks_row_and_exit_status(tmp_path, monkeypatch):
+    # the second point's outage average fails; its neighbours do not
     calls = {"n": 0}
-    real = cli.outage_probability
+    real = cli._average
 
-    def flaky(params, acfg):
+    def flaky(transform, params, context):
         calls["n"] += 1
         if calls["n"] == 2:
             raise NumericError("synthetic instability")
-        return real(params, acfg)
+        return real(transform, params, context)
 
-    monkeypatch.setattr(cli, "outage_probability", flaky)
+    monkeypatch.setattr(cli, "_average", flaky)
     path = _write(tmp_path, (
         "mode: analyze\n"
         "params: {Rbar: 2.0}\n"
@@ -323,18 +374,54 @@ def test_numeric_failure_marks_row_and_exit_status(tmp_path, monkeypatch):
     assert rows[2]["error"] == ""
 
 
-@pytest.mark.parametrize("mode", ["analyze", "bounds"])
-def test_numeric_failure_prints_no_numpy_warnings(tmp_path, capsys, mode):
-    # the coverage sum overflows at shape 200; the row's error line says
-    # so, and numpy's overflow warnings on the way would only be noise
-    path = _write(tmp_path, f"mode: {mode}\nparams: {{N_L: 200, N_N: 200}}\n")
+@pytest.mark.parametrize("mode,sweep", [
+    ("analyze", ""),
+    ("bounds", ""),
+    ("bounds", 'sweep: {parameter: P, values: ["0 dBm", "20 dBm", "40 dBm"]}\n'),
+], ids=["analyze", "bounds", "bounds-P"])
+def test_numeric_failure_prints_no_numpy_warnings(tmp_path, capsys, mode, sweep):
+    # the coverage sum overflows at shape 200; each row's error line says
+    # so, and numpy's overflow warnings on the way would only be noise.
+    # The P sweep shares one transform, yet every row fails on its own
+    path = _write(tmp_path, f"mode: {mode}\nparams: {{N_L: 200, N_N: 200}}\n{sweep}")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert cli.main([str(path), "--out", str(tmp_path)]) == 1
     assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err
-    assert "error at swept_value=None: NumericInstabilityError" in err
+    rows = _read_rows(tmp_path)
+    assert len(rows) == (3 if sweep else 1)
+    for row in rows:
+        assert row["error"].startswith("NumericInstabilityError: outage probability")
+        swept = None if not sweep else float(row["swept_value"])
+        assert f"error at swept_value={swept!r}: NumericInstabilityError" in err
     assert "RuntimeWarning" not in err
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(Np=st.integers(0, 25).map(lambda k: 2 * k + 1),
+       R=st.floats(1.0, 1000.0),
+       L_share=st.floats(0.01, 0.99),
+       lam=st.floats(0.0, 1e-4),
+       beta=st.floats(0.0, 0.1))
+def test_bounds_bracket_outage_monotone_in_power(Np, R, L_share, lam, beta):
+    # over the valid geometry, through the CLI's shared transforms: each
+    # row's outage lies between its bounds, and it does not rise with P
+    config = {"mode": "bounds",
+              "params": {"Np": Np, "R": R, "L": 2.0 * R * L_share,
+                         "lam": lam, "beta": beta},
+              "sweep": {"parameter": "P",
+                        "values": [f"{dbm} dBm" for dbm in range(0, 41, 10)]}}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        assert cli.main([str(path), "--out", tmp]) == 0
+        rows = json.loads((Path(tmp) / "report.json").read_text())["rows"]
+    outages = [row["analytic_outage"] for row in rows]
+    for row in rows:
+        assert row["lower_bound"] <= row["analytic_outage"] + 1e-9
+        assert row["analytic_outage"] <= row["upper_bound"] + 1e-9
+    assert all(b <= a + 1e-12 for a, b in zip(outages, outages[1:]))
 
 
 def test_config_error_exit_code(tmp_path, capsys):
