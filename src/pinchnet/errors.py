@@ -12,10 +12,6 @@ class ConfigError(ValueError):
 class NumericError(RuntimeError):
     """A numerical routine produced a non-finite or out-of-contract value."""
 
-    def __init__(self, message: str, epsilon: float | None = None):
-        super().__init__(message)
-        self.epsilon = epsilon
-
 
 class NumericInstabilityError(NumericError):
     """A result violated its mathematical range by more than the clamp window."""

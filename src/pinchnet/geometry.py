@@ -70,7 +70,8 @@ class SystemParams:
                 and not isinstance(v, bool)
             if f.type == "float" and not (number and -math.inf < v < math.inf):
                 raise InvalidParameterError(f"{f.name} must be a finite number, got {v!r}")
-        if not isinstance(self.Np, (int, np.integer)) or self.Np < 1 or self.Np % 2 == 0:
+        if (isinstance(self.Np, bool) or not isinstance(self.Np, (int, np.integer))
+                or self.Np < 1 or self.Np % 2 == 0):
             raise InvalidParameterError(f"Np must be an odd positive integer, got {self.Np!r}")
         if not self.lam >= 0:
             raise InvalidParameterError(f"lam must be >= 0, got {self.lam!r}")
@@ -85,7 +86,7 @@ class SystemParams:
             raise InvalidParameterError("alpha_N must be >= alpha_L")
         for name in ("N_L", "N_N"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
                 raise InvalidParameterError(f"{name} must be a positive integer, got {v!r}")
         if not (self.f_c > 0 and self.sigma2 > 0 and self.P > 0):
             raise InvalidParameterError("f_c, sigma2 and P must be positive")

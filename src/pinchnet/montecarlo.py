@@ -15,14 +15,14 @@ c*128+127 of every realization in the block (radial arrival increments,
 five uniform marks, fading exponentials).  Every draw has a fixed shape, so
 a realization's numbers depend only on (seed, realization index).  Each
 worker simulates one span of whole blocks, and the simulator returns every
-realization's (serving power, interference) sample in index order; each
-estimator reduces those samples with its own elementwise expression, so
-estimates are bit-identical whatever the worker count.  The layout also
-makes truncation studies meaningful:
-enlarging R_sim only admits more of the same arrival columns (drawing
-further chunks where needed) without disturbing the points both discs
-share, so the estimate shift measures truncation error rather than
-resampling noise.
+realization's (serving power, interference) sample in index order; the
+two reductions, _outage and _rate, turn those samples into an estimate
+and its standard error with elementwise expressions, so estimates are
+bit-identical whatever the worker count.  The layout also makes
+truncation studies meaningful: enlarging R_sim only admits more of the
+same arrival columns (drawing further chunks where needed) without
+disturbing the points both discs share, so the estimate shift measures
+truncation error rather than resampling noise.
 
 The draw never reads P, sigma2, f_c or Rbar: they enter only through xi
 and epsilon, when a reduction turns samples into an estimate.  So the
@@ -33,7 +33,6 @@ only in those fields, and reduces it at each point's own params.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -42,13 +41,7 @@ import numpy as np
 from .errors import InvalidParameterError
 from .geometry import SystemParams, nearest_preset_offset
 
-__all__ = [
-    "SimConfig",
-    "EstimateReport",
-    "estimate_outage",
-    "estimate_ergodic_rate",
-    "estimate_laplace",
-]
+__all__ = ["SimConfig"]
 
 # Realizations per block and interferer columns per chunk.  Both fix the
 # layout of the random draws: changing either changes every seed's sample.
@@ -59,6 +52,12 @@ _LANE_HEAD = 0
 _LANE_FIELD = 1
 
 _TWO_PI = 2.0 * math.pi
+
+
+def _positive_number(v) -> bool:
+    """A finite positive number; bools and strings are none."""
+    return (isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, bool) and 0 < v < math.inf)
 
 
 @dataclass(frozen=True)
@@ -81,31 +80,19 @@ class SimConfig:
                 self.n_realizations, (int, np.integer)) or self.n_realizations < 1:
             raise InvalidParameterError(
                 f"n_realizations must be a positive integer, got {self.n_realizations!r}")
-        if not (self.R_sim > 0 and math.isfinite(self.R_sim)):
+        if not _positive_number(self.R_sim):
             raise InvalidParameterError(f"R_sim must be positive, got {self.R_sim!r}")
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
                 or self.seed < 0):
             raise InvalidParameterError(
                 f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.pinned_d0 is not None and not (
-                self.pinned_d0 > 0 and math.isfinite(self.pinned_d0)):
+        if self.pinned_d0 is not None and not _positive_number(self.pinned_d0):
             raise InvalidParameterError(
                 f"pinned_d0 must be positive when set, got {self.pinned_d0!r}")
         if isinstance(self.workers, bool) or not isinstance(
                 self.workers, (int, np.integer)) or self.workers < 1:
             raise InvalidParameterError(
                 f"workers must be a positive integer, got {self.workers!r}")
-
-
-@dataclass(frozen=True)
-class EstimateReport:
-    """Point estimate with its standard error and run provenance."""
-
-    estimate: float
-    std_error: float
-    n: int
-    seed: int
-    wall_time: float
 
 
 def _check_run(params: SystemParams, simcfg: SimConfig) -> None:
@@ -264,12 +251,6 @@ def _simulate(params: SystemParams, simcfg: SimConfig) -> np.ndarray:
     return np.concatenate(parts, axis=1)
 
 
-def _sample_std_error(values: np.ndarray) -> float:
-    if values.size < 2:
-        return 0.0
-    return float(values.std(ddof=1) / math.sqrt(values.size))
-
-
 def _outage(samples: np.ndarray, params: SystemParams) -> tuple[float, float]:
     """(outage estimate, binomial standard error) of samples at params."""
     signal, interference = samples
@@ -282,31 +263,7 @@ def _rate(samples: np.ndarray, params: SystemParams) -> tuple[float, float]:
     """(ergodic rate estimate, sample standard error) of samples at params."""
     signal, interference = samples
     values = np.log2(1.0 + signal / (interference + params.xi))
-    return float(values.mean()), _sample_std_error(values)
-
-
-def estimate_outage(params: SystemParams, simcfg: SimConfig) -> EstimateReport:
-    """Empirical P(log2(1 + SINR) < Rbar) with binomial standard error."""
-    t0 = time.perf_counter()
-    p, se = _outage(_simulate(params, simcfg), params)
-    return EstimateReport(p, se, int(simcfg.n_realizations), simcfg.seed,
-                          time.perf_counter() - t0)
-
-
-def estimate_ergodic_rate(params: SystemParams, simcfg: SimConfig) -> EstimateReport:
-    """Empirical mean of log2(1 + SINR) with sample standard error."""
-    t0 = time.perf_counter()
-    rate, se = _rate(_simulate(params, simcfg), params)
-    return EstimateReport(rate, se, int(simcfg.n_realizations), simcfg.seed,
-                          time.perf_counter() - t0)
-
-
-def estimate_laplace(s: float, params: SystemParams,
-                     simcfg: SimConfig) -> EstimateReport:
-    """Empirical E[exp(-s I)] over the interference sum I."""
-    if not (s >= 0 and math.isfinite(s)):
-        raise InvalidParameterError(f"s must be finite and >= 0, got {s!r}")
-    t0 = time.perf_counter()
-    values = np.exp(-float(s) * _simulate(params, simcfg)[1])
-    return EstimateReport(float(values.mean()), _sample_std_error(values),
-                          values.size, simcfg.seed, time.perf_counter() - t0)
+    rate = float(values.mean())
+    if values.size < 2:
+        return rate, 0.0
+    return rate, float(values.std(ddof=1) / math.sqrt(values.size))

@@ -153,9 +153,9 @@ def integrate_semi_infinite(f: Callable, order: int) -> float:
 
     ``f`` must be vectorized: it maps the panel's x array to an array of
     the same shape.  A non-finite integrand value raises NumericError
-    whose ``epsilon`` attribute carries the offending x.  Panel sums use
-    np.sum, which reduces pairwise inside numpy, so the result does not
-    depend on the BLAS thread count.
+    whose message names the offending x.  Panel sums use np.sum, which
+    reduces pairwise inside numpy, so the result does not depend on the
+    BLAS thread count.
     """
     base_x, base_w = _legendre_base(int(order))
 
@@ -174,8 +174,7 @@ def integrate_semi_infinite(f: Callable, order: int) -> float:
         if np.any(bad):
             x_bad = float(x[np.argmax(bad)])
             raise NumericError(
-                f"integrand returned a non-finite value at x={x_bad!r}",
-                epsilon=x_bad)
+                f"integrand returned a non-finite value at x={x_bad!r}")
         contrib = half * float(np.sum(base_w * (vals / (s * s))))
         total += contrib
         if abs(contrib) <= _PANEL_TOL * max(abs(total), 1e-300):

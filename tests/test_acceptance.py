@@ -26,6 +26,7 @@ from pinchnet import cli
 from pinchnet import montecarlo as mc
 from pinchnet.geometry import default_params
 from test_finite_difference import finite_difference
+from test_montecarlo import laplace_estimate
 
 CFG = an.AnalysisConfig()
 FIG2 = default_params()
@@ -47,9 +48,9 @@ def _binomial_se(p, n):
 def _outage_gap(params, analytic, n, seed, pinned_d0=None):
     """(gap, allowed) for a 3-sigma outage comparison at n realizations."""
     sim = mc.SimConfig(n_realizations=n, seed=seed, pinned_d0=pinned_d0)
-    report = mc.estimate_outage(params, sim)
-    se = max(report.std_error, _binomial_se(analytic, n))
-    return abs(report.estimate - analytic), 3.0 * se, report.estimate
+    estimate, se = mc._outage(mc._simulate(params, sim), params)
+    se = max(se, _binomial_se(analytic, n))
+    return abs(estimate - analytic), 3.0 * se, estimate
 
 
 def test_criterion_1_interference_laplace(capsys):
@@ -57,9 +58,9 @@ def test_criterion_1_interference_laplace(capsys):
     worst = None
     for i, s in enumerate((0.1, 1.0, 10.0)):
         closed = an.laplace_interference(s, FIG2, CFG)
-        report = mc.estimate_laplace(
+        estimate, se = laplace_estimate(
             s, FIG2, mc.SimConfig(n_realizations=N_FULL, seed=101 + i))
-        z = abs(report.estimate - closed) / report.std_error
+        z = abs(estimate - closed) / se
         if worst is None or z > worst[1]:
             worst = (s, z)
     elapsed = time.perf_counter() - t0
@@ -125,11 +126,10 @@ def test_criterion_4_outage_curve(capsys):
         params = FIG2.with_(P=10.0 ** (dbm / 10.0) / 1000.0)
         value = an.outage_probability(params, CFG)
         analytic.append(value)
-        report = mc.estimate_outage(
-            params, mc.SimConfig(n_realizations=N_FULL, seed=401 + i))
-        allowed = max(0.01, 3.0 * max(report.std_error,
-                                      _binomial_se(value, N_FULL)))
-        gaps.append(abs(report.estimate - value) / allowed)
+        estimate, se = mc._outage(mc._simulate(
+            params, mc.SimConfig(n_realizations=N_FULL, seed=401 + i)), params)
+        allowed = max(0.01, 3.0 * max(se, _binomial_se(value, N_FULL)))
+        gaps.append(abs(estimate - value) / allowed)
     elapsed = time.perf_counter() - t0
     monotone = all(a >= b - 1e-12 for a, b in zip(analytic, analytic[1:]))
     ok = max(gaps) <= 1.0 and monotone and elapsed < 600.0
@@ -169,9 +169,9 @@ def test_criterion_6_rate_claims(capsys):
     for i, npresets in enumerate((1, 3)):
         params = FIG3.with_(Np=npresets)
         analytic = an.ergodic_rate(params, CFG)
-        report = mc.estimate_ergodic_rate(
-            params, mc.SimConfig(seed=601 + i, **sim))
-        results[npresets] = (analytic, report.estimate, report.std_error)
+        estimate, se = mc._rate(
+            mc._simulate(params, mc.SimConfig(seed=601 + i, **sim)), params)
+        results[npresets] = (analytic, estimate, se)
     rel = max(abs(a - s) / a for a, s, _ in results.values())
     a1, s1, e1 = results[1]
     a3, s3, e3 = results[3]
@@ -196,11 +196,11 @@ def test_criterion_7_layout_invariance(capsys):
                 reference = values
             elif values != reference:
                 identical = False
-    a = mc.estimate_laplace(
+    a, a_se = laplace_estimate(
         1.0, FIG2.with_(Np=1), mc.SimConfig(n_realizations=50_000, seed=701))
-    b = mc.estimate_laplace(
+    b, b_se = laplace_estimate(
         1.0, FIG2.with_(Np=11), mc.SimConfig(n_realizations=50_000, seed=702))
-    z = abs(a.estimate - b.estimate) / math.hypot(a.std_error, b.std_error)
+    z = abs(a - b) / math.hypot(a_se, b_se)
     ok = identical and z <= 3.0
     _emit(capsys, 7, ok,
           f"closed form bit-identical over Np x L grid: {identical}; "
@@ -240,30 +240,27 @@ def test_criterion_9_resolution_robustness(capsys):
                      - an.ergodic_rate(rate_params, dense))
 
     # simulation: double the truncation radius under a common seed
-    sims = {}
-    for radius in (5000.0, 10_000.0):
-        report = mc.estimate_outage(
-            outage_params,
-            mc.SimConfig(n_realizations=20_000, seed=901, R_sim=radius))
-        sims[radius] = report
-    sim_outage_shift = abs(sims[5000.0].estimate - sims[10_000.0].estimate)
-    outage_se = max(sims[5000.0].std_error,
+    (near, near_se), (far, _) = (
+        mc._outage(mc._simulate(outage_params, mc.SimConfig(
+            n_realizations=20_000, seed=901, R_sim=radius)), outage_params)
+        for radius in (5000.0, 10_000.0))
+    sim_outage_shift = abs(near - far)
+    outage_se = max(near_se,
                     _binomial_se(an.outage_probability(outage_params, CFG), 20_000))
 
-    rates = {}
-    for radius in (1500.0, 3000.0):
-        rates[radius] = mc.estimate_ergodic_rate(
-            rate_params,
-            mc.SimConfig(n_realizations=5000, seed=902, R_sim=radius))
-    sim_rate_shift = abs(rates[1500.0].estimate - rates[3000.0].estimate)
+    (near, rate_se), (far, _) = (
+        mc._rate(mc._simulate(rate_params, mc.SimConfig(
+            n_realizations=5000, seed=902, R_sim=radius)), rate_params)
+        for radius in (1500.0, 3000.0))
+    sim_rate_shift = abs(near - far)
 
     ok = (outage_shift < 1e-5 and rate_shift < 1e-5
           and sim_outage_shift < outage_se
-          and sim_rate_shift < rates[1500.0].std_error)
+          and sim_rate_shift < rate_se)
     _emit(capsys, 9, ok,
           f"doubled quadrature: outage shift {outage_shift:.1e}, rate shift "
           f"{rate_shift:.1e} (<1e-5); doubled R_sim: outage shift "
           f"{sim_outage_shift:.1e} vs se {outage_se:.1e}, rate shift "
-          f"{sim_rate_shift:.1e} vs se {rates[1500.0].std_error:.1e}")
+          f"{sim_rate_shift:.1e} vs se {rate_se:.1e}")
     assert ok, (f"criterion 9: {outage_shift} {rate_shift} "
                 f"{sim_outage_shift} {sim_rate_shift}")

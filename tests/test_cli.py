@@ -1,6 +1,7 @@
 """End-to-end tests for the config-driven command line tool."""
 
 import csv
+import hashlib
 import json
 import math
 import tempfile
@@ -217,7 +218,7 @@ def test_worker_count_does_not_change_csv(tmp_path):
 def test_sweep_draws_once_per_draw_key(tmp_path, monkeypatch, mode, parameter,
                                        values, draws):
     # points that differ only in P, sigma2, f_c or Rbar reduce one draw;
-    # every row still equals the public estimator at its own point
+    # every row still equals a fresh draw reduced at its own point
     path = _write(tmp_path, (
         f"mode: {mode}\n"
         "sim: {n_realizations: 600, seed: 19}\n"
@@ -235,13 +236,13 @@ def test_sweep_draws_once_per_draw_key(tmp_path, monkeypatch, mode, parameter,
     assert len(calls) == draws
     cfg = cli.load_config(path)
     rows = json.loads((out / "report.json").read_text())["rows"]
-    estimate, column = ((mc.estimate_ergodic_rate, "sim_rate") if mode == "rate"
-                        else (mc.estimate_outage, "sim_outage"))
+    reduce, column = ((mc._rate, "sim_rate") if mode == "rate"
+                      else (mc._outage, "sim_outage"))
     for row, (_, params) in zip(rows, cli._points(cfg.params, cfg.sweep),
                                 strict=True):
-        report = estimate(params, cfg.sim)
-        assert float.hex(row[column]) == float.hex(report.estimate)
-        assert float.hex(row["sim_std_error"]) == float.hex(report.std_error)
+        estimate, se = reduce(mc._simulate(params, cfg.sim), params)
+        assert float.hex(row[column]) == float.hex(estimate)
+        assert float.hex(row["sim_std_error"]) == float.hex(se)
         assert row["wall_time_sim"] > 0.0
 
 
@@ -444,6 +445,64 @@ def test_config_error_exit_code(tmp_path, capsys):
         assert cli.main([str(path), *args, "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
     assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("config,spec,field", [
+    ("mode: analyze\n", "params.Np=true", "params: Np"),
+    ("mode: analyze\n", "params.N_L=true", "params: N_L"),
+    ("mode: analyze\n", "params.N_N=true", "params: N_N"),
+    ("mode: analyze\n", "sim.R_sim=true", "sim: R_sim"),
+    ("mode: analyze\n", "sim.pinned_d0=true", "sim: pinned_d0"),
+    ("mode: analyze\nsweep: {parameter: Np, values: [true, 3]}\n", "mode=analyze",
+     "sweep.values[0]: Np"),
+], ids=["Np", "N_L", "N_N", "R_sim", "pinned_d0", "sweep-Np"])
+def test_bool_is_no_number(tmp_path, capsys, config, spec, field):
+    # YAML reads true as a bool, and a Python bool is an int: left alone it
+    # would run as 1 and be echoed as true.  Analyze mode leaves the sim
+    # fields to SimConfig alone, with no simulator check behind it.
+    path = _write(tmp_path, config)
+    out = tmp_path / "out"
+    assert cli.main([str(path), "--set", spec, "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
+# The three benchmark workloads at seed 6229: the README outage figure in
+# compare mode, the README rate figure over Np, and a bounds sweep at
+# Np = 51.  A change that moves any results.csv byte on purpose updates
+# the digest here and says why.
+_DBM_0_TO_30 = [f"{p} dBm" for p in range(0, 31)]
+_WORKLOAD_DIGESTS = {
+    "outage_figure": (
+        {"mode": "compare",
+         "sim": {"n_realizations": 10_000, "R_sim": 5000.0, "workers": 1,
+                 "seed": 6229},
+         "sweep": {"parameter": "P", "values": _DBM_0_TO_30[::5]}},
+        "df9a2dfeada677b7d1db7f3bfe62d91ba296ce950a07e7d47fa2e6de2551ec9f"),
+    "rate_figure": (
+        {"mode": "rate",
+         "params": {"lambda": 1.0e-5, "R": 100.0, "L": 100.0, "H": 4.0,
+                    "alpha_N": 4.0, "beta": 0.01, "P": "30 dBm"},
+         "sim": {"n_realizations": 4000, "R_sim": 3000.0, "workers": 1,
+                 "seed": 6229},
+         "sweep": {"parameter": "Np", "values": [1, 3, 11]}},
+        "b733944aad2b5a21f96dea9be894e74682f0019b6d12d40f948cfbde00ddc539"),
+    "bounds_sweep": (
+        {"mode": "bounds",
+         "params": {"Np": 51},
+         "sim": {"workers": 1, "seed": 6229},
+         "sweep": {"parameter": "P", "values": _DBM_0_TO_30}},
+        "89bdaec413d8313c23149ccb4af2a023a678222ff5aa7d75a6e47ad519a7f140"),
+}
+
+
+@pytest.mark.parametrize("workload", list(_WORKLOAD_DIGESTS))
+def test_workload_csv_bytes_pinned(tmp_path, workload):
+    config, digest = _WORKLOAD_DIGESTS[workload]
+    path = _write(tmp_path, json.dumps(config), name="config.json")
+    assert cli.main([str(path), "--out", str(tmp_path)]) == 0
+    got = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
+    assert got == digest
 
 
 @pytest.mark.parametrize("key,value", [

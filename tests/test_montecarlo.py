@@ -22,8 +22,12 @@ from pinchnet.geometry import SystemParams, default_params
 CFG = an.AnalysisConfig()
 
 
-def _report_tuple(report):
-    return (report.estimate, report.std_error, report.n)
+def laplace_estimate(s, params, simcfg):
+    """(mean, standard error) of exp(-s I) over the simulated interference
+    sums I: the empirical Laplace transform of the interference, the
+    oracle the closed form is checked against."""
+    values = np.exp(-s * mc._simulate(params, simcfg)[1])
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
 
 
 # ---------------------------------------------------------------- config
@@ -48,6 +52,9 @@ def test_simconfig_defaults():
     {"pinned_d0": 0.0},
     {"pinned_d0": -3.0},
     {"workers": 0},
+    {"R_sim": True},
+    {"pinned_d0": True},
+    {"R_sim": "5000 m"},
 ])
 def test_simconfig_validation(kwargs):
     with pytest.raises(InvalidParameterError):
@@ -58,13 +65,13 @@ def test_region_must_cover_cluster():
     # truncation radius has to dominate the cluster scale
     params = default_params(R=3000.0, L=100.0)
     with pytest.raises(InvalidParameterError):
-        mc.estimate_outage(params, mc.SimConfig(n_realizations=10))
+        mc._simulate(params, mc.SimConfig(n_realizations=10))
 
 
 def test_pinned_distance_below_height_rejected():
     sim = mc.SimConfig(n_realizations=10, pinned_d0=1.0)
     with pytest.raises(InvalidParameterError):
-        mc.estimate_outage(default_params(H=3.0), sim)
+        mc._simulate(default_params(H=3.0), sim)
 
 
 # ---------------------------------------------------------- determinism
@@ -72,9 +79,9 @@ def test_pinned_distance_below_height_rejected():
 def test_estimates_reproducible():
     params = default_params()
     sim = mc.SimConfig(n_realizations=2000, seed=77)
-    first = mc.estimate_outage(params, sim)
-    second = mc.estimate_outage(params, sim)
-    assert _report_tuple(first) == _report_tuple(second)
+    first = mc._outage(mc._simulate(params, sim), params)
+    second = mc._outage(mc._simulate(params, sim), params)
+    assert first == second
 
 
 def test_batch_size_invariance():
@@ -99,10 +106,11 @@ def test_worker_count_invariance():
 
 def test_worker_count_invariance_reports():
     params = default_params()
-    a = mc.estimate_outage(params, mc.SimConfig(n_realizations=2000, seed=41))
-    b = mc.estimate_outage(
-        params, mc.SimConfig(n_realizations=2000, seed=41, workers=4))
-    assert _report_tuple(a) == _report_tuple(b)
+    a = mc._outage(
+        mc._simulate(params, mc.SimConfig(n_realizations=2000, seed=41)), params)
+    b = mc._outage(mc._simulate(
+        params, mc.SimConfig(n_realizations=2000, seed=41, workers=4)), params)
+    assert a == b
 
 
 def test_values_identical_across_block_cuts():
@@ -186,21 +194,12 @@ def test_draw_key_matches_sample_bytes(field):
     assert same_bytes == same_key == (field in ("P", "sigma2", "f_c", "Rbar"))
 
 
-def test_report_metadata():
-    sim = mc.SimConfig(n_realizations=500, seed=3)
-    report = mc.estimate_outage(default_params(), sim)
-    assert report.n == 500
-    assert report.seed == 3
-    assert report.wall_time > 0.0
-
-
 # ------------------------------------------------------------- trivials
 
 def test_zero_threshold_never_outage():
     params = default_params(Rbar=0.0)
-    report = mc.estimate_outage(params, mc.SimConfig(n_realizations=500, seed=2))
-    assert report.estimate == 0.0
-    assert report.std_error == 0.0
+    samples = mc._simulate(params, mc.SimConfig(n_realizations=500, seed=2))
+    assert mc._outage(samples, params) == (0.0, 0.0)
 
 
 def test_outage_flag_matches_sinr():
@@ -209,15 +208,16 @@ def test_outage_flag_matches_sinr():
     # the means of their flags and rate samples
     params = default_params(Rbar=4.0)
     sim = mc.SimConfig(n_realizations=500, seed=8)
-    signal, interference = mc._simulate(params, sim)
+    samples = mc._simulate(params, sim)
+    signal, interference = samples
     threshold = 2.0 ** params.Rbar - 1.0
     sinr = signal / (interference + params.xi)
     outage = sinr < threshold
     rate = np.log2(1.0 + sinr)
     assert 0 < outage.sum() < outage.size
     assert np.array_equal(outage, 2.0 ** rate - 1.0 < threshold)
-    assert mc.estimate_outage(params, sim).estimate == outage.mean()
-    assert mc.estimate_ergodic_rate(params, sim).estimate == rate.mean()
+    assert mc._outage(samples, params)[0] == outage.mean()
+    assert mc._rate(samples, params)[0] == rate.mean()
 
 
 def test_no_clusters_means_no_interference():
@@ -236,9 +236,9 @@ def _pinned_rate_oracle(params, alpha, shape, seed):
     gain = stats.gamma(shape, scale=1.0 / shape)
     want = integrate.quad(lambda g: math.log2(1.0 + g * snr) * gain.pdf(g),
                           0.0, np.inf)[0]
-    report = mc.estimate_ergodic_rate(
-        params, mc.SimConfig(n_realizations=20_000, seed=seed, pinned_d0=d0))
-    return report.estimate, want, report.std_error
+    got, se = mc._rate(mc._simulate(
+        params, mc.SimConfig(n_realizations=20_000, seed=seed, pinned_d0=d0)), params)
+    return got, want, se
 
 
 def test_pinned_distance_rate_matches_gamma_oracle():
@@ -256,73 +256,69 @@ def test_pinned_distance_nlos_rate_matches_gamma_oracle():
 
 
 def test_laplace_at_zero_is_one():
-    report = mc.estimate_laplace(
+    estimate = laplace_estimate(
         0.0, default_params(), mc.SimConfig(n_realizations=200, seed=1))
-    assert report.estimate == 1.0
-    assert report.std_error == 0.0
+    assert estimate == (1.0, 0.0)
 
 
 def test_laplace_without_clusters_is_one():
-    report = mc.estimate_laplace(
+    estimate, _ = laplace_estimate(
         3.0, default_params(lam=0.0), mc.SimConfig(n_realizations=200, seed=1))
-    assert report.estimate == 1.0
-
-
-def test_laplace_rejects_negative_argument():
-    with pytest.raises(InvalidParameterError):
-        mc.estimate_laplace(-1.0, default_params(), mc.SimConfig(n_realizations=10))
+    assert estimate == 1.0
 
 
 # ------------------------------------------------- statistical behaviour
 
 def test_standard_error_scales_with_sample_size():
     params = default_params()
-    small = mc.estimate_ergodic_rate(params, mc.SimConfig(n_realizations=1000, seed=13))
-    large = mc.estimate_ergodic_rate(params, mc.SimConfig(n_realizations=4000, seed=13))
-    ratio = small.std_error / large.std_error
+    _, small = mc._rate(
+        mc._simulate(params, mc.SimConfig(n_realizations=1000, seed=13)), params)
+    _, large = mc._rate(
+        mc._simulate(params, mc.SimConfig(n_realizations=4000, seed=13)), params)
+    ratio = small / large
     assert 1.8 <= ratio <= 2.2
 
 
 def test_truncation_radius_insensitive():
     # common seed nests the point process, so the shift is pure truncation
     params = default_params()
-    near = mc.estimate_outage(
-        params, mc.SimConfig(n_realizations=5000, seed=31, R_sim=2500.0))
-    far = mc.estimate_outage(
-        params, mc.SimConfig(n_realizations=5000, seed=31, R_sim=5000.0))
-    assert abs(near.estimate - far.estimate) <= max(near.std_error, 1e-12)
+    near, near_se = mc._outage(mc._simulate(
+        params, mc.SimConfig(n_realizations=5000, seed=31, R_sim=2500.0)), params)
+    far, _ = mc._outage(mc._simulate(
+        params, mc.SimConfig(n_realizations=5000, seed=31, R_sim=5000.0)), params)
+    assert abs(near - far) <= max(near_se, 1e-12)
 
 
 def test_matches_analysis_without_interference():
     # lam = 0 with a large blockage exponent exercises the NLoS branch alone
     params = default_params(lam=0.0, beta=1e3, Np=1, Rbar=4.0)
     analytic = an.outage_probability(params, CFG)
-    report = mc.estimate_outage(params, mc.SimConfig(n_realizations=20_000, seed=17))
-    assert abs(report.estimate - analytic) <= 3.0 * report.std_error
+    got, se = mc._outage(
+        mc._simulate(params, mc.SimConfig(n_realizations=20_000, seed=17)), params)
+    assert abs(got - analytic) <= 3.0 * se
 
 
 def test_pinned_distance_matches_conditional_outage():
     params = default_params(Rbar=3.0)
     d0 = 15.0
     analytic = an.conditional_outage(d0, params, CFG)
-    report = mc.estimate_outage(
-        params, mc.SimConfig(n_realizations=20_000, seed=23, pinned_d0=d0))
-    assert abs(report.estimate - analytic) <= 3.0 * report.std_error
+    got, se = mc._outage(mc._simulate(
+        params, mc.SimConfig(n_realizations=20_000, seed=23, pinned_d0=d0)), params)
+    assert abs(got - analytic) <= 3.0 * se
 
 
 def test_more_presets_raise_rate():
     params = default_params()
-    single = mc.estimate_ergodic_rate(
-        params.with_(Np=1), mc.SimConfig(n_realizations=4000, seed=21))
-    many = mc.estimate_ergodic_rate(
-        params.with_(Np=11), mc.SimConfig(n_realizations=4000, seed=21))
-    combined = math.hypot(single.std_error, many.std_error)
-    assert many.estimate - single.estimate > 3.0 * combined
+    sim = mc.SimConfig(n_realizations=4000, seed=21)
+    (single, single_se), (many, many_se) = (
+        mc._rate(mc._simulate(p, sim), p)
+        for p in (params.with_(Np=1), params.with_(Np=11)))
+    assert many - single > 3.0 * math.hypot(single_se, many_se)
 
 
 def test_dense_deployment_collapses_rate():
     # 1e-2 clusters per m^2 drowns the link in interference
     params = default_params(lam=1e-2)
-    report = mc.estimate_ergodic_rate(
-        params, mc.SimConfig(n_realizations=2000, seed=4, R_sim=60.0))
-    assert report.estimate < 0.5
+    rate, _ = mc._rate(mc._simulate(
+        params, mc.SimConfig(n_realizations=2000, seed=4, R_sim=60.0)), params)
+    assert rate < 0.5
