@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -373,8 +374,11 @@ def run(cfg: ExperimentConfig, out_dir) -> int:
 
     Rows that hit a numeric failure carry the message in their error
     column; the files are still written and the exit status turns 1.
-    Consecutive points whose draw keys match reduce one simulation, so the
-    first row of such a group carries the draw in its wall_time_sim.
+    Consecutive points with the same lam share one simulation: it draws
+    once and keeps one sample set (2 * n_realizations floats) per distinct
+    draw key in the group, and points whose draw keys match reduce the
+    same samples.  The first row of such a group that simulates carries
+    the whole group's simulation in its wall_time_sim.
     Likewise consecutive points whose transform keys match (every params
     field but P, sigma2 and f_c) reduce one analysis transform per spatial
     average, and the first row of such a group carries the transforms in
@@ -383,16 +387,14 @@ def run(cfg: ExperimentConfig, out_dir) -> int:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    drawn_key = drawn = None
+    group, drawn = {}, None
 
     def samples(params: SystemParams) -> np.ndarray:
-        nonlocal drawn_key, drawn
-        key = _draw_key(params)
-        if key != drawn_key:
-            drawn = None  # one sample set alive at a time
-            drawn = _simulate(params, cfg.sim)
-            drawn_key = key
-        return drawn
+        nonlocal drawn
+        if drawn is None:
+            # the whole lam group at once, on the group's first call
+            drawn = dict(zip(group, _simulate(list(group.values()), cfg.sim)))
+        return drawn[_draw_key(params)]
 
     transformed_key, transformed = None, {}
 
@@ -407,8 +409,14 @@ def run(cfg: ExperimentConfig, out_dir) -> int:
             transformed[name] = _transform(rule, params, cfg.analysis)
         return _average(transformed[name], params, name)
 
-    rows = [_compute_row(cfg, params, value, samples, average)
-            for value, params in _points(cfg.params, cfg.sweep)]
+    rows = []
+    for _, members in itertools.groupby(_points(cfg.params, cfg.sweep),
+                                        key=lambda point: point[1].lam):
+        members = list(members)
+        # one lam group's samples alive at a time
+        group, drawn = {_draw_key(params): params for _, params in members}, None
+        rows += [_compute_row(cfg, params, value, samples, average)
+                 for value, params in members]
 
     _write_csv(rows, out_dir / "results.csv")
     _write_report(cfg, rows, out_dir / "report.json")

@@ -25,14 +25,23 @@ disturbing the points both discs share, so the estimate shift measures
 truncation error rather than resampling noise.
 
 The draw never reads P, sigma2, f_c or Rbar: they enter only through xi
-and epsilon, when a reduction turns samples into an estimate.  So the
-command line reuses one draw across consecutive sweep points that differ
-only in those fields, and reduces it at each point's own params.
+and epsilon, when a reduction turns samples into an estimate.  And of the
+other fields only lam shapes the random numbers: the fills, the in-disc
+cut, the radii and the mark trigonometry are the same whatever R, L, Np,
+H, beta, the path-loss exponents or the fading shapes are (a smaller
+shape's exponential rows are a prefix of a larger one's).  So _simulate
+takes a group of params sharing lam, draws each chunk once and works out
+only the preset choice, distances, blockage and gains per member; each
+member's samples are the bytes it gets simulated alone.  The command line
+simulates consecutive sweep points with the same lam as one group, one
+member per distinct _draw_key, and reduces each point's samples at its
+own params.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -124,25 +133,30 @@ def _received(exps: np.ndarray, d: np.ndarray, los: np.ndarray,
                     g_nlos * d ** -params.alpha_N)
 
 
-def _block_interference(params: SystemParams, simcfg: SimConfig, key: np.ndarray,
-                        block: int, ux: np.ndarray, uy: np.ndarray,
-                        buf: np.ndarray) -> np.ndarray:
-    """Interference sums of one block, drawn chunk by chunk from lane 1.
+def _block_interference(group: list[SystemParams], simcfg: SimConfig,
+                        key: np.ndarray, block: int, users: list,
+                        buf: np.ndarray) -> list[np.ndarray]:
+    """Interference sums of one block at each member of group, drawn chunk
+    by chunk from lane 1; users holds each member's (ux, uy).
 
     Sorted squared radii of a disc PPP, times lam pi, are the arrival
     times of a unit-rate Poisson process.  Row i of a chunk extends
     realization i's arrival sequence by _CHUNK points; chunks are drawn
     until every row has passed lam pi R_sim^2, and only arrivals inside
     that limit contribute.  Every chunk is drawn into buf, whose rows hold
-    the arrivals, the five marks and the fading exponentials.
+    the arrivals, the five marks and the fading exponentials.  All of that,
+    and the interferers' centres and orientations, depend on lam alone, so
+    each chunk is drawn once and only the preset choice, distances,
+    blockage and fading gains are worked out per member.
     """
-    interference = np.zeros(_BLOCK)
-    if params.lam == 0.0:
+    lam = group[0].lam
+    interference = [np.zeros(_BLOCK) for _ in group]
+    if lam == 0.0:
         return interference
-    limit = params.lam * math.pi * simcfg.R_sim ** 2
+    limit = lam * math.pi * simcfg.R_sim ** 2
     arrivals = buf[0].reshape(_BLOCK, _CHUNK)
     marks = buf[1:6]
-    exps = buf[6:6 + max(params.N_L, params.N_N)]
+    exps = buf[6:]
     last = np.zeros(_BLOCK)
     chunk = 0
     while np.any(last <= limit):
@@ -157,66 +171,85 @@ def _block_interference(params: SystemParams, simcfg: SimConfig, key: np.ndarray
 
         inside = np.flatnonzero(arrivals <= limit)
         rows = inside // _CHUNK
-        radius = np.sqrt(arrivals.ravel()[inside] / (params.lam * math.pi))
-        # center angle, orientation, cluster-user radius and angle, blockage
-        u_center, u_orient, u_radius, u_angle, u_block = np.take(
-            marks, inside, axis=1)
+        radius = np.sqrt(arrivals.ravel()[inside] / (lam * math.pi))
+        # center angle, orientation, cluster-user radius and angle
+        u_center, u_orient, u_radius, u_angle = np.take(marks[:4], inside, axis=1)
+        u_block = marks[4][inside]
         c_ang = _TWO_PI * u_center
+        cx = radius * np.cos(c_ang)
+        cy = radius * np.sin(c_ang)
         theta = math.pi * u_orient
         cos_t = np.cos(theta)
         sin_t = np.sin(theta)
-        # each interferer's waveguide activates the preset nearest to its
-        # own served user's projection onto the waveguide axis; the user's
-        # angle relative to that axis is uniform
-        proj = params.R * np.sqrt(u_radius) * np.cos(_TWO_PI * u_angle)
-        axial = nearest_preset_offset(proj, params.L, params.Np)
-        dx = radius * np.cos(c_ang) + axial * cos_t - ux[rows]
-        dy = radius * np.sin(c_ang) + axial * sin_t - uy[rows]
-        d = np.sqrt(dx * dx + dy * dy + params.H ** 2)
-        los = u_block < np.exp(-params.beta * d)
-        power = _received(np.take(exps, inside, axis=1), d, los, params)
-        interference += np.bincount(rows, weights=power, minlength=_BLOCK)
+        root_u = np.sqrt(u_radius)
+        cos_u = np.cos(_TWO_PI * u_angle)
+        gains = np.take(exps, inside, axis=1)
+        # freed before the per-member loop: holding them across it makes
+        # the allocator fault fresh pages in on every chunk
+        del radius, u_center, u_orient, u_radius, u_angle, c_ang, theta
+        for params, (ux, uy), total in zip(group, users, interference):
+            # each interferer's waveguide activates the preset nearest to
+            # its own served user's projection onto the waveguide axis;
+            # the user's angle relative to that axis is uniform
+            proj = params.R * root_u * cos_u
+            axial = nearest_preset_offset(proj, params.L, params.Np)
+            dx = cx + axial * cos_t - ux[rows]
+            dy = cy + axial * sin_t - uy[rows]
+            d = np.sqrt(dx * dx + dy * dy + params.H ** 2)
+            los = u_block < np.exp(-params.beta * d)
+            total += np.bincount(rows, weights=_received(gains, d, los, params),
+                                 minlength=_BLOCK)
     return interference
 
 
-def _block_samples(params: SystemParams, simcfg: SimConfig, key: np.ndarray,
-                   block: int, buf: np.ndarray) -> np.ndarray:
+def _block_samples(group: list[SystemParams], simcfg: SimConfig,
+                   key: np.ndarray, block: int,
+                   buf: np.ndarray) -> list[np.ndarray]:
     """(serving power, interference) rows of block `block` (realizations
-    block * _BLOCK ... block * _BLOCK + _BLOCK - 1)."""
+    block * _BLOCK ... block * _BLOCK + _BLOCK - 1) at each member of
+    group."""
     head = _stream(key, 0, _LANE_HEAD, block)
-    # user radius, user angle, serving blockage; serving fading
+    # user radius, user angle, serving blockage; serving fading, as many
+    # rows as the group's largest shape needs (C order: a smaller shape's
+    # rows are a prefix of them)
     u = head.random((3, _BLOCK))
-    exps = head.standard_exponential((max(params.N_L, params.N_N), _BLOCK))
-    if simcfg.pinned_d0 is not None:
-        ux = uy = np.zeros(_BLOCK)
-        d0 = np.full(_BLOCK, simcfg.pinned_d0)
-    else:
-        # typical cluster at the origin, its waveguide along the x axis
-        # (rotation invariance of everything else)
-        r_u = params.R * np.sqrt(u[0])
-        ang = _TWO_PI * u[1]
-        ux = r_u * np.cos(ang)
-        uy = r_u * np.sin(ang)
-        off = nearest_preset_offset(ux, params.L, params.Np)
-        d0 = np.sqrt((ux - off) ** 2 + uy * uy + params.H ** 2)
-    los0 = u[2] < np.exp(-params.beta * d0)
-    return np.stack([_received(exps, d0, los0, params),
-                     _block_interference(params, simcfg, key, block, ux, uy, buf)])
+    exps = head.standard_exponential((len(buf) - 6, _BLOCK))
+    users, signals = [], []
+    for params in group:
+        if simcfg.pinned_d0 is not None:
+            ux = uy = np.zeros(_BLOCK)
+            d0 = np.full(_BLOCK, simcfg.pinned_d0)
+        else:
+            # typical cluster at the origin, its waveguide along the x
+            # axis (rotation invariance of everything else)
+            r_u = params.R * np.sqrt(u[0])
+            ang = _TWO_PI * u[1]
+            ux = r_u * np.cos(ang)
+            uy = r_u * np.sin(ang)
+            off = nearest_preset_offset(ux, params.L, params.Np)
+            d0 = np.sqrt((ux - off) ** 2 + uy * uy + params.H ** 2)
+        los0 = u[2] < np.exp(-params.beta * d0)
+        users.append((ux, uy))
+        signals.append(_received(exps, d0, los0, params))
+    return [np.stack(pair) for pair in zip(
+        signals, _block_interference(group, simcfg, key, block, users, buf))]
 
 
-def _span_samples(params: SystemParams, simcfg: SimConfig, lo: int,
-                  hi: int) -> np.ndarray:
-    """Samples of realizations lo..hi-1, cut from the blocks covering them."""
+def _span_samples(group: list[SystemParams], simcfg: SimConfig, lo: int,
+                  hi: int) -> list[np.ndarray]:
+    """Samples of realizations lo..hi-1 at each member of group, cut from
+    the blocks covering them."""
     key = np.random.SeedSequence(simcfg.seed).generate_state(2, dtype=np.uint64)
     # one chunk's draws, reused by every block: fresh multi-MB arrays per
     # chunk let the allocator return their pages to the system and fault
     # them in again on every block
-    buf = np.empty((6 + max(params.N_L, params.N_N), _BLOCK * _CHUNK))
+    shape = max(max(params.N_L, params.N_N) for params in group)
+    buf = np.empty((6 + shape, _BLOCK * _CHUNK))
     first = lo // _BLOCK
-    samples = np.concatenate([
-        _block_samples(params, simcfg, key, b, buf)
-        for b in range(first, (hi - 1) // _BLOCK + 1)], axis=1)
-    return samples[:, lo - first * _BLOCK:hi - first * _BLOCK]
+    blocks = [_block_samples(group, simcfg, key, b, buf)
+              for b in range(first, (hi - 1) // _BLOCK + 1)]
+    cut = slice(lo - first * _BLOCK, hi - first * _BLOCK)
+    return [np.concatenate(member, axis=1)[:, cut] for member in zip(*blocks)]
 
 
 def _spans(n: int, workers: int) -> list[tuple[int, int]]:
@@ -237,18 +270,26 @@ def _draw_key(params: SystemParams) -> tuple:
                  if f.name not in _UNDRAWN)
 
 
-def _simulate(params: SystemParams, simcfg: SimConfig) -> np.ndarray:
+def _simulate(group: list[SystemParams], simcfg: SimConfig) -> list[np.ndarray]:
     """Rows (serving power, interference) of every realization, in index
-    order."""
-    _check_run(params, simcfg)
+    order, at each member of group.  The members must share lam: the
+    draws are made once and reused by every member, and each member's
+    samples are the bytes it would get simulated alone."""
+    if any(params.lam != group[0].lam for params in group):
+        raise InvalidParameterError(
+            f"a simulated group needs one shared lam, got "
+            f"{[params.lam for params in group]!r}")
+    for params in group:
+        _check_run(params, simcfg)
     spans = _spans(simcfg.n_realizations, simcfg.workers)
     if len(spans) == 1:
-        return _span_samples(params, simcfg, *spans[0])
+        return _span_samples(group, simcfg, *spans[0])
     los, his = zip(*spans)
-    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-        parts = list(pool.map(_span_samples, [params] * len(spans),
+    # the spans fix the bytes; the pool size only how many run at once
+    with ProcessPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
+        parts = list(pool.map(_span_samples, [group] * len(spans),
                               [simcfg] * len(spans), los, his))
-    return np.concatenate(parts, axis=1)
+    return [np.concatenate(member, axis=1) for member in zip(*parts)]
 
 
 def _outage(samples: np.ndarray, params: SystemParams) -> tuple[float, float]:

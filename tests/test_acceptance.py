@@ -48,7 +48,7 @@ def _binomial_se(p, n):
 def _outage_gap(params, analytic, n, seed, pinned_d0=None):
     """(gap, allowed) for a 3-sigma outage comparison at n realizations."""
     sim = mc.SimConfig(n_realizations=n, seed=seed, pinned_d0=pinned_d0)
-    estimate, se = mc._outage(mc._simulate(params, sim), params)
+    estimate, se = mc._outage(mc._simulate([params], sim)[0], params)
     se = max(se, _binomial_se(analytic, n))
     return abs(estimate - analytic), 3.0 * se, estimate
 
@@ -127,7 +127,7 @@ def test_criterion_4_outage_curve(capsys):
         value = an.outage_probability(params, CFG)
         analytic.append(value)
         estimate, se = mc._outage(mc._simulate(
-            params, mc.SimConfig(n_realizations=N_FULL, seed=401 + i)), params)
+            [params], mc.SimConfig(n_realizations=N_FULL, seed=401 + i))[0], params)
         allowed = max(0.01, 3.0 * max(se, _binomial_se(value, N_FULL)))
         gaps.append(abs(estimate - value) / allowed)
     elapsed = time.perf_counter() - t0
@@ -170,7 +170,7 @@ def test_criterion_6_rate_claims(capsys):
         params = FIG3.with_(Np=npresets)
         analytic = an.ergodic_rate(params, CFG)
         estimate, se = mc._rate(
-            mc._simulate(params, mc.SimConfig(seed=601 + i, **sim)), params)
+            mc._simulate([params], mc.SimConfig(seed=601 + i, **sim))[0], params)
         results[npresets] = (analytic, estimate, se)
     rel = max(abs(a - s) / a for a, s, _ in results.values())
     a1, s1, e1 = results[1]
@@ -241,16 +241,16 @@ def test_criterion_9_resolution_robustness(capsys):
 
     # simulation: double the truncation radius under a common seed
     (near, near_se), (far, _) = (
-        mc._outage(mc._simulate(outage_params, mc.SimConfig(
-            n_realizations=20_000, seed=901, R_sim=radius)), outage_params)
+        mc._outage(mc._simulate([outage_params], mc.SimConfig(
+            n_realizations=20_000, seed=901, R_sim=radius))[0], outage_params)
         for radius in (5000.0, 10_000.0))
     sim_outage_shift = abs(near - far)
     outage_se = max(near_se,
                     _binomial_se(an.outage_probability(outage_params, CFG), 20_000))
 
     (near, rate_se), (far, _) = (
-        mc._rate(mc._simulate(rate_params, mc.SimConfig(
-            n_realizations=5000, seed=902, R_sim=radius)), rate_params)
+        mc._rate(mc._simulate([rate_params], mc.SimConfig(
+            n_realizations=5000, seed=902, R_sim=radius))[0], rate_params)
         for radius in (1500.0, 3000.0))
     sim_rate_shift = abs(near - far)
 

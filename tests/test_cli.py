@@ -213,12 +213,16 @@ def test_worker_count_does_not_change_csv(tmp_path):
 @pytest.mark.parametrize("mode,parameter,values,draws", [
     ("compare", "P", '["0 dBm", "15 dBm", "30 dBm"]', 1),
     ("rate", "Rbar", "[0.5, 1.0, 2.0]", 1),
+    ("rate", "Np", "[1, 3, 11]", 1),
+    ("simulate", "H", "[2.0, 3.0, 5.0]", 1),
     ("simulate", "lam", "[1.0e-6, 2.0e-6, 4.0e-6]", 3),
-], ids=["compare-P", "rate-Rbar", "simulate-lam"])
-def test_sweep_draws_once_per_draw_key(tmp_path, monkeypatch, mode, parameter,
-                                       values, draws):
-    # points that differ only in P, sigma2, f_c or Rbar reduce one draw;
-    # every row still equals a fresh draw reduced at its own point
+], ids=["compare-P", "rate-Rbar", "rate-Np", "simulate-H", "simulate-lam"])
+def test_sweep_draws_once_per_lam_group(tmp_path, monkeypatch, mode, parameter,
+                                        values, draws):
+    # consecutive points with one lam share a simulation, and points whose
+    # draw keys match (they differ only in P, sigma2, f_c or Rbar) share
+    # samples; every row still equals a fresh one-point draw reduced at its
+    # own point
     path = _write(tmp_path, (
         f"mode: {mode}\n"
         "sim: {n_realizations: 600, seed: 19}\n"
@@ -226,24 +230,29 @@ def test_sweep_draws_once_per_draw_key(tmp_path, monkeypatch, mode, parameter,
     calls = []
     simulate = cli._simulate
 
-    def counted(params, simcfg):
-        calls.append(params)
-        return simulate(params, simcfg)
+    def counted(group, simcfg):
+        calls.append(group)
+        return simulate(group, simcfg)
 
     monkeypatch.setattr(cli, "_simulate", counted)
     out = tmp_path / "out"
     assert cli.main([str(path), "--out", str(out)]) == 0
     assert len(calls) == draws
     cfg = cli.load_config(path)
+    points = cli._points(cfg.params, cfg.sweep)
+    # one member per distinct draw key
+    assert sum(map(len, calls)) == len({mc._draw_key(p) for _, p in points})
     rows = json.loads((out / "report.json").read_text())["rows"]
     reduce, column = ((mc._rate, "sim_rate") if mode == "rate"
                       else (mc._outage, "sim_outage"))
-    for row, (_, params) in zip(rows, cli._points(cfg.params, cfg.sweep),
-                                strict=True):
-        estimate, se = reduce(mc._simulate(params, cfg.sim), params)
+    for row, (_, params) in zip(rows, points, strict=True):
+        estimate, se = reduce(mc._simulate([params], cfg.sim)[0], params)
         assert float.hex(row[column]) == float.hex(estimate)
         assert float.hex(row["sim_std_error"]) == float.hex(se)
         assert row["wall_time_sim"] > 0.0
+    if draws == 1:
+        # the group's first row carries its simulation, the others a reduction
+        assert rows[0]["wall_time_sim"] > max(row["wall_time_sim"] for row in rows[1:])
 
 
 @pytest.mark.parametrize("mode,parameter,values,transforms", [

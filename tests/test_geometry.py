@@ -151,7 +151,7 @@ def test_ppp_radii_nest_with_truncation_radius():
     params = default_params()
     interference = {
         R_sim: mc._simulate(
-            params, mc.SimConfig(n_realizations=600, seed=5, R_sim=R_sim))[1]
+            [params], mc.SimConfig(n_realizations=600, seed=5, R_sim=R_sim))[0][1]
         for R_sim in (5000.0, 8000.0)}
     assert params.lam * math.pi * 5000.0 ** 2 < 128 < params.lam * math.pi * 8000.0 ** 2
     assert np.all(interference[8000.0] >= interference[5000.0])

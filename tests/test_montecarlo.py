@@ -7,7 +7,8 @@ runs at the published operating points live in test_acceptance.py.
 """
 
 import math
-from dataclasses import fields
+import os
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ def laplace_estimate(s, params, simcfg):
     """(mean, standard error) of exp(-s I) over the simulated interference
     sums I: the empirical Laplace transform of the interference, the
     oracle the closed form is checked against."""
-    values = np.exp(-s * mc._simulate(params, simcfg)[1])
+    values = np.exp(-s * mc._simulate([params], simcfg)[0][1])
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
 
 
@@ -65,13 +66,13 @@ def test_region_must_cover_cluster():
     # truncation radius has to dominate the cluster scale
     params = default_params(R=3000.0, L=100.0)
     with pytest.raises(InvalidParameterError):
-        mc._simulate(params, mc.SimConfig(n_realizations=10))
+        mc._simulate([params], mc.SimConfig(n_realizations=10))
 
 
 def test_pinned_distance_below_height_rejected():
     sim = mc.SimConfig(n_realizations=10, pinned_d0=1.0)
     with pytest.raises(InvalidParameterError):
-        mc._simulate(default_params(H=3.0), sim)
+        mc._simulate([default_params(H=3.0)], sim)
 
 
 # ---------------------------------------------------------- determinism
@@ -79,8 +80,8 @@ def test_pinned_distance_below_height_rejected():
 def test_estimates_reproducible():
     params = default_params()
     sim = mc.SimConfig(n_realizations=2000, seed=77)
-    first = mc._outage(mc._simulate(params, sim), params)
-    second = mc._outage(mc._simulate(params, sim), params)
+    first = mc._outage(mc._simulate([params], sim)[0], params)
+    second = mc._outage(mc._simulate([params], sim)[0], params)
     assert first == second
 
 
@@ -89,27 +90,27 @@ def test_batch_size_invariance():
     # cut into: batches below, on and past a block, none of them aligned
     params = default_params()
     sim = mc.SimConfig(n_realizations=2000, seed=5)
-    ref = mc._simulate(params, sim)
+    ref = mc._simulate([params], sim)[0]
     for batch in (137, 500, 1999):
         got = np.concatenate([
-            mc._span_samples(params, sim, lo, min(lo + batch, 2000))
+            mc._span_samples([params], sim, lo, min(lo + batch, 2000))[0]
             for lo in range(0, 2000, batch)], axis=1)
         assert got.tobytes() == ref.tobytes()
 
 
 def test_worker_count_invariance():
     params = default_params()
-    ref = mc._simulate(params, mc.SimConfig(n_realizations=2000, seed=9))
-    par = mc._simulate(params, mc.SimConfig(n_realizations=2000, seed=9, workers=3))
+    ref = mc._simulate([params], mc.SimConfig(n_realizations=2000, seed=9))[0]
+    par = mc._simulate([params], mc.SimConfig(n_realizations=2000, seed=9, workers=3))[0]
     assert np.array_equal(ref, par)
 
 
 def test_worker_count_invariance_reports():
     params = default_params()
     a = mc._outage(
-        mc._simulate(params, mc.SimConfig(n_realizations=2000, seed=41)), params)
+        mc._simulate([params], mc.SimConfig(n_realizations=2000, seed=41))[0], params)
     b = mc._outage(mc._simulate(
-        params, mc.SimConfig(n_realizations=2000, seed=41, workers=4)), params)
+        [params], mc.SimConfig(n_realizations=2000, seed=41, workers=4))[0], params)
     assert a == b
 
 
@@ -118,12 +119,12 @@ def test_values_identical_across_block_cuts():
     # and a worker count past the block count, all give the same samples
     params = default_params()
     sim = mc.SimConfig(n_realizations=600, seed=5)
-    ref = mc._span_samples(params, sim, 0, 600)
+    ref = mc._span_samples([params], sim, 0, 600)[0]
     for cut in (1, 255, 256, 257, 599):
-        got = np.concatenate([mc._span_samples(params, sim, 0, cut),
-                              mc._span_samples(params, sim, cut, 600)], axis=1)
+        got = np.concatenate([mc._span_samples([params], sim, 0, cut)[0],
+                              mc._span_samples([params], sim, cut, 600)[0]], axis=1)
         assert got.tobytes() == ref.tobytes()
-    par = mc._simulate(params, mc.SimConfig(n_realizations=600, seed=5, workers=8))
+    par = mc._simulate([params], mc.SimConfig(n_realizations=600, seed=5, workers=8))[0]
     assert par.tobytes() == ref.tobytes()
 
 
@@ -134,9 +135,9 @@ def test_span_cuts_concatenate_bytewise(n, data):
     cut = data.draw(st.integers(1, n - 1))
     params = default_params()
     sim = mc.SimConfig(n_realizations=n, seed=3, R_sim=1000.0)
-    whole = mc._span_samples(params, sim, 0, n)
-    parts = np.concatenate([mc._span_samples(params, sim, 0, cut),
-                            mc._span_samples(params, sim, cut, n)], axis=1)
+    whole = mc._span_samples([params], sim, 0, n)[0]
+    parts = np.concatenate([mc._span_samples([params], sim, 0, cut)[0],
+                            mc._span_samples([params], sim, cut, n)[0]], axis=1)
     assert parts.tobytes() == whole.tobytes()
 
 
@@ -161,14 +162,14 @@ def test_spans_compute_each_block_once(monkeypatch, n, workers, blocks):
     assert spans[0][0] == 0 and spans[-1][1] == n
     sim = mc.SimConfig(n_realizations=n, seed=5)
     for lo, hi in spans:
-        mc._span_samples(default_params(lam=0.0), sim, lo, hi)
+        mc._span_samples([default_params(lam=0.0)], sim, lo, hi)[0]
     assert sorted(calls) == list(range(blocks))
 
 
 def test_values_nest_in_sample_size():
     params = default_params()
-    short = mc._simulate(params, mc.SimConfig(n_realizations=300, seed=12))
-    long = mc._simulate(params, mc.SimConfig(n_realizations=1000, seed=12))
+    short = mc._simulate([params], mc.SimConfig(n_realizations=300, seed=12))[0]
+    long = mc._simulate([params], mc.SimConfig(n_realizations=1000, seed=12))[0]
     assert short.tobytes() == long[:, :300].tobytes()
 
 
@@ -188,17 +189,74 @@ def test_draw_key_matches_sample_bytes(field):
     params = default_params()
     sim = mc.SimConfig(n_realizations=300, seed=6)
     changed = params.with_(**{field: _FIELD_CHANGES[field]})
-    same_bytes = (mc._simulate(changed, sim).tobytes()
-                  == mc._simulate(params, sim).tobytes())
+    same_bytes = (mc._simulate([changed], sim)[0].tobytes()
+                  == mc._simulate([params], sim)[0].tobytes())
     same_key = mc._draw_key(changed) == mc._draw_key(params)
     assert same_bytes == same_key == (field in ("P", "sigma2", "f_c", "Rbar"))
+
+
+# one group per field, its members differing in that field alone; the
+# N_L and N_N groups mix fading shapes, and so exponential row counts
+_GROUP_VALUES = {"N_L": (1, 3, 8), "N_N": (1, 2, 6), "H": (2.0, 4.0, 8.0),
+                 "R": (10.0, 20.0, 400.0), "beta": (0.0, 0.01, 0.2),
+                 "alpha_N": (2.5, 3.0, 4.5)}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("pinned_d0", [None, 10.0])
+@pytest.mark.parametrize("field", sorted(_GROUP_VALUES))
+def test_group_samples_equal_one_point_samples(field, pinned_d0, workers):
+    # a group draws once and works out every member on the same draws;
+    # each member's samples keep the bytes of a one-point simulation
+    params = default_params()
+    sim = mc.SimConfig(n_realizations=600, seed=14, pinned_d0=pinned_d0,
+                       workers=workers)
+    group = [params.with_(**{field: value}) for value in _GROUP_VALUES[field]]
+    for member, samples in zip(group, mc._simulate(group, sim), strict=True):
+        assert samples.tobytes() == mc._simulate([member], sim)[0].tobytes()
+
+
+def test_group_needs_one_lam():
+    params = default_params()
+    with pytest.raises(InvalidParameterError, match="lam"):
+        mc._simulate([params, params.with_(lam=2e-6)],
+                     mc.SimConfig(n_realizations=10))
+
+
+def test_pool_capped_at_cpu_count(monkeypatch):
+    # workers sets the spans, and so the bytes; the pool never outgrows
+    # the machine.  The pool is replaced by one that runs spans in turn
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", SerialPool)
+    params = default_params()
+    n = 256 * (os.cpu_count() + 2)
+    wide = mc.SimConfig(n_realizations=n, seed=8, R_sim=1000.0, workers=5000)
+    samples = mc._simulate([params], wide)[0]
+    assert len(mc._spans(n, wide.workers)) > os.cpu_count()
+    assert sizes == [os.cpu_count()]
+    ref = mc._simulate([params], replace(wide, workers=1))[0]
+    assert samples.tobytes() == ref.tobytes()
 
 
 # ------------------------------------------------------------- trivials
 
 def test_zero_threshold_never_outage():
     params = default_params(Rbar=0.0)
-    samples = mc._simulate(params, mc.SimConfig(n_realizations=500, seed=2))
+    samples = mc._simulate([params], mc.SimConfig(n_realizations=500, seed=2))[0]
     assert mc._outage(samples, params) == (0.0, 0.0)
 
 
@@ -208,7 +266,7 @@ def test_outage_flag_matches_sinr():
     # the means of their flags and rate samples
     params = default_params(Rbar=4.0)
     sim = mc.SimConfig(n_realizations=500, seed=8)
-    samples = mc._simulate(params, sim)
+    samples = mc._simulate([params], sim)[0]
     signal, interference = samples
     threshold = 2.0 ** params.Rbar - 1.0
     sinr = signal / (interference + params.xi)
@@ -223,7 +281,7 @@ def test_outage_flag_matches_sinr():
 def test_no_clusters_means_no_interference():
     # every realization's interference sum is exactly zero; the signal is not
     params = default_params(lam=0.0)
-    signal, interference = mc._simulate(params, mc.SimConfig(n_realizations=600, seed=4))
+    signal, interference = mc._simulate([params], mc.SimConfig(n_realizations=600, seed=4))[0]
     assert np.all(interference == 0.0)
     assert np.all(signal > 0.0)
 
@@ -237,7 +295,7 @@ def _pinned_rate_oracle(params, alpha, shape, seed):
     want = integrate.quad(lambda g: math.log2(1.0 + g * snr) * gain.pdf(g),
                           0.0, np.inf)[0]
     got, se = mc._rate(mc._simulate(
-        params, mc.SimConfig(n_realizations=20_000, seed=seed, pinned_d0=d0)), params)
+        [params], mc.SimConfig(n_realizations=20_000, seed=seed, pinned_d0=d0))[0], params)
     return got, want, se
 
 
@@ -272,9 +330,9 @@ def test_laplace_without_clusters_is_one():
 def test_standard_error_scales_with_sample_size():
     params = default_params()
     _, small = mc._rate(
-        mc._simulate(params, mc.SimConfig(n_realizations=1000, seed=13)), params)
+        mc._simulate([params], mc.SimConfig(n_realizations=1000, seed=13))[0], params)
     _, large = mc._rate(
-        mc._simulate(params, mc.SimConfig(n_realizations=4000, seed=13)), params)
+        mc._simulate([params], mc.SimConfig(n_realizations=4000, seed=13))[0], params)
     ratio = small / large
     assert 1.8 <= ratio <= 2.2
 
@@ -283,9 +341,9 @@ def test_truncation_radius_insensitive():
     # common seed nests the point process, so the shift is pure truncation
     params = default_params()
     near, near_se = mc._outage(mc._simulate(
-        params, mc.SimConfig(n_realizations=5000, seed=31, R_sim=2500.0)), params)
+        [params], mc.SimConfig(n_realizations=5000, seed=31, R_sim=2500.0))[0], params)
     far, _ = mc._outage(mc._simulate(
-        params, mc.SimConfig(n_realizations=5000, seed=31, R_sim=5000.0)), params)
+        [params], mc.SimConfig(n_realizations=5000, seed=31, R_sim=5000.0))[0], params)
     assert abs(near - far) <= max(near_se, 1e-12)
 
 
@@ -294,7 +352,7 @@ def test_matches_analysis_without_interference():
     params = default_params(lam=0.0, beta=1e3, Np=1, Rbar=4.0)
     analytic = an.outage_probability(params, CFG)
     got, se = mc._outage(
-        mc._simulate(params, mc.SimConfig(n_realizations=20_000, seed=17)), params)
+        mc._simulate([params], mc.SimConfig(n_realizations=20_000, seed=17))[0], params)
     assert abs(got - analytic) <= 3.0 * se
 
 
@@ -303,7 +361,7 @@ def test_pinned_distance_matches_conditional_outage():
     d0 = 15.0
     analytic = an.conditional_outage(d0, params, CFG)
     got, se = mc._outage(mc._simulate(
-        params, mc.SimConfig(n_realizations=20_000, seed=23, pinned_d0=d0)), params)
+        [params], mc.SimConfig(n_realizations=20_000, seed=23, pinned_d0=d0))[0], params)
     assert abs(got - analytic) <= 3.0 * se
 
 
@@ -311,7 +369,7 @@ def test_more_presets_raise_rate():
     params = default_params()
     sim = mc.SimConfig(n_realizations=4000, seed=21)
     (single, single_se), (many, many_se) = (
-        mc._rate(mc._simulate(p, sim), p)
+        mc._rate(mc._simulate([p], sim)[0], p)
         for p in (params.with_(Np=1), params.with_(Np=11)))
     assert many - single > 3.0 * math.hypot(single_se, many_se)
 
@@ -320,5 +378,5 @@ def test_dense_deployment_collapses_rate():
     # 1e-2 clusters per m^2 drowns the link in interference
     params = default_params(lam=1e-2)
     rate, _ = mc._rate(mc._simulate(
-        params, mc.SimConfig(n_realizations=2000, seed=4, R_sim=60.0)), params)
+        [params], mc.SimConfig(n_realizations=2000, seed=4, R_sim=60.0))[0], params)
     assert rate < 0.5
