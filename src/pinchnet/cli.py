@@ -33,7 +33,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .analysis import (AnalysisConfig, _MEASURES, _average, _transform,
@@ -106,10 +105,11 @@ def _parse_power(field: str, raw) -> float:
         match = _DBM_PATTERN.match(raw)
         if match:
             try:
-                dbm = float(match.group(1))
+                return 10.0 ** (float(match.group(1)) / 10.0) / 1000.0
             except ValueError:
                 raise ConfigError(f"{field}: malformed dBm value {raw!r}") from None
-            return 10.0 ** (dbm / 10.0) / 1000.0
+            except OverflowError:
+                raise ConfigError(f"{field}: {raw!r} overflows a float") from None
         try:
             return float(raw)
         except ValueError:
@@ -255,6 +255,7 @@ def _apply_override(tree: dict, spec: str) -> None:
     keys = [k for k in path.strip().split(".") if k]
     if not keys:
         raise ConfigError(f"--set {spec!r}: empty key")
+    import yaml
     try:
         value = yaml.safe_load(raw)
     except yaml.YAMLError:
@@ -279,6 +280,7 @@ def load_config(path, overrides=()) -> ExperimentConfig:
         # and report.json echoes must round-trip exactly
         tree = json.loads(text)
     except json.JSONDecodeError:
+        import yaml  # here: a JSON config never loads the YAML parser
         try:
             tree = yaml.safe_load(text)
         except yaml.YAMLError as exc:

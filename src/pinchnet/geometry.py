@@ -3,10 +3,10 @@ noise term xi both engines read from them), preset layout, Voronoi cells.
 
 The typical cluster sits at the origin with its waveguide on the x-axis.
 Interfering cluster centers form a PPP of intensity lam truncated to a disc
-of radius R_sim; each interfering cluster carries its own uniformly
-oriented waveguide and a served user whose projection onto the waveguide
-fixes the activated preset (nearest_preset_offset).  The simulator draws
-the points and their marks; this module holds the shared geometry.
+of radius R_sim about the typical user; each interfering cluster carries
+its own uniformly oriented waveguide and a served user whose projection
+onto the waveguide fixes the activated preset (nearest_preset_offset).
+The simulator draws them; this module holds the shared geometry.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Monte Carlo ground truth for the pinched-antenna network.
 
 Simulates the full system end to end: Poisson cluster centers on a large
-disc, one waveguide per cluster with a random orientation, the served
-user's nearest preset activated, independent blockage and Nakagami fading
-per link, and the resulting SINR of the typical user against the
-threshold params.epsilon, with the noise term params.xi.
+disc about the typical user, one waveguide per cluster with a random
+orientation, the served user's nearest preset activated, independent
+blockage and Nakagami fading per link, and the resulting SINR of the
+typical user against the threshold params.epsilon, with the noise term
+params.xi.
 
 Realizations are simulated in fixed blocks of 256, and reproducibility is
 structural, not incidental.  Every random number comes from a numpy Philox
@@ -12,7 +13,7 @@ stream keyed by the seed with counter words [0, chunk, lane, block]:
 lane 0, chunk 0 holds a block's head (user position, serving blockage and
 serving fading); lane 1, chunk c holds interferer columns c*128 to
 c*128+127 of every realization in the block (radial arrival increments,
-five uniform marks, fading exponentials).  Every draw has a fixed shape, so
+four uniform marks, fading exponentials).  Every draw has a fixed shape, so
 a realization's numbers depend only on (seed, realization index).  Each
 worker simulates one span of whole blocks, and the simulator returns every
 realization's (serving power, interference) sample in index order; the
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -134,20 +134,23 @@ def _received(exps: np.ndarray, d: np.ndarray, los: np.ndarray,
 
 
 def _block_interference(group: list[SystemParams], simcfg: SimConfig,
-                        key: np.ndarray, block: int, users: list,
+                        key: np.ndarray, block: int,
                         buf: np.ndarray) -> list[np.ndarray]:
     """Interference sums of one block at each member of group, drawn chunk
-    by chunk from lane 1; users holds each member's (ux, uy).
+    by chunk from lane 1.
 
-    Sorted squared radii of a disc PPP, times lam pi, are the arrival
-    times of a unit-rate Poisson process.  Row i of a chunk extends
-    realization i's arrival sequence by _CHUNK points; chunks are drawn
-    until every row has passed lam pi R_sim^2, and only arrivals inside
-    that limit contribute.  Every chunk is drawn into buf, whose rows hold
-    the arrivals, the five marks and the fading exponentials.  All of that,
-    and the interferers' centres and orientations, depend on lam alone, so
-    each chunk is drawn once and only the preset choice, distances,
-    blockage and fading gains are worked out per member.
+    The cluster centres are a stationary PPP, so the disc is centred at
+    the typical user: an interferer's distance then needs only its centre
+    distance r, the uniform angle psi between its waveguide and the line
+    to the user, and its preset offset.  Sorted squared radii of a disc
+    PPP, times lam pi, are the arrival times of a unit-rate Poisson
+    process.  Row i of a chunk extends realization i's arrival sequence by
+    _CHUNK points; chunks are drawn until every row has passed
+    lam pi R_sim^2, and only arrivals inside that limit contribute.  buf
+    holds a chunk's arrivals, four marks and fading exponentials.  All of
+    that, and both cosines, depend on lam alone, so each chunk is drawn
+    once and only the preset choice, distances, blockage and fading gains
+    are worked out per member.
     """
     lam = group[0].lam
     interference = [np.zeros(_BLOCK) for _ in group]
@@ -155,8 +158,8 @@ def _block_interference(group: list[SystemParams], simcfg: SimConfig,
         return interference
     limit = lam * math.pi * simcfg.R_sim ** 2
     arrivals = buf[0].reshape(_BLOCK, _CHUNK)
-    marks = buf[1:6]
-    exps = buf[6:]
+    marks = buf[1:5]
+    exps = buf[5:]
     last = np.zeros(_BLOCK)
     chunk = 0
     while np.any(last <= limit):
@@ -171,31 +174,22 @@ def _block_interference(group: list[SystemParams], simcfg: SimConfig,
 
         inside = np.flatnonzero(arrivals <= limit)
         rows = inside // _CHUNK
-        radius = np.sqrt(arrivals.ravel()[inside] / (lam * math.pi))
-        # center angle, orientation, cluster-user radius and angle
-        u_center, u_orient, u_radius, u_angle = np.take(marks[:4], inside, axis=1)
-        u_block = marks[4][inside]
-        c_ang = _TWO_PI * u_center
-        cx = radius * np.cos(c_ang)
-        cy = radius * np.sin(c_ang)
-        theta = math.pi * u_orient
-        cos_t = np.cos(theta)
-        sin_t = np.sin(theta)
-        root_u = np.sqrt(u_radius)
-        cos_u = np.cos(_TWO_PI * u_angle)
+        r2 = arrivals.ravel()[inside] / (lam * math.pi)
+        # psi, cluster-user radius and angle, blockage
+        u_psi, u_radius, u_angle, u_block = np.take(marks, inside, axis=1)
+        two_r_cos = 2.0 * np.sqrt(r2) * np.cos(_TWO_PI * u_psi)
+        # a served user's projection onto its waveguide axis, over R; its
+        # angle relative to that axis is uniform
+        proj = np.sqrt(u_radius) * np.cos(_TWO_PI * u_angle)
         gains = np.take(exps, inside, axis=1)
         # freed before the per-member loop: holding them across it makes
         # the allocator fault fresh pages in on every chunk
-        del radius, u_center, u_orient, u_radius, u_angle, c_ang, theta
-        for params, (ux, uy), total in zip(group, users, interference):
-            # each interferer's waveguide activates the preset nearest to
-            # its own served user's projection onto the waveguide axis;
-            # the user's angle relative to that axis is uniform
-            proj = params.R * root_u * cos_u
-            axial = nearest_preset_offset(proj, params.L, params.Np)
-            dx = cx + axial * cos_t - ux[rows]
-            dy = cy + axial * sin_t - uy[rows]
-            d = np.sqrt(dx * dx + dy * dy + params.H ** 2)
+        del u_psi, u_radius, u_angle
+        for params, total in zip(group, interference):
+            # each waveguide activates the preset nearest to its own served
+            # user's projection: d^2 = r^2 + axial^2 + 2 r axial cos(psi) + H^2
+            axial = nearest_preset_offset(params.R * proj, params.L, params.Np)
+            d = np.sqrt(r2 + axial * (axial + two_r_cos) + params.H ** 2)
             los = u_block < np.exp(-params.beta * d)
             total += np.bincount(rows, weights=_received(gains, d, los, params),
                                  minlength=_BLOCK)
@@ -213,11 +207,10 @@ def _block_samples(group: list[SystemParams], simcfg: SimConfig,
     # rows as the group's largest shape needs (C order: a smaller shape's
     # rows are a prefix of them)
     u = head.random((3, _BLOCK))
-    exps = head.standard_exponential((len(buf) - 6, _BLOCK))
-    users, signals = [], []
+    exps = head.standard_exponential((len(buf) - 5, _BLOCK))
+    signals = []
     for params in group:
         if simcfg.pinned_d0 is not None:
-            ux = uy = np.zeros(_BLOCK)
             d0 = np.full(_BLOCK, simcfg.pinned_d0)
         else:
             # typical cluster at the origin, its waveguide along the x
@@ -229,10 +222,9 @@ def _block_samples(group: list[SystemParams], simcfg: SimConfig,
             off = nearest_preset_offset(ux, params.L, params.Np)
             d0 = np.sqrt((ux - off) ** 2 + uy * uy + params.H ** 2)
         los0 = u[2] < np.exp(-params.beta * d0)
-        users.append((ux, uy))
         signals.append(_received(exps, d0, los0, params))
     return [np.stack(pair) for pair in zip(
-        signals, _block_interference(group, simcfg, key, block, users, buf))]
+        signals, _block_interference(group, simcfg, key, block, buf))]
 
 
 def _span_samples(group: list[SystemParams], simcfg: SimConfig, lo: int,
@@ -244,7 +236,7 @@ def _span_samples(group: list[SystemParams], simcfg: SimConfig, lo: int,
     # chunk let the allocator return their pages to the system and fault
     # them in again on every block
     shape = max(max(params.N_L, params.N_N) for params in group)
-    buf = np.empty((6 + shape, _BLOCK * _CHUNK))
+    buf = np.empty((5 + shape, _BLOCK * _CHUNK))
     first = lo // _BLOCK
     blocks = [_block_samples(group, simcfg, key, b, buf)
               for b in range(first, (hi - 1) // _BLOCK + 1)]
@@ -284,6 +276,8 @@ def _simulate(group: list[SystemParams], simcfg: SimConfig) -> list[np.ndarray]:
     spans = _spans(simcfg.n_realizations, simcfg.workers)
     if len(spans) == 1:
         return _span_samples(group, simcfg, *spans[0])
+    # imported here: a one-span run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     los, his = zip(*spans)
     # the spans fix the bytes; the pool size only how many run at once
     with ProcessPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:

@@ -4,6 +4,9 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -457,6 +460,43 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("config,spec,field", [
+    ('mode: analyze\nparams: {P: "4000 dBm"}\n', None, "params.P"),
+    ('mode: analyze\nparams: {sigma2: "4000 dBm"}\n', None, "params.sigma2"),
+    ('mode: analyze\nsweep: {parameter: P, values: ["0 dBm", "4000 dBm"]}\n', None,
+     "sweep.values[1]"),
+    ("mode: analyze\n", "params.P=4000 dBm", "params.P"),
+], ids=["P", "sigma2", "sweep-P", "set-P"])
+def test_overflowing_dbm_is_config_error(tmp_path, capsys, config, spec, field):
+    # 10^400 W is no float: the run stops at load time naming the field,
+    # not in a traceback
+    path = _write(tmp_path, config)
+    out = tmp_path / "out"
+    overrides = [] if spec is None else ["--set", spec]
+    assert cli.main([str(path), *overrides, "--out", str(out)]) == 2
+    assert f"{field}: '4000 dBm' overflows" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
+def test_json_run_loads_no_yaml_or_pool(tmp_path):
+    # a JSON config at one worker needs neither the YAML parser nor a
+    # process pool, and start-up does not pay to import them
+    path = _write(tmp_path, json.dumps(
+        {"mode": "simulate", "sim": {"n_realizations": 300, "workers": 1}}),
+        name="config.json")
+    code = ("import sys\n"
+            "from pinchnet import cli\n"
+            f"cli.run(cli.load_config({str(path)!r}), {str(tmp_path)!r})\n"
+            "print(sorted(m for m in ('yaml', 'concurrent.futures',"
+            " 'multiprocessing') if m in sys.modules))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          check=True)
+    assert done.stdout.strip() == "[]"
+    assert (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("config,spec,field", [
     ("mode: analyze\n", "params.Np=true", "params: Np"),
     ("mode: analyze\n", "params.N_L=true", "params: N_L"),
     ("mode: analyze\n", "params.N_N=true", "params: N_N"),
@@ -487,7 +527,7 @@ _WORKLOAD_DIGESTS = {
          "sim": {"n_realizations": 10_000, "R_sim": 5000.0, "workers": 1,
                  "seed": 6229},
          "sweep": {"parameter": "P", "values": _DBM_0_TO_30[::5]}},
-        "df9a2dfeada677b7d1db7f3bfe62d91ba296ce950a07e7d47fa2e6de2551ec9f"),
+        "13787c6cc38e1c9b8742cb444b90034d3bde8045f3d6d926e3ab63fd1af645a8"),
     "rate_figure": (
         {"mode": "rate",
          "params": {"lambda": 1.0e-5, "R": 100.0, "L": 100.0, "H": 4.0,
@@ -495,7 +535,7 @@ _WORKLOAD_DIGESTS = {
          "sim": {"n_realizations": 4000, "R_sim": 3000.0, "workers": 1,
                  "seed": 6229},
          "sweep": {"parameter": "Np", "values": [1, 3, 11]}},
-        "b733944aad2b5a21f96dea9be894e74682f0019b6d12d40f948cfbde00ddc539"),
+        "da9f1058801d6b10925b051814fdbad185da0440d16d18e146a2cb8320893855"),
     "bounds_sweep": (
         {"mode": "bounds",
          "params": {"Np": 51},

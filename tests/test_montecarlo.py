@@ -6,6 +6,7 @@ errors are trustworthy at 2e4 realizations).  The heavy cross-validation
 runs at the published operating points live in test_acceptance.py.
 """
 
+import concurrent.futures
 import math
 import os
 from dataclasses import fields, replace
@@ -216,6 +217,18 @@ def test_group_samples_equal_one_point_samples(field, pinned_d0, workers):
         assert samples.tobytes() == mc._simulate([member], sim)[0].tobytes()
 
 
+def test_interference_ignores_user_position():
+    # the truncation disc is centred at the typical user, so pinning the
+    # serving distance moves the serving power but not one interference byte
+    params = default_params()
+    free = mc.SimConfig(n_realizations=600, seed=15)
+    pinned = replace(free, pinned_d0=10.0)
+    (s_free, i_free), (s_pinned, i_pinned) = (
+        mc._simulate([params], sim)[0] for sim in (free, pinned))
+    assert i_pinned.tobytes() == i_free.tobytes()
+    assert s_pinned.tobytes() != s_free.tobytes()
+
+
 def test_group_needs_one_lam():
     params = default_params()
     with pytest.raises(InvalidParameterError, match="lam"):
@@ -241,7 +254,8 @@ def test_pool_capped_at_cpu_count(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", SerialPool)
+    # _simulate imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     params = default_params()
     n = 256 * (os.cpu_count() + 2)
     wide = mc.SimConfig(n_realizations=n, seed=8, R_sim=1000.0, workers=5000)
