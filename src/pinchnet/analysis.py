@@ -49,16 +49,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericInstabilityError
+from .errors import NumericInstabilityError
 from .geometry import SystemParams, preset_offsets, voronoi_cell_bounds
-from .numerics import gauss_chebyshev_nodes, gauss_legendre_rule, integrate_semi_infinite
+from .numerics import (_positive_int, gauss_chebyshev_nodes, gauss_legendre_rule,
+                       integrate_semi_infinite)
 
 __all__ = [
     "AnalysisConfig",
-    "laplace_interference",
-    "zeta_derivative",
-    "lbar_derivatives",
-    "conditional_outage",
     "outage_probability",
     "outage_upper_bound",
     "outage_lower_bound",
@@ -69,14 +66,6 @@ __all__ = [
 # this far outside [0, 1] is rounded onto it; anything further, or not
 # finite, signals that a quadrature order is too low.
 _CLAMP = 1e-9
-
-
-def _positive_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise InvalidParameterError(f"{name} must be >= 1, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -106,63 +95,49 @@ class AnalysisConfig:
 # node tables
 
 
-class _NodeTables:
-    """Gauss-Chebyshev node data of the interference transform.
+def _tables(params: SystemParams, cfg: AnalysisConfig):
+    """Gauss-Chebyshev node data of the interference transform: (pref,
+    ((a_L, D_L, N_L), (a_N, D_N, N_N))).
 
     a_L/a_N fold the node weight w_k sin(phi)/cos^3(phi) together with the
     blockage split exp(-beta d) / 1 - exp(-beta d); D_L/D_N are d^alpha per
     state.  pref is pi^3 lam / (2K).
     """
-
-    __slots__ = ("pref", "a_L", "a_N", "D_L", "D_N", "N_L", "N_N")
-
-    def __init__(self, K: int, lam: float, H: float, beta: float,
-                 alpha_L: float, alpha_N: float, N_L: int, N_N: int):
-        nodes = gauss_chebyshev_nodes(K)
-        tan_phi = np.tan(nodes.phi)
-        d = np.hypot(tan_phi, H)
-        c = nodes.weight * np.sin(nodes.phi) / np.cos(nodes.phi) ** 3
-        p_los = np.exp(-beta * d)
-        self.pref = math.pi ** 3 * lam / (2.0 * K)
-        self.a_L = c * p_los
-        self.a_N = c * (1.0 - p_los)
-        self.D_L = d ** alpha_L
-        self.D_N = d ** alpha_N
-        self.N_L = N_L
-        self.N_N = N_N
-
-    def branches(self):
-        return ((self.a_L, self.D_L, self.N_L), (self.a_N, self.D_N, self.N_N))
+    nodes = gauss_chebyshev_nodes(cfg.K)
+    d = np.hypot(np.tan(nodes.phi), params.H)
+    c = nodes.weight * np.sin(nodes.phi) / np.cos(nodes.phi) ** 3
+    p_los = np.exp(-params.beta * d)
+    return (math.pi ** 3 * params.lam / (2.0 * cfg.K),
+            ((c * p_los, d ** params.alpha_L, params.N_L),
+             (c * (1.0 - p_los), d ** params.alpha_N, params.N_N)))
 
 
-def _tables(params: SystemParams, cfg: AnalysisConfig) -> _NodeTables:
-    return _NodeTables(cfg.K, params.lam, params.H, params.beta,
-                       params.alpha_L, params.alpha_N, params.N_L, params.N_N)
-
-
-def _log_laplace(s, tab: _NodeTables):
+def _log_laplace(s, tab):
     """log L_I(s); s may be a scalar or an ndarray (broadcast over nodes)."""
+    pref, branches = tab
     s_arr = np.asarray(s, dtype=float)[..., None]
     acc = 0.0
-    for a, D, N in tab.branches():
+    for a, D, N in branches:
         acc = acc + np.sum(a * -np.expm1(-N * np.log1p(s_arr / (N * D))), axis=-1)
-    return -tab.pref * acc
+    return -pref * acc
 
 
-def _zeta_vec(j: int, omega, tab: _NodeTables):
+def _zeta_vec(j: int, omega, tab):
     """j-th derivative of log L_I at omega, vectorized: zeta^(j) without the
-    -xi that zeta(w) = log L_I(w) - w xi adds at j = 1."""
+    -xi that zeta(w) = log L_I(w) - w xi adds at j = 1.  Each derivative of
+    a node term multiplies in -(N + i)/(N D), hence the rising factorial."""
+    pref, branches = tab
     w = np.asarray(omega, dtype=float)[..., None]
     acc = 0.0
-    for a, D, N in tab.branches():
+    for a, D, N in branches:
         rising = math.factorial(N + j - 1) // math.factorial(N - 1)
         # int / int rounds once, and stays finite for any shape N
         coef = (-1.0) ** j * (rising / N ** j)
         acc = acc + coef * np.sum(a / D ** j * (1.0 + w / (N * D)) ** (-N - j), axis=-1)
-    return tab.pref * acc
+    return pref * acc
 
 
-def _xi_free(omega, max_order: int, tab: _NodeTables):
+def _xi_free(omega, max_order: int, tab):
     """log L_I and its derivatives 1..max_order at omega: everything L-bar
     needs but the noise term xi."""
     w = np.asarray(omega, dtype=float)
@@ -187,54 +162,6 @@ def _lbar_vec(omega, log_l, zetas: list, xi: float) -> list:
             acc = acc + math.comb(j - 1, i) * zetas[j - i] * vals[i]
         vals.append(acc)
     return vals
-
-
-# ---------------------------------------------------------------------------
-# transform and derivatives (public, scalar)
-
-
-def laplace_interference(s: float, params: SystemParams, cfg: AnalysisConfig) -> float:
-    """Laplace transform of the aggregate interference at argument s.
-
-    Decreasing in s, equal to 1 at s = 0, and independent of Np and L (the
-    interferer field does not know about the serving waveguide's presets).
-    """
-    if not (s >= 0 and math.isfinite(s)):
-        raise InvalidParameterError(f"s must be finite and >= 0, got {s!r}")
-    return float(np.exp(_log_laplace(float(s), _tables(params, cfg))))
-
-
-def zeta_derivative(j: int, omega: float, params: SystemParams,
-                    cfg: AnalysisConfig) -> float:
-    """j-th derivative (j >= 1) of zeta(w) = log L_I(w) - w xi at w = omega.
-
-    The -xi term survives only in the first derivative; each further
-    derivative of the node sum multiplies in -(N_Q + i)/(N_Q D_k), which
-    collapses to the (-1)^j (N_Q + j - 1)!/((N_Q - 1)! N_Q^j D_k^j) pattern.
-    """
-    j = _positive_int(j, "derivative order j")
-    if not (omega >= 0 and math.isfinite(omega)):
-        raise InvalidParameterError(f"omega must be finite and >= 0, got {omega!r}")
-    zeta = float(_zeta_vec(j, float(omega), _tables(params, cfg)))
-    return zeta - params.xi if j == 1 else zeta
-
-
-def lbar_derivatives(omega: float, max_order: int, params: SystemParams,
-                     cfg: AnalysisConfig) -> list[float]:
-    """L-bar(omega) = L_I(omega) e^{-omega xi} and derivatives up to max_order.
-
-    Returns orders 0..max_order inclusive.  Outage needs orders up to
-    N_B - 1; the recursion accepts any nonnegative order.
-    """
-    if isinstance(max_order, bool) or not isinstance(max_order, (int, np.integer)):
-        raise InvalidParameterError(f"max_order must be an integer, got {max_order!r}")
-    if max_order < 0:
-        raise InvalidParameterError(f"max_order must be >= 0, got {max_order!r}")
-    if not (omega >= 0 and math.isfinite(omega)):
-        raise InvalidParameterError(f"omega must be finite and >= 0, got {omega!r}")
-    omega = float(omega)
-    xi_free = _xi_free(omega, int(max_order), _tables(params, cfg))
-    return [float(v) for v in _lbar_vec(omega, *xi_free, params.xi)]
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +222,11 @@ def _transform(rule, params: SystemParams, cfg: AnalysisConfig) -> _Transform:
 
 
 def _outage_batch(transform: _Transform, params: SystemParams) -> np.ndarray:
-    """Conditional outage at the transform's nodes at the noise term
-    params.xi, unclamped.  Every term of a coverage sum is nonnegative,
-    since L-bar^(j) has the sign (-1)^j.  An overflow shows as inf or NaN
-    in the result, which _clamp_probability rejects, so numpy's warnings
-    about it are silenced."""
+    """Conditional outage 1 - sum_B p_B sum_{j<N_B} (-w)^j/j! L-bar^(j)(w)
+    at the transform's nodes at the noise term params.xi, unclamped.  Every
+    term of a coverage sum is nonnegative, since L-bar^(j) has the sign
+    (-1)^j.  An overflow shows as inf or NaN in the result, which
+    _clamp_probability rejects, so numpy's warnings about it are silenced."""
     if params.epsilon == 0.0:
         return np.zeros_like(transform.d0)
     xi = params.xi
@@ -324,23 +251,6 @@ def _average(transform: _Transform, params: SystemParams, context: str) -> float
     """
     p = _outage_batch(transform, params)
     return _clamp_probability(float(np.sum(transform.weight * p)), context)
-
-
-def conditional_outage(d0: float, params: SystemParams, cfg: AnalysisConfig) -> float:
-    """Outage probability of a user served from distance d0.
-
-    Per blockage state B the coverage sum is sum_{j<N_B} ((-w)^j / j!)
-    L-bar^(j)(w) at w = N_B eps d0^alpha_B; the states are mixed with
-    exp(-beta d0) / 1 - exp(-beta d0) and subtracted from 1.  A value that
-    is not finite, or leaves [0, 1] by more than rounding, raises
-    NumericInstabilityError.
-    """
-    if not (d0 >= params.H and math.isfinite(d0)):
-        raise InvalidParameterError(
-            f"d0 must be finite and >= H={params.H!r}, got {d0!r}")
-    rule = (np.array([float(d0)]), np.array([1.0]))
-    return _average(_transform(rule, params, cfg), params,
-                    f"conditional outage at d0={d0!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +359,8 @@ def _spatial_average(name: str, params: SystemParams, cfg: AnalysisConfig) -> fl
 def outage_probability(params: SystemParams, cfg: AnalysisConfig) -> float:
     """Spatially averaged outage of the typical user.
 
-    Averages conditional_outage over the user position, uniform on the disc,
-    with the serving preset fixed per Voronoi strip of the waveguide.
+    Averages the conditional outage over the user position, uniform on the
+    disc, with the serving preset fixed per Voronoi strip of the waveguide.
     Np = 1 reduces to the radial fixed-antenna form.
     """
     return _spatial_average("outage probability", params, cfg)

@@ -236,6 +236,9 @@ def _normalize(tree: dict) -> ExperimentConfig:
         tree.get("analysis"), "analysis", _ANALYSIS_FIELDS, AnalysisConfig)
     sim = _normalize_section(tree.get("sim"), "sim", _SIM_FIELDS, SimConfig)
     sweep = _normalize_sweep(tree.get("sweep"), params)
+    if mode in ("compare", "rate") and sim.pinned_d0 is not None:
+        raise ConfigError(f"sim.pinned_d0: {mode} mode averages over the serving "
+                          "distance; only simulate mode pins it")
     if mode in ("simulate", "compare", "rate"):
         for i, (_, point) in enumerate(_points(params, sweep)):
             try:
@@ -449,9 +452,14 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    status = run(cfg, args.out)
     out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"--out: no output directory: {exc}", file=sys.stderr)
+        return 2
+
+    status = run(cfg, out_dir)
     print(f"wrote {out_dir / 'results.csv'} and {out_dir / 'report.json'}")
     return status
 

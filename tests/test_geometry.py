@@ -76,6 +76,17 @@ def test_params_rejects_nonfinite_numbers():
 
 # ---------------- SINR threshold and noise term ----------------
 
+def test_sinr_threshold():
+    assert default_params(Rbar=0.0).epsilon == 0.0
+    assert default_params(Rbar=1.0).epsilon == 1.0
+    assert default_params(Rbar=2.0).epsilon == 3.0
+    for rbar in (0.3, 4.5, 20.0):
+        assert default_params(Rbar=rbar).epsilon == pytest.approx(
+            math.expm1(rbar * math.log(2.0)), rel=1e-14)
+    with pytest.raises(InvalidParameterError, match="Rbar"):
+        default_params(Rbar=-0.5)
+
+
 def test_params_xi_reference_gain():
     # eta = (c / (4 pi f_c))^2, the free-space gain at 1 m, is 7.26e-7 at 28 GHz
     p = default_params(f_c=28e9)

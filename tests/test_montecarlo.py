@@ -20,6 +20,7 @@ from pinchnet import analysis as an
 from pinchnet import montecarlo as mc
 from pinchnet.errors import InvalidParameterError
 from pinchnet.geometry import SystemParams, default_params
+from test_analysis import conditional_outage
 
 CFG = an.AnalysisConfig()
 
@@ -373,7 +374,7 @@ def test_matches_analysis_without_interference():
 def test_pinned_distance_matches_conditional_outage():
     params = default_params(Rbar=3.0)
     d0 = 15.0
-    analytic = an.conditional_outage(d0, params, CFG)
+    analytic = conditional_outage(d0, params, CFG)
     got, se = mc._outage(mc._simulate(
         [params], mc.SimConfig(n_realizations=20_000, seed=23, pinned_d0=d0))[0], params)
     assert abs(got - analytic) <= 3.0 * se

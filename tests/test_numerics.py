@@ -39,6 +39,8 @@ def test_chebyshev_k2():
 def test_chebyshev_invalid_k():
     with pytest.raises(InvalidParameterError):
         gauss_chebyshev_nodes(0)
+    with pytest.raises(InvalidParameterError):
+        gauss_chebyshev_nodes(True)
 
 
 def test_chebyshev_composite_sin_identity():
@@ -110,6 +112,8 @@ def test_legendre_invalid_interval():
         gauss_legendre_rule(4, 2.0, -1.0)
     with pytest.raises(InvalidParameterError):
         gauss_legendre_rule(0, 0.0, 1.0)
+    with pytest.raises(InvalidParameterError):
+        gauss_legendre_rule(True, 0.0, 1.0)
 
 
 # ---------------- semi-infinite integrals ----------------
