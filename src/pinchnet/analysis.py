@@ -49,10 +49,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericInstabilityError
-from .geometry import SystemParams, preset_offsets, voronoi_cell_bounds
-from .numerics import (_positive_int, gauss_chebyshev_nodes, gauss_legendre_rule,
-                       integrate_semi_infinite)
+from .errors import NumericInstabilityError, _integer
+from .geometry import SystemParams, preset_offsets, voronoi_cells
+from .numerics import gauss_chebyshev_nodes, gauss_legendre_rule, integrate_semi_infinite
 
 __all__ = [
     "AnalysisConfig",
@@ -88,7 +87,7 @@ class AnalysisConfig:
 
     def __post_init__(self):
         for name in ("K", "gl_order_rate"):
-            object.__setattr__(self, name, _positive_int(getattr(self, name), name))
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +313,9 @@ def _polar_rule(xc, a, b, R: float, H: float, order: int):
 def _serving_rule(params: SystemParams, order: int):
     """Serving distances and user-density weights of the outage average:
     the y > 0 half disc (density 2/(pi R^2) by symmetry), one polar row per
-    Voronoi cell about its preset; a single preset is the row (0, -R, R)."""
-    R, Np = params.R, params.Np
-    if Np == 1:
-        rows = (0.0, -R, R)
-    else:
-        cells = np.array([voronoi_cell_bounds(n, Np, params.L, R) for n in range(1, Np + 1)])
-        rows = (preset_offsets(params.L, Np), cells[:, 0], cells[:, 1])
+    Voronoi cell about its preset; a single preset's is (0, -R, R)."""
+    R = params.R
+    rows = (preset_offsets(params.L, params.Np), *voronoi_cells(params.L, params.Np, R))
     d0, weight = _polar_rule(*rows, R, params.H, order)
     return d0, weight * (2.0 / (math.pi * R * R))
 

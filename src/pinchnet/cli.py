@@ -23,6 +23,7 @@ and the package version. Re-running the echoed config reproduces the CSV.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -37,8 +38,8 @@ import numpy as np
 from . import __version__
 from .analysis import (AnalysisConfig, _MEASURES, _average, _transform,
                        _transform_key, ergodic_rate)
-from .errors import ConfigError, InvalidParameterError, NumericError
-from .geometry import SystemParams, default_params
+from .errors import ConfigError, InvalidParameterError, NumericError, _finite, _positive
+from .geometry import SystemParams
 from .montecarlo import SimConfig, _check_run, _draw_key, _outage, _rate, _simulate
 
 MODES = ("analyze", "simulate", "compare", "bounds", "rate")
@@ -50,8 +51,7 @@ _PARAM_ALIASES = {"lambda": "lam"}
 _POWER_FIELDS = ("P", "sigma2")
 
 _PARAM_FIELDS = {f.name for f in dataclasses.fields(SystemParams)}
-_ANALYSIS_FIELDS = {f.name for f in dataclasses.fields(AnalysisConfig)}
-_SIM_FIELDS = {f.name for f in dataclasses.fields(SimConfig)}
+_TOP_LEVEL = ("mode", "params", "analysis", "sim", "sweep")
 
 _DBM_PATTERN = re.compile(r"^\s*([-+]?[0-9.eE+-]+)\s*dBm\s*$")
 
@@ -95,27 +95,27 @@ class ExperimentConfig:
 
 # ------------------------------------------------------------------ load
 
-def _parse_power(field: str, raw) -> float:
-    """Accept plain watts or an 'x dBm' string; convert once, here."""
-    if isinstance(raw, bool):
-        raise ConfigError(f"{field}: expected a power, got {raw!r}")
-    if isinstance(raw, (int, float)):
-        return float(raw)
+def _parse_value(where: str, field: str, raw):
+    """One params or sweep value, converted once: for P and sigma2 watts or
+    an 'x dBm' string, and for every field a number YAML 1.1 leaves as a
+    string ('1e-6', '1.0e8').  Anything else goes on to its field's check."""
+    power = field in _POWER_FIELDS
     if isinstance(raw, str):
-        match = _DBM_PATTERN.match(raw)
+        match = _DBM_PATTERN.match(raw) if power else None
         if match:
             try:
                 return 10.0 ** (float(match.group(1)) / 10.0) / 1000.0
             except ValueError:
-                raise ConfigError(f"{field}: malformed dBm value {raw!r}") from None
+                raise ConfigError(f"{where}: malformed dBm value {raw!r}") from None
             except OverflowError:
-                raise ConfigError(f"{field}: {raw!r} overflows a float") from None
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{field}: expected watts or 'x dBm', got {raw!r}") from None
-    raise ConfigError(f"{field}: expected a number or 'x dBm' string, got {raw!r}")
+                raise ConfigError(f"{where}: {raw!r} overflows a float") from None
+        for kind in (int, float):
+            try:
+                raw = kind(raw)
+                break
+            except ValueError:
+                continue
+    return float(_finite(raw, field)) if power else raw
 
 
 def _noise_power(bandwidth: float) -> float:
@@ -123,130 +123,87 @@ def _noise_power(bandwidth: float) -> float:
     return 10.0 ** (dbm / 10.0) / 1000.0
 
 
-def _coerce_scalar(value):
-    """Recover numbers that YAML 1.1 leaves as strings ('1e-6', '1.0e8')."""
-    if isinstance(value, str):
-        text = value.strip()
-        for kind in (int, float):
-            try:
-                return kind(text)
-            except ValueError:
-                continue
-    return value
-
-
-def _require_mapping(tree, context: str) -> dict:
-    if tree is None:
-        return {}
-    if not isinstance(tree, dict):
-        raise ConfigError(f"{context}: expected a mapping, got {type(tree).__name__}")
-    return tree
-
-
-def _normalize_params(section) -> SystemParams:
-    section = dict(_require_mapping(section, "params"))
-    kwargs = {}
-    for key, value in section.items():
-        kwargs[_PARAM_ALIASES.get(key, key)] = value
-
-    bandwidth = _coerce_scalar(kwargs.pop("bandwidth", None))
-    if bandwidth is not None:
-        if "sigma2" in kwargs:
-            raise ConfigError(
-                "params.bandwidth: conflicts with an explicit sigma2; give one")
-        if isinstance(bandwidth, bool) or not isinstance(bandwidth, (int, float)) \
-                or not bandwidth > 0:
-            raise ConfigError(
-                f"params.bandwidth: expected positive Hz, got {bandwidth!r}")
-
-    unknown = set(kwargs) - _PARAM_FIELDS
-    if unknown:
-        raise ConfigError(f"params.{sorted(unknown)[0]}: unknown parameter")
-
-    for field, value in list(kwargs.items()):
-        if field in _POWER_FIELDS:
-            kwargs[field] = _parse_power(f"params.{field}", value)
-        else:
-            kwargs[field] = _coerce_scalar(value)
-    if "sigma2" not in kwargs:
-        kwargs["sigma2"] = _noise_power(
-            _DEFAULT_BANDWIDTH if bandwidth is None else float(bandwidth))
-
+@contextlib.contextmanager
+def _refusing(context: str):
+    """Turn an InvalidParameterError inside into a ConfigError naming context."""
     try:
-        return default_params(**kwargs)
-    except InvalidParameterError as exc:
-        raise ConfigError(f"params: {exc}") from exc
-
-
-def _normalize_section(section, context: str, allowed: set, cls):
-    section = _require_mapping(section, context)
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"{context}.{sorted(unknown)[0]}: unknown key")
-    try:
-        return cls(**{k: _coerce_scalar(v) for k, v in section.items()})
+        yield
     except InvalidParameterError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
-def _normalize_sweep(section, params: SystemParams) -> Sweep | None:
+def _section(tree, context: str, allowed) -> dict:
+    """A config mapping (None is empty) whose keys are all in allowed."""
+    if tree is None:
+        return {}
+    if not isinstance(tree, dict):
+        raise ConfigError(f"{context}: expected a mapping, got {type(tree).__name__}")
+    unknown = set(tree) - set(allowed)
+    if unknown:
+        raise ConfigError(f"{context}.{sorted(unknown, key=str)[0]}: unknown key")
+    return tree
+
+
+def _normalize_params(section) -> SystemParams:
+    section = _section(section, "params", {*_PARAM_FIELDS, *_PARAM_ALIASES, "bandwidth"})
+    for key, other in (*_PARAM_ALIASES.items(), ("bandwidth", "sigma2")):
+        if key in section and other in section:
+            raise ConfigError(f"params.{key}: conflicts with params.{other}; give one")
+    with _refusing("params"):
+        kwargs = {_PARAM_ALIASES.get(key, key): _parse_value(f"params.{key}", key, value)
+                  for key, value in section.items()}
+        if "sigma2" not in kwargs:
+            bandwidth = kwargs.pop("bandwidth", _DEFAULT_BANDWIDTH)
+            kwargs["sigma2"] = _noise_power(_positive(bandwidth, "bandwidth"))
+        return SystemParams(**kwargs)
+
+
+def _normalize_section(section, context: str, cls):
+    section = _section(section, context, {f.name for f in dataclasses.fields(cls)})
+    with _refusing(context):
+        return cls(**{key: _parse_value(f"{context}.{key}", key, value)
+                      for key, value in section.items()})
+
+
+def _normalize_sweep(section, params: SystemParams, sim) -> Sweep | None:
+    """The sweep, each point built and checked once: by the simulator's
+    checks too when sim is given."""
     if section is None:
         return None
-    section = _require_mapping(section, "sweep")
-    unknown = set(section) - {"parameter", "values"}
-    if unknown:
-        raise ConfigError(f"sweep.{sorted(unknown)[0]}: unknown key")
+    section = _section(section, "sweep", ("parameter", "values"))
     name = section.get("parameter")
-    if not isinstance(name, str):
-        raise ConfigError(f"sweep.parameter: expected a field name, got {name!r}")
-    name = _PARAM_ALIASES.get(name, name)
-    if name not in _PARAM_FIELDS:
+    if not isinstance(name, str) or _PARAM_ALIASES.get(name, name) not in _PARAM_FIELDS:
         raise ConfigError(f"sweep.parameter: {name!r} is not a system parameter")
+    name = _PARAM_ALIASES.get(name, name)
     values = section.get("values")
     if not isinstance(values, (list, tuple)) or not values:
         raise ConfigError("sweep.values: expected a non-empty list")
-    normalized = []
+    parsed = []
     for i, value in enumerate(values):
-        if name in _POWER_FIELDS:
-            value = _parse_power(f"sweep.values[{i}]", value)
-        else:
-            value = _coerce_scalar(value)
-        try:
-            params.with_(**{name: value})
-        except InvalidParameterError as exc:
-            raise ConfigError(f"sweep.values[{i}]: {exc}") from exc
-        normalized.append(value)
-    return Sweep(name, tuple(normalized))
+        with _refusing(f"sweep.values[{i}]"):
+            parsed.append(_parse_value(f"sweep.values[{i}]", name, value))
+            point = params.with_(**{name: parsed[-1]})
+            if sim is not None:
+                _check_run(point, sim)
+    return Sweep(name, tuple(parsed))
 
 
 def _normalize(tree: dict) -> ExperimentConfig:
-    tree = _require_mapping(tree, "config")
-    unknown = set(tree) - {"mode", "params", "analysis", "sim", "sweep"}
-    if unknown:
-        raise ConfigError(f"{sorted(unknown)[0]}: unknown top-level key")
-
+    tree = _section(tree, "config", _TOP_LEVEL)
     mode = tree.get("mode")
-    if mode is None:
-        raise ConfigError("mode: required, one of " + "/".join(MODES))
     if mode not in MODES:
-        raise ConfigError(f"mode: {mode!r} is not one of " + "/".join(MODES))
-
+        raise ConfigError(f"mode: expected one of {'/'.join(MODES)}, got {mode!r}")
     params = _normalize_params(tree.get("params"))
-    analysis = _normalize_section(
-        tree.get("analysis"), "analysis", _ANALYSIS_FIELDS, AnalysisConfig)
-    sim = _normalize_section(tree.get("sim"), "sim", _SIM_FIELDS, SimConfig)
-    sweep = _normalize_sweep(tree.get("sweep"), params)
+    analysis = _normalize_section(tree.get("analysis"), "analysis", AnalysisConfig)
+    sim = _normalize_section(tree.get("sim"), "sim", SimConfig)
     if mode in ("compare", "rate") and sim.pinned_d0 is not None:
         raise ConfigError(f"sim.pinned_d0: {mode} mode averages over the serving "
                           "distance; only simulate mode pins it")
-    if mode in ("simulate", "compare", "rate"):
-        for i, (_, point) in enumerate(_points(params, sweep)):
-            try:
-                _check_run(point, sim)
-            except InvalidParameterError as exc:
-                # its messages open with the sim field at fault
-                where = "" if sweep is None else f"sweep.values[{i}]: "
-                raise ConfigError(f"{where}sim.{exc}") from exc
+    simulated = sim if mode in ("simulate", "compare", "rate") else None
+    sweep = _normalize_sweep(tree.get("sweep"), params, simulated)
+    if sweep is None and simulated is not None:
+        with _refusing("sim"):
+            _check_run(params, sim)
     return ExperimentConfig(mode=mode, params=params, analysis=analysis,
                             sim=sim, sweep=sweep)
 
@@ -263,13 +220,19 @@ def _apply_override(tree: dict, spec: str) -> None:
         value = yaml.safe_load(raw)
     except yaml.YAMLError:
         value = raw
+    *sections, key = keys
     node = tree
-    for key in keys[:-1]:
-        child = node.setdefault(key, {})
-        if not isinstance(child, dict):
-            raise ConfigError(f"--set {spec!r}: {key} is not a section")
-        node = child
-    node[keys[-1]] = value
+    for section in sections:
+        node = node.setdefault(section, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"--set {spec!r}: {section} is not a section")
+    if sections == ["params"]:
+        # one spelling per field, so the override wins over either
+        for alias, canonical in _PARAM_ALIASES.items():
+            if key in (alias, canonical):
+                node.pop(alias, None)
+                key = canonical
+    node[key] = value
 
 
 def load_config(path, overrides=()) -> ExperimentConfig:
@@ -288,7 +251,7 @@ def load_config(path, overrides=()) -> ExperimentConfig:
             tree = yaml.safe_load(text)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: parse error: {exc}") from exc
-    tree = _require_mapping(tree, str(path))
+    tree = _section(tree, "config", _TOP_LEVEL)
     for spec in overrides:
         _apply_override(tree, spec)
     return _normalize(tree)

@@ -16,14 +16,14 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _finite, _integer, _positive
 
 __all__ = [
     "SystemParams",
     "default_params",
     "preset_offsets",
     "nearest_preset_offset",
-    "voronoi_cell_bounds",
+    "voronoi_cells",
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -65,18 +65,17 @@ class SystemParams:
 
     def __post_init__(self):
         for f in fields(self):
-            v = getattr(self, f.name)
-            number = isinstance(v, (int, float, np.integer, np.floating)) \
-                and not isinstance(v, bool)
-            if f.type == "float" and not (number and -math.inf < v < math.inf):
-                raise InvalidParameterError(f"{f.name} must be a finite number, got {v!r}")
-        if (isinstance(self.Np, bool) or not isinstance(self.Np, (int, np.integer))
-                or self.Np < 1 or self.Np % 2 == 0):
-            raise InvalidParameterError(f"Np must be an odd positive integer, got {self.Np!r}")
+            value = getattr(self, f.name)
+            if f.name == "Np":
+                _odd(value)
+            elif f.type == "int":
+                _integer(value, f.name, 1)
+            elif f.name in ("R", "L", "H", "f_c", "sigma2", "P"):
+                _positive(value, f.name)
+            else:
+                _finite(value, f.name)
         if not self.lam >= 0:
             raise InvalidParameterError(f"lam must be >= 0, got {self.lam!r}")
-        if not (self.R > 0 and self.L > 0 and self.H > 0):
-            raise InvalidParameterError("R, L and H must be positive")
         if not self.L / 2 < self.R:
             raise InvalidParameterError(
                 f"waveguide must fit in the cluster: L/2 = {self.L / 2} >= R = {self.R}")
@@ -84,12 +83,6 @@ class SystemParams:
             raise InvalidParameterError(f"alpha_L must be >= 2, got {self.alpha_L!r}")
         if not self.alpha_N >= self.alpha_L:
             raise InvalidParameterError("alpha_N must be >= alpha_L")
-        for name in ("N_L", "N_N"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-                raise InvalidParameterError(f"{name} must be a positive integer, got {v!r}")
-        if not (self.f_c > 0 and self.sigma2 > 0 and self.P > 0):
-            raise InvalidParameterError("f_c, sigma2 and P must be positive")
         # epsilon = 2^Rbar - 1 overflows a double from Rbar = 1024
         if not 0 <= self.Rbar < 1024:
             raise InvalidParameterError(f"Rbar must be in [0, 1024), got {self.Rbar!r}")
@@ -123,15 +116,20 @@ def default_params(**overrides) -> SystemParams:
 
 # -------------------- preset geometry --------------------
 
+def _odd(Np) -> int:
+    """Np, if it is an odd positive integer: a preset count."""
+    if _integer(Np, "Np", 1) % 2 == 0:
+        raise InvalidParameterError(f"Np must be odd, got {Np!r}")
+    return Np
+
+
 def preset_offsets(L: float, Np: int) -> np.ndarray:
     """Signed offsets of the Np presets along the waveguide axis.
 
     Offset of preset n (n = 1..Np) is (L/(Np-1)) (n - (Np+1)/2);
     a single preset sits at the center.
     """
-    if Np % 2 == 0 or Np < 1:
-        raise InvalidParameterError(f"Np must be an odd positive integer, got {Np!r}")
-    if Np == 1:
+    if _odd(Np) == 1:
         return np.zeros(1)
     n = np.arange(1, Np + 1, dtype=np.float64)
     return (L / (Np - 1)) * (n - (Np + 1) / 2.0)
@@ -144,10 +142,8 @@ def nearest_preset_offset(proj, L: float, Np: int):
     waveguide axis; vectorized over proj.  Exact midpoint ties resolve to
     the lower-index (more negative) preset.
     """
-    if Np % 2 == 0 or Np < 1:
-        raise InvalidParameterError(f"Np must be an odd positive integer, got {Np!r}")
     proj = np.asarray(proj, dtype=np.float64)
-    if Np == 1:
+    if _odd(Np) == 1:
         return np.zeros_like(proj)
     delta = L / (Np - 1)
     half = (Np - 1) // 2
@@ -157,18 +153,13 @@ def nearest_preset_offset(proj, L: float, Np: int):
 
 # -------------------- Voronoi partition --------------------
 
-def voronoi_cell_bounds(n: int, Np: int, L: float, R: float) -> tuple[float, float]:
-    """x-interval (A_L, A_U) of the n-th preset's cell on the typical tile.
+def voronoi_cells(L: float, Np: int, R: float) -> tuple[np.ndarray, np.ndarray]:
+    """x-intervals (lo, hi) of the Np presets' cells on the typical tile,
+    left to right, in the order of preset_offsets.
 
-    Cells are indexed n = 1..Np left to right; boundary cells extend to
-    -R / +R and interior boundaries are midpoints between adjacent presets.
-    Requires Np >= 3 (the single-preset case has no partition).
+    Interior boundaries are midpoints between adjacent presets, and the
+    outer cells reach -R and R, so a single preset's cell is (-R, R).
     """
-    if Np < 3 or Np % 2 == 0:
-        raise InvalidParameterError(f"Np must be an odd integer >= 3, got {Np!r}")
-    if not (isinstance(n, (int, np.integer)) and 1 <= n <= Np):
-        raise InvalidParameterError(f"cell index n={n!r} out of range 1..{Np}")
-    delta = L / (Np - 1)
-    a_lo = -R if n == 1 else delta * (n - Np / 2.0 - 1.0)
-    a_hi = R if n == Np else delta * (n - Np / 2.0)
-    return float(a_lo), float(a_hi)
+    inner = (L / max(_odd(Np) - 1, 1)) * (np.arange(1, Np) - Np / 2.0)
+    edges = np.concatenate([[-R], inner, [R]])
+    return edges[:-1], edges[1:]

@@ -47,7 +47,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _integer, _positive
 from .geometry import SystemParams, nearest_preset_offset
 
 __all__ = ["SimConfig"]
@@ -61,12 +61,6 @@ _LANE_HEAD = 0
 _LANE_FIELD = 1
 
 _TWO_PI = 2.0 * math.pi
-
-
-def _positive_number(v) -> bool:
-    """A finite positive number; bools and strings are none."""
-    return (isinstance(v, (int, float, np.integer, np.floating))
-            and not isinstance(v, bool) and 0 < v < math.inf)
 
 
 @dataclass(frozen=True)
@@ -85,23 +79,12 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if isinstance(self.n_realizations, bool) or not isinstance(
-                self.n_realizations, (int, np.integer)) or self.n_realizations < 1:
-            raise InvalidParameterError(
-                f"n_realizations must be a positive integer, got {self.n_realizations!r}")
-        if not _positive_number(self.R_sim):
-            raise InvalidParameterError(f"R_sim must be positive, got {self.R_sim!r}")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
-                or self.seed < 0):
-            raise InvalidParameterError(
-                f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.pinned_d0 is not None and not _positive_number(self.pinned_d0):
-            raise InvalidParameterError(
-                f"pinned_d0 must be positive when set, got {self.pinned_d0!r}")
-        if isinstance(self.workers, bool) or not isinstance(
-                self.workers, (int, np.integer)) or self.workers < 1:
-            raise InvalidParameterError(
-                f"workers must be a positive integer, got {self.workers!r}")
+        _integer(self.n_realizations, "n_realizations", 1)
+        _positive(self.R_sim, "R_sim")
+        _integer(self.seed, "seed", 0)
+        if self.pinned_d0 is not None:
+            _positive(self.pinned_d0, "pinned_d0")
+        _integer(self.workers, "workers", 1)
 
 
 def _check_run(params: SystemParams, simcfg: SimConfig) -> None:

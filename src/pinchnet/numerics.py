@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericError
+from .errors import InvalidParameterError, NumericError, _integer
 
 __all__ = [
     "ChebyshevNodes",
@@ -55,14 +55,6 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-def _positive_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise InvalidParameterError(f"{name} must be >= 1, got {value!r}")
-    return int(value)
-
-
 def gauss_chebyshev_nodes(K: int) -> ChebyshevNodes:
     """Return the K-point Chebyshev abscissas used by the interference sum.
 
@@ -76,7 +68,7 @@ def gauss_chebyshev_nodes(K: int) -> ChebyshevNodes:
     The composite identity used downstream is
         integral_0^{pi/2} f(t) dt ~= (pi^2 / 4K) sum_k weight_k f(phi_k).
     """
-    K = _positive_int(K, "K")
+    K = _integer(K, "K", 1)
     k = np.arange(1, K + 1, dtype=np.float64)
     theta = np.cos((2.0 * k - 1.0) * np.pi / (2.0 * K))
     phi = (np.pi / 4.0) * (1.0 + theta)
@@ -136,7 +128,7 @@ def gauss_legendre_rule(n: int, lo: float, hi: float) -> QuadratureRule:
 
     Raises InvalidParameterError unless n >= 1 and lo < hi are finite.
     """
-    n = _positive_int(n, "order")
+    n = _integer(n, "order", 1)
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise InvalidParameterError(f"invalid interval [{lo}, {hi}]")
     base_x, base_w = _legendre_base(n)

@@ -23,8 +23,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from pinchnet import analysis as an
 from pinchnet.errors import InvalidParameterError, NumericInstabilityError
-from pinchnet.geometry import (SPEED_OF_LIGHT, SystemParams, preset_offsets,
-                               voronoi_cell_bounds)
+from pinchnet.geometry import SPEED_OF_LIGHT, SystemParams, preset_offsets, voronoi_cells
 from pinchnet.numerics import integrate_semi_infinite
 from pinchnet.geometry import default_params
 from test_finite_difference import finite_difference
@@ -310,8 +309,7 @@ def test_strip_weights_cover_half_disc():
         assert weight.sum() == pytest.approx(1.0, rel=1e-13)
         assert np.all(d0 >= params.H)
         R, Np = params.R, params.Np
-        for n, xn in enumerate(preset_offsets(params.L, Np), start=1):
-            a, b = voronoi_cell_bounds(n, Np, params.L, R)
+        for xn, a, b in zip(preset_offsets(params.L, Np), *voronoi_cells(params.L, Np, R)):
             _, row = an._polar_rule(xn, a, b, R, params.H, CFG.gl_order_rate)
             assert row.sum() == pytest.approx(_cell_area(a, b, R), rel=1e-13)
 
@@ -400,11 +398,9 @@ def _strip_mean(params, f, epsabs=1e-11):
     """Mean of f(d0) over a user uniform on the disc, served by the nearest
     preset: scipy over the upper half disc, one Voronoi strip at a time."""
     R, H = params.R, params.H
-    offsets = preset_offsets(params.L, params.Np)
     total = 0.0
-    for n in range(1, params.Np + 1):
-        a, b = voronoi_cell_bounds(n, params.Np, params.L, R)
-        xn = offsets[n - 1]
+    for xn, a, b in zip(preset_offsets(params.L, params.Np),
+                        *voronoi_cells(params.L, params.Np, R)):
         total += integrate.dblquad(
             lambda y, x: f(math.sqrt((x - xn) ** 2 + y * y + H * H)),
             a, b, 0.0, lambda x: math.sqrt(max(R * R - x * x, 0.0)),
@@ -459,10 +455,9 @@ def _polar_strip_mean(params, f):
     """_strip_mean by one radial quad per strip, about the strip's preset:
     fast enough for an f that costs a transform evaluation per call."""
     R = params.R
-    offsets = preset_offsets(params.L, params.Np)
-    total = sum(_polar_integral(f, offsets[n - 1],
-                                *voronoi_cell_bounds(n, params.Np, params.L, R), R, params.H)
-                for n in range(1, params.Np + 1))
+    total = sum(_polar_integral(f, xn, a, b, R, params.H)
+                for xn, a, b in zip(preset_offsets(params.L, params.Np),
+                                    *voronoi_cells(params.L, params.Np, R)))
     return 2.0 / (math.pi * R ** 2) * total
 
 

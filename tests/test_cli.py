@@ -2,6 +2,8 @@
 
 import csv
 import hashlib
+import importlib
+import itertools
 import json
 import math
 import os
@@ -56,10 +58,16 @@ def test_dbm_strings_convert_once(tmp_path):
 
 
 def test_lambda_alias(tmp_path):
-    cfg = cli.load_config(_write(tmp_path, (
-        "mode: analyze\n"
-        "params: {lambda: 2.0e-6}\n")))
-    assert cfg.params.lam == 2.0e-6
+    path = _write(tmp_path, "mode: analyze\nparams: {lambda: 2.0e-6}\n")
+    assert cli.load_config(path).params.lam == 2.0e-6
+    # an override under either spelling wins over the file's, and over
+    # both spellings at once
+    both = _write(tmp_path, "mode: analyze\nparams: {lambda: 2.0e-6, lam: 4.0e-6}\n",
+                  name="both.yaml")
+    for config in (path, both):
+        for key in ("lam", "lambda"):
+            cfg = cli.load_config(config, [f"params.{key}=3.0e-6"])
+            assert cfg.params.lam == 3.0e-6
 
 
 def test_bandwidth_sets_noise_floor(tmp_path):
@@ -104,6 +112,11 @@ def test_unknown_param_rejected(tmp_path):
     path = _write(tmp_path, "mode: analyze\nparams: {Npp: 11}\n")
     with pytest.raises(ConfigError, match="Npp"):
         cli.load_config(path)
+    # YAML keys need not be strings, and unknown keys of two types still
+    # make one message
+    path = _write(tmp_path, "mode: analyze\nparams: {1: 2, Npp: 11}\n", name="mixed.yaml")
+    with pytest.raises(ConfigError, match="params.1: unknown key"):
+        cli.load_config(path)
 
 
 def test_users_per_cluster_is_not_a_parameter(tmp_path):
@@ -143,7 +156,7 @@ def test_sweep_values_validated_up_front(tmp_path):
         "mode: simulate\n"
         "sweep: {parameter: R, values: [20.0, 3000.0]}\n"), name="rsim.yaml")
     for mode in ("simulate", "compare", "rate"):
-        with pytest.raises(ConfigError, match=r"sweep.values\[1\]: sim.R_sim"):
+        with pytest.raises(ConfigError, match=r"sweep.values\[1\]: R_sim"):
             cli.load_config(path, [f"mode={mode}"])
     assert cli.load_config(path, ["mode=analyze"]).sweep.values == (20.0, 3000.0)
 
@@ -451,8 +464,8 @@ def test_config_error_exit_code(tmp_path, capsys):
         assert f"params: {field} must be" in capsys.readouterr().err
     # so do a noise term that overflows and a run the simulator would refuse
     for specs, message in ((("params.sigma2=1e300", "params.P=1e-300"), "params: noise term"),
-                           (("mode=simulate", "sim.pinned_d0=1.0"), "sim.pinned_d0=1.0"),
-                           (("mode=rate", "sim.R_sim=40"), "sim.R_sim=40")):
+                           (("mode=simulate", "sim.pinned_d0=1.0"), "sim: pinned_d0=1.0"),
+                           (("mode=rate", "sim.R_sim=40"), "sim: R_sim=40")):
         args = [arg for spec in specs for arg in ("--set", spec)]
         assert cli.main([str(path), *args, "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
@@ -519,19 +532,53 @@ def test_json_run_loads_no_yaml_or_pool(tmp_path):
     assert (tmp_path / "results.csv").exists()
 
 
-@pytest.mark.parametrize("config,spec,field", [
-    ("mode: analyze\n", "params.Np=true", "params: Np"),
-    ("mode: analyze\n", "params.N_L=true", "params: N_L"),
-    ("mode: analyze\n", "params.N_N=true", "params: N_N"),
-    ("mode: analyze\n", "sim.R_sim=true", "sim: R_sim"),
-    ("mode: analyze\n", "sim.pinned_d0=true", "sim: pinned_d0"),
-    ("mode: analyze\nsweep: {parameter: Np, values: [true, 3]}\n", "mode=analyze",
-     "sweep.values[0]: Np"),
-], ids=["Np", "N_L", "N_N", "R_sim", "pinned_d0", "sweep-Np"])
+# every numeric config field, by section; the integer ones also refuse 3.0
+_NUMBER_FIELDS = {
+    "params": ("lam", "R", "L", "H", "beta", "alpha_L", "alpha_N", "f_c",
+               "sigma2", "P", "Rbar", "bandwidth"),
+    "sim": ("R_sim", "pinned_d0"),
+}
+_INTEGER_FIELDS = {
+    "params": ("Np", "N_L", "N_N"),
+    "sim": ("n_realizations", "seed", "workers"),
+    "analysis": ("K", "gl_order_rate"),
+}
+_NO_NUMBERS = ("true", ".nan", ".inf", "-.inf")
+
+
+def _bad_number_cases():
+    cases = []
+    for fields, bad in ((_NUMBER_FIELDS, _NO_NUMBERS),
+                        (_INTEGER_FIELDS, (*_NO_NUMBERS, "3.0"))):
+        for section, names in fields.items():
+            for name, value in itertools.product(names, bad):
+                cases.append(pytest.param(
+                    "mode: analyze\n", f"{section}.{name}={value}", f"{section}: {name}",
+                    id=name if value == "true" else f"{name}={value}"))
+    for value in (*_NO_NUMBERS, "3.0"):
+        cases.append(pytest.param(
+            f"mode: analyze\nsweep: {{parameter: Np, values: [{value}, 3]}}\n",
+            "mode=analyze", "sweep.values[0]: Np",
+            id="sweep-Np" if value == "true" else f"sweep-Np={value}"))
+    return cases + [
+        # 10^400 is no float either, written as a float or as an integer
+        pytest.param('mode: analyze\nparams: {bandwidth: "1e400"}\n', "mode=analyze",
+                     "params: bandwidth", id="bandwidth=1e400"),
+        pytest.param("mode: analyze\n", "params.R=1" + "0" * 400, "params: R",
+                     id="R=10^400"),
+        # two spellings of one field: neither may win silently
+        pytest.param("mode: analyze\nparams: {lambda: 1.0e-6, lam: 5.0e-6}\n",
+                     "mode=analyze", "params.lambda: conflicts with params.lam",
+                     id="lambda-and-lam"),
+    ]
+
+
+@pytest.mark.parametrize("config,spec,field", _bad_number_cases())
 def test_bool_is_no_number(tmp_path, capsys, config, spec, field):
     # YAML reads true as a bool, and a Python bool is an int: left alone it
-    # would run as 1 and be echoed as true.  Analyze mode leaves the sim
-    # fields to SimConfig alone, with no simulator check behind it.
+    # would run as 1 and be echoed as true.  NaN and the infinities are no
+    # parameter values either, nor is 3.0 an integer.  Analyze mode leaves the
+    # sim fields to SimConfig alone, with no simulator check behind it.
     path = _write(tmp_path, config)
     out = tmp_path / "out"
     assert cli.main([str(path), "--set", spec, "--out", str(out)]) == 2
@@ -611,3 +658,14 @@ def test_nine_significant_digit_cells():
     assert cli._format_cell(None) == ""
     assert cli._format_cell(True) == "true"
     assert cli._format_cell(21) == "21"
+
+
+@pytest.mark.parametrize("target", [
+    "cli.load_config", "cli.run", "analysis.ergodic_rate",
+    "geometry.nearest_preset_offset", "numerics.integrate_semi_infinite",
+    "numerics.gauss_legendre_rule"])
+def test_benchmark_tracer_targets_exist(target):
+    # perfbench/tracer.py times these names by wrapping them; a rename or
+    # deletion here leaves its per-layer metrics reading 0 without failing
+    module, name = target.split(".")
+    assert callable(getattr(importlib.import_module(f"pinchnet.{module}"), name, None))

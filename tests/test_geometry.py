@@ -17,7 +17,7 @@ from pinchnet.geometry import (
     default_params,
     nearest_preset_offset,
     preset_offsets,
-    voronoi_cell_bounds,
+    voronoi_cells,
 )
 from test_montecarlo import laplace_estimate
 
@@ -241,39 +241,37 @@ def test_nearest_offset_midpoint_tie_breaks_low():
 # ---------------- Voronoi cells ----------------
 
 def test_voronoi_examples():
-    assert voronoi_cell_bounds(1, 11, 10.0, 20.0) == (-20.0, -4.5)
-    assert voronoi_cell_bounds(6, 11, 10.0, 20.0) == (-0.5, 0.5)
-    assert voronoi_cell_bounds(11, 11, 10.0, 20.0) == (4.5, 20.0)
+    lo, hi = voronoi_cells(10.0, 11, 20.0)
+    assert (lo[0], hi[0]) == (-20.0, -4.5)
+    assert (lo[5], hi[5]) == (-0.5, 0.5)
+    assert (lo[10], hi[10]) == (4.5, 20.0)
+    # a single preset's cell is the whole diameter
+    lo, hi = voronoi_cells(10.0, 1, 20.0)
+    assert lo.tolist() == [-20.0] and hi.tolist() == [20.0]
 
 
 def test_voronoi_tiling_exact():
-    prev_hi = None
-    for n in range(1, 12):
-        lo, hi = voronoi_cell_bounds(n, 11, 10.0, 20.0)
-        if prev_hi is not None:
-            assert lo == prev_hi
-        assert lo < hi
-        prev_hi = hi
-    assert voronoi_cell_bounds(1, 11, 10.0, 20.0)[0] == -20.0
-    assert voronoi_cell_bounds(11, 11, 10.0, 20.0)[1] == 20.0
+    lo, hi = voronoi_cells(10.0, 11, 20.0)
+    assert len(lo) == len(hi) == 11
+    assert np.array_equal(lo[1:], hi[:-1])
+    assert np.all(lo < hi)
+    assert lo[0] == -20.0 and hi[-1] == 20.0
 
 
 def test_voronoi_cells_contain_their_preset():
     offs = preset_offsets(30.0, 7)
-    for n in range(1, 8):
-        lo, hi = voronoi_cell_bounds(n, 7, 30.0, 50.0)
+    for n, (lo, hi) in enumerate(zip(*voronoi_cells(30.0, 7, 50.0))):
         for x in np.linspace(lo + 1e-9, hi - 1e-9, 25):
             d = np.abs(x - offs)
-            assert d[n - 1] <= d.min() + 1e-12
+            assert d[n] <= d.min() + 1e-12
 
 
 def test_voronoi_bad_index():
-    with pytest.raises(InvalidParameterError):
-        voronoi_cell_bounds(0, 11, 10.0, 20.0)
-    with pytest.raises(InvalidParameterError):
-        voronoi_cell_bounds(12, 11, 10.0, 20.0)
-    with pytest.raises(InvalidParameterError):
-        voronoi_cell_bounds(1, 1, 10.0, 20.0)
+    # every cell comes at once, so no cell index can be out of range; the
+    # preset count still has to be an odd positive integer
+    for np_ in (0, 4, 3.0, True):
+        with pytest.raises(InvalidParameterError, match="Np"):
+            voronoi_cells(10.0, np_, 20.0)
 
 
 # ---------------- preset selection vs the Voronoi partition ----------------
@@ -289,8 +287,7 @@ def test_realization_antenna_distribution_matches_cell_areas():
     xs = nearest_preset_offset(r * np.cos(2 * np.pi * rng.random(n_draws)), p.L, p.Np)
     offs = preset_offsets(p.L, p.Np)
     area = math.pi * p.R ** 2
-    for n in range(1, p.Np + 1):
-        lo, hi = voronoi_cell_bounds(n, p.Np, p.L, p.R)
+    for n, (lo, hi) in enumerate(zip(*voronoi_cells(p.L, p.Np, p.R)), start=1):
         frac = integrate.quad(lambda x: 2 * math.sqrt(p.R ** 2 - x * x), lo, hi)[0] / area
         hits = np.mean(np.isclose(xs, offs[n - 1], atol=1e-9))
         se = math.sqrt(frac * (1 - frac) / n_draws)
