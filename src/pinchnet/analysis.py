@@ -1,17 +1,20 @@
 """Closed-form outage and rate engine.
 
 Everything here evaluates the analytical side of the model: the Laplace
-transform of the aggregate interference seen at the origin, its
-log-derivatives, the conditional and spatially averaged outage probability
-of the typical pinched-antenna link, the fixed-antenna / continuum bounds,
-and the ergodic rate.
+transform of the aggregate interference seen at the origin, the Taylor
+terms of its logarithm, the conditional and spatially averaged outage
+probability of the typical pinched-antenna link, the fixed-antenna /
+continuum bounds, and the ergodic rate.
 
 The interference transform is a Gauss-Chebyshev sum over a half-angle
 substitution r = tan(phi) of the radial interference integral; everything
-downstream (derivatives, outage, rate) reuses the same node tables.  Outage
-needs L-bar and its first N_B - 1 derivatives at omega = N_B eps d0^alpha_B;
-the derivative recursion is cancellation-free because the j-th derivative
-terms all share the sign (-1)^j.
+downstream (outage, rate) reuses the same node tables.  With L-bar = e^zeta,
+the outage's coverage sum sum_{j<N_B} (-w)^j/j! L-bar^(j)(w), at
+w = N_B eps d0^alpha_B, is e^zeta(w) sum_{m<N_B} a_m: the first column of
+the exponential of the lower-triangular Toeplitz matrix of the nonnegative
+t_k = (-w)^k/k! zeta^(k)(w) (C. Li, J. Zhang and K. B. Letaief, IEEE Trans.
+Wireless Commun. 13(5), 2014).  No term cancels, and no factorial leaves
+the double range.
 
 Every quantity averaged over the user position (the outage, both bounds,
 the rate) depends on that position only through rho, its horizontal
@@ -22,18 +25,17 @@ rho theta(rho) drho with theta the closed-form angle of the circle of
 radius rho inside the region, split into panels at the kinks of theta.
 That measure, a few hundred points per cell, is reduced once per call to a
 short rule of Chebyshev nodes in ln d0 (_distance_rule), and the integrand
-is evaluated only at those nodes: the outage runs the derivative recursion
-directly there.
+is evaluated only at those nodes: the outage runs the a_m recursion there.
 
 P, sigma2 and f_c reach the outage only through the noise term xi, and xi
-only through L-bar = L_I e^{-w xi} and the -xi in zeta'.  So each average
-is two steps: a xi-free transform (_transform: the distance rule, and
-log L_I with its derivatives at the nodes), then a reduction at one xi
-(_average).  The transform is a value a caller may pass to several
-reductions; nothing is kept between calls, so every result is a pure
-function of (params, AnalysisConfig): eps and xi are params properties.
+only through L-bar = L_I e^{-w xi} and the w xi it adds to t_1.  So each
+average is two steps: a xi-free transform (_transform: the distance rule,
+and log L_I with the interference part of the t_k at the nodes), then a
+reduction at one xi (_average).  The transform is a value a caller may pass
+to several reductions; nothing is kept between calls, so every result is a
+pure function of (params, AnalysisConfig): eps and xi are params properties.
 
-The ergodic rate needs no derivatives.  Hamdi's lemma (IEEE Trans.
+The ergodic rate needs no Taylor terms.  Hamdi's lemma (IEEE Trans.
 Commun. 58(2), 2010) gives
 E[ln(1 + S/(I + xi))] = int_0^inf z^-1 e^{-z xi} (1 - M_S(z)) L_I(z) dz for
 independent S and I, where M_S is the Laplace transform of the serving
@@ -111,56 +113,49 @@ def _tables(params: SystemParams, cfg: AnalysisConfig):
              (c * (1.0 - p_los), d ** params.alpha_N, params.N_N)))
 
 
-def _log_laplace(s, tab):
-    """log L_I(s); s may be a scalar or an ndarray (broadcast over nodes)."""
-    pref, branches = tab
-    s_arr = np.asarray(s, dtype=float)[..., None]
-    acc = 0.0
-    for a, D, N in branches:
-        acc = acc + np.sum(a * -np.expm1(-N * np.log1p(s_arr / (N * D))), axis=-1)
-    return -pref * acc
-
-
-def _zeta_vec(j: int, omega, tab):
-    """j-th derivative of log L_I at omega, vectorized: zeta^(j) without the
-    -xi that zeta(w) = log L_I(w) - w xi adds at j = 1.  Each derivative of
-    a node term multiplies in -(N + i)/(N D), hence the rising factorial."""
+def _xi_free(omega, max_order: int, tab):
+    """log L_I and the interference part of t_1..t_max_order at omega, where
+    t_k = (-w)^k/k! zeta^(k)(w).  A node term -a (1 - (1 + x)^-N) of log L_I,
+    x = w/(N D), gives t_k = a C(N + k - 1, k) x^k (1 + x)^(-N-k), a times a
+    negative-binomial weight; each follows from the one before by the factor
+    (N + k - 1)/k x/(1 + x), which needs no power and no factorial.  omega
+    may be a scalar or an ndarray (broadcast over the nodes)."""
     pref, branches = tab
     w = np.asarray(omega, dtype=float)[..., None]
-    acc = 0.0
+    log_l = 0.0
+    ts = [0.0] * max_order
+    # three buffers serve both branches: a fresh array per step would have
+    # its pages faulted in anew
+    shape = w.shape[:-1] + branches[0][0].shape
+    x, n_log, term = np.empty(shape), np.empty(shape), np.empty(shape)
     for a, D, N in branches:
-        rising = math.factorial(N + j - 1) // math.factorial(N - 1)
-        # int / int rounds once, and stays finite for any shape N
-        coef = (-1.0) ** j * (rising / N ** j)
-        acc = acc + coef * np.sum(a / D ** j * (1.0 + w / (N * D)) ** (-N - j), axis=-1)
-    return pref * acc
+        np.log1p(np.divide(w, N * D, out=x), out=n_log)
+        n_log *= -N
+        np.multiply(a, np.expm1(n_log, out=term), out=term)
+        log_l = log_l + np.sum(term, axis=-1)
+        if max_order:
+            # term becomes the node's a (1 + x)^-N, and x becomes x/(1 + x)
+            np.multiply(a, np.exp(n_log, out=term), out=term)
+            np.divide(x, np.add(x, 1.0, out=n_log), out=x)
+        for k in range(1, max_order + 1):
+            term *= x
+            term *= (N + k - 1) / k
+            ts[k - 1] = ts[k - 1] + np.sum(term, axis=-1)
+    return pref * log_l, [pref * t for t in ts]
 
 
-def _xi_free(omega, max_order: int, tab):
-    """log L_I and its derivatives 1..max_order at omega: everything L-bar
-    needs but the noise term xi."""
-    w = np.asarray(omega, dtype=float)
-    return _log_laplace(w, tab), [_zeta_vec(j, w, tab) for j in range(1, max_order + 1)]
-
-
-def _lbar_vec(omega, log_l, zetas: list, xi: float) -> list:
-    """L-bar(w) = L_I(w) e^{-w xi} and derivatives 0..len(zetas) from the
-    xi-free parts at omega (_xi_free).
-
-    The recursion L^(j) = sum_i C(j-1, i) zeta^(j-i) L^(i) only ever adds
-    terms of one sign at a given j, so no precision is lost to cancellation.
-    """
-    w = np.asarray(omega, dtype=float)
-    vals = [np.exp(log_l - w * xi)]
-    if not zetas:
-        return vals
-    zetas = [None, zetas[0] - xi, *zetas[1:]]
-    for j in range(1, len(zetas)):
-        acc = 0.0
-        for i in range(j):
-            acc = acc + math.comb(j - 1, i) * zetas[j - i] * vals[i]
-        vals.append(acc)
-    return vals
+def _lbar_series(omega, log_l, ts: list, xi: float):
+    """L-bar(w) = L_I(w) e^{-w xi} and a_0..a_len(ts) at omega from the
+    xi-free parts there (_xi_free): (-w)^m/m! L-bar^(m)(w) = L-bar(w) a_m.
+    As L-bar(w (1 - u)) = L-bar(w) exp(sum_k t_k u^k), a_0 = 1 and
+    m a_m = sum_{k=1}^m k t_k a_{m-k}, where xi adds w xi to t_1."""
+    kt = [k * t for k, t in enumerate(ts, 1)]
+    if kt:
+        kt[0] = kt[0] + omega * xi
+    a = [1.0]
+    for m in range(1, len(kt) + 1):
+        a.append(sum(kt[k] * a[m - 1 - k] for k in range(m)) / m)
+    return np.exp(log_l - omega * xi), a
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +187,8 @@ def _transform_key(params: SystemParams) -> tuple:
 class _Transform(NamedTuple):
     """The xi-free part of a mean conditional outage: the rule's nodes d0
     and weights and, per blockage state B, the tuple (p_B(d0), omega_B,
-    log L_I(omega_B), [d^j/dw^j log L_I(omega_B) for 1 <= j < N_B])."""
+    log L_I(omega_B), [interference part of t_k(omega_B) for 1 <= k < N_B])
+    with t_k as in _xi_free."""
 
     d0: np.ndarray
     weight: np.ndarray
@@ -204,9 +200,9 @@ def _transform(rule, params: SystemParams, cfg: AnalysisConfig) -> _Transform:
     rule, at the nodes of its distance rule.
 
     It reads params only through eps and the geometry (_transform_key), so
-    a caller may reduce one transform at several noise terms.  An overflow
-    (shapes N >= 170) shows as inf here and fails the reduction, so numpy's
-    warnings about it are silenced.
+    a caller may reduce one transform at several noise terms.  An omega
+    past the double range shows as inf or NaN here and fails the
+    reduction, so numpy's warnings about it are silenced.
     """
     d0, weight = _distance_rule(*rule, cfg.gl_order_rate)
     tab = _tables(params, cfg)
@@ -221,24 +217,18 @@ def _transform(rule, params: SystemParams, cfg: AnalysisConfig) -> _Transform:
 
 
 def _outage_batch(transform: _Transform, params: SystemParams) -> np.ndarray:
-    """Conditional outage 1 - sum_B p_B sum_{j<N_B} (-w)^j/j! L-bar^(j)(w)
-    at the transform's nodes at the noise term params.xi, unclamped.  Every
-    term of a coverage sum is nonnegative, since L-bar^(j) has the sign
-    (-1)^j.  An overflow shows as inf or NaN in the result, which
-    _clamp_probability rejects, so numpy's warnings about it are silenced."""
+    """Conditional outage 1 - sum_B p_B sum_{j<N_B} (-w)^j/j! L-bar^(j)(w),
+    that is 1 - sum_B p_B L-bar(w) sum_{m<N_B} a_m (_lbar_series), at the
+    transform's nodes at the noise term params.xi, unclamped.  Where the a_m
+    overflow, L-bar has underflowed: 0 * inf is NaN, which _clamp_probability
+    rejects, so numpy's warnings about it are silenced."""
     if params.epsilon == 0.0:
         return np.zeros_like(transform.d0)
-    xi = params.xi
     coverage = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for p_b, omega, log_l, zetas in transform.branches:
-            lbars = _lbar_vec(omega, log_l, zetas, xi)
-            term = 1.0
-            c = lbars[0]
-            for j in range(1, len(lbars)):
-                term *= -omega / j
-                c += term * lbars[j]
-            coverage += p_b * c
+        for p_b, omega, log_l, ts in transform.branches:
+            lbar, a = _lbar_series(omega, log_l, ts, params.xi)
+            coverage += p_b * lbar * sum(a)
     return 1.0 - coverage
 
 
@@ -442,7 +432,7 @@ def ergodic_rate(params: SystemParams, cfg: AnalysisConfig) -> float:
         miss = 0.0
         for w, gain, n in branches:
             miss = miss + np.sum(w * -np.expm1(-n * np.log1p(zc * gain)), axis=-1)
-        return np.exp(_log_laplace(z, tab) - z * xi) * miss / z
+        return np.exp(_xi_free(z, 0, tab)[0] - z * xi) * miss / z
 
     nats = integrate_semi_infinite(integrand, cfg.gl_order_rate)
     rate = (1.0 / math.log(2.0)) * nats

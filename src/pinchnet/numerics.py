@@ -150,12 +150,12 @@ def integrate_semi_infinite(f: Callable, order: int) -> float:
     relative to the running total.
 
     ``f`` must be vectorized: it maps the panel's x array to an array of
-    the same shape.  A non-finite integrand value raises NumericError
-    whose message names the offending x.  Panel sums use np.sum, which
-    reduces pairwise inside numpy, so the result does not depend on the
-    BLAS thread count.
+    the same shape.  An order that is not an integer >= 1 raises
+    InvalidParameterError, and a non-finite integrand value NumericError
+    naming the offending x.  Panel sums use np.sum, which reduces pairwise
+    inside numpy, so the result does not depend on the BLAS thread count.
     """
-    base_x, base_w = _legendre_base(int(order))
+    base_x, base_w = _legendre_base(_integer(order, "order", 1))
 
     # work in s = 1 - u so the dyadic panel edges stay exact; then
     # x = 1/s - 1 and the Jacobian is 1/s^2

@@ -406,10 +406,12 @@ def test_numeric_failure_marks_row_and_exit_status(tmp_path, monkeypatch):
     ("bounds", 'sweep: {parameter: P, values: ["0 dBm", "20 dBm", "40 dBm"]}\n'),
 ], ids=["analyze", "bounds", "bounds-P"])
 def test_numeric_failure_prints_no_numpy_warnings(tmp_path, capsys, mode, sweep):
-    # the coverage sum overflows at shape 200; each row's error line says
-    # so, and numpy's overflow warnings on the way would only be noise.
+    # at Rbar = 1000 (eps = 2^1000 - 1) the coverage terms a_m overflow
+    # where L-bar has underflowed, and the coverage sum is 0 * inf; each
+    # row's error line says so, and numpy's overflow warnings on the way
+    # would only be noise.
     # The P sweep shares one transform, yet every row fails on its own
-    path = _write(tmp_path, f"mode: {mode}\nparams: {{N_L: 200, N_N: 200}}\n{sweep}")
+    path = _write(tmp_path, f"mode: {mode}\nparams: {{Rbar: 1000}}\n{sweep}")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert cli.main([str(path), "--out", str(tmp_path)]) == 1

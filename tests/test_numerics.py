@@ -148,6 +148,14 @@ def test_semi_infinite_nonfinite_raises_with_eps():
     assert float(str(exc.value).rpartition("x=")[2]) > 3.0
 
 
+@pytest.mark.parametrize("order", [0, True, 2.7])
+def test_semi_infinite_rejects_bad_order(order):
+    # checked like gauss_legendre_rule's: unchecked, order 0 ends in numpy's
+    # ValueError, and int() runs True or 2.7 silently as orders 1 and 2
+    with pytest.raises(InvalidParameterError):
+        integrate_semi_infinite(lambda e: np.exp(-e), order)
+
+
 def test_semi_infinite_order_doubling_converges():
     # order-doubling oracle on a heavy-tailed integrand
     prev = None
