@@ -8,13 +8,14 @@ typical user against the threshold params.epsilon, with the noise term
 params.xi.
 
 Realizations are simulated in fixed blocks of 256, and reproducibility is
-structural, not incidental.  Every random number comes from a numpy Philox
-stream keyed by the seed with counter words [0, chunk, lane, block]:
-lane 0, chunk 0 holds a block's head (user position, serving blockage and
-serving fading); lane 1, chunk c holds interferer columns c*128 to
-c*128+127 of every realization in the block (radial arrival increments,
-four uniform marks, fading exponentials).  Every draw has a fixed shape, so
-a realization's numbers depend only on (seed, realization index).  Each
+structural, not incidental.  Every random number comes from a numpy SFC64
+stream seeded by SeedSequence(seed, spawn_key=(chunk, lane, block)), the
+spawning scheme numpy documents for independent streams: lane 0, chunk 0
+holds a block's head (user position, serving blockage and serving fading);
+lane 1, chunk c holds interferer columns c*128 to c*128+127 of every
+realization in the block (radial arrival increments, four uniform marks,
+fading exponentials).  Every draw has a fixed shape, so a realization's
+numbers depend only on (seed, realization index).  Each
 worker simulates one span of whole blocks, and the simulator returns every
 realization's (serving power, interference) sample in index order; the
 two reductions, _outage and _rate, turn those samples into an estimate
@@ -56,7 +57,7 @@ __all__ = ["SimConfig"]
 # layout of the random draws: changing either changes every seed's sample.
 _BLOCK = 256
 _CHUNK = 128
-# Philox counter lane per random role
+# spawn-key lane per random role
 _LANE_HEAD = 0
 _LANE_FIELD = 1
 
@@ -96,11 +97,10 @@ def _check_run(params: SystemParams, simcfg: SimConfig) -> None:
             f"pinned_d0={simcfg.pinned_d0!r} is below the antenna height {params.H!r}")
 
 
-def _stream(key: np.ndarray, chunk: int, lane: int, block: int):
-    # Philox counter words [0, chunk, lane, block]: draws advance word 0
-    # only, leaving 2^64 counter steps of headroom per stream
-    return np.random.Generator(
-        np.random.Philox(key=key, counter=[0, chunk, lane, block]))
+def _stream(seed: int, chunk: int, lane: int, block: int):
+    # one independent stream per (chunk, lane, block), spawned from the seed
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed, spawn_key=(chunk, lane, block))))
 
 
 def _received(exps: np.ndarray, d: np.ndarray, los: np.ndarray,
@@ -117,8 +117,7 @@ def _received(exps: np.ndarray, d: np.ndarray, los: np.ndarray,
 
 
 def _block_interference(group: list[SystemParams], simcfg: SimConfig,
-                        key: np.ndarray, block: int,
-                        buf: np.ndarray) -> list[np.ndarray]:
+                        block: int, buf: np.ndarray) -> list[np.ndarray]:
     """Interference sums of one block at each member of group, drawn chunk
     by chunk from lane 1.
 
@@ -146,7 +145,7 @@ def _block_interference(group: list[SystemParams], simcfg: SimConfig,
     last = np.zeros(_BLOCK)
     chunk = 0
     while np.any(last <= limit):
-        rng = _stream(key, chunk, _LANE_FIELD, block)
+        rng = _stream(simcfg.seed, chunk, _LANE_FIELD, block)
         rng.standard_exponential(out=arrivals)
         arrivals[:, 0] += last
         np.cumsum(arrivals, axis=1, out=arrivals)
@@ -180,12 +179,11 @@ def _block_interference(group: list[SystemParams], simcfg: SimConfig,
 
 
 def _block_samples(group: list[SystemParams], simcfg: SimConfig,
-                   key: np.ndarray, block: int,
-                   buf: np.ndarray) -> list[np.ndarray]:
+                   block: int, buf: np.ndarray) -> list[np.ndarray]:
     """(serving power, interference) rows of block `block` (realizations
     block * _BLOCK ... block * _BLOCK + _BLOCK - 1) at each member of
     group."""
-    head = _stream(key, 0, _LANE_HEAD, block)
+    head = _stream(simcfg.seed, 0, _LANE_HEAD, block)
     # user radius, user angle, serving blockage; serving fading, as many
     # rows as the group's largest shape needs (C order: a smaller shape's
     # rows are a prefix of them)
@@ -207,21 +205,20 @@ def _block_samples(group: list[SystemParams], simcfg: SimConfig,
         los0 = u[2] < np.exp(-params.beta * d0)
         signals.append(_received(exps, d0, los0, params))
     return [np.stack(pair) for pair in zip(
-        signals, _block_interference(group, simcfg, key, block, buf))]
+        signals, _block_interference(group, simcfg, block, buf))]
 
 
 def _span_samples(group: list[SystemParams], simcfg: SimConfig, lo: int,
                   hi: int) -> list[np.ndarray]:
     """Samples of realizations lo..hi-1 at each member of group, cut from
     the blocks covering them."""
-    key = np.random.SeedSequence(simcfg.seed).generate_state(2, dtype=np.uint64)
     # one chunk's draws, reused by every block: fresh multi-MB arrays per
     # chunk let the allocator return their pages to the system and fault
     # them in again on every block
     shape = max(max(params.N_L, params.N_N) for params in group)
     buf = np.empty((5 + shape, _BLOCK * _CHUNK))
     first = lo // _BLOCK
-    blocks = [_block_samples(group, simcfg, key, b, buf)
+    blocks = [_block_samples(group, simcfg, b, buf)
               for b in range(first, (hi - 1) // _BLOCK + 1)]
     cut = slice(lo - first * _BLOCK, hi - first * _BLOCK)
     return [np.concatenate(member, axis=1)[:, cut] for member in zip(*blocks)]

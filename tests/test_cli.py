@@ -599,7 +599,7 @@ _WORKLOAD_DIGESTS = {
          "sim": {"n_realizations": 10_000, "R_sim": 5000.0, "workers": 1,
                  "seed": 6229},
          "sweep": {"parameter": "P", "values": _DBM_0_TO_30[::5]}},
-        "13787c6cc38e1c9b8742cb444b90034d3bde8045f3d6d926e3ab63fd1af645a8"),
+        "199b71ae9959ac49bb3c374becde46662523ffcf9147e36d0a57d758ca761d98"),
     "rate_figure": (
         {"mode": "rate",
          "params": {"lambda": 1.0e-5, "R": 100.0, "L": 100.0, "H": 4.0,
@@ -607,7 +607,7 @@ _WORKLOAD_DIGESTS = {
          "sim": {"n_realizations": 4000, "R_sim": 3000.0, "workers": 1,
                  "seed": 6229},
          "sweep": {"parameter": "Np", "values": [1, 3, 11]}},
-        "da9f1058801d6b10925b051814fdbad185da0440d16d18e146a2cb8320893855"),
+        "43032356ef475d69d6b34f3d78240909ee12cc1bb13e9afb1d18321f8b584d21"),
     "bounds_sweep": (
         {"mode": "bounds",
          "params": {"Np": 51},

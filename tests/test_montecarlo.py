@@ -154,7 +154,7 @@ def test_spans_compute_each_block_once(monkeypatch, n, workers, blocks):
     block_samples = mc._block_samples
 
     def counted(*args):
-        calls.append(args[3])
+        calls.append(args[2])
         return block_samples(*args)
 
     monkeypatch.setattr(mc, "_block_samples", counted)
