@@ -607,7 +607,7 @@ _WORKLOAD_DIGESTS = {
          "sim": {"n_realizations": 4000, "R_sim": 3000.0, "workers": 1,
                  "seed": 6229},
          "sweep": {"parameter": "Np", "values": [1, 3, 11]}},
-        "43032356ef475d69d6b34f3d78240909ee12cc1bb13e9afb1d18321f8b584d21"),
+        "0906151f7ed1453b2a271619201cce321c12e2bf4c8e2fe2fc44a0e2f41131e4"),
     "bounds_sweep": (
         {"mode": "bounds",
          "params": {"Np": 51},

@@ -175,6 +175,58 @@ def test_values_nest_in_sample_size():
     assert short.tobytes() == long[:, :300].tobytes()
 
 
+def test_seeds_past_64_bits_simulate_apart():
+    # SeedSequence takes any nonnegative integer as entropy
+    params = default_params()
+    big = mc._simulate([params], mc.SimConfig(n_realizations=300, seed=2**70))[0]
+    nxt = mc._simulate([params], mc.SimConfig(n_realizations=300, seed=2**70 + 1))[0]
+    assert np.all(np.isfinite(big))
+    assert not np.array_equal(big[0], nxt[0])
+    assert not np.array_equal(big[1], nxt[1])
+
+
+def test_lanes_of_one_block_are_different_streams():
+    head, field = (mc._stream(5, 0, lane, 3).random(8)
+                   for lane in (mc._LANE_HEAD, mc._LANE_FIELD))
+    assert not np.array_equal(head, field)
+
+
+# ------------------------------------------------------- float32 cosines
+
+# the README figure geometries: 2e4 realizations give about 1.6e6 and
+# 5.7e6 interferers
+_COSINE_GEOMETRIES = {
+    "outage": (default_params(), 5000.0),
+    "rate": (default_params(alpha_N=4.0, lam=1e-5, R=100.0, L=100.0, H=4.0,
+                            P=1.0, Np=3), 3000.0),
+}
+
+
+@pytest.mark.parametrize("geometry,rounding,largest", [
+    ("outage", 1e-6, 1e-6), ("rate", 3e-5, 2e-3)])
+def test_float32_cosines_move_samples_by_rounding(monkeypatch, geometry,
+                                                  rounding, largest):
+    # against float64 cosines of the same marks: the serving links do not
+    # use them, and an interference sum moves by the float32 error (below
+    # 3e-7 in the cosine, amplified where an antenna sits near the user:
+    # measured 2.1e-7 at the outage geometry, 8.8e-6 at the rate geometry).
+    # A mark within rounding of a preset-choice or blockage boundary flips
+    # an interferer and moves its sample further: one such sample in 2e4
+    # at the rate geometry here (7.4e-4)
+    params, R_sim = _COSINE_GEOMETRIES[geometry]
+    sim = mc.SimConfig(n_realizations=20_000, R_sim=R_sim, seed=6229)
+    fast = mc._simulate([params], sim)[0]
+    monkeypatch.setattr(mc, "_cos_turns", lambda u: np.cos(mc._TWO_PI * u))
+    exact = mc._simulate([params], sim)[0]
+    assert fast[0].tobytes() == exact[0].tobytes()
+    rel = np.abs(fast[1] - exact[1]) / np.where(exact[1] > 0.0, exact[1], 1.0)
+    assert rel.max() <= largest
+    assert np.count_nonzero(rel > rounding) <= 1
+    for reduce in (mc._outage, mc._rate):
+        (got, _), (want, se) = reduce(fast, params), reduce(exact, params)
+        assert abs(got - want) <= 0.01 * se
+
+
 # one changed value per SystemParams field; the simulator reads every
 # field but the first four, which enter only through xi and epsilon
 _FIELD_CHANGES = {"P": 1.0, "sigma2": 1e-10, "f_c": 3.5e9, "Rbar": 3.0,
