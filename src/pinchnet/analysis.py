@@ -145,17 +145,25 @@ def _xi_free(omega, max_order: int, tab):
 
 
 def _lbar_series(omega, log_l, ts: list, xi: float):
-    """L-bar(w) = L_I(w) e^{-w xi} and a_0..a_len(ts) at omega from the
-    xi-free parts there (_xi_free): (-w)^m/m! L-bar^(m)(w) = L-bar(w) a_m.
-    As L-bar(w (1 - u)) = L-bar(w) exp(sum_k t_k u^k), a_0 = 1 and
-    m a_m = sum_{k=1}^m k t_k a_{m-k}, where xi adds w xi to t_1."""
-    kt = [k * t for k, t in enumerate(ts, 1)]
-    if kt:
-        kt[0] = kt[0] + omega * xi
-    a = [1.0]
+    """log L-bar(w) = log L_I(w) - w xi, a scale s >= 1 and b_0..b_len(ts),
+    b_m = a_m / s^m, at omega from the xi-free parts there (_xi_free):
+    (-w)^m/m! L-bar^(m)(w) = L-bar(w) a_m.  As L-bar(w (1 - u)) =
+    L-bar(w) exp(sum_k t_k u^k), a_0 = 1 and m a_m = sum_{k=1}^m k t_k a_{m-k},
+    where xi adds w xi to t_1.  The b_m follow the same recursion in the
+    t_k / s^k.  With n = len(ts) and s = max(1, t_1 / n), neither they nor
+    L-bar s^n overflow where the a_m would: at s > 1, a_m >= t_1^m/m! gives
+    b_m >= 1 for m <= n, and t_1 <= -log L-bar gives L-bar s^n <= e^-n.
+    At s = 1 the b_m are the a_m."""
+    ts = list(ts)
+    s = 1.0
+    if ts:
+        ts[0] = ts[0] + omega * xi
+        s = np.maximum(1.0, ts[0] / len(ts))
+    kt = [k * t / s ** k for k, t in enumerate(ts, 1)]
+    b = [1.0]
     for m in range(1, len(kt) + 1):
-        a.append(sum(kt[k] * a[m - 1 - k] for k in range(m)) / m)
-    return np.exp(log_l - omega * xi), a
+        b.append(sum(kt[k] * b[m - 1 - k] for k in range(m)) / m)
+    return log_l - omega * xi, s, b
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +226,22 @@ def _transform(rule, params: SystemParams, cfg: AnalysisConfig) -> _Transform:
 
 def _outage_batch(transform: _Transform, params: SystemParams) -> np.ndarray:
     """Conditional outage 1 - sum_B p_B sum_{j<N_B} (-w)^j/j! L-bar^(j)(w),
-    that is 1 - sum_B p_B L-bar(w) sum_{m<N_B} a_m (_lbar_series), at the
-    transform's nodes at the noise term params.xi, unclamped.  Where the a_m
-    overflow, L-bar has underflowed: 0 * inf is NaN, which _clamp_probability
-    rejects, so numpy's warnings about it are silenced."""
+    that is 1 - sum_B p_B L-bar(w) sum_{m<N_B} a_m, at the transform's nodes
+    at the noise term params.xi, unclamped.  With a_m = b_m s^m and n = N_B - 1
+    (_lbar_series), L-bar sum_m a_m = e^{log L-bar + n log s} sum_m b_m s^(m-n),
+    whose sum has no term above b_m.  An omega past the double range makes
+    -inf + inf = NaN in the exponent, which _clamp_probability rejects, so
+    numpy's warnings about it are silenced."""
     if params.epsilon == 0.0:
         return np.zeros_like(transform.d0)
     coverage = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for p_b, omega, log_l, ts in transform.branches:
-            lbar, a = _lbar_series(omega, log_l, ts, params.xi)
-            coverage += p_b * lbar * sum(a)
+            log_lbar, s, b = _lbar_series(omega, log_l, ts, params.xi)
+            total = 0.0
+            for b_m in b:
+                total = total / s + b_m
+            coverage += p_b * np.exp(log_lbar + (len(b) - 1) * np.log(s)) * total
     return 1.0 - coverage
 
 

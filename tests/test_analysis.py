@@ -69,11 +69,11 @@ def zeta_derivative(j, omega, params, cfg):
 
 def lbar_derivatives(omega, max_order, params, cfg):
     """L-bar(w) = L_I(w) e^{-w xi} and its derivatives 0..max_order at omega,
-    L-bar m! a_m / (-w)^m from the engine's coverage-sum terms a_m."""
+    L-bar m! a_m / (-w)^m from the engine's coverage-sum terms a_m = b_m s^m."""
     xi_free = an._xi_free(float(omega), max_order, an._tables(params, cfg))
-    lbar, a = an._lbar_series(float(omega), *xi_free, params.xi)
-    return [float(lbar * math.factorial(m) * a_m / (-omega) ** m)
-            for m, a_m in enumerate(a)]
+    log_lbar, s, b = an._lbar_series(float(omega), *xi_free, params.xi)
+    return [float(math.exp(log_lbar) * math.factorial(m) * b_m * s ** m / (-omega) ** m)
+            for m, b_m in enumerate(b)]
 
 
 def conditional_outage(d0, params, cfg):
@@ -274,9 +274,7 @@ def test_conditional_outage_is_a_probability_monotone_in_threshold(
         N_L, N_N, lam, d0, log_eps, log_step):
     # over shapes 1..40, densities up to 1e-3 and thresholds 1e-3..1e6
     # (past 1e6 the outage is 1 to rounding at every d0 here): the outage
-    # lies in [0, 1] and a higher threshold does not lower it.  At shape 40
-    # and d0 = 40 the coverage terms a_m overflow from eps near 1e8, where
-    # the outage raises NumericInstabilityError instead of reading 1
+    # lies in [0, 1] and a higher threshold does not lower it
     params = PARAMS.with_(N_L=N_L, N_N=N_N, lam=lam)
     low = conditional_outage(d0, _at(10.0 ** log_eps, params), CFG)
     high = conditional_outage(d0, _at(10.0 ** (log_eps + log_step), params), CFG)
@@ -353,13 +351,37 @@ def test_large_shapes_match_mpmath_series(shape):
         assert conditional_outage(5.0, params, cfg) == pytest.approx(want, rel=0, abs=1e-14)
 
 
-@pytest.mark.parametrize("eps", [1e40, 1e42])
+@pytest.mark.parametrize("shape,lam,eps", [(3, 1e-4, 1e3), (8, 1e-6, 1e4),
+                                           (40, 1e-4, 1e4)])
+def test_scaled_coverage_terms_match_mpmath_series(shape, lam, eps):
+    # t_1 exceeds N - 1 on both blockage branches here, so the coverage
+    # terms are carried scaled (s > 1); the outages are 0.990, 0.877 and
+    # 1 - 4e-14
+    cfg = an.AnalysisConfig(K=40)
+    params = _at(eps, PARAMS.with_(lam=lam, N_L=shape, N_N=shape))
+    want = _mp_conditional_outage(5.0, params, cfg)
+    assert conditional_outage(5.0, params, cfg) == pytest.approx(want, rel=0, abs=1e-14)
+
+
+@pytest.mark.parametrize("eps", [1e40, 1e42, 1e47])
 def test_conditional_outage_overflowing_threshold_is_one(eps):
     # (-w)^j/j! and L-bar^(j) leave the double range here while L-bar
     # underflows, so a series that forms them reads inf * 0 = NaN at 1e42;
-    # the coverage terms a_m stay finite, and the outage reads 1
+    # unscaled coverage terms a_m overflow too from about 8.6e46; the
+    # scaled ones stay finite, and the outage reads 1
     params = _at(eps, PARAMS.with_(N_L=8, N_N=8))
     assert conditional_outage(5.0, params, CFG) == 1.0
+
+
+@pytest.mark.parametrize("shapes,eps,d0", [
+    ((3, 2), 1e160, 5.0), ((3, 2), 1e300, 5.0), ((200, 200), 2.1e4, 5.0),
+    ((200, 200), 1e5, 5.0), ((40, 40), 1e8, 40.0)],
+    ids=["default-1e160", "default-1e300", "N200-2.1e4", "N200-1e5", "N40-d40"])
+def test_conditional_outage_is_one_where_coverage_terms_overflow(shapes, eps, d0):
+    # unscaled, the a_m reach inf while L-bar reads 0 at each of these
+    # (0 * inf = NaN); the true outage is 1 to double precision
+    params = _at(eps, PARAMS.with_(N_L=shapes[0], N_N=shapes[1]))
+    assert conditional_outage(d0, params, CFG) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +485,11 @@ def test_outage_near_one_at_large_radius():
 
 
 def test_nonfinite_outage_raises():
-    # NaN compares false both ways, so it must not pass as a probability
+    # NaN compares false both ways, so it must not pass as a probability:
+    # at eps = 1e307 omega itself leaves the double range
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericInstabilityError):
-            conditional_outage(5.0, _at(1e300), CFG)
+            conditional_outage(5.0, _at(1e307), CFG)
         with pytest.raises(NumericInstabilityError):
             an.outage_probability(_at(1e307), CFG)
 
