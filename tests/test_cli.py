@@ -617,6 +617,17 @@ _WORKLOAD_DIGESTS = {
 }
 
 
+def test_package_version_matches_pyproject():
+    # report.json records __version__ and an install records pyproject's:
+    # they must agree.  Python 3.10 has no tomllib, so the [project]
+    # table's version line is read as text
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    versions = [line.split("=", 1)[1].strip().strip('"')
+                for line in project.splitlines() if line.startswith("version =")]
+    assert versions == [cli.__version__]
+
+
 @pytest.mark.parametrize("workload", list(_WORKLOAD_DIGESTS))
 def test_workload_csv_bytes_pinned(tmp_path, workload):
     config, digest = _WORKLOAD_DIGESTS[workload]
