@@ -154,12 +154,12 @@ def _lbar_series(omega, log_l, ts: list, xi: float):
     L-bar s^n overflow where the a_m would: at s > 1, a_m >= t_1^m/m! gives
     b_m >= 1 for m <= n, and t_1 <= -log L-bar gives L-bar s^n <= e^-n.
     At s = 1 the b_m are the a_m."""
-    ts = list(ts)
+    kt = [k * t for k, t in enumerate(ts, 1)]
     s = 1.0
-    if ts:
-        ts[0] = ts[0] + omega * xi
-        s = np.maximum(1.0, ts[0] / len(ts))
-    kt = [k * t / s ** k for k, t in enumerate(ts, 1)]
+    if kt:
+        kt[0] = kt[0] + omega * xi
+        s = np.maximum(1.0, kt[0] / len(kt))
+        kt = [t / s ** k for k, t in enumerate(kt, 1)]
     b = [1.0]
     for m in range(1, len(kt) + 1):
         b.append(sum(kt[k] * b[m - 1 - k] for k in range(m)) / m)

@@ -15,12 +15,12 @@ holds a block's head (user position, serving blockage and serving fading);
 lane 1, chunk c holds interferer columns c*128 to c*128+127 of every
 realization in the block (radial arrival increments, four uniform marks,
 fading exponentials).  Every draw has a fixed shape, so a realization's
-numbers depend only on (seed, realization index).  Each
-worker simulates one span of whole blocks, and the simulator returns every
-realization's (serving power, interference) sample in index order; the
-two reductions, _outage and _rate, turn those samples into an estimate
-and its standard error with elementwise expressions, so estimates are
-bit-identical whatever the worker count.  The layout also makes
+numbers depend only on (seed, realization index).  Each worker simulates
+one span of whole blocks, and the simulator returns every realization's
+(serving power, interference) sample in index order; the two reductions,
+_outage and _rate, turn those samples into an estimate and its standard
+error with elementwise expressions, so estimates are bit-identical
+whatever the worker count.  The layout also makes
 truncation studies meaningful: enlarging R_sim only admits more of the
 same arrival columns (drawing further chunks where needed) without
 disturbing the points both discs share, so the estimate shift measures
@@ -38,6 +38,11 @@ member's samples are the bytes it gets simulated alone.  The command line
 simulates consecutive sweep points with the same lam as one group, one
 member per distinct _draw_key, and reduces each point's samples at its
 own params.
+
+An interferer's two cosines are taken in float32 (_cos_turns), which
+moves its distance by rounding, and flips its preset or blockage state
+only where a mark lies within that rounding of a boundary; the serving
+link keeps float64 trigonometry.
 """
 
 from __future__ import annotations
