@@ -113,13 +113,14 @@ def _tables(params: SystemParams, cfg: AnalysisConfig):
              (c * (1.0 - p_los), d ** params.alpha_N, params.N_N)))
 
 
-def _xi_free(omega, max_order: int, tab):
+def _xi_free(omega, max_order: int, tab, work=None):
     """log L_I and the interference part of t_1..t_max_order at omega, where
     t_k = (-w)^k/k! zeta^(k)(w).  A node term -a (1 - (1 + x)^-N) of log L_I,
     x = w/(N D), gives t_k = a C(N + k - 1, k) x^k (1 + x)^(-N-k), a times a
     negative-binomial weight; each follows from the one before by the factor
     (N + k - 1)/k x/(1 + x), which needs no power and no factorial.  omega
-    may be a scalar or an ndarray (broadcast over the nodes)."""
+    may be a scalar or an ndarray (broadcast over the nodes).  work, if
+    given, is three arrays of that broadcast shape to compute in."""
     pref, branches = tab
     w = np.asarray(omega, dtype=float)[..., None]
     log_l = 0.0
@@ -127,7 +128,7 @@ def _xi_free(omega, max_order: int, tab):
     # three buffers serve both branches: a fresh array per step would have
     # its pages faulted in anew
     shape = w.shape[:-1] + branches[0][0].shape
-    x, n_log, term = np.empty(shape), np.empty(shape), np.empty(shape)
+    x, n_log, term = work or (np.empty(shape), np.empty(shape), np.empty(shape))
     for a, D, N in branches:
         np.log1p(np.divide(w, N * D, out=x), out=n_log)
         n_log *= -N
@@ -150,15 +151,16 @@ def _lbar_series(omega, log_l, ts: list, xi: float):
     (-w)^m/m! L-bar^(m)(w) = L-bar(w) a_m.  As L-bar(w (1 - u)) =
     L-bar(w) exp(sum_k t_k u^k), a_0 = 1 and m a_m = sum_{k=1}^m k t_k a_{m-k},
     where xi adds w xi to t_1.  The b_m follow the same recursion in the
-    t_k / s^k.  With n = len(ts) and s = max(1, t_1 / n), neither they nor
-    L-bar s^n overflow where the a_m would: at s > 1, a_m >= t_1^m/m! gives
-    b_m >= 1 for m <= n, and t_1 <= -log L-bar gives L-bar s^n <= e^-n.
-    At s = 1 the b_m are the a_m."""
+    t_k / s^k.  With n = len(ts) and s = max(1, t_1 / min(n, 700)), neither
+    they nor L-bar s^n overflow where the a_m would: b_m <= exp(sum_k t_k /
+    s^k), about e^700 at most where t_1 dominates, and t_1 <= -log L-bar
+    gives L-bar s^n <= e^-n for n <= 700 and (n / (700 e))^n beyond, finite
+    up to n near 2500.  At s = 1 the b_m are the a_m."""
     kt = [k * t for k, t in enumerate(ts, 1)]
     s = 1.0
     if kt:
         kt[0] = kt[0] + omega * xi
-        s = np.maximum(1.0, kt[0] / len(kt))
+        s = np.maximum(1.0, kt[0] / min(len(kt), 700))
         kt = [t / s ** k for k, t in enumerate(kt, 1)]
     b = [1.0]
     for m in range(1, len(kt) + 1):
@@ -433,6 +435,9 @@ def ergodic_rate(params: SystemParams, cfg: AnalysisConfig) -> float:
     """
     xi = params.xi
     tab = _tables(params, cfg)
+    # every z-panel has gl_order_rate points: one set of node buffers serves
+    # them all, where fresh ones per panel would be faulted in anew
+    work = tuple(np.empty((cfg.gl_order_rate, cfg.K)) for _ in range(3))
     d0, weight = _distance_rule(*_serving_rule(params, cfg.gl_order_rate),
                                 cfg.gl_order_rate)
     p_los = np.exp(-params.beta * d0)
@@ -445,7 +450,7 @@ def ergodic_rate(params: SystemParams, cfg: AnalysisConfig) -> float:
         miss = 0.0
         for w, gain, n in branches:
             miss = miss + np.sum(w * -np.expm1(-n * np.log1p(zc * gain)), axis=-1)
-        return np.exp(_xi_free(z, 0, tab)[0] - z * xi) * miss / z
+        return np.exp(_xi_free(z, 0, tab, work)[0] - z * xi) * miss / z
 
     nats = integrate_semi_infinite(integrand, cfg.gl_order_rate)
     rate = (1.0 / math.log(2.0)) * nats

@@ -135,20 +135,25 @@ def preset_offsets(L: float, Np: int) -> np.ndarray:
     return (L / (Np - 1)) * (n - (Np + 1) / 2.0)
 
 
-def nearest_preset_offset(proj, L: float, Np: int):
+def nearest_preset_offset(proj, L: float, Np: int, out=None):
     """Axis offset of the preset nearest to an axial coordinate proj.
 
     Closed form of the nearest-preset rule for points projected onto the
-    waveguide axis; vectorized over proj.  Exact midpoint ties resolve to
-    the lower-index (more negative) preset.
+    waveguide axis; vectorized over proj, and written into out if given
+    (which may be proj itself).  Exact midpoint ties resolve to the
+    lower-index (more negative) preset.
     """
     proj = np.asarray(proj, dtype=np.float64)
     if _odd(Np) == 1:
-        return np.zeros_like(proj)
+        if out is None:
+            return np.zeros_like(proj)
+        out.fill(0.0)
+        return out
     delta = L / (Np - 1)
     half = (Np - 1) // 2
-    idx = np.clip(np.ceil(proj / delta - 0.5), -half, half)
-    return idx * delta
+    idx = np.subtract(np.divide(proj, delta, out=out), 0.5, out=out)
+    idx = np.clip(np.ceil(idx, out=out), -half, half, out=out)
+    return np.multiply(idx, delta, out=out)
 
 
 # -------------------- Voronoi partition --------------------

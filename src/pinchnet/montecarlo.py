@@ -32,9 +32,10 @@ other fields only lam shapes the random numbers: the fills, the in-disc
 cut, the radii and the mark trigonometry are the same whatever R, L, Np,
 H, beta, the path-loss exponents or the fading shapes are (a smaller
 shape's exponential rows are a prefix of a larger one's).  So _simulate
-takes a group of params sharing lam, draws each chunk once and works out
-only the preset choice, distances, blockage and gains per member; each
-member's samples are the bytes it gets simulated alone.  The command line
+takes a group of params sharing lam, draws each chunk once, takes one
+gain row per distinct fading shape, and works out only the preset choice,
+distances, blockage and received powers per member; each member's samples
+are the bytes it gets simulated alone.  The command line
 simulates consecutive sweep points with the same lam as one group, one
 member per distinct _draw_key, and reduces each point's samples at its
 own params.
@@ -65,6 +66,8 @@ _CHUNK = 128
 # spawn-key lane per random role
 _LANE_HEAD = 0
 _LANE_FIELD = 1
+# rows of a chunk's cut (_block_interference), besides one per fading shape
+_CUT_ROWS = 8
 
 _TWO_PI = 2.0 * math.pi
 
@@ -108,28 +111,49 @@ def _stream(seed: int, chunk: int, lane: int, block: int):
         np.random.SeedSequence(seed, spawn_key=(chunk, lane, block))))
 
 
-def _cos_turns(u: np.ndarray) -> np.ndarray:
-    """cos(2 pi u) of the interferer marks u, taken in float32 and promoted
-    to float64: float32 cosines cost a fraction of float64 ones, and their
-    absolute error, below 3e-7, moves a distance by parts in 1e7."""
-    return np.cos((_TWO_PI * u).astype(np.float32)).astype(float)
+def _cos_turns(u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """cos(2 pi u) of the interferer marks u, taken in float32 into out (a
+    float32 array shaped like u): float32 cosines cost a fraction of float64
+    ones, and their absolute error, below 3e-7, moves a distance by parts
+    in 1e7.  Arithmetic with a float64 operand promotes them exactly."""
+    np.multiply(u, _TWO_PI, out=out)  # the float64 angle, rounded once
+    return np.cos(out, out=out)
 
 
-def _received(exps: np.ndarray, d: np.ndarray, los: np.ndarray,
-              params: SystemParams) -> np.ndarray:
-    """Faded received powers g d^-alpha of links at distances d.
+def _shapes(group: list[SystemParams]) -> list[int]:
+    """The distinct fading shapes of the members of group, ascending."""
+    return sorted({n for params in group for n in (params.N_L, params.N_N)})
 
-    Gamma(N, 1/N) gains are the mean of the first N unit exponentials
-    along axis 0 of exps, N and alpha picked per link by its LoS state.
-    """
-    g_los = sum(exps[:params.N_L]) / params.N_L
-    g_nlos = sum(exps[:params.N_N]) / params.N_N
-    return np.where(los, g_los * d ** -params.alpha_L,
-                    g_nlos * d ** -params.alpha_N)
+
+def _gamma_gains(exps: np.ndarray, shapes: list[int]) -> dict:
+    """Gamma(N, 1/N) gain rows for each distinct N in shapes: the mean of
+    the first N unit exponentials along axis 0 of exps, summed in place
+    down its rows, so row N - 1 ends up holding that mean."""
+    for k in range(1, len(exps)):
+        exps[k] += exps[k - 1]
+    for n in shapes:
+        exps[n - 1] /= n
+    return {n: exps[n - 1] for n in shapes}
+
+
+def _received(gains: dict, d: np.ndarray, los: np.ndarray, params: SystemParams,
+              out: np.ndarray | None = None, spare: np.ndarray | None = None) -> np.ndarray:
+    """Faded received powers g d^-alpha of links at distances d, into out if
+    given, with spare (shaped like d) to work in.  gains maps each fading
+    shape to the links' Gamma gains (_gamma_gains); N and alpha are picked
+    per link by its LoS state."""
+    out = np.power(d, -params.alpha_N, out=out)
+    out *= gains[params.N_N]
+    # both powers in full, then a masked copy: a masked power runs slower
+    # where LoS and NLoS links alternate
+    los_power = np.power(d, -params.alpha_L, out=spare)
+    los_power *= gains[params.N_L]
+    np.copyto(out, los_power, where=los)
+    return out
 
 
 def _block_interference(group: list[SystemParams], simcfg: SimConfig,
-                        block: int, buf: np.ndarray) -> list[np.ndarray]:
+                        block: int, buf: np.ndarray, work: tuple) -> list[np.ndarray]:
     """Interference sums of one block at each member of group, drawn chunk
     by chunk from lane 1.
 
@@ -142,9 +166,11 @@ def _block_interference(group: list[SystemParams], simcfg: SimConfig,
     _CHUNK points; chunks are drawn until every row has passed
     lam pi R_sim^2, and only arrivals inside that limit contribute.  buf
     holds a chunk's arrivals, four marks and fading exponentials.  All of
-    that, and both cosines, depend on lam alone, so each chunk is drawn
-    once and only the preset choice, distances, blockage and fading gains
-    are worked out per member.
+    that, both cosines and the gain of each fading shape depend on lam
+    alone, so each chunk is drawn and cut once and only the preset
+    choice, distances, blockage and received powers are worked out per
+    member.  work is (one flag per chunk column, space for the cut's
+    rows): every chunk-sized intermediate lives in views of it.
     """
     lam = group[0].lam
     interference = [np.zeros(_BLOCK) for _ in group]
@@ -154,6 +180,9 @@ def _block_interference(group: list[SystemParams], simcfg: SimConfig,
     arrivals = buf[0].reshape(_BLOCK, _CHUNK)
     marks = buf[1:5]
     exps = buf[5:]
+    shapes = _shapes(group)
+    height = _CUT_ROWS + len(shapes)
+    inside, space = work
     last = np.zeros(_BLOCK)
     chunk = 0
     while np.any(last <= limit):
@@ -166,32 +195,48 @@ def _block_interference(group: list[SystemParams], simcfg: SimConfig,
         rng.standard_exponential(out=exps)
         chunk += 1
 
-        inside = np.flatnonzero(arrivals <= limit)
-        rows = inside // _CHUNK
-        r2 = arrivals.ravel()[inside] / (lam * math.pi)
-        # psi, cluster-user radius and angle, blockage
-        u_psi, u_radius, u_angle, u_block = np.take(marks, inside, axis=1)
-        two_r_cos = 2.0 * np.sqrt(r2) * _cos_turns(u_psi)
+        np.less_equal(arrivals.ravel(), limit, out=inside)
+        idx = np.flatnonzero(inside)
+        n = idx.size
+        cut = space[:height * n].reshape(height, n)
+        r2, rows, two_r_cos, proj, axial, u_block, d, power, *gains = cut
+        rows = np.floor_divide(idx, _CHUNK, out=rows.view(np.intp))
+        np.take(arrivals, idx, out=r2)
+        r2 /= lam * math.pi
+        # psi, cluster-user radius and angle, blockage; the first three
+        # become two_r_cos, proj and axial in place
+        np.take(marks, idx, axis=1, out=cut[2:6])
+        gains = {shape: np.take(full, idx, out=g) for g, (shape, full)
+                 in zip(gains, _gamma_gains(exps, shapes).items())}
+        cos = power.view(np.float32)[:n]  # power's row is free until the members
+        psi_cos = _cos_turns(two_r_cos, out=cos)
+        np.sqrt(r2, out=two_r_cos)
+        two_r_cos *= 2.0
+        two_r_cos *= psi_cos
         # a served user's projection onto its waveguide axis, over R; its
         # angle relative to that axis is uniform
-        proj = np.sqrt(u_radius) * _cos_turns(u_angle)
-        gains = np.take(exps, inside, axis=1)
-        # freed before the per-member loop: holding them across it makes
-        # the allocator fault fresh pages in on every chunk
-        del u_psi, u_radius, u_angle
+        np.sqrt(proj, out=proj)
+        proj *= _cos_turns(axial, out=cos)
+        los = inside[:n]  # the cut is taken: its flags are free
         for params, total in zip(group, interference):
             # each waveguide activates the preset nearest to its own served
             # user's projection: d^2 = r^2 + axial^2 + 2 r axial cos(psi) + H^2
-            axial = nearest_preset_offset(params.R * proj, params.L, params.Np)
-            d = np.sqrt(r2 + axial * (axial + two_r_cos) + params.H ** 2)
-            los = u_block < np.exp(-params.beta * d)
-            total += np.bincount(rows, weights=_received(gains, d, los, params),
-                                 minlength=_BLOCK)
+            nearest_preset_offset(np.multiply(proj, params.R, out=axial),
+                                  params.L, params.Np, out=axial)
+            np.add(axial, two_r_cos, out=d)
+            np.multiply(axial, d, out=d)
+            np.add(r2, d, out=d)
+            d += params.H ** 2
+            np.sqrt(d, out=d)
+            np.exp(np.multiply(d, -params.beta, out=power), out=power)
+            np.less(u_block, power, out=los)
+            received = _received(gains, d, los, params, out=power, spare=axial)
+            total += np.bincount(rows, weights=received, minlength=_BLOCK)
     return interference
 
 
 def _block_samples(group: list[SystemParams], simcfg: SimConfig,
-                   block: int, buf: np.ndarray) -> list[np.ndarray]:
+                   block: int, buf: np.ndarray, work: tuple) -> list[np.ndarray]:
     """(serving power, interference) rows of block `block` (realizations
     block * _BLOCK ... block * _BLOCK + _BLOCK - 1) at each member of
     group."""
@@ -200,7 +245,8 @@ def _block_samples(group: list[SystemParams], simcfg: SimConfig,
     # rows as the group's largest shape needs (C order: a smaller shape's
     # rows are a prefix of them)
     u = head.random((3, _BLOCK))
-    exps = head.standard_exponential((len(buf) - 5, _BLOCK))
+    gains = _gamma_gains(head.standard_exponential((len(buf) - 5, _BLOCK)),
+                         _shapes(group))
     signals = []
     for params in group:
         if simcfg.pinned_d0 is not None:
@@ -215,22 +261,24 @@ def _block_samples(group: list[SystemParams], simcfg: SimConfig,
             off = nearest_preset_offset(ux, params.L, params.Np)
             d0 = np.sqrt((ux - off) ** 2 + uy * uy + params.H ** 2)
         los0 = u[2] < np.exp(-params.beta * d0)
-        signals.append(_received(exps, d0, los0, params))
+        signals.append(_received(gains, d0, los0, params))
     return [np.stack(pair) for pair in zip(
-        signals, _block_interference(group, simcfg, block, buf))]
+        signals, _block_interference(group, simcfg, block, buf, work))]
 
 
 def _span_samples(group: list[SystemParams], simcfg: SimConfig, lo: int,
                   hi: int) -> list[np.ndarray]:
     """Samples of realizations lo..hi-1 at each member of group, cut from
     the blocks covering them."""
-    # one chunk's draws, reused by every block: fresh multi-MB arrays per
-    # chunk let the allocator return their pages to the system and fault
-    # them in again on every block
-    shape = max(max(params.N_L, params.N_N) for params in group)
-    buf = np.empty((5 + shape, _BLOCK * _CHUNK))
+    # one chunk's draws and the work space of its cut, reused by every
+    # block: fresh multi-MB arrays per chunk let the allocator return their
+    # pages to the system and fault them in again on every block
+    shapes = _shapes(group)
+    buf = np.empty((5 + shapes[-1], _BLOCK * _CHUNK))
+    work = (np.empty(_BLOCK * _CHUNK, bool),
+            np.empty((_CUT_ROWS + len(shapes)) * _BLOCK * _CHUNK))
     first = lo // _BLOCK
-    blocks = [_block_samples(group, simcfg, b, buf)
+    blocks = [_block_samples(group, simcfg, b, buf, work)
               for b in range(first, (hi - 1) // _BLOCK + 1)]
     cut = slice(lo - first * _BLOCK, hi - first * _BLOCK)
     return [np.concatenate(member, axis=1)[:, cut] for member in zip(*blocks)]

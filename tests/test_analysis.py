@@ -351,6 +351,24 @@ def test_large_shapes_match_mpmath_series(shape):
         assert conditional_outage(5.0, params, cfg) == pytest.approx(want, rel=0, abs=1e-14)
 
 
+@pytest.mark.parametrize("shape", [720, 1000])
+def test_shapes_past_700_match_gamma_tail(shape):
+    # without interferers t_1 = w xi; where w xi < N - 1 the scale
+    # t_1 / (N - 1) is below 1, and unscaled the a_m sum to e^(w xi), past
+    # 1e308 once w xi passes ~710, while L-bar underflows.  The scale
+    # s = t_1 / min(N - 1, 700) keeps them finite.  With
+    # alpha_N = alpha_L both branches share w, and the outage is the lower
+    # regularized gamma P(N, w xi), so the coverage is Q(N, w xi), here at
+    # w xi = 0.9 N and N (outages 2.8e-3 and 0.50 at N = 720, 5.5e-4 and
+    # 0.50 at N = 1000)
+    params = PARAMS.with_(lam=0.0, N_L=shape, N_N=shape, alpha_N=PARAMS.alpha_L)
+    d0 = 5.0
+    for ratio in (0.9, 1.0):
+        p = _at(ratio / (d0 ** params.alpha_L * params.xi), params)
+        want = gammaincc(shape, shape * p.epsilon * d0 ** p.alpha_L * p.xi)
+        assert 1.0 - conditional_outage(d0, p, CFG) == pytest.approx(want, rel=1e-10)
+
+
 @pytest.mark.parametrize("shape,lam,eps", [(3, 1e-4, 1e3), (8, 1e-6, 1e4),
                                            (40, 1e-4, 1e4)])
 def test_scaled_coverage_terms_match_mpmath_series(shape, lam, eps):

@@ -9,7 +9,12 @@ runs at the published operating points live in test_acceptance.py.
 import concurrent.futures
 import math
 import os
+import platform
+import subprocess
+import sys
+import textwrap
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +180,53 @@ def test_values_nest_in_sample_size():
     assert short.tobytes() == long[:, :300].tobytes()
 
 
+def test_larger_truncation_only_admits_more_arrivals():
+    # enlarging R_sim admits more of the same arrival columns: the serving
+    # rows keep their bytes, no interference sum falls, and a realization
+    # with no arrival between the two radii keeps its interference bytes
+    params = default_params()
+    near, far = (mc._simulate([params], mc.SimConfig(
+        n_realizations=1024, seed=17, R_sim=r_sim))[0] for r_sim in (1000.0, 1100.0))
+    assert near[0].tobytes() == far[0].tobytes()
+    # every realization's arrival times from its block's first chunk: both
+    # limits lam pi R_sim^2 lie below 4, far inside a chunk's 128 arrivals
+    times = np.concatenate([np.cumsum(
+        mc._stream(17, 0, mc._LANE_FIELD, block).standard_exponential(
+            (mc._BLOCK, mc._CHUNK)), axis=1) for block in range(4)])
+    lo, hi = (params.lam * math.pi * r_sim ** 2 for r_sim in (1000.0, 1100.0))
+    between = np.any((times > lo) & (times <= hi), axis=1)
+    assert 0.3 < np.mean(between) < 0.7
+    assert np.all(far[1] >= near[1])
+    assert np.all(far[1][between] > near[1][between])
+    assert far[1][~between].tobytes() == near[1][~between].tobytes()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the page-fault budget is measured under glibc malloc")
+def test_simulation_reuses_its_work_space():
+    # A fresh process, because glibc's mmap and trim thresholds start low
+    # there and rise only after a large free: a chunk's multi-MB
+    # temporaries would go back to the kernel and be faulted in again on
+    # every chunk, which a warm process like this test run would hide.
+    # 10^4 realizations at the outage geometry fault in 2.4e3 pages when
+    # the loop works in views of its span's arrays, 3.0e4 when it does not
+    code = textwrap.dedent("""
+        import resource
+        from pinchnet import montecarlo as mc
+        from pinchnet.geometry import SystemParams
+
+        sim = mc.SimConfig(n_realizations=10_000, R_sim=5000.0)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        mc._simulate([SystemParams()], sim)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    src = Path(mc.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert int(proc.stdout) < 10_000
+
+
 def test_seeds_past_64_bits_simulate_apart():
     # SeedSequence takes any nonnegative integer as entropy
     params = default_params()
@@ -216,9 +268,12 @@ def test_float32_cosines_move_samples_by_rounding(monkeypatch, geometry,
     params, R_sim = _COSINE_GEOMETRIES[geometry]
     sim = mc.SimConfig(n_realizations=20_000, R_sim=R_sim, seed=6229)
     fast = mc._simulate([params], sim)[0]
-    monkeypatch.setattr(mc, "_cos_turns", lambda u: np.cos(mc._TWO_PI * u))
+    monkeypatch.setattr(mc, "_cos_turns", lambda u, out: np.cos(mc._TWO_PI * u))
     exact = mc._simulate([params], sim)[0]
     assert fast[0].tobytes() == exact[0].tobytes()
+    # the swap reaches the loop: a loop that stopped calling _cos_turns
+    # would leave every sample in place
+    assert np.any(fast[1] != exact[1])
     rel = np.abs(fast[1] - exact[1]) / np.where(exact[1] > 0.0, exact[1], 1.0)
     assert rel.max() <= largest
     assert np.count_nonzero(rel > rounding) <= 1
