@@ -155,16 +155,17 @@ def _lbar_series(omega, log_l, ts: list, xi: float):
     they nor L-bar s^n overflow where the a_m would: b_m <= exp(sum_k t_k /
     s^k), about e^700 at most where t_1 dominates, and t_1 <= -log L-bar
     gives L-bar s^n <= e^-n for n <= 700 and (n / (700 e))^n beyond, finite
-    up to n near 2500.  At s = 1 the b_m are the a_m."""
+    up to n near 2500.  At s = 1 the b_m are the a_m.  Each order is one
+    numpy reduction over k; across a node array it adds in order of k."""
     kt = [k * t for k, t in enumerate(ts, 1)]
     s = 1.0
     if kt:
         kt[0] = kt[0] + omega * xi
         s = np.maximum(1.0, kt[0] / min(len(kt), 700))
-        kt = [t / s ** k for k, t in enumerate(kt, 1)]
-    b = [1.0]
-    for m in range(1, len(kt) + 1):
-        b.append(sum(kt[k] * b[m - 1 - k] for k in range(m)) / m)
+        kt = np.array([t / s ** k for k, t in enumerate(kt, 1)])
+    b = np.ones((len(kt) + 1,) + np.shape(omega))
+    for m in range(1, len(b)):
+        b[m] = np.sum(kt[:m] * b[m - 1::-1], axis=0) / m
     return log_l - omega * xi, s, b
 
 
@@ -207,14 +208,14 @@ class _Transform(NamedTuple):
 
 def _transform(rule, params: SystemParams, cfg: AnalysisConfig) -> _Transform:
     """The xi-free part of the mean conditional outage over a (d0, weight)
-    rule, at the nodes of its distance rule.
+    rule, at its nodes (an average's rule comes from _average_rule).
 
     It reads params only through eps and the geometry (_transform_key), so
     a caller may reduce one transform at several noise terms.  An omega
     past the double range shows as inf or NaN here and fails the
     reduction, so numpy's warnings about it are silenced.
     """
-    d0, weight = _distance_rule(*rule, cfg.gl_order_rate)
+    d0, weight = rule
     tab = _tables(params, cfg)
     p_los = np.exp(-params.beta * d0)
     branches = []
@@ -268,8 +269,9 @@ def _panel_rule(kinks: np.ndarray, order: int):
     origin takes the map in ln t instead, so that a panel reaching far past
     its start still resolves the scale of its start.  Zero-width panels
     carry zero weight."""
-    rule = gauss_legendre_rule(order, 0.0, 0.5 * math.pi)
-    s = np.sin(rule.nodes) ** 2
+    x, w = (0.25 * math.pi * v for v in gauss_legendre_rule(order))
+    phi = 0.25 * math.pi + x  # the [-1, 1] rule mapped onto [0, pi/2]
+    s = np.sin(phi) ** 2
     lo = kinks[..., :-1, None]
     width = np.diff(kinks)[..., None]
     # a panel from the origin takes the plain map; its log span is unused
@@ -277,7 +279,7 @@ def _panel_rule(kinks: np.ndarray, order: int):
         span = np.log1p(width / lo)
         t = np.where(lo > 0.0, lo * np.exp(span * s), width * s)
         jac = np.where(lo > 0.0, t * span, width)
-    return t, np.where(width > 0.0, jac * rule.weights * np.sin(2.0 * rule.nodes), 0.0)
+    return t, np.where(width > 0.0, jac * w * np.sin(2.0 * phi), 0.0)
 
 
 def _polar_rule(xc, a, b, R: float, H: float, order: int):
@@ -350,10 +352,14 @@ _MEASURES = {
 }
 
 
+def _average_rule(name: str, params: SystemParams, cfg: AnalysisConfig):
+    """The distance rule of the named average's measure."""
+    return _distance_rule(*_MEASURES[name](params, cfg.gl_order_rate), cfg.gl_order_rate)
+
+
 def _spatial_average(name: str, params: SystemParams, cfg: AnalysisConfig) -> float:
-    """The named average: the transform of its measure, reduced at params.xi."""
-    rule = _MEASURES[name](params, cfg.gl_order_rate)
-    return _average(_transform(rule, params, cfg), params, name)
+    """The named average: the transform of its rule, reduced at params.xi."""
+    return _average(_transform(_average_rule(name, params, cfg), params, cfg), params, name)
 
 
 def outage_probability(params: SystemParams, cfg: AnalysisConfig) -> float:
@@ -394,15 +400,12 @@ def _distance_rule(d0: np.ndarray, weight: np.ndarray,
     against the rule's measure: Chebyshev moments from the three-term
     recurrence (one pass over the points per degree, so no m x n matrix),
     turned into point weights by the discrete cosine sum.  The weights sum
-    to the rule's total mass, which is 1.  A rule of at most m points is
-    returned as it is: it is already exact for its own measure.
+    to the rule's total mass, which is 1.  The d0 must not all be equal.
     """
-    if d0.size <= m:
-        return d0, weight
     ln_d = np.log(d0)
     lo, hi = float(np.min(ln_d)), float(np.max(ln_d))
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    t = (ln_d - mid) / half if half > 0.0 else np.zeros_like(ln_d)
+    t = (ln_d - mid) / half
     moments = np.empty(m)
     moments[0] = np.sum(weight)
     # T_k in three rotating buffers: a fresh array per degree would have
@@ -428,7 +431,7 @@ def ergodic_rate(params: SystemParams, cfg: AnalysisConfig) -> float:
     This is E[log2(1 + SINR)] of the typical user (Hamdi's lemma).
     M_S(z | d0) = sum_B p_B(d0) (1 + z d0^-alpha_B / N_B)^-N_B is the
     Laplace transform of the serving power; its mean over user positions
-    runs through _distance_rule, built once per call from the serving rule.
+    runs through the outage's distance rule, built once per call.
     Octave panels in z resolve the integrand's log-wide plateau between the
     mean signal power and the noise level.  A non-finite rate, or one below zero by more
     than rounding, raises NumericInstabilityError.
@@ -438,8 +441,7 @@ def ergodic_rate(params: SystemParams, cfg: AnalysisConfig) -> float:
     # every z-panel has gl_order_rate points: one set of node buffers serves
     # them all, where fresh ones per panel would be faulted in anew
     work = tuple(np.empty((cfg.gl_order_rate, cfg.K)) for _ in range(3))
-    d0, weight = _distance_rule(*_serving_rule(params, cfg.gl_order_rate),
-                                cfg.gl_order_rate)
+    d0, weight = _average_rule("outage probability", params, cfg)
     p_los = np.exp(-params.beta * d0)
     branches = ((weight * p_los, d0 ** -params.alpha_L / params.N_L, params.N_L),
                 (weight * (1.0 - p_los), d0 ** -params.alpha_N / params.N_N, params.N_N))

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (AnalysisConfig, _MEASURES, _average, _transform,
+from .analysis import (AnalysisConfig, _average, _average_rule, _transform,
                        _transform_key, ergodic_rate)
 from .errors import ConfigError, InvalidParameterError, NumericError, _finite, _positive
 from .geometry import SystemParams
@@ -373,7 +373,7 @@ def run(cfg: ExperimentConfig, out_dir) -> int:
             # one key's transforms alive at a time
             transformed_key, transformed = key, {}
         if name not in transformed:
-            rule = _MEASURES[name](params, cfg.analysis.gl_order_rate)
+            rule = _average_rule(name, params, cfg.analysis)
             transformed[name] = _transform(rule, params, cfg.analysis)
         return _average(transformed[name], params, name)
 

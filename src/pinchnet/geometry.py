@@ -20,7 +20,6 @@ from .errors import InvalidParameterError, _finite, _integer, _positive
 
 __all__ = [
     "SystemParams",
-    "default_params",
     "preset_offsets",
     "nearest_preset_offset",
     "voronoi_cells",
@@ -109,11 +108,6 @@ class SystemParams:
         return replace(self, **kw)
 
 
-def default_params(**overrides) -> SystemParams:
-    """Baseline parameter set (28 GHz, -94 dBm noise, 20 m clusters)."""
-    return SystemParams(**overrides)
-
-
 # -------------------- preset geometry --------------------
 
 def _odd(Np) -> int:
@@ -126,13 +120,12 @@ def _odd(Np) -> int:
 def preset_offsets(L: float, Np: int) -> np.ndarray:
     """Signed offsets of the Np presets along the waveguide axis.
 
-    Offset of preset n (n = 1..Np) is (L/(Np-1)) (n - (Np+1)/2);
-    a single preset sits at the center.
+    Offset of preset n (n = 1..Np) is delta (n - (Np+1)/2) with the
+    spacing delta = L/(Np-1), or L for a single preset, which sits at the
+    center.
     """
-    if _odd(Np) == 1:
-        return np.zeros(1)
-    n = np.arange(1, Np + 1, dtype=np.float64)
-    return (L / (Np - 1)) * (n - (Np + 1) / 2.0)
+    delta = L / max(_odd(Np) - 1, 1)
+    return delta * (np.arange(1, Np + 1, dtype=np.float64) - (Np + 1) / 2.0)
 
 
 def nearest_preset_offset(proj, L: float, Np: int, out=None):
@@ -141,15 +134,11 @@ def nearest_preset_offset(proj, L: float, Np: int, out=None):
     Closed form of the nearest-preset rule for points projected onto the
     waveguide axis; vectorized over proj, and written into out if given
     (which may be proj itself).  Exact midpoint ties resolve to the
-    lower-index (more negative) preset.
+    lower-index (more negative) preset.  A single preset's offset is 0, of
+    either sign.
     """
     proj = np.asarray(proj, dtype=np.float64)
-    if _odd(Np) == 1:
-        if out is None:
-            return np.zeros_like(proj)
-        out.fill(0.0)
-        return out
-    delta = L / (Np - 1)
+    delta = L / max(_odd(Np) - 1, 1)
     half = (Np - 1) // 2
     idx = np.subtract(np.divide(proj, delta, out=out), 0.5, out=out)
     idx = np.clip(np.ceil(idx, out=out), -half, half, out=out)

@@ -5,8 +5,8 @@ Three quadrature families are used by the analysis layer:
 * Gauss-Chebyshev (first kind) node tables for the interference integral,
   where the integrand is mapped from t in (0, pi/2) to the Chebyshev
   interval via phi = (pi/4)(1 + theta).
-* Gauss-Legendre rules built by Newton iteration on the Legendre
-  recurrence, used for all finite-interval integrals.
+* The Gauss-Legendre rule on [-1, 1], built by Newton iteration on the
+  Legendre recurrence; callers map it onto their own intervals.
 * A semi-infinite rule for integrals over [0, inf), such as the ergodic
   rate's z-integral, built from the substitution x = u / (1 - u) with
   panels refined toward u = 1 so integrands whose mass spans many decades
@@ -15,18 +15,15 @@ Three quadrature families are used by the analysis layer:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericError, _integer
+from .errors import NumericError, _integer
 
 __all__ = [
     "ChebyshevNodes",
-    "QuadratureRule",
     "gauss_chebyshev_nodes",
     "gauss_legendre_rule",
     "integrate_semi_infinite",
@@ -42,17 +39,8 @@ _PANEL_TOL = 1e-9
 class ChebyshevNodes(NamedTuple):
     """Gauss-Chebyshev node table for k = 1..K."""
 
-    theta: np.ndarray  # cos((2k - 1) pi / (2K))
-    phi: np.ndarray    # (pi/4)(1 + theta_k), inside (0, pi/2)
+    phi: np.ndarray     # (pi/4)(1 + theta_k), theta_k = cos((2k - 1) pi / (2K))
     weight: np.ndarray  # sqrt(1 - theta_k^2)
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights for a fixed interval [lo, hi]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
 
 
 def gauss_chebyshev_nodes(K: int) -> ChebyshevNodes:
@@ -62,8 +50,8 @@ def gauss_chebyshev_nodes(K: int) -> ChebyshevNodes:
         K: number of nodes, K >= 1.
 
     Returns:
-        ChebyshevNodes with theta_k = cos((2k-1)pi/(2K)), the mapped angle
-        phi_k = (pi/4)(1 + theta_k) and weight sqrt(1 - theta_k^2).
+        ChebyshevNodes with the mapped angle phi_k = (pi/4)(1 + theta_k),
+        theta_k = cos((2k-1)pi/(2K)), and weight sqrt(1 - theta_k^2).
 
     The composite identity used downstream is
         integral_0^{pi/2} f(t) dt ~= (pi^2 / 4K) sum_k weight_k f(phi_k).
@@ -73,68 +61,51 @@ def gauss_chebyshev_nodes(K: int) -> ChebyshevNodes:
     theta = np.cos((2.0 * k - 1.0) * np.pi / (2.0 * K))
     phi = (np.pi / 4.0) * (1.0 + theta)
     weight = np.sqrt(1.0 - theta * theta)
-    return ChebyshevNodes(theta=theta, phi=phi, weight=weight)
+    return ChebyshevNodes(phi=phi, weight=weight)
 
 
-@lru_cache(maxsize=64)
-def _legendre_base(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and its derivative, by the three-term Legendre recurrence."""
+    p_prev = np.ones_like(x)
+    p = x.copy()
+    for j in range(2, n + 1):
+        p_prev, p = p, ((2.0 * j - 1.0) * x * p - (j - 1.0) * p_prev) / j
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+
+@lru_cache(maxsize=64, typed=True)  # typed: True must not hit the cached n = 1
+def gauss_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
-    Computed by Newton iteration on the three-term Legendre recurrence,
-    stopping when every node moves by less than 1e-15.  Only the lower half
-    is iterated; the upper half is mirrored so the rule is exactly
-    symmetric.
+    Computed by Newton iteration on the Legendre recurrence, stopping when
+    every node moves by less than 1e-15.  Only the lower half is iterated;
+    the upper half is mirrored so the rule is exactly symmetric.  Raises
+    InvalidParameterError unless n is an integer >= 1.  The arrays are
+    cached, so callers must not write to them.
     """
-    if n == 1:
-        return np.zeros(1), np.full(1, 2.0)
+    n = _integer(n, "order", 1)
     m = (n + 1) // 2
     i = np.arange(1, m + 1, dtype=np.float64)
     x = np.cos(np.pi * (i - 0.25) / (n + 0.5))  # Tricomi initial guess
     for _ in range(100):
-        p_prev = np.ones_like(x)
-        p = x.copy()
-        for j in range(2, n + 1):
-            p_prev, p = p, ((2.0 * j - 1.0) * x * p - (j - 1.0) * p_prev) / j
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        p, dp = _legendre(n, x)
         dx = p / dp
         x -= dx
         if np.max(np.abs(dx)) < _NEWTON_TOL:
             break
     else:  # pragma: no cover - Newton converges in a handful of steps
         raise NumericError(f"Legendre Newton iteration failed for n={n}")
-    # recompute derivative at the converged nodes for the weights
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for j in range(2, n + 1):
-        p_prev, p = p, ((2.0 * j - 1.0) * x * p - (j - 1.0) * p_prev) / j
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
+    # recompute the derivative at the converged nodes for the weights
+    dp = _legendre(n, x)[1]
     w_half = 2.0 / ((1.0 - x * x) * dp * dp)
 
-    # x holds the positive half in descending order; mirror it so the full
-    # rule is exactly symmetric about 0
-    nodes = np.empty(n)
-    weights = np.empty(n)
-    nodes[:m] = -x
-    weights[:m] = w_half
-    nodes[n - m:] = x[::-1]
-    weights[n - m:] = w_half[::-1]
+    # x holds the positive half in descending order; mirror it (an odd rule's
+    # middle node once) so the full rule is exactly symmetric about 0
+    nodes = np.concatenate([-x, x[::-1][n % 2:]])
+    weights = np.concatenate([w_half, w_half[::-1][n % 2:]])
     if n % 2 == 1:
         nodes[m - 1] = 0.0
     return nodes, weights
-
-
-def gauss_legendre_rule(n: int, lo: float, hi: float) -> QuadratureRule:
-    """n-point Gauss-Legendre rule mapped onto [lo, hi].
-
-    Raises InvalidParameterError unless n >= 1 and lo < hi are finite.
-    """
-    n = _integer(n, "order", 1)
-    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
-        raise InvalidParameterError(f"invalid interval [{lo}, {hi}]")
-    base_x, base_w = _legendre_base(n)
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    return QuadratureRule(nodes=mid + half * base_x, weights=half * base_w)
 
 
 def integrate_semi_infinite(f: Callable, order: int) -> float:
@@ -155,7 +126,7 @@ def integrate_semi_infinite(f: Callable, order: int) -> float:
     naming the offending x.  Panel sums use np.sum, which reduces pairwise
     inside numpy, so the result does not depend on the BLAS thread count.
     """
-    base_x, base_w = _legendre_base(_integer(order, "order", 1))
+    base_x, base_w = gauss_legendre_rule(order)
 
     # work in s = 1 - u so the dyadic panel edges stay exact; then
     # x = 1/s - 1 and the Jacobian is 1/s^2

@@ -24,15 +24,15 @@ import pytest
 from pinchnet import analysis as an
 from pinchnet import cli
 from pinchnet import montecarlo as mc
-from pinchnet.geometry import default_params
+from pinchnet.geometry import SystemParams
 from test_analysis import (conditional_outage, lbar_derivatives, laplace_interference,
                            zeta_derivative)
 from test_finite_difference import finite_difference
 from test_montecarlo import laplace_estimate
 
 CFG = an.AnalysisConfig()
-FIG2 = default_params()
-FIG3 = default_params(alpha_N=4.0, lam=1e-5, R=100.0, L=100.0, H=4.0, P=1.0)
+FIG2 = SystemParams()
+FIG3 = SystemParams(alpha_N=4.0, lam=1e-5, R=100.0, L=100.0, H=4.0, P=1.0)
 
 N_FULL = 100_000
 
@@ -76,7 +76,7 @@ def test_criterion_1_interference_laplace(capsys):
 def test_criterion_2_series_derivatives(capsys):
     # well-conditioned density for finite differences; the transform is
     # exactly linear in the density so this pins every density
-    params = default_params(lam=1e-2)
+    params = SystemParams(lam=1e-2)
     xi = params.xi
     worst = 0.0
     for omega in (0.1, 0.5, 2.0):

@@ -28,20 +28,19 @@ from pinchnet import analysis as an
 from pinchnet.errors import InvalidParameterError, NumericInstabilityError
 from pinchnet.geometry import SPEED_OF_LIGHT, SystemParams, preset_offsets, voronoi_cells
 from pinchnet.numerics import integrate_semi_infinite
-from pinchnet.geometry import default_params
 from test_finite_difference import finite_difference
 
 CFG = an.AnalysisConfig()
-PARAMS = default_params()
+PARAMS = SystemParams()
 XI = PARAMS.xi
 
 # lam = 1e-2 keeps the transform's curvature large enough for sharp
 # finite-difference checks (at lam = 1e-6 the second derivative sits nine
 # orders below L-bar itself and plain central differences lose digits)
-PARAMS_FD = default_params(lam=1e-2)
+PARAMS_FD = SystemParams(lam=1e-2)
 
 # README rate-figure geometry at 30 dBm
-RATE_PARAMS = default_params(alpha_N=4.0, lam=1e-5, R=100.0, L=100.0, H=4.0, P=1.0)
+RATE_PARAMS = SystemParams(alpha_N=4.0, lam=1e-5, R=100.0, L=100.0, H=4.0, P=1.0)
 
 
 def _at(eps, params=PARAMS):
@@ -351,7 +350,7 @@ def test_large_shapes_match_mpmath_series(shape):
         assert conditional_outage(5.0, params, cfg) == pytest.approx(want, rel=0, abs=1e-14)
 
 
-@pytest.mark.parametrize("shape", [720, 1000])
+@pytest.mark.parametrize("shape", [720, 1000, 1500])
 def test_shapes_past_700_match_gamma_tail(shape):
     # without interferers t_1 = w xi; where w xi < N - 1 the scale
     # t_1 / (N - 1) is below 1, and unscaled the a_m sum to e^(w xi), past
@@ -360,7 +359,7 @@ def test_shapes_past_700_match_gamma_tail(shape):
     # alpha_N = alpha_L both branches share w, and the outage is the lower
     # regularized gamma P(N, w xi), so the coverage is Q(N, w xi), here at
     # w xi = 0.9 N and N (outages 2.8e-3 and 0.50 at N = 720, 5.5e-4 and
-    # 0.50 at N = 1000)
+    # 0.50 at N = 1000, 3.1e-5 and 0.50 at N = 1500)
     params = PARAMS.with_(lam=0.0, N_L=shape, N_N=shape, alpha_N=PARAMS.alpha_L)
     d0 = 5.0
     for ratio in (0.9, 1.0):
@@ -486,7 +485,7 @@ def test_measure_is_a_probability_over_the_geometry_domain(L, spread, half_np, H
     # weights sum to 1 two orders inside the clamp window
     R = spread * 0.5 * L
     assume(R > 0.5 * L)  # a spread next to 1 can round onto the tip
-    params = default_params(L=L, R=R, Np=2 * half_np + 1, H=H)
+    params = SystemParams(L=L, R=R, Np=2 * half_np + 1, H=H)
     for build in (an._serving_rule, an._continuum_rule):
         d0, weight = build(params, CFG.gl_order_rate)
         assert np.all(weight >= 0.0)
@@ -498,7 +497,7 @@ def test_outage_near_one_at_large_radius():
     # an outage close to 1 stays inside [0, 1] only if the serving weights
     # sum to 1 well inside the 1e-9 clamp window; a rule off by 3.9e-9 here
     # made the average raise
-    params = _at(1e7, default_params(lam=1e-7, H=1.0, alpha_N=6.0, R=1000.0, L=100.0))
+    params = _at(1e7, SystemParams(lam=1e-7, H=1.0, alpha_N=6.0, R=1000.0, L=100.0))
     assert an.outage_probability(params, CFG) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -710,13 +709,13 @@ def _run_fresh(script, *args, threads="1"):
 
 _HEX_SCRIPT = """
 from pinchnet import analysis as an
-from pinchnet.geometry import default_params
+from pinchnet.geometry import SystemParams
 cfg = an.AnalysisConfig()
 for n in (11, 51):
-    print(an.outage_probability(default_params(Np=n), cfg).hex())
-p = default_params()
+    print(an.outage_probability(SystemParams(Np=n), cfg).hex())
+p = SystemParams()
 print(an.outage_upper_bound(p, cfg).hex(), an.outage_lower_bound(p, cfg).hex())
-rate = default_params(alpha_N=4.0, lam=1e-5, R=100.0, L=100.0, H=4.0, P=1.0, Np=3)
+rate = SystemParams(alpha_N=4.0, lam=1e-5, R=100.0, L=100.0, H=4.0, P=1.0, Np=3)
 print(an.ergodic_rate(rate, cfg).hex())
 """
 
@@ -734,9 +733,9 @@ def test_analysis_bit_identical_across_blas_threads():
 _HISTORY_SCRIPT = """
 import math, sys
 from pinchnet import analysis as an
-from pinchnet.geometry import default_params
+from pinchnet.geometry import SystemParams
 cfg = an.AnalysisConfig()
-p = default_params()
+p = SystemParams()
 if sys.argv[1] == "widened":
     # an earlier call at the same noise level and a far higher threshold
     an.outage_probability(p.with_(Rbar=math.log2(1 + 1e4 * p.epsilon)), cfg)
@@ -762,8 +761,8 @@ _FIELD_CHANGES = {"P": 1.0, "sigma2": 1e-10, "f_c": 3.5e9, "Rbar": 3.0,
 def _transform_bytes(params):
     """The bytes of every array in the transforms of the three averages."""
     arrays = []
-    for build in an._MEASURES.values():
-        t = an._transform(build(params, CFG.gl_order_rate), params, CFG)
+    for name in an._MEASURES:
+        t = an._transform(an._average_rule(name, params, CFG), params, CFG)
         arrays += [t.d0, t.weight]
         for p_b, omega, log_l, zetas in t.branches:
             arrays += [p_b, omega, log_l, *zetas]
@@ -776,7 +775,7 @@ def test_transform_key_matches_transform_bytes(field):
     # both stay put only for the three noise fields (Rbar moves omega): a
     # transform that starts reading a new field, or a new field with no
     # entry above, fails here
-    params = default_params()
+    params = SystemParams()
     changed = params.with_(**{field: _FIELD_CHANGES[field]})
     same_bytes = _transform_bytes(changed) == _transform_bytes(params)
     same_key = an._transform_key(changed) == an._transform_key(params)
@@ -843,14 +842,14 @@ def test_rate_vanishes_under_dense_interference():
     # oracle gives the same value at 16, 24 and 32 points of ln d0, and
     # ergodic_rate approaches it as K grows (relative gap 6.7e-7 at
     # K = 400, 1.7e-7 at 800, 4e-8 at 1600)
-    dense = default_params(lam=10.0)
+    dense = SystemParams(lam=10.0)
     rate = an.ergodic_rate(dense, CFG)
     assert rate == pytest.approx(_quad_rate(dense), rel=1e-5)
     assert rate < 2e-4
 
 
 def test_rate_monotone_in_power_without_interference():
-    p0 = default_params(lam=0.0)
+    p0 = SystemParams(lam=0.0)
     rates = [an.ergodic_rate(p0.with_(P=10 ** (dbm / 10) / 1000), CFG)
              for dbm in (40.0, 50.0, 60.0)]
     assert rates[0] < rates[1] < rates[2]
@@ -862,8 +861,7 @@ def _threshold_rate(params, cfg):
     rule: the rate by a route that shares only L_I and the distance rule
     with the z-integral.  The rule is built once per call, as the rate
     builds it; each threshold moves the nodes omega, so takes a transform."""
-    rule = an._distance_rule(*an._serving_rule(params, cfg.gl_order_rate),
-                             cfg.gl_order_rate)
+    rule = an._average_rule("outage probability", params, cfg)
 
     def outage(eps):
         at_eps = _at(eps, params)

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -626,6 +627,17 @@ def test_package_version_matches_pyproject():
     versions = [line.split("=", 1)[1].strip().strip('"')
                 for line in project.splitlines() if line.startswith("version =")]
     assert versions == [cli.__version__]
+
+
+@pytest.mark.parametrize("module", ["pinchnet", *(
+    f"pinchnet.{info.name}" for info in pkgutil.iter_modules(
+        [str(Path(cli.__file__).parent)]))])
+def test_star_import_finds_every_public_name(module):
+    # a name deleted from a module but left in its __all__ fails here
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    exported = getattr(importlib.import_module(module), "__all__", None)
+    assert exported is None or set(exported) <= set(namespace)
 
 
 @pytest.mark.parametrize("workload", list(_WORKLOAD_DIGESTS))

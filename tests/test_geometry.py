@@ -14,7 +14,7 @@ from pinchnet import montecarlo as mc
 from pinchnet.errors import InvalidParameterError
 from pinchnet.geometry import (
     SPEED_OF_LIGHT,
-    default_params,
+    SystemParams,
     nearest_preset_offset,
     preset_offsets,
     voronoi_cells,
@@ -25,39 +25,39 @@ from test_montecarlo import laplace_estimate
 # ---------------- SystemParams validation ----------------
 
 def test_params_defaults_valid():
-    p = default_params()
+    p = SystemParams()
     assert p.Np == 11 and p.f_c == 28e9
     assert p.sigma2 == pytest.approx(10 ** (-12.4))
 
 
 def test_params_rejects_even_np():
     with pytest.raises(InvalidParameterError):
-        default_params(Np=10)
+        SystemParams(Np=10)
 
 
 def test_params_rejects_long_waveguide():
     with pytest.raises(InvalidParameterError):
-        default_params(L=40.0, R=20.0)  # L/2 >= R
+        SystemParams(L=40.0, R=20.0)  # L/2 >= R
 
 
 def test_params_rejects_bad_exponents():
     with pytest.raises(InvalidParameterError):
-        default_params(alpha_L=1.5)
+        SystemParams(alpha_L=1.5)
     with pytest.raises(InvalidParameterError):
-        default_params(alpha_L=3.0, alpha_N=2.5)
+        SystemParams(alpha_L=3.0, alpha_N=2.5)
 
 
 def test_params_rejects_noninteger_shapes():
     with pytest.raises(InvalidParameterError):
-        default_params(N_L=2.5)
+        SystemParams(N_L=2.5)
     with pytest.raises(InvalidParameterError):
-        default_params(N_N=0)
+        SystemParams(N_N=0)
 
 
 def test_params_allows_zero_intensity():
-    assert default_params(lam=0.0).lam == 0.0
+    assert SystemParams(lam=0.0).lam == 0.0
     with pytest.raises(InvalidParameterError):
-        default_params(lam=-1e-6)
+        SystemParams(lam=-1e-6)
 
 
 def test_params_rejects_nonfinite_numbers():
@@ -65,60 +65,60 @@ def test_params_rejects_nonfinite_numbers():
                   "sigma2", "P", "Rbar"):
         for value in (math.inf, -math.inf, math.nan, "1.0", True):
             with pytest.raises(InvalidParameterError, match=field):
-                default_params(**{field: value})
+                SystemParams(**{field: value})
     # so is a finite Rbar whose threshold 2^Rbar - 1 overflows; the largest
     # double below 1024 still gives a finite threshold
-    assert default_params(Rbar=math.nextafter(1024.0, 0.0)).Rbar < 1024.0
+    assert SystemParams(Rbar=math.nextafter(1024.0, 0.0)).Rbar < 1024.0
     for rbar in (1024.0, 2000):
         with pytest.raises(InvalidParameterError, match="Rbar"):
-            default_params(Rbar=rbar)
+            SystemParams(Rbar=rbar)
 
 
 # ---------------- SINR threshold and noise term ----------------
 
 def test_sinr_threshold():
-    assert default_params(Rbar=0.0).epsilon == 0.0
-    assert default_params(Rbar=1.0).epsilon == 1.0
-    assert default_params(Rbar=2.0).epsilon == 3.0
+    assert SystemParams(Rbar=0.0).epsilon == 0.0
+    assert SystemParams(Rbar=1.0).epsilon == 1.0
+    assert SystemParams(Rbar=2.0).epsilon == 3.0
     for rbar in (0.3, 4.5, 20.0):
-        assert default_params(Rbar=rbar).epsilon == pytest.approx(
+        assert SystemParams(Rbar=rbar).epsilon == pytest.approx(
             math.expm1(rbar * math.log(2.0)), rel=1e-14)
     with pytest.raises(InvalidParameterError, match="Rbar"):
-        default_params(Rbar=-0.5)
+        SystemParams(Rbar=-0.5)
 
 
 def test_params_xi_reference_gain():
     # eta = (c / (4 pi f_c))^2, the free-space gain at 1 m, is 7.26e-7 at 28 GHz
-    p = default_params(f_c=28e9)
+    p = SystemParams(f_c=28e9)
     eta = p.sigma2 / (p.xi * p.P)
     assert eta == pytest.approx((SPEED_OF_LIGHT / (4 * math.pi * 28e9)) ** 2, rel=1e-14)
     assert eta == pytest.approx(7.26e-7, rel=1e-2)
 
 
 def test_params_xi():
-    p = default_params(f_c=28e9, sigma2=10 ** (-12.4), P=1.0)  # 30 dBm
+    p = SystemParams(f_c=28e9, sigma2=10 ** (-12.4), P=1.0)  # 30 dBm
     eta = (SPEED_OF_LIGHT / (4 * math.pi * 28e9)) ** 2
     assert p.xi == pytest.approx(p.sigma2 / (eta * p.P), rel=1e-14)
     assert p.xi == pytest.approx(5.5e-7, rel=2e-2)
 
 
 def test_params_xi_halves_with_doubled_power():
-    assert default_params(P=0.5).xi == pytest.approx(2 * default_params(P=1.0).xi,
+    assert SystemParams(P=0.5).xi == pytest.approx(2 * SystemParams(P=1.0).xi,
                                                      rel=1e-14)
 
 
 def test_params_validates_threshold_and_noise_term():
     # a negative rate has no threshold
     with pytest.raises(InvalidParameterError, match="Rbar"):
-        default_params(Rbar=-0.5)
+        SystemParams(Rbar=-0.5)
     # finite fields whose noise term overflows: through the division, through
     # eta at a tiny carrier, and through eta P underflowing to 0
     for kw in ({"sigma2": 1e300, "P": 1e-300}, {"f_c": 1e-300},
                {"f_c": 1e300, "P": 1e-300}):
         with pytest.raises(InvalidParameterError, match="noise term"):
-            default_params(**kw)
+            SystemParams(**kw)
     # an underflowing one is a noiseless link
-    assert default_params(sigma2=1e-300, P=1e300).xi == 0.0
+    assert SystemParams(sigma2=1e-300, P=1e300).xi == 0.0
 
 
 # ---------------- PPP on the disc ----------------
@@ -133,7 +133,7 @@ VOID_S = 1e300
 
 def _void_estimate(lam, R_sim, n, seed):
     return laplace_estimate(
-        VOID_S, default_params(lam=lam),
+        VOID_S, SystemParams(lam=lam),
         mc.SimConfig(n_realizations=n, R_sim=R_sim, seed=seed))
 
 
@@ -159,7 +159,7 @@ def test_ppp_radii_nest_with_truncation_radius():
     # with its marks and fading, so the interference sum can only grow;
     # the pair straddles the 128-column chunk of arrivals (78.5 vs 201 on
     # average)
-    params = default_params()
+    params = SystemParams()
     interference = {
         R_sim: mc._simulate(
             [params], mc.SimConfig(n_realizations=600, seed=5, R_sim=R_sim))[0][1]
@@ -280,7 +280,7 @@ def test_realization_antenna_distribution_matches_cell_areas():
     # a user uniform on the disc lands on preset n with probability equal
     # to that Voronoi cell's share of the disc area: the simulator's preset
     # rule and the analysis' strip partition describe the same cells
-    p = default_params()
+    p = SystemParams()
     rng = np.random.default_rng(23)
     n_draws = 20_000
     r = p.R * np.sqrt(rng.random(n_draws))

@@ -24,7 +24,7 @@ from scipy import integrate, stats
 from pinchnet import analysis as an
 from pinchnet import montecarlo as mc
 from pinchnet.errors import InvalidParameterError
-from pinchnet.geometry import SystemParams, default_params
+from pinchnet.geometry import SystemParams
 from test_analysis import conditional_outage
 
 CFG = an.AnalysisConfig()
@@ -71,7 +71,7 @@ def test_simconfig_validation(kwargs):
 
 def test_region_must_cover_cluster():
     # truncation radius has to dominate the cluster scale
-    params = default_params(R=3000.0, L=100.0)
+    params = SystemParams(R=3000.0, L=100.0)
     with pytest.raises(InvalidParameterError):
         mc._simulate([params], mc.SimConfig(n_realizations=10))
 
@@ -79,13 +79,13 @@ def test_region_must_cover_cluster():
 def test_pinned_distance_below_height_rejected():
     sim = mc.SimConfig(n_realizations=10, pinned_d0=1.0)
     with pytest.raises(InvalidParameterError):
-        mc._simulate([default_params(H=3.0)], sim)
+        mc._simulate([SystemParams(H=3.0)], sim)
 
 
 # ---------------------------------------------------------- determinism
 
 def test_estimates_reproducible():
-    params = default_params()
+    params = SystemParams()
     sim = mc.SimConfig(n_realizations=2000, seed=77)
     first = mc._outage(mc._simulate([params], sim)[0], params)
     second = mc._outage(mc._simulate([params], sim)[0], params)
@@ -95,7 +95,7 @@ def test_estimates_reproducible():
 def test_batch_size_invariance():
     # the samples of n realizations are the same whatever batches they are
     # cut into: batches below, on and past a block, none of them aligned
-    params = default_params()
+    params = SystemParams()
     sim = mc.SimConfig(n_realizations=2000, seed=5)
     ref = mc._simulate([params], sim)[0]
     for batch in (137, 500, 1999):
@@ -106,14 +106,14 @@ def test_batch_size_invariance():
 
 
 def test_worker_count_invariance():
-    params = default_params()
+    params = SystemParams()
     ref = mc._simulate([params], mc.SimConfig(n_realizations=2000, seed=9))[0]
     par = mc._simulate([params], mc.SimConfig(n_realizations=2000, seed=9, workers=3))[0]
     assert np.array_equal(ref, par)
 
 
 def test_worker_count_invariance_reports():
-    params = default_params()
+    params = SystemParams()
     a = mc._outage(
         mc._simulate([params], mc.SimConfig(n_realizations=2000, seed=41))[0], params)
     b = mc._outage(mc._simulate(
@@ -124,7 +124,7 @@ def test_worker_count_invariance_reports():
 def test_values_identical_across_block_cuts():
     # 256-realization blocks: cuts below, on and just past a block edge,
     # and a worker count past the block count, all give the same samples
-    params = default_params()
+    params = SystemParams()
     sim = mc.SimConfig(n_realizations=600, seed=5)
     ref = mc._span_samples([params], sim, 0, 600)[0]
     for cut in (1, 255, 256, 257, 599):
@@ -140,7 +140,7 @@ def test_values_identical_across_block_cuts():
 def test_span_cuts_concatenate_bytewise(n, data):
     # R_sim = 1000 keeps about three interferers per realization
     cut = data.draw(st.integers(1, n - 1))
-    params = default_params()
+    params = SystemParams()
     sim = mc.SimConfig(n_realizations=n, seed=3, R_sim=1000.0)
     whole = mc._span_samples([params], sim, 0, n)[0]
     parts = np.concatenate([mc._span_samples([params], sim, 0, cut)[0],
@@ -169,12 +169,12 @@ def test_spans_compute_each_block_once(monkeypatch, n, workers, blocks):
     assert spans[0][0] == 0 and spans[-1][1] == n
     sim = mc.SimConfig(n_realizations=n, seed=5)
     for lo, hi in spans:
-        mc._span_samples([default_params(lam=0.0)], sim, lo, hi)[0]
+        mc._span_samples([SystemParams(lam=0.0)], sim, lo, hi)[0]
     assert sorted(calls) == list(range(blocks))
 
 
 def test_values_nest_in_sample_size():
-    params = default_params()
+    params = SystemParams()
     short = mc._simulate([params], mc.SimConfig(n_realizations=300, seed=12))[0]
     long = mc._simulate([params], mc.SimConfig(n_realizations=1000, seed=12))[0]
     assert short.tobytes() == long[:, :300].tobytes()
@@ -184,7 +184,7 @@ def test_larger_truncation_only_admits_more_arrivals():
     # enlarging R_sim admits more of the same arrival columns: the serving
     # rows keep their bytes, no interference sum falls, and a realization
     # with no arrival between the two radii keeps its interference bytes
-    params = default_params()
+    params = SystemParams()
     near, far = (mc._simulate([params], mc.SimConfig(
         n_realizations=1024, seed=17, R_sim=r_sim))[0] for r_sim in (1000.0, 1100.0))
     assert near[0].tobytes() == far[0].tobytes()
@@ -229,7 +229,7 @@ def test_simulation_reuses_its_work_space():
 
 def test_seeds_past_64_bits_simulate_apart():
     # SeedSequence takes any nonnegative integer as entropy
-    params = default_params()
+    params = SystemParams()
     big = mc._simulate([params], mc.SimConfig(n_realizations=300, seed=2**70))[0]
     nxt = mc._simulate([params], mc.SimConfig(n_realizations=300, seed=2**70 + 1))[0]
     assert np.all(np.isfinite(big))
@@ -248,8 +248,8 @@ def test_lanes_of_one_block_are_different_streams():
 # the README figure geometries: 2e4 realizations give about 1.6e6 and
 # 5.7e6 interferers
 _COSINE_GEOMETRIES = {
-    "outage": (default_params(), 5000.0),
-    "rate": (default_params(alpha_N=4.0, lam=1e-5, R=100.0, L=100.0, H=4.0,
+    "outage": (SystemParams(), 5000.0),
+    "rate": (SystemParams(alpha_N=4.0, lam=1e-5, R=100.0, L=100.0, H=4.0,
                             P=1.0, Np=3), 3000.0),
 }
 
@@ -295,7 +295,7 @@ def test_draw_key_matches_sample_bytes(field):
     # the key stays put exactly when the samples keep their bytes, and both
     # stay put only for the four fields: a simulator that starts reading a
     # new field, or a new field with no entry above, fails here
-    params = default_params()
+    params = SystemParams()
     sim = mc.SimConfig(n_realizations=300, seed=6)
     changed = params.with_(**{field: _FIELD_CHANGES[field]})
     same_bytes = (mc._simulate([changed], sim)[0].tobytes()
@@ -317,7 +317,7 @@ _GROUP_VALUES = {"N_L": (1, 3, 8), "N_N": (1, 2, 6), "H": (2.0, 4.0, 8.0),
 def test_group_samples_equal_one_point_samples(field, pinned_d0, workers):
     # a group draws once and works out every member on the same draws;
     # each member's samples keep the bytes of a one-point simulation
-    params = default_params()
+    params = SystemParams()
     sim = mc.SimConfig(n_realizations=600, seed=14, pinned_d0=pinned_d0,
                        workers=workers)
     group = [params.with_(**{field: value}) for value in _GROUP_VALUES[field]]
@@ -328,7 +328,7 @@ def test_group_samples_equal_one_point_samples(field, pinned_d0, workers):
 def test_interference_ignores_user_position():
     # the truncation disc is centred at the typical user, so pinning the
     # serving distance moves the serving power but not one interference byte
-    params = default_params()
+    params = SystemParams()
     free = mc.SimConfig(n_realizations=600, seed=15)
     pinned = replace(free, pinned_d0=10.0)
     (s_free, i_free), (s_pinned, i_pinned) = (
@@ -338,7 +338,7 @@ def test_interference_ignores_user_position():
 
 
 def test_group_needs_one_lam():
-    params = default_params()
+    params = SystemParams()
     with pytest.raises(InvalidParameterError, match="lam"):
         mc._simulate([params, params.with_(lam=2e-6)],
                      mc.SimConfig(n_realizations=10))
@@ -364,7 +364,7 @@ def test_pool_capped_at_cpu_count(monkeypatch):
 
     # _simulate imports the pool from concurrent.futures when it needs one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    params = default_params()
+    params = SystemParams()
     n = 256 * (os.cpu_count() + 2)
     wide = mc.SimConfig(n_realizations=n, seed=8, R_sim=1000.0, workers=5000)
     samples = mc._simulate([params], wide)[0]
@@ -377,7 +377,7 @@ def test_pool_capped_at_cpu_count(monkeypatch):
 # ------------------------------------------------------------- trivials
 
 def test_zero_threshold_never_outage():
-    params = default_params(Rbar=0.0)
+    params = SystemParams(Rbar=0.0)
     samples = mc._simulate([params], mc.SimConfig(n_realizations=500, seed=2))[0]
     assert mc._outage(samples, params) == (0.0, 0.0)
 
@@ -386,7 +386,7 @@ def test_outage_flag_matches_sinr():
     # same seed, same samples: each outage flag is the rate sample falling
     # short of Rbar, i.e. SINR below 2^Rbar - 1, and both estimates are
     # the means of their flags and rate samples
-    params = default_params(Rbar=4.0)
+    params = SystemParams(Rbar=4.0)
     sim = mc.SimConfig(n_realizations=500, seed=8)
     samples = mc._simulate([params], sim)[0]
     signal, interference = samples
@@ -402,7 +402,7 @@ def test_outage_flag_matches_sinr():
 
 def test_no_clusters_means_no_interference():
     # every realization's interference sum is exactly zero; the signal is not
-    params = default_params(lam=0.0)
+    params = SystemParams(lam=0.0)
     signal, interference = mc._simulate([params], mc.SimConfig(n_realizations=600, seed=4))[0]
     assert np.all(interference == 0.0)
     assert np.all(signal > 0.0)
@@ -423,34 +423,34 @@ def _pinned_rate_oracle(params, alpha, shape, seed):
 
 def test_pinned_distance_rate_matches_gamma_oracle():
     # no blockage: every serving link is LoS
-    params = default_params(lam=0.0, beta=0.0)
+    params = SystemParams(lam=0.0, beta=0.0)
     got, want, se = _pinned_rate_oracle(params, params.alpha_L, params.N_L, 7)
     assert abs(got - want) <= 3.0 * se
 
 
 def test_pinned_distance_nlos_rate_matches_gamma_oracle():
     # blockage certain at d0 = 5 (exp(-1e3 * 5) underflows to 0)
-    params = default_params(lam=0.0, beta=1e3)
+    params = SystemParams(lam=0.0, beta=1e3)
     got, want, se = _pinned_rate_oracle(params, params.alpha_N, params.N_N, 19)
     assert abs(got - want) <= 3.0 * se
 
 
 def test_laplace_at_zero_is_one():
     estimate = laplace_estimate(
-        0.0, default_params(), mc.SimConfig(n_realizations=200, seed=1))
+        0.0, SystemParams(), mc.SimConfig(n_realizations=200, seed=1))
     assert estimate == (1.0, 0.0)
 
 
 def test_laplace_without_clusters_is_one():
     estimate, _ = laplace_estimate(
-        3.0, default_params(lam=0.0), mc.SimConfig(n_realizations=200, seed=1))
+        3.0, SystemParams(lam=0.0), mc.SimConfig(n_realizations=200, seed=1))
     assert estimate == 1.0
 
 
 # ------------------------------------------------- statistical behaviour
 
 def test_standard_error_scales_with_sample_size():
-    params = default_params()
+    params = SystemParams()
     _, small = mc._rate(
         mc._simulate([params], mc.SimConfig(n_realizations=1000, seed=13))[0], params)
     _, large = mc._rate(
@@ -461,7 +461,7 @@ def test_standard_error_scales_with_sample_size():
 
 def test_truncation_radius_insensitive():
     # common seed nests the point process, so the shift is pure truncation
-    params = default_params()
+    params = SystemParams()
     near, near_se = mc._outage(mc._simulate(
         [params], mc.SimConfig(n_realizations=5000, seed=31, R_sim=2500.0))[0], params)
     far, _ = mc._outage(mc._simulate(
@@ -471,7 +471,7 @@ def test_truncation_radius_insensitive():
 
 def test_matches_analysis_without_interference():
     # lam = 0 with a large blockage exponent exercises the NLoS branch alone
-    params = default_params(lam=0.0, beta=1e3, Np=1, Rbar=4.0)
+    params = SystemParams(lam=0.0, beta=1e3, Np=1, Rbar=4.0)
     analytic = an.outage_probability(params, CFG)
     got, se = mc._outage(
         mc._simulate([params], mc.SimConfig(n_realizations=20_000, seed=17))[0], params)
@@ -479,7 +479,7 @@ def test_matches_analysis_without_interference():
 
 
 def test_pinned_distance_matches_conditional_outage():
-    params = default_params(Rbar=3.0)
+    params = SystemParams(Rbar=3.0)
     d0 = 15.0
     analytic = conditional_outage(d0, params, CFG)
     got, se = mc._outage(mc._simulate(
@@ -488,7 +488,7 @@ def test_pinned_distance_matches_conditional_outage():
 
 
 def test_more_presets_raise_rate():
-    params = default_params()
+    params = SystemParams()
     sim = mc.SimConfig(n_realizations=4000, seed=21)
     (single, single_se), (many, many_se) = (
         mc._rate(mc._simulate([p], sim)[0], p)
@@ -498,7 +498,7 @@ def test_more_presets_raise_rate():
 
 def test_dense_deployment_collapses_rate():
     # 1e-2 clusters per m^2 drowns the link in interference
-    params = default_params(lam=1e-2)
+    params = SystemParams(lam=1e-2)
     rate, _ = mc._rate(mc._simulate(
         [params], mc.SimConfig(n_realizations=2000, seed=4, R_sim=60.0))[0], params)
     assert rate < 0.5

@@ -20,20 +20,25 @@ from pinchnet.numerics import (
 ORDER = 32
 
 
+def _legendre_on(n, lo, hi):
+    """The n-point Gauss-Legendre rule mapped onto [lo, hi]."""
+    x, w = gauss_legendre_rule(n)
+    return lo + 0.5 * (hi - lo) * (x + 1.0), 0.5 * (hi - lo) * w
+
+
 # ---------------- Gauss-Chebyshev ----------------
 
 def test_chebyshev_k1():
     nd = gauss_chebyshev_nodes(1)
-    assert abs(nd.theta[0]) < 1e-15
     assert nd.phi[0] == pytest.approx(np.pi / 4, abs=1e-15)
     assert nd.weight[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_chebyshev_k2():
     nd = gauss_chebyshev_nodes(2)
-    assert nd.theta[0] == pytest.approx(math.sqrt(2) / 2, abs=1e-15)
-    assert nd.theta[1] == pytest.approx(-math.sqrt(2) / 2, abs=1e-15)
     assert nd.phi[0] == pytest.approx((np.pi / 4) * (1 + math.sqrt(2) / 2), abs=1e-15)
+    assert nd.phi[1] == pytest.approx((np.pi / 4) * (1 - math.sqrt(2) / 2), abs=1e-15)
+    assert nd.weight == pytest.approx([math.sqrt(2) / 2] * 2, abs=1e-15)
 
 
 def test_chebyshev_invalid_k():
@@ -70,50 +75,51 @@ def test_chebyshev_nodes_in_range():
 # ---------------- Gauss-Legendre ----------------
 
 def test_legendre_midpoint():
-    r = gauss_legendre_rule(1, 0.0, 2.0)
-    assert r.nodes[0] == pytest.approx(1.0, abs=1e-15)
-    assert r.weights[0] == pytest.approx(2.0, abs=1e-15)
+    nodes, weights = _legendre_on(1, 0.0, 2.0)
+    assert nodes[0] == pytest.approx(1.0, abs=1e-15)
+    assert weights[0] == pytest.approx(2.0, abs=1e-15)
+    # Newton lands the one-point rule exactly on the midpoint rule
+    x, w = gauss_legendre_rule(1)
+    assert x.tolist() == [0.0] and w.tolist() == [2.0]
 
 
 def test_legendre_degree_exactness():
-    r = gauss_legendre_rule(5, 0.0, 1.0)
-    assert np.sum(r.weights * r.nodes ** 8) == pytest.approx(1.0 / 9.0, abs=1e-12)
+    nodes, weights = _legendre_on(5, 0.0, 1.0)
+    assert np.sum(weights * nodes ** 8) == pytest.approx(1.0 / 9.0, abs=1e-12)
 
 
 def test_legendre_exp():
-    r = gauss_legendre_rule(64, 0.0, 1.0)
-    assert np.sum(r.weights * np.exp(r.nodes)) == pytest.approx(np.e - 1.0, abs=1e-12)
+    nodes, weights = _legendre_on(64, 0.0, 1.0)
+    assert np.sum(weights * np.exp(nodes)) == pytest.approx(np.e - 1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 16, 33, 64, 100])
 def test_legendre_weights_positive_and_sum(n):
-    r = gauss_legendre_rule(n, -1.5, 4.0)
-    assert np.all(r.weights > 0)
-    assert np.sum(r.weights) == pytest.approx(5.5, rel=1e-12)
+    nodes, weights = _legendre_on(n, -1.5, 4.0)
+    assert np.all(weights > 0)
+    assert np.sum(weights) == pytest.approx(5.5, rel=1e-12)
     # nodes strictly inside and ascending
-    assert np.all(np.diff(r.nodes) > 0)
-    assert r.nodes[0] > -1.5 and r.nodes[-1] < 4.0
+    assert np.all(np.diff(nodes) > 0)
+    assert nodes[0] > -1.5 and nodes[-1] < 4.0
 
 
 def test_legendre_matches_reference_tables():
     # cross-check against an independent implementation
     leggauss = np.polynomial.legendre.leggauss
     for n in (4, 10, 37, 128):
-        r = gauss_legendre_rule(n, -1.0, 1.0)
+        nodes, weights = gauss_legendre_rule(n)
         x_ref, w_ref = leggauss(n)
-        assert np.max(np.abs(r.nodes - x_ref)) < 5e-15
-        assert np.max(np.abs(r.weights - w_ref)) < 5e-14
+        assert np.max(np.abs(nodes - x_ref)) < 5e-15
+        assert np.max(np.abs(weights - w_ref)) < 5e-14
 
 
 def test_legendre_invalid_interval():
+    # the rule is cached: True must not reach the cached one-point rule
+    gauss_legendre_rule(1)
     with pytest.raises(InvalidParameterError):
-        gauss_legendre_rule(4, 1.0, 1.0)
+        gauss_legendre_rule(0)
     with pytest.raises(InvalidParameterError):
-        gauss_legendre_rule(4, 2.0, -1.0)
-    with pytest.raises(InvalidParameterError):
-        gauss_legendre_rule(0, 0.0, 1.0)
-    with pytest.raises(InvalidParameterError):
-        gauss_legendre_rule(True, 0.0, 1.0)
+        gauss_legendre_rule(True)
 
 
 # ---------------- semi-infinite integrals ----------------
