@@ -6,8 +6,8 @@ terms of its logarithm, the conditional and spatially averaged outage
 probability of the typical pinched-antenna link, the fixed-antenna /
 continuum bounds, and the ergodic rate.
 
-The interference transform is a Gauss-Chebyshev sum over a half-angle
-substitution r = tan(phi) of the radial interference integral; everything
+The interference transform is a Gauss-Legendre sum over the substitution
+r = H tan^2(phi) of the radial interference integral (_tables); everything
 downstream (outage, rate) reuses the same node tables.  With L-bar = e^zeta,
 the outage's coverage sum sum_{j<N_B} (-w)^j/j! L-bar^(j)(w), at
 w = N_B eps d0^alpha_B, is e^zeta(w) sum_{m<N_B} a_m: the first column of
@@ -51,9 +51,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericInstabilityError, _integer
+from .errors import NumericError, NumericInstabilityError, _integer
 from .geometry import SystemParams, preset_offsets, voronoi_cells
-from .numerics import gauss_chebyshev_nodes, gauss_legendre_rule, integrate_semi_infinite
+from .numerics import gauss_legendre_rule, integrate_semi_infinite
 
 __all__ = [
     "AnalysisConfig",
@@ -73,7 +73,7 @@ _CLAMP = 1e-9
 class AnalysisConfig:
     """Quadrature orders.
 
-    K: Gauss-Chebyshev order of the interference transform
+    K: Gauss-Legendre order of the interference transform
     gl_order_rate: order of every 1-D rule: each octave panel of the rate's
         z-integral, each rho-panel of the polar measure, and the number of
         Chebyshev nodes of every serving-distance rule (the outage, both
@@ -82,9 +82,11 @@ class AnalysisConfig:
 
     # defaults sized so that doubling any order moves results by well
     # under 1e-5 even at the dense-cluster rate geometry (lam=1e-5, R=100);
+    # 128 transform nodes keep log L_I within 1e-11 of mpmath for omega up
+    # to 1e8 at the default and rate geometries, where 96 leave 1e-9;
     # 96 serving-distance nodes keep the averages 1.3e-11 off independent
     # quadrature at R = 1000, L = 100, where 48 nodes leave 3e-7
-    K: int = 400
+    K: int = 128
     gl_order_rate: int = 96
 
     def __post_init__(self):
@@ -97,18 +99,32 @@ class AnalysisConfig:
 
 
 def _tables(params: SystemParams, cfg: AnalysisConfig):
-    """Gauss-Chebyshev node data of the interference transform: (pref,
-    ((a_L, D_L, N_L), (a_N, D_N, N_N))).
+    """Node data of the interference transform: (pref, ((a_L, D_L, N_L),
+    (a_N, D_N, N_N))).
 
-    a_L/a_N fold the node weight w_k sin(phi)/cos^3(phi) together with the
-    blockage split exp(-beta d) / 1 - exp(-beta d); D_L/D_N are d^alpha per
-    state.  pref is pi^3 lam / (2K).
+    The radial integral over r in (0, inf) runs through r = H tan^2(phi)
+    with phi = (pi/4)(1 + x), on the K-point Gauss-Legendre rule in x.
+    There a far-field tail r^(1 - alpha) dr behaves like
+    (pi/2 - phi)^(2 alpha - 5): a polynomial at every half-integer alpha,
+    vanishing at phi = pi/2 for alpha > 5/2.  a_L/a_N fold the weight of
+    r dr, (pi/2) H^2 w tan^3(phi) / cos^2(phi), together with the blockage
+    split exp(-beta d) / 1 - exp(-beta d); D_L/D_N are d^alpha per state.
+    pref is 2 pi lam.  Where interferers exist but the far field decays
+    like r^-2 (the NLoS exponent, or the LoS one at beta = 0), the
+    interference is infinite almost surely and NumericError is raised.
     """
-    nodes = gauss_chebyshev_nodes(cfg.K)
-    d = np.hypot(np.tan(nodes.phi), params.H)
-    c = nodes.weight * np.sin(nodes.phi) / np.cos(nodes.phi) ** 3
+    far_alpha = params.alpha_N if params.beta > 0.0 else params.alpha_L
+    if params.lam > 0.0 and far_alpha <= 2.0:
+        raise NumericError(
+            f"interference diverges: lam = {params.lam!r} > 0 with far-field "
+            f"path-loss exponent {far_alpha!r} <= 2")
+    x, w = gauss_legendre_rule(cfg.K)
+    phi = 0.25 * math.pi * (1.0 + x)
+    tan = np.tan(phi)
+    d = np.hypot(params.H * tan * tan, params.H)
+    c = (0.5 * math.pi * params.H ** 2) * w * tan ** 3 / np.cos(phi) ** 2
     p_los = np.exp(-params.beta * d)
-    return (math.pi ** 3 * params.lam / (2.0 * cfg.K),
+    return (2.0 * math.pi * params.lam,
             ((c * p_los, d ** params.alpha_L, params.N_L),
              (c * (1.0 - p_los), d ** params.alpha_N, params.N_N)))
 

@@ -73,8 +73,9 @@ class SystemParams:
                 _positive(value, f.name)
             else:
                 _finite(value, f.name)
-        if not self.lam >= 0:
-            raise InvalidParameterError(f"lam must be >= 0, got {self.lam!r}")
+        for name, value in (("lam", self.lam), ("beta", self.beta)):
+            if not value >= 0:
+                raise InvalidParameterError(f"{name} must be >= 0, got {value!r}")
         if not self.L / 2 < self.R:
             raise InvalidParameterError(
                 f"waveguide must fit in the cluster: L/2 = {self.L / 2} >= R = {self.R}")

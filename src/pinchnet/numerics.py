@@ -1,14 +1,12 @@
 """Quadrature rules for the closed-form engine.
 
-Three quadrature families are used by the analysis layer:
+One quadrature family serves the analysis layer:
 
-* Gauss-Chebyshev (first kind) node tables for the interference integral,
-  where the integrand is mapped from t in (0, pi/2) to the Chebyshev
-  interval via phi = (pi/4)(1 + theta).
 * The Gauss-Legendre rule on [-1, 1], built by Newton iteration on the
-  Legendre recurrence; callers map it onto their own intervals.
+  Legendre recurrence; callers map it onto their own intervals (the
+  interference transform through r = H tan^2(phi)).
 * A semi-infinite rule for integrals over [0, inf), such as the ergodic
-  rate's z-integral, built from the substitution x = u / (1 - u) with
+  rate's z-integral, built on it from the substitution x = u / (1 - u) with
   panels refined toward u = 1 so integrands whose mass spans many decades
   of x are still resolved.
 """
@@ -16,52 +14,19 @@ Three quadrature families are used by the analysis layer:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .errors import NumericError, _integer
 
-__all__ = [
-    "ChebyshevNodes",
-    "gauss_chebyshev_nodes",
-    "gauss_legendre_rule",
-    "integrate_semi_infinite",
-]
+__all__ = ["gauss_legendre_rule", "integrate_semi_infinite"]
 
 _NEWTON_TOL = 1e-15
 _MAX_PANELS = 64
 # the semi-infinite rule stops once two consecutive panels each add less
 # than this fraction of the running total
 _PANEL_TOL = 1e-9
-
-
-class ChebyshevNodes(NamedTuple):
-    """Gauss-Chebyshev node table for k = 1..K."""
-
-    phi: np.ndarray     # (pi/4)(1 + theta_k), theta_k = cos((2k - 1) pi / (2K))
-    weight: np.ndarray  # sqrt(1 - theta_k^2)
-
-
-def gauss_chebyshev_nodes(K: int) -> ChebyshevNodes:
-    """Return the K-point Chebyshev abscissas used by the interference sum.
-
-    Args:
-        K: number of nodes, K >= 1.
-
-    Returns:
-        ChebyshevNodes with the mapped angle phi_k = (pi/4)(1 + theta_k),
-        theta_k = cos((2k-1)pi/(2K)), and weight sqrt(1 - theta_k^2).
-
-    The composite identity used downstream is
-        integral_0^{pi/2} f(t) dt ~= (pi^2 / 4K) sum_k weight_k f(phi_k).
-    """
-    K = _integer(K, "K", 1)
-    k = np.arange(1, K + 1, dtype=np.float64)
-    theta = np.cos((2.0 * k - 1.0) * np.pi / (2.0 * K))
-    phi = (np.pi / 4.0) * (1.0 + theta)
-    weight = np.sqrt(1.0 - theta * theta)
-    return ChebyshevNodes(phi=phi, weight=weight)
 
 
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

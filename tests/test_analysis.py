@@ -1,7 +1,8 @@
 """Closed-form engine: transform, coverage sum, outage, bounds, rate.
 
 Derivative formulas are checked against central finite differences of the
-transform itself, and the transform at alpha = 4 against its closed form;
+transform itself, and the transform against its closed form at alpha = 4
+and split scipy quadrature elsewhere;
 the lambda = 0 cases against the Poisson/Gamma closed forms they
 degenerate to, both pointwise and averaged over the disc by scipy's
 adaptive quadrature; large shapes against the derivative series in
@@ -25,7 +26,7 @@ from scipy.special import gammaincc
 from hypothesis import assume, given, settings, strategies as st
 
 from pinchnet import analysis as an
-from pinchnet.errors import InvalidParameterError, NumericInstabilityError
+from pinchnet.errors import InvalidParameterError, NumericError, NumericInstabilityError
 from pinchnet.geometry import SPEED_OF_LIGHT, SystemParams, preset_offsets, voronoi_cells
 from pinchnet.numerics import integrate_semi_infinite
 from test_finite_difference import finite_difference
@@ -91,6 +92,8 @@ def test_config_rejects_bad_orders():
     with pytest.raises(InvalidParameterError):
         an.AnalysisConfig(K=0)
     with pytest.raises(InvalidParameterError):
+        an.AnalysisConfig(K=True)
+    with pytest.raises(InvalidParameterError):
         an.AnalysisConfig(gl_order_rate=-3)
     with pytest.raises(InvalidParameterError):
         an.AnalysisConfig(gl_order_rate=1.5)
@@ -138,14 +141,39 @@ def test_laplace_ignores_waveguide_layout():
         assert got == ref
 
 
+def _gamma_miss(z, d, alpha, shape):
+    """1 - E[exp(-z G d^-alpha)] for G ~ Gamma(shape, 1/shape)."""
+    return -np.expm1(-shape * np.log1p(z * d ** -alpha / shape))
+
+
+def _quad_log_laplace(z, params):
+    """log L_I(z) = -2 pi lam int_0^inf E_{G,B}[1 - exp(-z G d^-alpha_B)] r dr
+    with d = sqrt(r^2 + H^2), by scipy's adaptive quadrature over r, split
+    at H, at 1/beta and at each branch's z^(1/alpha_B), where the integrand
+    turns from its near plateau to its far tail."""
+    def at_radius(r):
+        d = math.hypot(r, params.H)
+        p_los = math.exp(-params.beta * d)
+        return r * (p_los * _gamma_miss(z, d, params.alpha_L, params.N_L)
+                    + (1.0 - p_los) * _gamma_miss(z, d, params.alpha_N, params.N_N))
+
+    edges = sorted({0.0, params.H, *(z ** (1.0 / a) for a in (params.alpha_L, params.alpha_N)),
+                    *([1.0 / params.beta] if params.beta > 0.0 else [])})
+    return -2.0 * math.pi * params.lam * sum(
+        integrate.quad(at_radius, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        for lo, hi in zip(edges, [*edges[1:], np.inf]))
+
+
 # alpha = 4, unit shapes and beta = 0: every interferer is LoS with an
 # exponential gain, and the radial integral has a closed form,
 # log L_I(s) = -lam pi sqrt(s) atan(sqrt(s)/H^2), whose -s d/ds is t_1.
-# The pinned errors, about twice those measured at K = 400, grow with s
-# like the K-sum's error (algebraic in K)
+# The pinned errors are about twice those measured at K = 128, and at least
+# 1e-14; they grow past s = 1e8, where the knee of the integrand at
+# r = s^(1/4) moves out to where the nodes thin
 @pytest.mark.parametrize("s,log_rel,t1_rel", [
-    (0.1, 3.5e-10, 3.5e-10), (10.0, 3.5e-10, 3.5e-10), (1e4, 2.5e-9, 4.5e-9),
-    (1e8, 2.2e-7, 4.5e-7), (1e12, 2.5e-5, 4.5e-5)])
+    (0.1, 1e-14, 1e-14), (10.0, 1e-14, 1e-14), (1e4, 1e-14, 1e-14),
+    (1e8, 1e-14, 2e-13), (1e12, 1.5e-8, 5e-7)],
+    ids=["s=0.1", "s=10", "s=1e4", "s=1e8", "s=1e12"])
 def test_transform_matches_closed_form_at_alpha_4(s, log_rel, t1_rel):
     params = PARAMS.with_(alpha_L=4.0, alpha_N=4.0, N_L=1, N_N=1, beta=0.0)
     tab = an._tables(params, CFG)
@@ -156,6 +184,46 @@ def test_transform_matches_closed_form_at_alpha_4(s, log_rel, t1_rel):
     got_log_l, got_t = an._xi_free(s, 1, tab)
     assert float(got_log_l) == pytest.approx(log_l, rel=log_rel)
     assert float(got_t[0]) == pytest.approx(t1, rel=t1_rel)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e4, 1e8])
+@pytest.mark.parametrize("params", [PARAMS, RATE_PARAMS, PARAMS.with_(alpha_N=3.2)],
+                         ids=["default", "rate", "alpha_N=3.2"])
+def test_transform_matches_quadrature_oracle(params, s):
+    # the split quadrature is within 3e-13 of mpmath at 30 digits here, and
+    # the transform within 8e-9 of it (alpha_N = 3.2 at s = 1e8); a rule
+    # converging like K^-2 in the tail is 6.8e-7 off on the default
+    # geometry at s = 1 at K = 400, and 7.4e-4 at s = 1e8
+    got = float(an._xi_free(s, 0, an._tables(params, CFG))[0])
+    assert got == pytest.approx(_quad_log_laplace(s, params), rel=2e-8)
+
+
+# a far-field path-loss exponent of 2 (the NLoS one, or the LoS one at
+# beta = 0) makes the interference integral diverge like log r, so I is
+# infinite almost surely; unchecked, each K would give its own finite
+# outage (7.5e-4, 7.8e-4 and 8.2e-4 at K = 100, 400 and 1600, alpha_N = 2)
+_FAR_FIELD_2 = pytest.mark.parametrize("changes", [{"alpha_N": 2.0}, {"beta": 0.0}],
+                                       ids=["alpha_N=2", "beta=0"])
+
+
+@_FAR_FIELD_2
+def test_divergent_interference_raises(changes):
+    params = PARAMS.with_(**changes)
+    for average in (an.outage_probability, an.outage_lower_bound, an.ergodic_rate):
+        with pytest.raises(NumericError, match="interference diverges"):
+            average(params, CFG)
+
+
+@_FAR_FIELD_2
+def test_far_field_exponent_2_without_interferers_is_gamma_tail(changes):
+    # at lam = 0 nothing diverges: the outage is the noise-only gamma tail
+    p0 = _at(1e4, PARAMS.with_(lam=0.0, **changes))
+    d0 = 5.0
+    p_los = math.exp(-p0.beta * d0)
+    want = 1.0 - (
+        p_los * gammaincc(p0.N_L, p0.N_L * p0.epsilon * d0 ** p0.alpha_L * XI)
+        + (1.0 - p_los) * gammaincc(p0.N_N, p0.N_N * p0.epsilon * d0 ** p0.alpha_N * XI))
+    assert conditional_outage(d0, p0, CFG) == pytest.approx(want, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -793,24 +861,6 @@ def test_outage_stable_under_order_doubling():
 # ergodic rate
 
 
-def _gamma_miss(z, d, alpha, shape):
-    """1 - E[exp(-z G d^-alpha)] for G ~ Gamma(shape, 1/shape)."""
-    return -np.expm1(-shape * np.log1p(z * d ** -alpha / shape))
-
-
-def _quad_log_laplace(z, params):
-    """log L_I(z) = -2 pi lam int_0^inf E_{G,B}[1 - exp(-z G d^-alpha_B)] r dr
-    with d = sqrt(r^2 + H^2), by scipy's adaptive quadrature over r."""
-    def at_radius(r):
-        d = math.hypot(r, params.H)
-        p_los = math.exp(-params.beta * d)
-        return r * (p_los * _gamma_miss(z, d, params.alpha_L, params.N_L)
-                    + (1.0 - p_los) * _gamma_miss(z, d, params.alpha_N, params.N_N))
-
-    return -2.0 * math.pi * params.lam * integrate.quad(
-        at_radius, 0.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)[0]
-
-
 def _quad_rate(params, m=24):
     """E[log2(1 + SINR)] by scipy alone: the conditional rate
     g(d0) = int z^-1 e^{-z xi} L_I(z) (1 - M_S(z | d0)) dz / ln 2 by adaptive
@@ -840,8 +890,8 @@ def _quad_rate(params, m=24):
 def test_rate_vanishes_under_dense_interference():
     # the model's rate at lam = 10 is 1.1633e-4 bits: the independent
     # oracle gives the same value at 16, 24 and 32 points of ln d0, and
-    # ergodic_rate approaches it as K grows (relative gap 6.7e-7 at
-    # K = 400, 1.7e-7 at 800, 4e-8 at 1600)
+    # ergodic_rate is within 5e-15 of it from K = 128 on (the relative gap
+    # is 4.4e-15 at K = 128, 5.6e-16 at 256 and 1.3e-15 at 1600)
     dense = SystemParams(lam=10.0)
     rate = an.ergodic_rate(dense, CFG)
     assert rate == pytest.approx(_quad_rate(dense), rel=1e-5)

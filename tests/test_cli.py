@@ -435,7 +435,10 @@ def test_numeric_failure_prints_no_numpy_warnings(tmp_path, capsys, mode, sweep)
        beta=st.floats(0.0, 0.1))
 def test_bounds_bracket_outage_monotone_in_power(Np, R, L_share, lam, beta):
     # over the valid geometry, through the CLI's shared transforms: each
-    # row's outage lies between its bounds, and it does not rise with P
+    # row's outage lies between its bounds, and it does not rise with P.
+    # Interferers at beta = 0 are all LoS with alpha_L = 2, so their
+    # interference diverges and every row fails
+    diverges = lam > 0.0 and beta == 0.0
     config = {"mode": "bounds",
               "params": {"Np": Np, "R": R, "L": 2.0 * R * L_share,
                          "lam": lam, "beta": beta},
@@ -444,8 +447,13 @@ def test_bounds_bracket_outage_monotone_in_power(Np, R, L_share, lam, beta):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
-        assert cli.main([str(path), "--out", tmp]) == 0
+        assert cli.main([str(path), "--out", tmp]) == (1 if diverges else 0)
         rows = json.loads((Path(tmp) / "report.json").read_text())["rows"]
+    if diverges:
+        assert len(rows) == 5
+        assert all(row["error"].startswith("NumericError: interference diverges")
+                   for row in rows)
+        return
     outages = [row["analytic_outage"] for row in rows]
     for row in rows:
         assert row["lower_bound"] <= row["analytic_outage"] + 1e-9
@@ -462,7 +470,8 @@ def test_config_error_exit_code(tmp_path, capsys):
     path = _write(tmp_path, "mode: analyze\n", name="plain.yaml")
     for spec, field in (("params.Rbar=2000", "Rbar"), ("params.sigma2=inf", "sigma2"),
                         ("params.lam=inf", "lam"), ("params.H=inf", "H"),
-                        ("params.R=inf", "R"), ("params.P=nan", "P")):
+                        ("params.R=inf", "R"), ("params.P=nan", "P"),
+                        ("params.beta=-0.01", "beta")):
         assert cli.main([str(path), "--set", spec, "--out", str(tmp_path)]) == 2
         assert f"params: {field} must be" in capsys.readouterr().err
     # so do a noise term that overflows and a run the simulator would refuse
@@ -600,7 +609,7 @@ _WORKLOAD_DIGESTS = {
          "sim": {"n_realizations": 10_000, "R_sim": 5000.0, "workers": 1,
                  "seed": 6229},
          "sweep": {"parameter": "P", "values": _DBM_0_TO_30[::5]}},
-        "199b71ae9959ac49bb3c374becde46662523ffcf9147e36d0a57d758ca761d98"),
+        "55375847f5f7af26ed4182bfc29649dd358d002a31dac3612e6732fafc3b1925"),
     "rate_figure": (
         {"mode": "rate",
          "params": {"lambda": 1.0e-5, "R": 100.0, "L": 100.0, "H": 4.0,
@@ -608,13 +617,13 @@ _WORKLOAD_DIGESTS = {
          "sim": {"n_realizations": 4000, "R_sim": 3000.0, "workers": 1,
                  "seed": 6229},
          "sweep": {"parameter": "Np", "values": [1, 3, 11]}},
-        "0906151f7ed1453b2a271619201cce321c12e2bf4c8e2fe2fc44a0e2f41131e4"),
+        "fd410a51c504929a322a000490fbf620b17fa935334236d0dfe997022d1edb3e"),
     "bounds_sweep": (
         {"mode": "bounds",
          "params": {"Np": 51},
          "sim": {"workers": 1, "seed": 6229},
          "sweep": {"parameter": "P", "values": _DBM_0_TO_30}},
-        "89bdaec413d8313c23149ccb4af2a023a678222ff5aa7d75a6e47ad519a7f140"),
+        "41fa71bbb4882bf11ddf9b3091b33e26f5fcb7aab8eb8c33f47f6154c66c5612"),
 }
 
 

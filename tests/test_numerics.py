@@ -5,17 +5,11 @@ oracles (numpy.polynomial.legendre.leggauss, exact antiderivatives,
 order-doubling refinement).
 """
 
-import math
-
 import numpy as np
 import pytest
 
 from pinchnet.errors import InvalidParameterError, NumericError
-from pinchnet.numerics import (
-    gauss_chebyshev_nodes,
-    gauss_legendre_rule,
-    integrate_semi_infinite,
-)
+from pinchnet.numerics import gauss_legendre_rule, integrate_semi_infinite
 
 ORDER = 32
 
@@ -24,52 +18,6 @@ def _legendre_on(n, lo, hi):
     """The n-point Gauss-Legendre rule mapped onto [lo, hi]."""
     x, w = gauss_legendre_rule(n)
     return lo + 0.5 * (hi - lo) * (x + 1.0), 0.5 * (hi - lo) * w
-
-
-# ---------------- Gauss-Chebyshev ----------------
-
-def test_chebyshev_k1():
-    nd = gauss_chebyshev_nodes(1)
-    assert nd.phi[0] == pytest.approx(np.pi / 4, abs=1e-15)
-    assert nd.weight[0] == pytest.approx(1.0, abs=1e-15)
-
-
-def test_chebyshev_k2():
-    nd = gauss_chebyshev_nodes(2)
-    assert nd.phi[0] == pytest.approx((np.pi / 4) * (1 + math.sqrt(2) / 2), abs=1e-15)
-    assert nd.phi[1] == pytest.approx((np.pi / 4) * (1 - math.sqrt(2) / 2), abs=1e-15)
-    assert nd.weight == pytest.approx([math.sqrt(2) / 2] * 2, abs=1e-15)
-
-
-def test_chebyshev_invalid_k():
-    with pytest.raises(InvalidParameterError):
-        gauss_chebyshev_nodes(0)
-    with pytest.raises(InvalidParameterError):
-        gauss_chebyshev_nodes(True)
-
-
-def test_chebyshev_composite_sin_identity():
-    # integral of sin over (0, pi/2) = 1 via the composite identity.
-    # This quadrature family converges like K^-2 on unweighted smooth
-    # integrands, so the K=100 error sits near 3.23e-5 (frozen from the
-    # exact antiderivative); it cannot reach 1e-8 at this order.
-    nd = gauss_chebyshev_nodes(100)
-    approx = (np.pi / 4) * (np.pi / 100) * np.sum(nd.weight * np.sin(nd.phi))
-    assert abs(approx - 1.0) == pytest.approx(3.2297e-5, rel=1e-3)
-    # O(K^-2): doubling K divides the error by ~4
-    errs = []
-    for K in (100, 200, 400):
-        nd = gauss_chebyshev_nodes(K)
-        a = (np.pi / 4) * (np.pi / K) * np.sum(nd.weight * np.sin(nd.phi))
-        errs.append(abs(a - 1.0))
-    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
-    assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.05)
-
-
-def test_chebyshev_nodes_in_range():
-    nd = gauss_chebyshev_nodes(257)
-    assert np.all(nd.phi > 0) and np.all(nd.phi < np.pi / 2)
-    assert np.all(nd.weight > 0)
 
 
 # ---------------- Gauss-Legendre ----------------
