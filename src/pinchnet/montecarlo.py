@@ -9,22 +9,22 @@ params.xi.
 
 Realizations are simulated in fixed blocks of 256, and reproducibility is
 structural, not incidental.  Every random number comes from a numpy SFC64
-stream seeded by SeedSequence(seed, spawn_key=(chunk, lane, block)), the
-spawning scheme numpy documents for independent streams: lane 0, chunk 0
+stream seeded by SeedSequence(seed, spawn_key=(bin, lane, block)), the
+spawning scheme numpy documents for independent streams: lane 0, bin 0
 holds a block's head (user position, serving blockage and serving fading);
-lane 1, chunk c holds interferer columns c*128 to c*128+127 of every
-realization in the block (radial arrival increments, four uniform marks,
-fading exponentials).  Every draw has a fixed shape, so a realization's
-numbers depend only on (seed, realization index).  Each worker simulates
-one span of whole blocks, and the simulator returns every realization's
-(serving power, interference) sample in index order; the two reductions,
-_outage and _rate, turn those samples into an estimate and its standard
-error with elementwise expressions, so estimates are bit-identical
-whatever the worker count.  The layout also makes
-truncation studies meaningful: enlarging R_sim only admits more of the
-same arrival columns (drawing further chunks where needed) without
-disturbing the points both discs share, so the estimate shift measures
-truncation error rather than resampling noise.
+lane 1, bin k holds the interferers of every realization in the block
+whose arrival time lam pi r^2 lies in [32k, 32k + 32): their Poisson
+counts, then five uniform marks and the fading exponentials of each.  A
+bin's draws depend only on (seed, bin, block), so a realization's numbers
+depend only on (seed, realization index).  Each worker simulates one span
+of whole blocks, and the simulator returns every realization's (serving
+power, interference) sample in index order; the two reductions, _outage
+and _rate, turn those samples into an estimate and its standard error
+with elementwise expressions, so estimates are bit-identical whatever the
+worker count.  The layout also makes truncation studies meaningful:
+enlarging R_sim only adds later bins and keeps more of the last one,
+without disturbing the points both discs share, so the estimate shift
+measures truncation error rather than resampling noise.
 
 The draw never reads P, sigma2, f_c or Rbar: they enter only through xi
 and epsilon, when a reduction turns samples into an estimate.  And of the
@@ -32,7 +32,7 @@ other fields only lam shapes the random numbers: the fills, the in-disc
 cut, the radii and the mark trigonometry are the same whatever R, L, Np,
 H, beta, the path-loss exponents or the fading shapes are (a smaller
 shape's exponential rows are a prefix of a larger one's).  So _simulate
-takes a group of params sharing lam, draws each chunk once, takes one
+takes a group of params sharing lam, draws each bin once, takes one
 gain row per distinct fading shape, and works out only the preset choice,
 distances, blockage and received powers per member; each member's samples
 are the bytes it gets simulated alone.  The command line
@@ -59,15 +59,17 @@ from .geometry import SystemParams, nearest_preset_offset
 
 __all__ = ["SimConfig"]
 
-# Realizations per block and interferer columns per chunk.  Both fix the
-# layout of the random draws: changing either changes every seed's sample.
+# Realizations per block, and expected arrivals per bin of a realization's
+# interferer field.  Both fix the layout of the random draws: changing
+# either changes every seed's sample.
 _BLOCK = 256
-_CHUNK = 128
+_BIN = 32
 # spawn-key lane per random role
 _LANE_HEAD = 0
 _LANE_FIELD = 1
-# rows of a chunk's cut (_block_interference), besides one per fading shape
-_CUT_ROWS = 8
+# arrivals per bin a span's work rows hold: 11 standard deviations past the
+# mean _BIN * _BLOCK (a bin with more works in a fresh array)
+_ROOM = _BIN * _BLOCK * 9 // 8
 
 _TWO_PI = 2.0 * math.pi
 
@@ -77,8 +79,8 @@ class SimConfig:
     """Simulation run parameters.
 
     R_sim truncates the interferer field; it must exceed 2R of the params
-    in force, and pinned_d0 must reach H (both in _check_run).  workers
-    only shapes execution, never results.
+    in force and keep lam pi R_sim^2 finite, and pinned_d0 must reach H
+    (all in _check_run).  workers only shapes execution, never results.
     """
 
     n_realizations: int = 100_000
@@ -100,15 +102,19 @@ def _check_run(params: SystemParams, simcfg: SimConfig) -> None:
     if not simcfg.R_sim > 2.0 * params.R:
         raise InvalidParameterError(
             f"R_sim={simcfg.R_sim!r} must exceed 2R={2.0 * params.R!r}")
+    if not math.isfinite(params.lam * math.pi * simcfg.R_sim * simcfg.R_sim):
+        raise InvalidParameterError(
+            f"R_sim={simcfg.R_sim!r} overflows the mean interferer count "
+            f"lam pi R_sim^2 at lam={params.lam!r}")
     if simcfg.pinned_d0 is not None and simcfg.pinned_d0 < params.H:
         raise InvalidParameterError(
             f"pinned_d0={simcfg.pinned_d0!r} is below the antenna height {params.H!r}")
 
 
-def _stream(seed: int, chunk: int, lane: int, block: int):
-    # one independent stream per (chunk, lane, block), spawned from the seed
+def _stream(seed: int, k: int, lane: int, block: int):
+    # one independent stream per (bin k, lane, block), spawned from the seed
     return np.random.Generator(np.random.SFC64(
-        np.random.SeedSequence(seed, spawn_key=(chunk, lane, block))))
+        np.random.SeedSequence(seed, spawn_key=(k, lane, block))))
 
 
 def _cos_turns(u: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -136,79 +142,75 @@ def _gamma_gains(exps: np.ndarray, shapes: list[int]) -> dict:
     return {n: exps[n - 1] for n in shapes}
 
 
-def _received(gains: dict, d: np.ndarray, los: np.ndarray, params: SystemParams,
+def _received(gains: dict, d2: np.ndarray, los: np.ndarray, params: SystemParams,
               out: np.ndarray | None = None, spare: np.ndarray | None = None) -> np.ndarray:
-    """Faded received powers g d^-alpha of links at distances d, into out if
-    given, with spare (shaped like d) to work in.  gains maps each fading
-    shape to the links' Gamma gains (_gamma_gains); N and alpha are picked
-    per link by its LoS state."""
-    out = np.power(d, -params.alpha_N, out=out)
+    """Faded received powers g (1/d2)^(alpha/2) of links at squared distances
+    d2 (numpy's power is fast at exponents 1 and 2), into out if given, with
+    spare (shaped like d2) to work in.  gains maps each fading shape to the
+    links' Gamma gains (_gamma_gains); N and alpha are picked per link by its
+    LoS state, and the LoS power is taken at the LoS links alone."""
+    inverse = np.divide(1.0, d2, out=spare)
+    out = np.power(inverse, params.alpha_N / 2.0, out=out)
     out *= gains[params.N_N]
-    # both powers in full, then a masked copy: a masked power runs slower
-    # where LoS and NLoS links alternate
-    los_power = np.power(d, -params.alpha_L, out=spare)
-    los_power *= gains[params.N_L]
-    np.copyto(out, los_power, where=los)
+    at = np.flatnonzero(los)
+    out[at] = np.power(inverse[at], params.alpha_L / 2.0) * gains[params.N_L][at]
     return out
 
 
 def _block_interference(group: list[SystemParams], simcfg: SimConfig,
-                        block: int, buf: np.ndarray, work: tuple) -> list[np.ndarray]:
-    """Interference sums of one block at each member of group, drawn chunk
-    by chunk from lane 1.
+                        block: int, work: np.ndarray) -> list[np.ndarray]:
+    """Interference sums of one block at each member of group, drawn bin by
+    bin from lane 1.
 
     The cluster centres are a stationary PPP, so the disc is centred at
     the typical user: an interferer's distance then needs only its centre
     distance r, the uniform angle psi between its waveguide and the line
-    to the user, and its preset offset.  Sorted squared radii of a disc
-    PPP, times lam pi, are the arrival times of a unit-rate Poisson
-    process.  Row i of a chunk extends realization i's arrival sequence by
-    _CHUNK points; chunks are drawn until every row has passed
-    lam pi R_sim^2, and only arrivals inside that limit contribute.  buf
-    holds a chunk's arrivals, four marks and fading exponentials.  All of
-    that, both cosines and the gain of each fading shape depend on lam
-    alone, so each chunk is drawn and cut once and only the preset
-    choice, distances, blockage and received powers are worked out per
-    member.  work is (one flag per chunk column, space for the cut's
-    rows): every chunk-sized intermediate lives in views of it.
+    to the user, and its preset offset.  The arrival times lam pi r^2 of
+    the disc's points are a unit-rate Poisson process on [0, lam pi R_sim^2]:
+    on each bin [_BIN k, _BIN (k + 1)), an independent Poisson count of
+    i.i.d. uniform points.  A bin's stream draws the 256 counts, then five
+    uniform rows (arrival fraction in the bin, psi, the served user's
+    squared radius over R^2 and angle, blockage), then the fading
+    exponentials, one column per arrival.  Bins are drawn up to the one
+    holding the limit lam pi R_sim^2, whose arrivals past it get zero gain:
+    they add exact zeros to their sums, which keep the bytes of a cut.  All
+    of that, both cosines and the gain of each fading shape depend on lam
+    alone, so each bin is drawn once and only the preset choice, distances,
+    blockage and received powers are worked out per member.  work has
+    _ROOM columns and a row per draw, then squared distances, powers and
+    flags: every bin-sized intermediate lives in views of it.
     """
     lam = group[0].lam
     interference = [np.zeros(_BLOCK) for _ in group]
     if lam == 0.0:
         return interference
-    limit = lam * math.pi * simcfg.R_sim ** 2
-    arrivals = buf[0].reshape(_BLOCK, _CHUNK)
-    marks = buf[1:5]
-    exps = buf[5:]
+    limit = lam * math.pi * simcfg.R_sim * simcfg.R_sim
     shapes = _shapes(group)
-    height = _CUT_ROWS + len(shapes)
-    inside, space = work
-    last = np.zeros(_BLOCK)
-    chunk = 0
-    while np.any(last <= limit):
-        rng = _stream(simcfg.seed, chunk, _LANE_FIELD, block)
-        rng.standard_exponential(out=arrivals)
-        arrivals[:, 0] += last
-        np.cumsum(arrivals, axis=1, out=arrivals)
-        last = arrivals[:, -1].copy()
-        rng.random(out=marks)
-        rng.standard_exponential(out=exps)
-        chunk += 1
-
-        np.less_equal(arrivals.ravel(), limit, out=inside)
-        idx = np.flatnonzero(inside)
-        n = idx.size
-        cut = space[:height * n].reshape(height, n)
-        r2, rows, two_r_cos, proj, axial, u_block, d, power, *gains = cut
-        rows = np.floor_divide(idx, _CHUNK, out=rows.view(np.intp))
-        np.take(arrivals, idx, out=r2)
+    bins = math.ceil(limit / _BIN)
+    for k in range(bins):
+        rng = _stream(simcfg.seed, k, _LANE_FIELD, block)
+        counts = rng.poisson(_BIN, _BLOCK)
+        m = int(counts.sum())
+        size = len(work) * m
+        area = work.reshape(-1)[:size] if m <= _ROOM else np.empty(size)
+        draws = area.reshape(len(work), m)
+        rng.random(out=draws[:5])
+        rng.standard_exponential(out=draws[5:-3])
+        gains = _gamma_gains(draws[5:-3], shapes)
+        # arrival fractions, psi, cluster-user radius and angle, blockage;
+        # the first four become r2, two_r_cos, proj and axial in place
+        r2, two_r_cos, proj, axial, u_block = draws[:5]
+        d2, power, flags = draws[-3:]
+        los = flags.view(bool)[:m]
+        np.multiply(r2, _BIN, out=r2)
+        r2 += _BIN * k
+        if k == bins - 1:
+            inside = np.less_equal(r2, limit, out=los)
+            for gain in gains.values():
+                gain *= inside
         r2 /= lam * math.pi
-        # psi, cluster-user radius and angle, blockage; the first three
-        # become two_r_cos, proj and axial in place
-        np.take(marks, idx, axis=1, out=cut[2:6])
-        gains = {shape: np.take(full, idx, out=g) for g, (shape, full)
-                 in zip(gains, _gamma_gains(exps, shapes).items())}
-        cos = power.view(np.float32)[:n]  # power's row is free until the members
+        rows = np.repeat(np.arange(_BLOCK), counts)
+        cos = power.view(np.float32)[:m]  # power's row is free until the members
         psi_cos = _cos_turns(two_r_cos, out=cos)
         np.sqrt(r2, out=two_r_cos)
         two_r_cos *= 2.0
@@ -217,26 +219,25 @@ def _block_interference(group: list[SystemParams], simcfg: SimConfig,
         # angle relative to that axis is uniform
         np.sqrt(proj, out=proj)
         proj *= _cos_turns(axial, out=cos)
-        los = inside[:n]  # the cut is taken: its flags are free
         for params, total in zip(group, interference):
             # each waveguide activates the preset nearest to its own served
             # user's projection: d^2 = r^2 + axial^2 + 2 r axial cos(psi) + H^2
             nearest_preset_offset(np.multiply(proj, params.R, out=axial),
                                   params.L, params.Np, out=axial)
-            np.add(axial, two_r_cos, out=d)
-            np.multiply(axial, d, out=d)
-            np.add(r2, d, out=d)
-            d += params.H ** 2
-            np.sqrt(d, out=d)
-            np.exp(np.multiply(d, -params.beta, out=power), out=power)
+            np.add(axial, two_r_cos, out=d2)
+            np.multiply(axial, d2, out=d2)
+            np.add(r2, d2, out=d2)
+            d2 += params.H ** 2
+            np.sqrt(d2, out=power)
+            np.exp(np.multiply(power, -params.beta, out=power), out=power)
             np.less(u_block, power, out=los)
-            received = _received(gains, d, los, params, out=power, spare=axial)
+            received = _received(gains, d2, los, params, out=power, spare=axial)
             total += np.bincount(rows, weights=received, minlength=_BLOCK)
     return interference
 
 
 def _block_samples(group: list[SystemParams], simcfg: SimConfig,
-                   block: int, buf: np.ndarray, work: tuple) -> list[np.ndarray]:
+                   block: int, work: np.ndarray) -> list[np.ndarray]:
     """(serving power, interference) rows of block `block` (realizations
     block * _BLOCK ... block * _BLOCK + _BLOCK - 1) at each member of
     group."""
@@ -245,12 +246,12 @@ def _block_samples(group: list[SystemParams], simcfg: SimConfig,
     # rows as the group's largest shape needs (C order: a smaller shape's
     # rows are a prefix of them)
     u = head.random((3, _BLOCK))
-    gains = _gamma_gains(head.standard_exponential((len(buf) - 5, _BLOCK)),
-                         _shapes(group))
+    shapes = _shapes(group)
+    gains = _gamma_gains(head.standard_exponential((shapes[-1], _BLOCK)), shapes)
     signals = []
     for params in group:
         if simcfg.pinned_d0 is not None:
-            d0 = np.full(_BLOCK, simcfg.pinned_d0)
+            d2 = np.full(_BLOCK, simcfg.pinned_d0 * simcfg.pinned_d0)
         else:
             # typical cluster at the origin, its waveguide along the x
             # axis (rotation invariance of everything else)
@@ -259,26 +260,23 @@ def _block_samples(group: list[SystemParams], simcfg: SimConfig,
             ux = r_u * np.cos(ang)
             uy = r_u * np.sin(ang)
             off = nearest_preset_offset(ux, params.L, params.Np)
-            d0 = np.sqrt((ux - off) ** 2 + uy * uy + params.H ** 2)
-        los0 = u[2] < np.exp(-params.beta * d0)
-        signals.append(_received(gains, d0, los0, params))
+            d2 = (ux - off) ** 2 + uy * uy + params.H ** 2
+        los0 = u[2] < np.exp(-params.beta * np.sqrt(d2))
+        signals.append(_received(gains, d2, los0, params))
     return [np.stack(pair) for pair in zip(
-        signals, _block_interference(group, simcfg, block, buf, work))]
+        signals, _block_interference(group, simcfg, block, work))]
 
 
 def _span_samples(group: list[SystemParams], simcfg: SimConfig, lo: int,
                   hi: int) -> list[np.ndarray]:
     """Samples of realizations lo..hi-1 at each member of group, cut from
     the blocks covering them."""
-    # one chunk's draws and the work space of its cut, reused by every
-    # block: fresh multi-MB arrays per chunk let the allocator return their
-    # pages to the system and fault them in again on every block
-    shapes = _shapes(group)
-    buf = np.empty((5 + shapes[-1], _BLOCK * _CHUNK))
-    work = (np.empty(_BLOCK * _CHUNK, bool),
-            np.empty((_CUT_ROWS + len(shapes)) * _BLOCK * _CHUNK))
+    # one work area, reused by every bin of every block: fresh bin-sized
+    # arrays per step let the allocator return their pages to the system
+    # and fault them in again on every bin
+    work = np.empty((8 + _shapes(group)[-1], _ROOM))
     first = lo // _BLOCK
-    blocks = [_block_samples(group, simcfg, b, buf, work)
+    blocks = [_block_samples(group, simcfg, b, work)
               for b in range(first, (hi - 1) // _BLOCK + 1)]
     cut = slice(lo - first * _BLOCK, hi - first * _BLOCK)
     return [np.concatenate(member, axis=1)[:, cut] for member in zip(*blocks)]

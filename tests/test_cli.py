@@ -477,7 +477,8 @@ def test_config_error_exit_code(tmp_path, capsys):
     # so do a noise term that overflows and a run the simulator would refuse
     for specs, message in ((("params.sigma2=1e300", "params.P=1e-300"), "params: noise term"),
                            (("mode=simulate", "sim.pinned_d0=1.0"), "sim: pinned_d0=1.0"),
-                           (("mode=rate", "sim.R_sim=40"), "sim: R_sim=40")):
+                           (("mode=rate", "sim.R_sim=40"), "sim: R_sim=40"),
+                           (("mode=simulate", "sim.R_sim=1e200"), "sim: R_sim=1e+200")):
         args = [arg for spec in specs for arg in ("--set", spec)]
         assert cli.main([str(path), *args, "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
@@ -609,7 +610,7 @@ _WORKLOAD_DIGESTS = {
          "sim": {"n_realizations": 10_000, "R_sim": 5000.0, "workers": 1,
                  "seed": 6229},
          "sweep": {"parameter": "P", "values": _DBM_0_TO_30[::5]}},
-        "55375847f5f7af26ed4182bfc29649dd358d002a31dac3612e6732fafc3b1925"),
+        "e0b911e6bc7ac62b754d56620ac7d71a774146402b3c127cda0ee6d60d182c33"),
     "rate_figure": (
         {"mode": "rate",
          "params": {"lambda": 1.0e-5, "R": 100.0, "L": 100.0, "H": 4.0,
@@ -617,7 +618,7 @@ _WORKLOAD_DIGESTS = {
          "sim": {"n_realizations": 4000, "R_sim": 3000.0, "workers": 1,
                  "seed": 6229},
          "sweep": {"parameter": "Np", "values": [1, 3, 11]}},
-        "fd410a51c504929a322a000490fbf620b17fa935334236d0dfe997022d1edb3e"),
+        "053c4550c37014bd169da2be5f536c17bdf8c744d6842d22f636bed2ad0fc769"),
     "bounds_sweep": (
         {"mode": "bounds",
          "params": {"Np": 51},

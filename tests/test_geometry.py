@@ -157,14 +157,16 @@ def test_ppp_points_uniform():
 def test_ppp_radii_nest_with_truncation_radius():
     # same seed, larger disc: every interferer of the small disc is kept
     # with its marks and fading, so the interference sum can only grow;
-    # the pair straddles the 128-column chunk of arrivals (78.5 vs 201 on
-    # average)
+    # the pair's limits lam pi R_sim^2 (78.5 and 201 arrivals on average)
+    # lie in different bins of 32 arrivals: the far disc keeps all of the
+    # near disc's last bin and draws four more
     params = SystemParams()
     interference = {
         R_sim: mc._simulate(
             [params], mc.SimConfig(n_realizations=600, seed=5, R_sim=R_sim))[0][1]
         for R_sim in (5000.0, 8000.0)}
-    assert params.lam * math.pi * 5000.0 ** 2 < 128 < params.lam * math.pi * 8000.0 ** 2
+    near, far = (params.lam * math.pi * r_sim * r_sim for r_sim in (5000.0, 8000.0))
+    assert math.ceil(near / mc._BIN) == 3 and math.ceil(far / mc._BIN) == 7
     assert np.all(interference[8000.0] >= interference[5000.0])
     assert np.mean(interference[8000.0] > interference[5000.0]) > 0.9
 

@@ -135,6 +135,17 @@ def test_values_identical_across_block_cuts():
     assert par.tobytes() == ref.tobytes()
 
 
+def test_bins_past_the_work_room_keep_their_bytes(monkeypatch):
+    # a bin with more arrivals than a span's work rows hold works in a
+    # fresh array: with room for the mean count alone, about half the bins
+    # do, and every sample keeps its bytes
+    params = SystemParams()
+    sim = mc.SimConfig(n_realizations=600, seed=5)
+    ref = mc._simulate([params], sim)[0]
+    monkeypatch.setattr(mc, "_ROOM", mc._BIN * mc._BLOCK)
+    assert mc._simulate([params], sim)[0].tobytes() == ref.tobytes()
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(n=st.integers(2, 1000), data=st.data())
 def test_span_cuts_concatenate_bytewise(n, data):
@@ -180,25 +191,64 @@ def test_values_nest_in_sample_size():
     assert short.tobytes() == long[:, :300].tobytes()
 
 
+def _arrival_times(seed, block, bins):
+    """(realization row, arrival time lam pi r^2) of every interferer that
+    bins 0 .. bins - 1 of a block draw, rebuilt from the documented layout:
+    each bin's stream draws the 256 counts, then five uniform rows whose
+    first holds the arrival fractions."""
+    rows, times = [], []
+    for k in range(bins):
+        rng = mc._stream(seed, k, mc._LANE_FIELD, block)
+        counts = rng.poisson(mc._BIN, mc._BLOCK)
+        rows.append(np.repeat(np.arange(mc._BLOCK), counts))
+        times.append(rng.random((5, counts.sum()))[0] * mc._BIN + mc._BIN * k)
+    return np.concatenate(rows), np.concatenate(times)
+
+
 def test_larger_truncation_only_admits_more_arrivals():
-    # enlarging R_sim admits more of the same arrival columns: the serving
+    # enlarging R_sim admits more arrivals of the same bins: the serving
     # rows keep their bytes, no interference sum falls, and a realization
-    # with no arrival between the two radii keeps its interference bytes
+    # with no arrival between the two radii keeps its interference bytes.
+    # The first pair's limits lam pi R_sim^2 (3.1 and 3.8) lie in bin 0;
+    # the second's (31.6 and 32.4) straddle its edge at 32, so the far disc
+    # keeps all of bin 0 and draws bin 1
     params = SystemParams()
-    near, far = (mc._simulate([params], mc.SimConfig(
-        n_realizations=1024, seed=17, R_sim=r_sim))[0] for r_sim in (1000.0, 1100.0))
-    assert near[0].tobytes() == far[0].tobytes()
-    # every realization's arrival times from its block's first chunk: both
-    # limits lam pi R_sim^2 lie below 4, far inside a chunk's 128 arrivals
-    times = np.concatenate([np.cumsum(
-        mc._stream(17, 0, mc._LANE_FIELD, block).standard_exponential(
-            (mc._BLOCK, mc._CHUNK)), axis=1) for block in range(4)])
-    lo, hi = (params.lam * math.pi * r_sim ** 2 for r_sim in (1000.0, 1100.0))
-    between = np.any((times > lo) & (times <= hi), axis=1)
-    assert 0.3 < np.mean(between) < 0.7
-    assert np.all(far[1] >= near[1])
-    assert np.all(far[1][between] > near[1][between])
-    assert far[1][~between].tobytes() == near[1][~between].tobytes()
+    for radii in ((1000.0, 1100.0), (3170.0, 3210.0)):
+        near, far = (mc._simulate([params], mc.SimConfig(
+            n_realizations=1024, seed=17, R_sim=r_sim))[0] for r_sim in radii)
+        assert near[0].tobytes() == far[0].tobytes()
+        lo, hi = (params.lam * math.pi * r_sim * r_sim for r_sim in radii)
+        between = np.zeros(4 * mc._BLOCK, bool)
+        for block in range(4):
+            rows, times = _arrival_times(17, block, math.ceil(hi / mc._BIN))
+            between[block * mc._BLOCK + rows[(times > lo) & (times <= hi)]] = True
+        assert 0.3 < np.mean(between) < 0.7
+        assert np.all(far[1] >= near[1])
+        assert np.all(far[1][between] > near[1][between])
+        assert far[1][~between].tobytes() == near[1][~between].tobytes()
+
+
+@pytest.mark.parametrize("limit", [20.0, 32.0, 283.0])
+def test_arrival_counts_are_poisson(monkeypatch, limit):
+    # with received power 1 at every link of nonzero gain (the last bin's
+    # arrivals past the limit have zero gain), a realization's interference
+    # sum counts its arrivals inside lam pi R_sim^2: a Poisson count of that
+    # mean, so its dispersion index var/mean is 1.  The limits cut bin 0,
+    # end exactly on its edge (R_sim = 2^12 keeps lam pi R_sim^2 exact) and
+    # cut bin 8 as at the rate figure geometry; 96 blocks put the standard
+    # error of the dispersion index, sqrt((2 + 1/mean)/n), below 1 %
+    monkeypatch.setattr(mc, "_received", lambda gains, d2, los, params, **kw:
+                        (gains[params.N_N] > 0.0).astype(float))
+    r_sim = 4096.0
+    params = SystemParams(lam=limit / (math.pi * r_sim * r_sim))
+    assert params.lam * math.pi * r_sim * r_sim == limit
+    n = 96 * mc._BLOCK
+    counts = mc._simulate([params], mc.SimConfig(
+        n_realizations=n, seed=29, R_sim=r_sim))[0][1]
+    assert np.array_equal(counts, np.round(counts))
+    mean, dispersion = counts.mean(), counts.var(ddof=1) / counts.mean()
+    assert abs(mean - limit) <= 4.0 * math.sqrt(limit / n)
+    assert abs(dispersion - 1.0) <= 4.0 * math.sqrt((2.0 + 1.0 / limit) / n)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
@@ -241,6 +291,30 @@ def test_lanes_of_one_block_are_different_streams():
     head, field = (mc._stream(5, 0, lane, 3).random(8)
                    for lane in (mc._LANE_HEAD, mc._LANE_FIELD))
     assert not np.array_equal(head, field)
+
+
+@pytest.mark.parametrize("alpha_L,alpha_N", [
+    (2.0, 2.0), (2.0, 2.5), (2.0, 3.0), (2.5, 4.0), (3.0, 4.0), (4.0, 4.0)])
+def test_received_matches_plain_path_loss(alpha_L, alpha_N):
+    # g (1/d^2)^(alpha/2) against the plain float64 g d^-alpha picked by
+    # np.where, with mixed, all-LoS and no-LoS links.  The distances are
+    # float32 values, so d^2 is exact and both sides see one distance.
+    # Each side rounds a few times (the reciprocal, the power and the gain;
+    # the power and the gain): 8 units of 2^-53 bound the gap for
+    # alpha <= 4, where 5 units were the most seen over 2e5 links
+    rng = np.random.default_rng(3)
+    n = 100_000
+    d = np.exp(rng.uniform(math.log(3.0), math.log(1e4), n)).astype(np.float32)
+    d = d.astype(np.float64)
+    gains = {3: rng.gamma(3.0, 1.0 / 3.0, n), 2: rng.gamma(2.0, 0.5, n)}
+    params = SystemParams(alpha_L=alpha_L, alpha_N=alpha_N)
+    for los in (rng.random(n) < 0.5, np.ones(n, bool), np.zeros(n, bool)):
+        got = mc._received(gains, d * d, los, params)
+        want = np.where(los, gains[3] * d ** -alpha_L, gains[2] * d ** -alpha_N)
+        assert np.max(np.abs(got - want) / want) <= 8.0 * 2.0 ** -53
+        # the loop's form, into its work rows, gives the same bytes
+        into = mc._received(gains, d * d, los, params, out=np.empty(n), spare=np.empty(n))
+        assert into.tobytes() == got.tobytes()
 
 
 # ------------------------------------------------------- float32 cosines
