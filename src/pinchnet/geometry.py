@@ -134,11 +134,12 @@ def nearest_preset_offset(proj, L: float, Np: int, out=None):
 
     Closed form of the nearest-preset rule for points projected onto the
     waveguide axis; vectorized over proj, and written into out if given
-    (which may be proj itself).  Exact midpoint ties resolve to the
-    lower-index (more negative) preset.  A single preset's offset is 0, of
-    either sign.
+    (which may be proj itself).  A float array proj keeps its dtype (the
+    simulator's float32 rows stay float32), and any other proj is taken in
+    float64.  Exact midpoint ties resolve to the lower-index (more negative)
+    preset.  A single preset's offset is 0, of either sign.
     """
-    proj = np.asarray(proj, dtype=np.float64)
+    proj = np.asarray(proj, dtype=getattr(proj, "dtype", np.float64))
     delta = L / max(_odd(Np) - 1, 1)
     half = (Np - 1) // 2
     idx = np.subtract(np.divide(proj, delta, out=out), 0.5, out=out)

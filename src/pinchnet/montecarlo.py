@@ -8,19 +8,29 @@ typical user against the threshold params.epsilon, with the noise term
 params.xi.
 
 Realizations are simulated in fixed blocks of 256, and reproducibility is
-structural, not incidental.  Every random number comes from a numpy SFC64
-stream seeded by SeedSequence(seed, spawn_key=(bin, lane, block)), the
-spawning scheme numpy documents for independent streams: lane 0, bin 0
-holds a block's head (user position, serving blockage and serving fading);
-lane 1, bin k holds the interferers of every realization in the block
-whose arrival time lam pi r^2 lies in [32k, 32k + 32): their Poisson
-counts, then five uniform marks and the fading exponentials of each.  A
-bin's draws depend only on (seed, bin, block), so a realization's numbers
-depend only on (seed, realization index).  Each worker simulates one span
-of whole blocks, and the simulator returns every realization's (serving
-power, interference) sample in index order; the two reductions, _outage
-and _rate, turn those samples into an estimate and its standard error
-with elementwise expressions, so estimates are bit-identical whatever the
+structural, not incidental.  Every random number is a SplitMix64 output
+(Steele, Lea & Flood, OOPSLA 2014) evaluated at a (key, counter) pair, the
+counter-based scheme of Salmon et al. (SC'11), in numpy uint64 arithmetic.
+Each (bin, lane, block) has one 64-bit key, folded by SplitMix64's
+finalizer from the seed's 64-bit limbs (low limb first), then the bin, the
+lane and the block; row r of its stream is the outputs at counters
+r 2^32 + 1, 2, ...  So no row depends on how many rows or words came
+before it.  Lane 0, bin 0 holds a block's head: rows of 256 53-bit
+uniforms (user radius, user angle, serving blockage, then the serving
+fading exponentials -ln(1 - u)), in float64.  Lane 1, bin k holds the
+interferers of every realization in the block whose arrival time
+lam pi r^2 lies in [32k, 32k + 32): row 0 gives the 256 Poisson(32)
+counts, by inverting 53-bit uniforms through a float64 CDF table, and for
+the bin's m arrivals, rows 1 ... 5 + G give ceil(m / 2) words each, whose
+32-bit halves (low half first) become 24-bit uniforms, exact in float32:
+five marks (arrival fraction in the bin, psi, the served user's squared
+radius over R^2 and angle, blockage), then G fading exponentials, G the
+group's largest shape.  A realization's numbers thus depend only on
+(seed, realization index).  Each worker simulates one span of whole
+blocks, and the simulator returns every realization's (serving power,
+interference) sample in index order; the two reductions, _outage and
+_rate, turn those samples into an estimate and its standard error with
+elementwise expressions, so estimates are bit-identical whatever the
 worker count.  The layout also makes truncation studies meaningful:
 enlarging R_sim only adds later bins and keeps more of the last one,
 without disturbing the points both discs share, so the estimate shift
@@ -28,26 +38,30 @@ measures truncation error rather than resampling noise.
 
 The draw never reads P, sigma2, f_c or Rbar: they enter only through xi
 and epsilon, when a reduction turns samples into an estimate.  And of the
-other fields only lam shapes the random numbers: the fills, the in-disc
-cut, the radii and the mark trigonometry are the same whatever R, L, Np,
-H, beta, the path-loss exponents or the fading shapes are (a smaller
-shape's exponential rows are a prefix of a larger one's).  So _simulate
-takes a group of params sharing lam, draws each bin once, takes one
-gain row per distinct fading shape, and works out only the preset choice,
-distances, blockage and received powers per member; each member's samples
-are the bytes it gets simulated alone.  The command line
-simulates consecutive sweep points with the same lam as one group, one
-member per distinct _draw_key, and reduces each point's samples at its
-own params.
+other fields only lam shapes the random numbers: the words, the radii and
+the mark trigonometry are the same whatever R, L, Np, H, beta, the
+path-loss exponents or the fading shapes are (each exponential row sits
+at its own counter).  So _simulate takes a group of params sharing lam,
+draws each bin once, takes one gain row per distinct fading shape, and
+works out only the preset choice, distances, blockage and received powers
+per member; each member's samples are the bytes it gets simulated alone.
+The command line simulates consecutive sweep points with the same lam as
+one group, one member per distinct _draw_key, and reduces each point's
+samples at its own params.
 
-An interferer's two cosines are taken in float32 (_cos_turns), which
-moves its distance by rounding, and flips its preset or blockage state
-only where a mark lies within that rounding of a boundary; the serving
-link keeps float64 trigonometry.
+The interferer field is worked in float32: arrival times, squared radii,
+both cosines, preset offsets, squared distances and the blockage test.
+Rounding moves an interferer's distance by parts in 1e7 (more where an
+antenna sits near the user), and flips its preset or blockage state only
+where a mark lies within that rounding of a boundary.  Received powers
+are taken in float64, so no power below float32's range is lost, and each
+realization's interference is summed in float64.  The serving link is
+float64 throughout.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, fields
@@ -64,12 +78,25 @@ __all__ = ["SimConfig"]
 # either changes every seed's sample.
 _BLOCK = 256
 _BIN = 32
-# spawn-key lane per random role
+# stream-key lane per random role
 _LANE_HEAD = 0
 _LANE_FIELD = 1
+# marks per interferer: arrival fraction, psi, user radius^2, user angle,
+# blockage
+_MARKS = 5
 # arrivals per bin a span's work rows hold: 11 standard deviations past the
 # mean _BIN * _BLOCK (a bin with more works in a fresh array)
 _ROOM = _BIN * _BLOCK * 9 // 8
+# expected arrivals per realization the simulator accepts: 2^15 bins
+_MAX_ARRIVALS = 2.0 ** 20
+
+# SplitMix64: the golden-ratio increment, the finalizer's multipliers, and
+# the counters per stream row
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_MASK = 2 ** 64 - 1
+_ROW = 2 ** 32
 
 _TWO_PI = 2.0 * math.pi
 
@@ -79,8 +106,9 @@ class SimConfig:
     """Simulation run parameters.
 
     R_sim truncates the interferer field; it must exceed 2R of the params
-    in force and keep lam pi R_sim^2 finite, and pinned_d0 must reach H
-    (all in _check_run).  workers only shapes execution, never results.
+    in force and keep lam pi R_sim^2 at most 2^20 expected interferers per
+    realization, and pinned_d0 must reach H (all in _check_run).  workers
+    only shapes execution, never results.
     """
 
     n_realizations: int = 100_000
@@ -99,31 +127,61 @@ class SimConfig:
 
 
 def _check_run(params: SystemParams, simcfg: SimConfig) -> None:
-    if not simcfg.R_sim > 2.0 * params.R:
+    R_sim = simcfg.R_sim
+    if not R_sim > 2.0 * params.R:
         raise InvalidParameterError(
-            f"R_sim={simcfg.R_sim!r} must exceed 2R={2.0 * params.R!r}")
-    if not math.isfinite(params.lam * math.pi * simcfg.R_sim * simcfg.R_sim):
+            f"R_sim={R_sim!r} must exceed 2R={2.0 * params.R!r}")
+    arrivals = params.lam * math.pi * R_sim * R_sim
+    if not arrivals <= _MAX_ARRIVALS:
         raise InvalidParameterError(
-            f"R_sim={simcfg.R_sim!r} overflows the mean interferer count "
-            f"lam pi R_sim^2 at lam={params.lam!r}")
+            f"R_sim={R_sim!r} puts lam pi R_sim^2 = {arrivals:.6g} expected "
+            f"interferers in a realization at lam={params.lam!r}, past the "
+            f"simulator's bound of 2^20")
     if simcfg.pinned_d0 is not None and simcfg.pinned_d0 < params.H:
         raise InvalidParameterError(
             f"pinned_d0={simcfg.pinned_d0!r} is below the antenna height {params.H!r}")
 
 
-def _stream(seed: int, k: int, lane: int, block: int):
-    # one independent stream per (bin k, lane, block), spawned from the seed
-    return np.random.Generator(np.random.SFC64(
-        np.random.SeedSequence(seed, spawn_key=(k, lane, block))))
+def _key(seed: int, k: int, lane: int, block: int) -> int:
+    """The key of stream (bin k, lane, block): the seed's 64-bit limbs, low
+    limb first, then k, lane and block, each folded in by SplitMix64's
+    finalizer."""
+    limbs = [seed >> shift & _MASK for shift in range(0, max(seed.bit_length(), 1), 64)]
+    key = 0
+    for value in (*limbs, k, lane, block):
+        z = key ^ value
+        z = (z ^ (z >> 30)) * _MIX1 & _MASK
+        z = (z ^ (z >> 27)) * _MIX2 & _MASK
+        key = z ^ (z >> 31)
+    return key
 
 
-def _cos_turns(u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """cos(2 pi u) of the interferer marks u, taken in float32 into out (a
-    float32 array shaped like u): float32 cosines cost a fraction of float64
-    ones, and their absolute error, below 3e-7, moves a distance by parts
-    in 1e7.  Arithmetic with a float64 operand promotes them exactly."""
-    np.multiply(u, _TWO_PI, out=out)  # the float64 angle, rounded once
-    return np.cos(out, out=out)
+def _words(key: int, rows, n: int, out: np.ndarray | None = None,
+           spare: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 outputs of stream key at counters r 2^32 + 1 ... r 2^32 + n,
+    one row per r in rows: the state key + c gamma through the finalizer.
+    Written into out (len(rows) x n uint64) if given, with spare shaped
+    like it to work in; uint64 arithmetic wraps modulo 2^64."""
+    firsts = np.array([(key + r * _ROW * _GAMMA) & _MASK for r in rows], np.uint64)
+    z = np.add(firsts[:, None], np.arange(1, n + 1, dtype=np.uint64) * _GAMMA, out=out)
+    for shift, factor in ((30, _MIX1), (27, _MIX2)):
+        z ^= np.right_shift(z, shift, out=spare)
+        z *= factor
+    z ^= np.right_shift(z, 31, out=spare)
+    return z
+
+
+@functools.cache
+def _poisson_cdf() -> np.ndarray:
+    """CDF of Poisson(_BIN) at 0 ... 127, built by p_k = p_(k-1) _BIN / k.
+    Its last entry is exactly 1, so every uniform below 1 maps to a count."""
+    pmf = [math.exp(-_BIN)]
+    for k in range(1, 128):
+        pmf.append(pmf[-1] * _BIN / k)
+    cdf = np.cumsum(pmf)
+    cdf[-1] = 1.0
+    cdf.flags.writeable = False  # one table serves every caller
+    return cdf
 
 
 def _shapes(group: list[SystemParams]) -> list[int]:
@@ -131,25 +189,30 @@ def _shapes(group: list[SystemParams]) -> list[int]:
     return sorted({n for params in group for n in (params.N_L, params.N_N)})
 
 
-def _gamma_gains(exps: np.ndarray, shapes: list[int]) -> dict:
-    """Gamma(N, 1/N) gain rows for each distinct N in shapes: the mean of
-    the first N unit exponentials along axis 0 of exps, summed in place
-    down its rows, so row N - 1 ends up holding that mean."""
-    for k in range(1, len(exps)):
-        exps[k] += exps[k - 1]
+def _gamma_gains(u: np.ndarray, shapes: list[int]) -> dict:
+    """Gamma(N, 1/N) gain rows for each distinct N in shapes, from rows of
+    uniforms u: in place, their unit exponentials -ln(1 - u), summed down
+    the rows and divided, so row N - 1 ends up holding the mean of the
+    first N."""
+    np.subtract(1.0, u, out=u)
+    np.log(u, out=u)
+    np.negative(u, out=u)
+    for k in range(1, len(u)):
+        u[k] += u[k - 1]
     for n in shapes:
-        exps[n - 1] /= n
-    return {n: exps[n - 1] for n in shapes}
+        u[n - 1] /= n
+    return {n: u[n - 1] for n in shapes}
 
 
 def _received(gains: dict, d2: np.ndarray, los: np.ndarray, params: SystemParams,
               out: np.ndarray | None = None, spare: np.ndarray | None = None) -> np.ndarray:
     """Faded received powers g (1/d2)^(alpha/2) of links at squared distances
-    d2 (numpy's power is fast at exponents 1 and 2), into out if given, with
-    spare (shaped like d2) to work in.  gains maps each fading shape to the
-    links' Gamma gains (_gamma_gains); N and alpha are picked per link by its
-    LoS state, and the LoS power is taken at the LoS links alone."""
-    inverse = np.divide(1.0, d2, out=spare)
+    d2 (numpy's power is fast at exponents 1 and 2), taken in float64
+    whatever d2's precision, into out if given, with spare (a float64 row
+    shaped like d2) to work in.  gains maps each fading shape to the links'
+    Gamma gains (_gamma_gains); N and alpha are picked per link by its LoS
+    state, and the LoS power is taken at the LoS links alone."""
+    inverse = np.divide(1.0, d2, out=spare, dtype=np.float64)
     out = np.power(inverse, params.alpha_N / 2.0, out=out)
     out *= gains[params.N_N]
     at = np.flatnonzero(los)
@@ -157,8 +220,15 @@ def _received(gains: dict, d2: np.ndarray, los: np.ndarray, params: SystemParams
     return out
 
 
+def _rows(area: np.ndarray, rows: int, n: int) -> np.ndarray:
+    """A rows x n array in area's memory, or a fresh one where it does not
+    fit."""
+    size = rows * n
+    return (area[:size] if size <= area.size else np.empty(size, area.dtype)).reshape(rows, n)
+
+
 def _block_interference(group: list[SystemParams], simcfg: SimConfig,
-                        block: int, work: np.ndarray) -> list[np.ndarray]:
+                        block: int, work: dict) -> list[np.ndarray]:
     """Interference sums of one block at each member of group, drawn bin by
     bin from lane 1.
 
@@ -168,17 +238,16 @@ def _block_interference(group: list[SystemParams], simcfg: SimConfig,
     to the user, and its preset offset.  The arrival times lam pi r^2 of
     the disc's points are a unit-rate Poisson process on [0, lam pi R_sim^2]:
     on each bin [_BIN k, _BIN (k + 1)), an independent Poisson count of
-    i.i.d. uniform points.  A bin's stream draws the 256 counts, then five
-    uniform rows (arrival fraction in the bin, psi, the served user's
-    squared radius over R^2 and angle, blockage), then the fading
-    exponentials, one column per arrival.  Bins are drawn up to the one
-    holding the limit lam pi R_sim^2, whose arrivals past it get zero gain:
-    they add exact zeros to their sums, which keep the bytes of a cut.  All
-    of that, both cosines and the gain of each fading shape depend on lam
-    alone, so each bin is drawn once and only the preset choice, distances,
-    blockage and received powers are worked out per member.  work has
-    _ROOM columns and a row per draw, then squared distances, powers and
-    flags: every bin-sized intermediate lives in views of it.
+    i.i.d. uniform points.  A bin's stream gives the 256 counts, then the
+    five mark rows and the fading exponentials, one column per arrival
+    (module docstring).  Bins are drawn up to the one holding the limit
+    lam pi R_sim^2 (compared in float32), whose arrivals past it get zero
+    gain: they add exact zeros to their sums.  All of that, both cosines
+    and the gain of each fading shape depend on lam alone, so each bin is
+    drawn once and only the preset choice, distances, blockage and
+    received powers are worked out per member, each realization's run of
+    powers summed by one reduceat.  Every bin-sized intermediate lives in
+    views of work's areas (_span_samples).
     """
     lam = group[0].lam
     interference = [np.zeros(_BLOCK) for _ in group]
@@ -186,21 +255,29 @@ def _block_interference(group: list[SystemParams], simcfg: SimConfig,
         return interference
     limit = lam * math.pi * simcfg.R_sim * simcfg.R_sim
     shapes = _shapes(group)
+    rows = _MARKS + shapes[-1]
     bins = math.ceil(limit / _BIN)
     for k in range(bins):
-        rng = _stream(simcfg.seed, k, _LANE_FIELD, block)
-        counts = rng.poisson(_BIN, _BLOCK)
+        key = _key(simcfg.seed, k, _LANE_FIELD, block)
+        # row 0's 53-bit uniforms, inverted into the 256 counts
+        counts = np.searchsorted(
+            _poisson_cdf(), (_words(key, [0], _BLOCK)[0] >> 11) * 2.0 ** -53, side="right")
         m = int(counts.sum())
-        size = len(work) * m
-        area = work.reshape(-1)[:size] if m <= _ROOM else np.empty(size)
-        draws = area.reshape(len(work), m)
-        rng.random(out=draws[:5])
-        rng.standard_exponential(out=draws[5:-3])
-        gains = _gamma_gains(draws[5:-3], shapes)
+        half = -(-m // 2)
+        words = _rows(work["words"], 2 * rows, half)
+        words = _words(key, range(1, rows + 1), half, out=words[:rows], spare=words[rows:])
+        # 24-bit uniforms (h >> 8) 2^-24 of the first m 32-bit halves h of
+        # each row, low half first on any byte order: exact in float32
+        halves = words.astype("<u8", copy=False).view("<u4")[:, :m]
+        draws = _rows(work["field"], rows + 1, m)
+        draws[:rows] = np.right_shift(halves, 8, out=halves)
+        draws[:rows] *= 2.0 ** -24
+        gains = _gamma_gains(draws[_MARKS:rows], shapes)
         # arrival fractions, psi, cluster-user radius and angle, blockage;
         # the first four become r2, two_r_cos, proj and axial in place
-        r2, two_r_cos, proj, axial, u_block = draws[:5]
-        d2, power, flags = draws[-3:]
+        r2, two_r_cos, proj, axial, u_block = draws[:_MARKS]
+        d2 = draws[rows]
+        power, spare, flags = _rows(work["powers"], 3, m)
         los = flags.view(bool)[:m]
         np.multiply(r2, _BIN, out=r2)
         r2 += _BIN * k
@@ -209,16 +286,15 @@ def _block_interference(group: list[SystemParams], simcfg: SimConfig,
             for gain in gains.values():
                 gain *= inside
         r2 /= lam * math.pi
-        rows = np.repeat(np.arange(_BLOCK), counts)
-        cos = power.view(np.float32)[:m]  # power's row is free until the members
-        psi_cos = _cos_turns(two_r_cos, out=cos)
-        np.sqrt(r2, out=two_r_cos)
+        np.cos(np.multiply(two_r_cos, _TWO_PI, out=two_r_cos), out=two_r_cos)
         two_r_cos *= 2.0
-        two_r_cos *= psi_cos
+        two_r_cos *= np.sqrt(r2, out=d2)
         # a served user's projection onto its waveguide axis, over R; its
         # angle relative to that axis is uniform
         np.sqrt(proj, out=proj)
-        proj *= _cos_turns(axial, out=cos)
+        proj *= np.cos(np.multiply(axial, _TWO_PI, out=axial), out=axial)
+        present = np.flatnonzero(counts)
+        starts = (np.cumsum(counts) - counts)[present]
         for params, total in zip(group, interference):
             # each waveguide activates the preset nearest to its own served
             # user's projection: d^2 = r^2 + axial^2 + 2 r axial cos(psi) + H^2
@@ -228,26 +304,25 @@ def _block_interference(group: list[SystemParams], simcfg: SimConfig,
             np.multiply(axial, d2, out=d2)
             np.add(r2, d2, out=d2)
             d2 += params.H ** 2
-            np.sqrt(d2, out=power)
-            np.exp(np.multiply(power, -params.beta, out=power), out=power)
-            np.less(u_block, power, out=los)
-            received = _received(gains, d2, los, params, out=power, spare=axial)
-            total += np.bincount(rows, weights=received, minlength=_BLOCK)
+            np.sqrt(d2, out=axial)
+            np.exp(np.multiply(axial, -params.beta, out=axial), out=axial)
+            np.less(u_block, axial, out=los)
+            received = _received(gains, d2, los, params, out=power, spare=spare)
+            total[present] += np.add.reduceat(received, starts)
     return interference
 
 
 def _block_samples(group: list[SystemParams], simcfg: SimConfig,
-                   block: int, work: np.ndarray) -> list[np.ndarray]:
+                   block: int, work: dict) -> list[np.ndarray]:
     """(serving power, interference) rows of block `block` (realizations
     block * _BLOCK ... block * _BLOCK + _BLOCK - 1) at each member of
     group."""
-    head = _stream(simcfg.seed, 0, _LANE_HEAD, block)
-    # user radius, user angle, serving blockage; serving fading, as many
-    # rows as the group's largest shape needs (C order: a smaller shape's
-    # rows are a prefix of them)
-    u = head.random((3, _BLOCK))
     shapes = _shapes(group)
-    gains = _gamma_gains(head.standard_exponential((shapes[-1], _BLOCK)), shapes)
+    # user radius, user angle, serving blockage; serving fading, as many
+    # rows as the group's largest shape needs
+    u = (_words(_key(simcfg.seed, 0, _LANE_HEAD, block), range(3 + shapes[-1]),
+                _BLOCK) >> 11) * 2.0 ** -53
+    gains = _gamma_gains(u[3:], shapes)
     signals = []
     for params in group:
         if simcfg.pinned_d0 is not None:
@@ -271,10 +346,15 @@ def _span_samples(group: list[SystemParams], simcfg: SimConfig, lo: int,
                   hi: int) -> list[np.ndarray]:
     """Samples of realizations lo..hi-1 at each member of group, cut from
     the blocks covering them."""
-    # one work area, reused by every bin of every block: fresh bin-sized
-    # arrays per step let the allocator return their pages to the system
-    # and fault them in again on every bin
-    work = np.empty((8 + _shapes(group)[-1], _ROOM))
+    # one set of work areas, reused by every bin of every block: fresh
+    # bin-sized arrays per step let the allocator return their pages to the
+    # system and fault them in again on every bin.  Rows of words (and as
+    # many to work in), float32 rows for the marks, exponentials and squared
+    # distances, and float64 rows for the powers and the flags
+    rows = _MARKS + _shapes(group)[-1]
+    work = {"words": np.empty(2 * rows * (_ROOM // 2 + 1), np.uint64),
+            "field": np.empty((rows + 1) * _ROOM, np.float32),
+            "powers": np.empty(3 * _ROOM)}
     first = lo // _BLOCK
     blocks = [_block_samples(group, simcfg, b, work)
               for b in range(first, (hi - 1) // _BLOCK + 1)]

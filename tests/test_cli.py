@@ -478,9 +478,15 @@ def test_config_error_exit_code(tmp_path, capsys):
     for specs, message in ((("params.sigma2=1e300", "params.P=1e-300"), "params: noise term"),
                            (("mode=simulate", "sim.pinned_d0=1.0"), "sim: pinned_d0=1.0"),
                            (("mode=rate", "sim.R_sim=40"), "sim: R_sim=40"),
-                           (("mode=simulate", "sim.R_sim=1e200"), "sim: R_sim=1e+200")):
+                           (("mode=simulate", "sim.R_sim=1e200"), "sim: R_sim=1e+200"),
+                           (("mode=simulate", "sim.R_sim=1.0e+9"),
+                            "sim: R_sim=1000000000.0 puts lam pi R_sim^2 = 3.14159e+12")):
         args = [arg for spec in specs for arg in ("--set", spec)]
+        start = time.perf_counter()
         assert cli.main([str(path), *args, "--out", str(tmp_path)]) == 2
+        # refused at once: a field of 3e12 arrivals per realization would
+        # run for years
+        assert time.perf_counter() - start < 5.0
         assert message in capsys.readouterr().err
     assert not (tmp_path / "results.csv").exists()
 
@@ -610,7 +616,7 @@ _WORKLOAD_DIGESTS = {
          "sim": {"n_realizations": 10_000, "R_sim": 5000.0, "workers": 1,
                  "seed": 6229},
          "sweep": {"parameter": "P", "values": _DBM_0_TO_30[::5]}},
-        "e0b911e6bc7ac62b754d56620ac7d71a774146402b3c127cda0ee6d60d182c33"),
+        "722230d64b02cdd63926fae2163602587c5f3883c00a4eb9e4e3fb29d8526bee"),
     "rate_figure": (
         {"mode": "rate",
          "params": {"lambda": 1.0e-5, "R": 100.0, "L": 100.0, "H": 4.0,
@@ -618,7 +624,7 @@ _WORKLOAD_DIGESTS = {
          "sim": {"n_realizations": 4000, "R_sim": 3000.0, "workers": 1,
                  "seed": 6229},
          "sweep": {"parameter": "Np", "values": [1, 3, 11]}},
-        "053c4550c37014bd169da2be5f536c17bdf8c744d6842d22f636bed2ad0fc769"),
+        "538fc560614fb67d4207a929ff803b9559f8e4e73682345dce7ea7d527e18a85"),
     "bounds_sweep": (
         {"mode": "bounds",
          "params": {"Np": 51},

@@ -240,6 +240,32 @@ def test_nearest_offset_midpoint_tie_breaks_low():
     assert float(nearest_preset_offset(100.0, 10.0, 11)) == 5.0  # clamped
 
 
+@pytest.mark.parametrize("L,Np", [(10.0, 11), (100.0, 3), (7.0, 15)])
+def test_nearest_offset_keeps_float32(L, Np):
+    # the simulator's float32 rows are worked in float32, in place or not,
+    # and pick the preset the float64 rule picks for the same value except
+    # within float32 rounding of a midpoint; exact midpoints resolve to the
+    # lower preset in both
+    rng = np.random.default_rng(31)
+    delta = L / (Np - 1)
+    proj = rng.uniform(-L, L, 100_000).astype(np.float32)
+    got = nearest_preset_offset(proj, L, Np)
+    assert got.dtype == np.float32
+    into = proj.copy()
+    assert nearest_preset_offset(into, L, Np, out=into) is into
+    assert into.tobytes() == got.tobytes()
+    want = nearest_preset_offset(proj.astype(np.float64), L, Np)
+    scaled = proj.astype(np.float64) / delta
+    near_midpoint = np.abs(scaled - np.floor(scaled) - 0.5) <= 1e-5
+    assert np.count_nonzero(near_midpoint) < 100
+    assert np.array_equal(got[~near_midpoint], want[~near_midpoint].astype(np.float32))
+    offs = preset_offsets(L, Np)
+    mids = (0.5 * (offs[:-1] + offs[1:])).astype(np.float32)
+    assert np.array_equal(mids.astype(np.float64), 0.5 * (offs[:-1] + offs[1:]))
+    assert np.array_equal(nearest_preset_offset(mids, L, Np), offs[:-1])
+    assert np.array_equal(nearest_preset_offset(mids.astype(np.float64), L, Np), offs[:-1])
+
+
 # ---------------- Voronoi cells ----------------
 
 def test_voronoi_examples():

@@ -76,6 +76,23 @@ def test_region_must_cover_cluster():
         mc._simulate([params], mc.SimConfig(n_realizations=10))
 
 
+@pytest.mark.parametrize("lam,R_sim,refused", [
+    (1e-6, 1e5, False),  # 31,416 expected arrivals
+    (1.0, math.sqrt(2.0**20 / math.pi) * (1.0 - 1e-12), False),
+    (1.0, math.sqrt(2.0**20 / math.pi) * (1.0 + 1e-12), True),
+    (1e-6, 1e9, True),
+], ids=["1e5", "below-2^20", "past-2^20", "1e9"])
+def test_simulated_field_is_bounded(lam, R_sim, refused):
+    # at most 2^20 expected interferers per realization
+    params = SystemParams(lam=lam, R=1.0, L=1.0)
+    sim = mc.SimConfig(n_realizations=10, R_sim=R_sim)
+    if refused:
+        with pytest.raises(InvalidParameterError, match="R_sim="):
+            mc._check_run(params, sim)
+    else:
+        mc._check_run(params, sim)
+
+
 def test_pinned_distance_below_height_rejected():
     sim = mc.SimConfig(n_realizations=10, pinned_d0=1.0)
     with pytest.raises(InvalidParameterError):
@@ -191,17 +208,33 @@ def test_values_nest_in_sample_size():
     assert short.tobytes() == long[:, :300].tobytes()
 
 
+def _counts(key):
+    """The 256 Poisson(32) counts of field stream key, rebuilt from the
+    documented layout: row 0's 53-bit uniforms (w >> 11) 2^-53, inverted
+    through the CDF table."""
+    u = (mc._words(key, [0], mc._BLOCK)[0] >> 11) * 2.0 ** -53
+    return np.searchsorted(mc._poisson_cdf(), u, side="right")
+
+
+def _uniforms(key, rows, m):
+    """The 24-bit uniforms (h >> 8) 2^-24 of the first m 32-bit halves h of
+    each of rows of stream key, low half first, as float64 (exact)."""
+    words = mc._words(key, rows, -(-m // 2)).astype("<u8").view("<u4")[:, :m]
+    return (words >> 8) * 2.0 ** -24
+
+
 def _arrival_times(seed, block, bins):
     """(realization row, arrival time lam pi r^2) of every interferer that
     bins 0 .. bins - 1 of a block draw, rebuilt from the documented layout:
-    each bin's stream draws the 256 counts, then five uniform rows whose
-    first holds the arrival fractions."""
+    row 0 of each bin's stream gives the 256 counts, and row 1 the arrival
+    fractions in the bin, worked in float32."""
     rows, times = [], []
     for k in range(bins):
-        rng = mc._stream(seed, k, mc._LANE_FIELD, block)
-        counts = rng.poisson(mc._BIN, mc._BLOCK)
+        key = mc._key(seed, k, mc._LANE_FIELD, block)
+        counts = _counts(key)
+        fractions = _uniforms(key, [1], int(counts.sum()))[0].astype(np.float32)
         rows.append(np.repeat(np.arange(mc._BLOCK), counts))
-        times.append(rng.random((5, counts.sum()))[0] * mc._BIN + mc._BIN * k)
+        times.append(fractions * np.float32(mc._BIN) + np.float32(mc._BIN * k))
     return np.concatenate(rows), np.concatenate(times)
 
 
@@ -258,8 +291,9 @@ def test_simulation_reuses_its_work_space():
     # there and rise only after a large free: a chunk's multi-MB
     # temporaries would go back to the kernel and be faulted in again on
     # every chunk, which a warm process like this test run would hide.
-    # 10^4 realizations at the outage geometry fault in 2.4e3 pages when
-    # the loop works in views of its span's arrays, 3.0e4 when it does not
+    # 10^4 realizations at the outage geometry fault in about 290 pages
+    # (version 0.7.0) when the loop works in views of its span's arrays,
+    # and 3.0e4 with fresh arrays per step (version 0.4.0)
     code = textwrap.dedent("""
         import resource
         from pinchnet import montecarlo as mc
@@ -277,6 +311,26 @@ def test_simulation_reuses_its_work_space():
     assert int(proc.stdout) < 10_000
 
 
+@pytest.mark.parametrize("mode", ["simulate", "compare", "rate"])
+def test_simulating_runs_never_load_numpy_random(tmp_path, mode):
+    # the draws are SplitMix64 words in plain uint64 arithmetic: a fresh
+    # process runs the simulator without importing numpy.random
+    config = tmp_path / "config.yaml"
+    config.write_text(f"mode: {mode}\nsim: {{n_realizations: 300, R_sim: 1000.0}}\n")
+    code = textwrap.dedent(f"""
+        import sys
+        from pinchnet import cli
+        status = cli.main([{str(config)!r}, "--out", {str(tmp_path)!r}])
+        print(status, "numpy.random" in sys.modules)
+    """)
+    src = Path(mc.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+    assert (tmp_path / "results.csv").exists()
+
+
 def test_seeds_past_64_bits_simulate_apart():
     # SeedSequence takes any nonnegative integer as entropy
     params = SystemParams()
@@ -287,10 +341,77 @@ def test_seeds_past_64_bits_simulate_apart():
     assert not np.array_equal(big[1], nxt[1])
 
 
-def test_lanes_of_one_block_are_different_streams():
-    head, field = (mc._stream(5, 0, lane, 3).random(8)
-                   for lane in (mc._LANE_HEAD, mc._LANE_FIELD))
-    assert not np.array_equal(head, field)
+def test_lanes_bins_and_rows_give_different_words():
+    # every (seed, bin, lane, block) has its own key, seeds past 2^64
+    # included, and every row of a stream its own counters: no two of
+    # these rows share a word
+    keys = {mc._key(seed, k, lane, block) for seed in (5, 2**64 + 5, 2**64)
+            for k in (0, 1) for lane in (mc._LANE_HEAD, mc._LANE_FIELD)
+            for block in (3, 4)}
+    assert len(keys) == 24
+    words = np.concatenate([mc._words(key, range(4), 8).ravel() for key in keys])
+    assert np.unique(words).size == words.size == 24 * 4 * 8
+
+
+def _splitmix64(state):
+    """SplitMix64's output at a state, in Python integers: the oracle."""
+    z = state & (2**64 - 1)
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & (2**64 - 1)
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & (2**64 - 1)
+    return z ^ (z >> 31)
+
+
+def test_words_are_splitmix64_at_their_counters():
+    # the published outputs of SplitMix64 from state 0, and row r of a
+    # stream at counters r 2^32 + 1, 2, ...: whatever other rows or how many
+    # words are drawn beside it
+    assert mc._words(0, [0], 3)[0].tolist() == [
+        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    gamma = 0x9E3779B97F4A7C15
+    key = mc._key(2**70 + 3, 7, mc._LANE_FIELD, 11)
+    got = mc._words(key, [1, 3, 5], 6)
+    want = [[_splitmix64(key + (r * 2**32 + j) * gamma) for j in range(1, 7)]
+            for r in (1, 3, 5)]
+    assert got.tolist() == want
+    assert mc._words(key, [3], 2).tobytes() == got[1, :2].tobytes()
+
+
+def test_bin_counts_are_poisson():
+    # the count table is the Poisson(32) CDF, and 400 streams' counts
+    # (102,400) fit its pmf: a chi-square test over cells of expected
+    # count >= 50, the tails pooled
+    cdf = mc._poisson_cdf()
+    assert cdf[-1] == 1.0
+    assert np.allclose(cdf[:-1], stats.poisson.cdf(np.arange(127), mc._BIN),
+                       rtol=1e-12, atol=0.0)
+    counts = np.concatenate([_counts(mc._key(11, k, mc._LANE_FIELD, block))
+                             for k in range(20) for block in range(20)])
+    assert counts.size >= 100_000
+    edges = np.arange(16, 50)  # cells <= 16, 17, ..., 48, >= 49
+    observed = np.bincount(np.clip(counts, 16, 49) - 16)
+    pmf = np.diff(np.concatenate([[0.0], stats.poisson.cdf(edges[:-1], mc._BIN), [1.0]]))
+    expected = counts.size * pmf
+    assert expected.min() >= 50
+    _, p = stats.chisquare(observed, expected)
+    assert p > 1e-3
+
+
+def test_float32_exponentials_are_unit_exponential():
+    # the fading rows of 40 bins (1.2e6 values) through _gamma_gains at
+    # shape 1: float32 unit exponentials, with mean and variance 1 within 4
+    # standard errors (the variance's is sqrt(8 / n)) and no value past
+    # -ln(2^-24) = 24 ln 2, the largest u = 1 - 2^-24 gives
+    n = 100_000
+    rows = [mc._gamma_gains(_uniforms(mc._key(3, k, mc._LANE_FIELD, 0), [r], n)
+                            .astype(np.float32), [1])[1]
+            for k in range(40) for r in (6, 7, 8)]
+    assert all(row.dtype == np.float32 for row in rows)
+    x = np.concatenate(rows).astype(np.float64)
+    assert abs(x.mean() - 1.0) <= 4.0 / math.sqrt(x.size)
+    assert abs(x.var() - 1.0) <= 4.0 * math.sqrt(8.0 / x.size)
+    top = mc._gamma_gains(np.float32([[1.0 - 2.0 ** -24]]), [1])[1][0]
+    assert abs(top - 24.0 * math.log(2.0)) <= 1e-6 * top
+    assert x.min() >= 0.0 and x.max() <= top
 
 
 @pytest.mark.parametrize("alpha_L,alpha_N", [
@@ -317,36 +438,87 @@ def test_received_matches_plain_path_loss(alpha_L, alpha_N):
         assert into.tobytes() == got.tobytes()
 
 
-# ------------------------------------------------------- float32 cosines
+def test_received_takes_float32_distances_in_float64():
+    # the interferer field's squared distances are float32; its powers are
+    # float64, the bytes of the float64 cast, and a power below float32's
+    # range (1e-48 here) is kept
+    rng = np.random.default_rng(4)
+    n = 1000
+    d2 = np.exp(rng.uniform(math.log(9.0), math.log(1e8), n)).astype(np.float32)
+    gains = {3: rng.gamma(3.0, 1.0 / 3.0, n).astype(np.float32),
+             2: rng.gamma(2.0, 0.5, n).astype(np.float32)}
+    los = rng.random(n) < 0.5
+    params = SystemParams(alpha_L=2.0, alpha_N=12.0)
+    got = mc._received(gains, d2, los, params, out=np.empty(n), spare=np.empty(n))
+    assert got.dtype == np.float64
+    assert got.tobytes() == mc._received(gains, d2.astype(np.float64), los,
+                                         params).tobytes()
+    far = mc._received({3: np.ones(1), 2: np.ones(1)}, np.float32([1e8]),
+                       np.zeros(1, bool), params)
+    assert far[0] == pytest.approx(1e-48, rel=1e-6)
+
+
+# --------------------------------------------------- float32 field
 
 # the README figure geometries: 2e4 realizations give about 1.6e6 and
 # 5.7e6 interferers
-_COSINE_GEOMETRIES = {
+_FIELD_GEOMETRIES = {
     "outage": (SystemParams(), 5000.0),
     "rate": (SystemParams(alpha_N=4.0, lam=1e-5, R=100.0, L=100.0, H=4.0,
                             P=1.0, Np=3), 3000.0),
 }
 
 
+def _float64_interference(params, sim):
+    """Interference sums of sim's realizations at params, recomputed in
+    float64 from the simulator's own words: the same counts and 24-bit
+    uniforms, with float64 exponentials, arrival times, trigonometry,
+    preset choice, distances, blockage test and powers, summed by
+    bincount."""
+    limit = params.lam * math.pi * sim.R_sim * sim.R_sim
+    rows = 5 + max(params.N_L, params.N_N)
+    delta = params.L / max(params.Np - 1, 1)
+    half = (params.Np - 1) // 2
+    blocks = []
+    for block in range(-(-sim.n_realizations // mc._BLOCK)):
+        total = np.zeros(mc._BLOCK)
+        for k in range(math.ceil(limit / mc._BIN)):
+            key = mc._key(sim.seed, k, mc._LANE_FIELD, block)
+            counts = _counts(key)
+            u = _uniforms(key, range(1, rows + 1), int(counts.sum()))
+            t = mc._BIN * (k + u[0])
+            means = np.cumsum(-np.log(1.0 - u[5:]), axis=0)
+            gain = {n: means[n - 1] / n * (t <= limit) for n in (params.N_L, params.N_N)}
+            r = np.sqrt(t / (params.lam * math.pi))
+            proj = params.R * np.sqrt(u[2]) * np.cos(2.0 * math.pi * u[3])
+            a = delta * np.clip(np.ceil(proj / delta - 0.5), -half, half)
+            d = np.sqrt(r * r + a * a + 2.0 * r * a * np.cos(2.0 * math.pi * u[1])
+                        + params.H ** 2)
+            los = u[4] < np.exp(-params.beta * d)
+            power = np.where(los, gain[params.N_L] * d ** -params.alpha_L,
+                             gain[params.N_N] * d ** -params.alpha_N)
+            total += np.bincount(np.repeat(np.arange(mc._BLOCK), counts),
+                                 weights=power, minlength=mc._BLOCK)
+        blocks.append(total)
+    return np.concatenate(blocks)[:sim.n_realizations]
+
+
 @pytest.mark.parametrize("geometry,rounding,largest", [
-    ("outage", 1e-6, 1e-6), ("rate", 3e-5, 2e-3)])
-def test_float32_cosines_move_samples_by_rounding(monkeypatch, geometry,
-                                                  rounding, largest):
-    # against float64 cosines of the same marks: the serving links do not
-    # use them, and an interference sum moves by the float32 error (below
-    # 3e-7 in the cosine, amplified where an antenna sits near the user:
-    # measured 2.1e-7 at the outage geometry, 8.8e-6 at the rate geometry).
-    # A mark within rounding of a preset-choice or blockage boundary flips
-    # an interferer and moves its sample further: one such sample in 2e4
-    # at the rate geometry here (7.4e-4)
-    params, R_sim = _COSINE_GEOMETRIES[geometry]
+    ("outage", 1e-6, 1e-6), ("rate", 3e-5, 2e-3)], ids=["outage", "rate"])
+def test_float32_field_moves_samples_by_rounding(geometry, rounding, largest):
+    # against the float64 twin of the same words: an interference sum moves
+    # by float32 rounding (parts in 1e7, amplified where an antenna sits
+    # near the user): measured at most 3.1e-7 at the outage geometry and
+    # 2.3e-5 at the rate geometry, with a 99.9th percentile of 2.0e-7 and
+    # 2.6e-6.  A mark within rounding of a preset-choice, blockage or limit
+    # boundary flips an interferer and may move its sample further; none
+    # did here, and one sample is allowed.  No estimate moves by 0.01 SE
+    # (measured at most 1.8e-7 SE)
+    params, R_sim = _FIELD_GEOMETRIES[geometry]
     sim = mc.SimConfig(n_realizations=20_000, R_sim=R_sim, seed=6229)
     fast = mc._simulate([params], sim)[0]
-    monkeypatch.setattr(mc, "_cos_turns", lambda u, out: np.cos(mc._TWO_PI * u))
-    exact = mc._simulate([params], sim)[0]
-    assert fast[0].tobytes() == exact[0].tobytes()
-    # the swap reaches the loop: a loop that stopped calling _cos_turns
-    # would leave every sample in place
+    exact = np.stack([fast[0], _float64_interference(params, sim)])
+    # the twin is not the simulator by another name: float32 moves samples
     assert np.any(fast[1] != exact[1])
     rel = np.abs(fast[1] - exact[1]) / np.where(exact[1] > 0.0, exact[1], 1.0)
     assert rel.max() <= largest
