@@ -89,6 +89,8 @@ _MARKS = 5
 _ROOM = _BIN * _BLOCK * 9 // 8
 # expected arrivals per realization the simulator accepts: 2^15 bins
 _MAX_ARRIVALS = 2.0 ** 20
+# float32's largest value, less room for the field's rounding
+_F32_MAX = float(np.finfo(np.float32).max) * (1.0 - 2.0 ** -16)
 
 # SplitMix64: the golden-ratio increment, the finalizer's multipliers, and
 # the counters per stream row
@@ -137,6 +139,18 @@ def _check_run(params: SystemParams, simcfg: SimConfig) -> None:
             f"R_sim={R_sim!r} puts lam pi R_sim^2 = {arrivals:.6g} expected "
             f"interferers in a realization at lam={params.lam!r}, past the "
             f"simulator's bound of 2^20")
+    if params.lam > 0.0:
+        # the float32 field holds lam pi and squared distances up to
+        # (r + L/2)^2 + H^2, r the radius of the last drawn bin's last arrival
+        # (masked or not); past float32's range its sums turn inf, NaN or 0.
+        # A lam pi below that range puts r^2 >= _BIN / (lam pi) past it too
+        lam_pi = params.lam * math.pi
+        r_far = math.sqrt(_BIN * math.ceil(arrivals / _BIN) / lam_pi)
+        d2_far = (r_far + 0.5 * params.L) ** 2 + params.H ** 2
+        if not max(lam_pi, d2_far) <= _F32_MAX:
+            raise InvalidParameterError(
+                f"lam={params.lam!r}, H={params.H!r} put lam pi = {lam_pi:.6g} or squared "
+                f"interferer distances up to {d2_far:.6g} past the float32 range of the field")
     if simcfg.pinned_d0 is not None and simcfg.pinned_d0 < params.H:
         raise InvalidParameterError(
             f"pinned_d0={simcfg.pinned_d0!r} is below the antenna height {params.H!r}")

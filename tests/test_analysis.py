@@ -28,7 +28,6 @@ from hypothesis import assume, given, settings, strategies as st
 from pinchnet import analysis as an
 from pinchnet.errors import InvalidParameterError, NumericError, NumericInstabilityError
 from pinchnet.geometry import SPEED_OF_LIGHT, SystemParams, preset_offsets, voronoi_cells
-from pinchnet.numerics import integrate_semi_infinite
 from test_finite_difference import finite_difference
 
 CFG = an.AnalysisConfig()
@@ -497,6 +496,19 @@ def test_bound_sandwich_and_monotone_in_presets(eps):
     assert lower <= an.outage_probability(_at(eps), CFG) <= upper
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(geometry=st.sampled_from(["default", "rate"]),
+       rbar=st.floats(0.0, 16.0), step=st.floats(0.0, 4.0))
+def test_outage_monotone_in_target_rate(geometry, rbar, step):
+    # a higher target rate raises the SINR threshold, so the averaged
+    # outage does not fall, up to rounding, over target rates of 0 to 20
+    # bits, across which it runs from 0 to 1 at both geometries
+    params = {"default": PARAMS, "rate": RATE_PARAMS}[geometry]
+    low = an.outage_probability(params.with_(Rbar=rbar), CFG)
+    high = an.outage_probability(params.with_(Rbar=rbar + step), CFG)
+    assert low <= high + 1e-12
+
+
 def test_dense_presets_reach_lower_bound():
     got = an.outage_probability(_at(1.0, PARAMS.with_(Np=201)), CFG)
     lower = an.outage_lower_bound(_at(1.0), CFG)
@@ -898,11 +910,46 @@ def test_rate_vanishes_under_dense_interference():
     assert rate < 2e-4
 
 
+@pytest.mark.parametrize("params", [RATE_PARAMS.with_(Np=3), SystemParams(lam=10.0)],
+                         ids=["rate-Np3", "dense"])
+def test_rate_sum_resolved_at_its_ends_and_step(monkeypatch, params):
+    # the rate's trapezoid sum in ln z moves by under 1e-12 bits when its
+    # step is halved and each end moved a decade further out, at a rate of
+    # 4.7 bits and at one of 1.2e-4 bits
+    rate = an.ergodic_rate(params, CFG)
+    trapezoid = an.integrate_semi_infinite
+    monkeypatch.setattr(an, "integrate_semi_infinite", lambda f, z_lo, z_hi, h: trapezoid(
+        f, 0.1 * z_lo, 10.0 * z_hi, 0.5 * h))
+    assert abs(an.ergodic_rate(params, CFG) - rate) < 1e-12
+
+
 def test_rate_monotone_in_power_without_interference():
     p0 = SystemParams(lam=0.0)
     rates = [an.ergodic_rate(p0.with_(P=10 ** (dbm / 10) / 1000), CFG)
              for dbm in (40.0, 50.0, 60.0)]
     assert rates[0] < rates[1] < rates[2]
+
+
+def _octave_panels(f, order):
+    """int_0^inf f(x) dx by octave panels: x = 1/s - 1 over s in (0, 1],
+    split into panels [2^-(j+1), 2^-j] (panel j covers x in
+    [2^j - 1, 2^(j+1) - 1]), each taken by numpy's order-point
+    Gauss-Legendre rule, until two panels in a row add under 1e-9 of the
+    running total.  A rule of its own, so the threshold oracle shares no
+    quadrature with ergodic_rate's trapezoid sum."""
+    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    total = 0.0
+    small_streak = 0
+    for j in range(64):
+        s_hi = 2.0 ** (-j)
+        half = 0.25 * s_hi
+        s = 3.0 * half - half * base_x  # descending s = ascending x
+        contrib = half * float(np.sum(base_w * f(1.0 / s - 1.0) / (s * s)))
+        total += contrib
+        small_streak = small_streak + 1 if abs(contrib) <= 1e-9 * abs(total) else 0
+        if small_streak == 2:
+            return total
+    raise AssertionError(f"octave panels not converged: total {total!r}")
 
 
 def _threshold_rate(params, cfg):
@@ -920,14 +967,16 @@ def _threshold_rate(params, cfg):
     def integrand(eps):
         return np.array([(1.0 - outage(float(e))) / (1.0 + e) for e in eps])
 
-    return integrate_semi_infinite(integrand, cfg.gl_order_rate) / math.log(2.0)
+    return _octave_panels(integrand, cfg.gl_order_rate) / math.log(2.0)
 
 
 @pytest.mark.parametrize("params", [RATE_PARAMS.with_(Np=1), RATE_PARAMS.with_(Np=3),
                                     PARAMS], ids=["rate-Np1", "rate-Np3", "default"])
 def test_rate_matches_threshold_integral(params):
-    # the oracle's agreement (2.5e-13) was established at 48 nodes, which
-    # cost a third of the default's time under the threshold integral
+    # at 48 nodes, a third of the default's time, the oracle agrees within
+    # 1.5e-12 at the default geometry and 3.4e-6 (Np = 1) and 1.4e-6
+    # (Np = 3) at the rate geometry, where its own octave panels are the
+    # less resolved rule: at 96 nodes the Np = 3 gap falls to 8.3e-8
     assert an.ergodic_rate(params, CFG) == pytest.approx(
         _threshold_rate(params, an.AnalysisConfig(gl_order_rate=48)), abs=1e-5)
 
@@ -967,7 +1016,7 @@ def test_noise_only_rate_matches_quadrature_oracle(params):
 def test_rate_rejects_nonfinite_or_negative(monkeypatch, level, want):
     # a rate below zero by more than rounding, or not finite, is a
     # numerical failure
-    monkeypatch.setattr(an, "integrate_semi_infinite", lambda f, order: level)
+    monkeypatch.setattr(an, "integrate_semi_infinite", lambda f, z_lo, z_hi, h: level)
     if want is None:
         with pytest.raises(NumericInstabilityError):
             an.ergodic_rate(PARAMS, CFG)

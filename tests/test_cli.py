@@ -480,7 +480,12 @@ def test_config_error_exit_code(tmp_path, capsys):
                            (("mode=rate", "sim.R_sim=40"), "sim: R_sim=40"),
                            (("mode=simulate", "sim.R_sim=1e200"), "sim: R_sim=1e+200"),
                            (("mode=simulate", "sim.R_sim=1.0e+9"),
-                            "sim: R_sim=1000000000.0 puts lam pi R_sim^2 = 3.14159e+12")):
+                            "sim: R_sim=1000000000.0 puts lam pi R_sim^2 = 3.14159e+12"),
+                           # past the float32 range of the interferer field
+                           (("mode=simulate", "params.lam=1e-40"), "sim: lam=1e-40"),
+                           (("mode=compare", "params.H=1e20"), "sim: lam=1e-06, H=1e+20"),
+                           (("mode=rate", "sweep.parameter=H", "sweep.values=[3, 1e20]"),
+                            "sweep.values[1]: lam=1e-06, H=1e+20")):
         args = [arg for spec in specs for arg in ("--set", spec)]
         start = time.perf_counter()
         assert cli.main([str(path), *args, "--out", str(tmp_path)]) == 2

@@ -13,6 +13,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -91,6 +92,41 @@ def test_simulated_field_is_bounded(lam, R_sim, refused):
             mc._check_run(params, sim)
     else:
         mc._check_run(params, sim)
+
+
+# float32's largest value, and the lam and H at which the field's largest
+# squared distance (_BIN / (lam pi) at one bin, H^2 at any lam) reaches it
+_F32 = float(np.finfo(np.float32).max)
+_LAM_EDGE = 32.0 / (math.pi * _F32)
+_H_EDGE = math.sqrt(_F32)
+
+
+@pytest.mark.parametrize("params,R_sim,refused", [
+    (SystemParams(lam=1e-40, P=1e-6), 5000.0, True),
+    (SystemParams(H=1e20), 5000.0, True),
+    (SystemParams(lam=1e-320), 5000.0, True),
+    (SystemParams(lam=1e39, R=4e-18, L=1e-18), 1e-17, True),  # lam pi
+    (SystemParams(lam=0.999 * _LAM_EDGE), 1.0 / math.sqrt(math.pi * _LAM_EDGE), True),
+    (SystemParams(lam=1.001 * _LAM_EDGE), 1.0 / math.sqrt(math.pi * _LAM_EDGE), False),
+    (SystemParams(H=1.001 * _H_EDGE), 5000.0, True),
+    (SystemParams(H=0.999 * _H_EDGE), 5000.0, False),
+    (SystemParams(lam=0.0, H=1e20), 5000.0, False),
+], ids=["lam-1e-40", "H-1e20", "lam-subnormal", "lam-pi-overflows", "lam-past-edge",
+        "lam-inside-edge", "H-past-edge", "H-inside-edge", "no-interferers"])
+def test_simulated_field_stays_in_float32_range(params, R_sim, refused):
+    # past float32's range the field's sums came out NaN (lam = 1e-40, so
+    # the outage read 0 where it is 1) or exactly 0 (H = 1e20); just inside
+    # it they are finite, and nonzero where interferers fall in the disc
+    sim = mc.SimConfig(n_realizations=2560, seed=1, R_sim=R_sim)
+    if refused:
+        with pytest.raises(InvalidParameterError, match="float32 range"):
+            mc._simulate([params], sim)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        interference = mc._simulate([params], sim)[0][1]
+    assert np.all(np.isfinite(interference))
+    assert np.any(interference > 0.0) == (params.lam > 0.0)
 
 
 def test_pinned_distance_below_height_rejected():

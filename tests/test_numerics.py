@@ -2,16 +2,18 @@
 
 Expected values are either closed forms or were frozen from independent
 oracles (numpy.polynomial.legendre.leggauss, exact antiderivatives,
-order-doubling refinement).
+scipy's exponential integral, step-halving refinement).
 """
+
+import math
 
 import numpy as np
 import pytest
+from scipy.special import exp1
 
 from pinchnet.errors import InvalidParameterError, NumericError
 from pinchnet.numerics import gauss_legendre_rule, integrate_semi_infinite
 
-ORDER = 32
 
 
 def _legendre_on(n, lo, hi):
@@ -72,50 +74,86 @@ def test_legendre_invalid_interval():
 
 # ---------------- semi-infinite integrals ----------------
 
+# the default step of the rate's sum, and ends far enough out that the
+# mass past them is below the tolerances below
+STEP = 0.35
+
+
+def _semi_infinite(f, z_hi, z_lo=1e-16, h=STEP):
+    return integrate_semi_infinite(f, z_lo, z_hi, h)
+
+
 def test_semi_infinite_exponential():
-    val = integrate_semi_infinite(lambda e: np.exp(-e), ORDER)
-    assert val == pytest.approx(1.0, abs=1e-8)
+    # z e^-z is analytic in |Im ln z| < pi/2: the error is near e^(-pi^2/h)
+    assert _semi_infinite(lambda z: np.exp(-z), 40.0) == pytest.approx(1.0, abs=1e-11)
 
 
 def test_semi_infinite_rational():
-    val = integrate_semi_infinite(lambda e: (1.0 + e) ** -2, ORDER)
-    assert val == pytest.approx(1.0, abs=1e-8)
+    # the tail past z_hi holds 1/z_hi
+    val = _semi_infinite(lambda z: (1.0 + z) ** -2, 1e14)
+    assert val == pytest.approx(1.0, abs=1e-12)
 
 
 def test_semi_infinite_slow_tail():
-    # integral of (1+eps)^(-3/2) = 2; mass spans many decades
-    val = integrate_semi_infinite(lambda e: (1.0 + e) ** -1.5, ORDER)
-    assert val == pytest.approx(2.0, abs=1e-8)
+    # integral of (1+z)^(-3/2) = 2; mass spans many decades, and the tail
+    # past z_hi holds 2 / sqrt(z_hi)
+    val = _semi_infinite(lambda z: (1.0 + z) ** -1.5, 1e20)
+    assert val == pytest.approx(2.0, abs=1e-9)
 
 
 def test_semi_infinite_vectorized_matches_scalar():
-    a = integrate_semi_infinite(lambda e: np.exp(-e) * np.cos(e), ORDER)
-    assert a == pytest.approx(0.5, abs=1e-10)
+    # one call of f over the whole grid gives the closed form.  e^-z cos z
+    # decays only for |Im ln z| < pi/4, half the strip of e^-z, so it takes
+    # half the step for the same error
+    calls = []
+
+    def f(z):
+        calls.append(z.shape)
+        return np.exp(-z) * np.cos(z)
+
+    assert _semi_infinite(f, 40.0, h=0.5 * STEP) == pytest.approx(0.5, abs=1e-11)
+    assert len(calls) == 1 and len(calls[0]) == 1
 
 
 def test_semi_infinite_nonfinite_raises_with_eps():
-    def bad(e):
-        return np.where(e > 3.0, np.nan, (1.0 + e) ** -2)
+    def bad(z):
+        return np.where(z > 3.0, np.nan, (1.0 + z) ** -2)
 
-    with pytest.raises(NumericError, match=r"at x=") as exc:
-        integrate_semi_infinite(bad, ORDER)
-    assert float(str(exc.value).rpartition("x=")[2]) > 3.0
+    with pytest.raises(NumericError, match=r"at z=") as exc:
+        _semi_infinite(bad, 1e14)
+    assert float(str(exc.value).rpartition("z=")[2]) > 3.0
 
 
-@pytest.mark.parametrize("order", [0, True, 2.7])
-def test_semi_infinite_rejects_bad_order(order):
-    # checked like gauss_legendre_rule's: unchecked, order 0 ends in numpy's
-    # ValueError, and int() runs True or 2.7 silently as orders 1 and 2
+def test_semi_infinite_end_term_too_large_raises():
+    # e^-z cut at z = 1 leaves an end term h e^-1, and (1 + z)^-2 cut at
+    # z = 1e-3 one of h 1e-3: both far above 1e-9 of the sum
+    with pytest.raises(NumericError, match="end term"):
+        _semi_infinite(lambda z: np.exp(-z), 1.0)
+    with pytest.raises(NumericError, match="end term"):
+        _semi_infinite(lambda z: (1.0 + z) ** -2, 1e14, z_lo=1e-3)
+
+
+@pytest.mark.parametrize("z_lo,z_hi,h", [
+    (0.0, 1.0, STEP), (-1.0, 1.0, STEP), (2.0, 1.0, STEP), (1e-3, np.inf, STEP),
+    (1e-3, 1.0, 0.0), (1e-3, 1.0, -STEP), (1e-3, 1.0, np.inf), (1e-3, 1.0, np.nan)],
+    ids=["zero-start", "negative-start", "reversed", "infinite-end", "zero-step",
+         "negative-step", "infinite-step", "nan-step"])
+def test_semi_infinite_rejects_bad_grid(z_lo, z_hi, h):
     with pytest.raises(InvalidParameterError):
-        integrate_semi_infinite(lambda e: np.exp(-e), order)
+        integrate_semi_infinite(lambda z: np.exp(-z), z_lo, z_hi, h)
 
 
 def test_semi_infinite_order_doubling_converges():
-    # order-doubling oracle on a heavy-tailed integrand
-    prev = None
-    for order in (8, 16, 32, 64):
-        val = integrate_semi_infinite(lambda e: 1.0 / ((1 + e) * (1 + e ** 1.5)), order)
-        if prev is not None:
-            assert abs(val - prev) < 1e-6
-        prev = val
+    # a rate-like integrand: the Shannon rate of unit-mean Rayleigh fading
+    # at SNR 1/xi, int e^{-z xi} (1 - (1 + z)^-1) / z dz = e^xi E1(xi),
+    # with ends placed as ergodic_rate places them.  Halving the step
+    # moves the sum by under 1e-12, and both steps give the closed form
+    xi = 1e-3
 
+    def rate(z):
+        return np.exp(-z * xi) * -np.expm1(-np.log1p(z)) / z
+
+    coarse, fine = (integrate_semi_infinite(rate, 1e-13, 40.0 / xi, h)
+                    for h in (STEP, 0.5 * STEP))
+    assert abs(coarse - fine) < 1e-12
+    assert coarse == pytest.approx(math.exp(xi) * exp1(xi), abs=1e-12)
