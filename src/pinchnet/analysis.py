@@ -414,11 +414,16 @@ def _distance_rule(d0: np.ndarray, weight: np.ndarray,
     against the rule's measure: Chebyshev moments from the three-term
     recurrence (one pass over the points per degree, so no m x n matrix),
     turned into point weights by the discrete cosine sum.  The weights sum
-    to the rule's total mass, which is 1.  The d0 must not all be equal.
+    to the rule's total mass, which is 1.  A range of ln d0 within 1e-12
+    (1 + max |ln d0|) of one point, where rounding alone sets the nodes'
+    positions in it (H >> R), raises NumericError.
     """
     ln_d = np.log(d0)
     lo, hi = float(np.min(ln_d)), float(np.max(ln_d))
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    if not half > 1e-12 * (1.0 + max(abs(lo), abs(hi))):
+        raise NumericError(f"serving distances span only ln d0 in [{lo!r}, {hi!r}]: "
+                           f"too narrow for a rule in ln d0")
     t = (ln_d - mid) / half
     moments = np.empty(m)
     moments[0] = np.sum(weight)
@@ -448,8 +453,9 @@ def ergodic_rate(params: SystemParams, cfg: AnalysisConfig) -> float:
     runs through the outage's distance rule, built once per call.
     In ln z the integrand is analytic, rising like z E[d0^-alpha] and
     falling doubly exponentially past 1/xi: one trapezoid sum of step
-    33.6 / gl_order_rate takes it from 1e-13 / E[d0^-alpha] (about 1e-13
-    nats lie below) to 40 / xi (e^{-z xi} < 5e-18 beyond).  A non-finite
+    33.6 / gl_order_rate takes it from 1e-13 / max(E[d0^-alpha], xi) (the
+    nats below are 1e-13 of the rate, or of 1 nat, whichever is less) to
+    40 / xi (e^{-z xi} < 5e-18 beyond).  A non-finite
     rate, or one below zero by more than rounding, raises
     NumericInstabilityError.
     """
@@ -468,9 +474,10 @@ def ergodic_rate(params: SystemParams, cfg: AnalysisConfig) -> float:
             miss = miss + np.sum(w * -np.expm1(-n * np.log1p(zc * gain)), axis=-1)
         return np.exp(_xi_free(z, 0, tab)[0] - z * xi) * miss / z
 
-    # the grid's lower end, over the mean serving gain E[d0^-alpha]
-    z_lo = 1e-13 / sum(n * float(np.sum(w * gain)) for w, gain, n in branches)
-    nats = integrate_semi_infinite(integrand, z_lo, max(40.0 / xi, z_lo),
+    # below z_lo the integrand is about E[d0^-alpha], so the sum cuts off
+    # 1e-13 min(E[d0^-alpha] / xi, 1) nats: 1e-13 of the rate at low SNR
+    mean_gain = sum(n * float(np.sum(w * gain)) for w, gain, n in branches)
+    nats = integrate_semi_infinite(integrand, 1e-13 / max(mean_gain, xi), 40.0 / xi,
                                    33.6 / cfg.gl_order_rate)
     rate = (1.0 / math.log(2.0)) * nats
     if not (math.isfinite(rate) and rate >= -_CLAMP):

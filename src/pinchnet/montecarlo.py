@@ -26,7 +26,7 @@ the bin's m arrivals, rows 1 ... 5 + G give ceil(m / 2) words each, whose
 five marks (arrival fraction in the bin, psi, the served user's squared
 radius over R^2 and angle, blockage), then G fading exponentials, G the
 group's largest shape.  A realization's numbers thus depend only on
-(seed, realization index).  Each worker simulates one span of whole
+(seed, realization index).  Each worker simulates one range of whole
 blocks, and the simulator returns every realization's (serving power,
 interference) sample in index order; the two reductions, _outage and
 _rate, turn those samples into an estimate and its standard error with
@@ -242,9 +242,9 @@ def _rows(area: np.ndarray, rows: int, n: int) -> np.ndarray:
 
 
 def _block_interference(group: list[SystemParams], simcfg: SimConfig,
-                        block: int, work: dict) -> list[np.ndarray]:
+                        block: int, work: dict, out: np.ndarray) -> None:
     """Interference sums of one block at each member of group, drawn bin by
-    bin from lane 1.
+    bin from lane 1 and added into out's zeroed rows, one per member.
 
     The cluster centres are a stationary PPP, so the disc is centred at
     the typical user: an interferer's distance then needs only its centre
@@ -264,9 +264,6 @@ def _block_interference(group: list[SystemParams], simcfg: SimConfig,
     views of work's areas (_span_samples).
     """
     lam = group[0].lam
-    interference = [np.zeros(_BLOCK) for _ in group]
-    if lam == 0.0:
-        return interference
     limit = lam * math.pi * simcfg.R_sim * simcfg.R_sim
     shapes = _shapes(group)
     rows = _MARKS + shapes[-1]
@@ -309,7 +306,7 @@ def _block_interference(group: list[SystemParams], simcfg: SimConfig,
         proj *= np.cos(np.multiply(axial, _TWO_PI, out=axial), out=axial)
         present = np.flatnonzero(counts)
         starts = (np.cumsum(counts) - counts)[present]
-        for params, total in zip(group, interference):
+        for params, total in zip(group, out):
             # each waveguide activates the preset nearest to its own served
             # user's projection: d^2 = r^2 + axial^2 + 2 r axial cos(psi) + H^2
             nearest_preset_offset(np.multiply(proj, params.R, out=axial),
@@ -323,22 +320,20 @@ def _block_interference(group: list[SystemParams], simcfg: SimConfig,
             np.less(u_block, axial, out=los)
             received = _received(gains, d2, los, params, out=power, spare=spare)
             total[present] += np.add.reduceat(received, starts)
-    return interference
 
 
 def _block_samples(group: list[SystemParams], simcfg: SimConfig,
-                   block: int, work: dict) -> list[np.ndarray]:
+                   block: int, work: dict, out: np.ndarray) -> None:
     """(serving power, interference) rows of block `block` (realizations
     block * _BLOCK ... block * _BLOCK + _BLOCK - 1) at each member of
-    group."""
+    group, written into out (members x 2 x _BLOCK, zeroed)."""
     shapes = _shapes(group)
     # user radius, user angle, serving blockage; serving fading, as many
     # rows as the group's largest shape needs
     u = (_words(_key(simcfg.seed, 0, _LANE_HEAD, block), range(3 + shapes[-1]),
                 _BLOCK) >> 11) * 2.0 ** -53
     gains = _gamma_gains(u[3:], shapes)
-    signals = []
-    for params in group:
+    for params, rows in zip(group, out):
         if simcfg.pinned_d0 is not None:
             d2 = np.full(_BLOCK, simcfg.pinned_d0 * simcfg.pinned_d0)
         else:
@@ -351,15 +346,15 @@ def _block_samples(group: list[SystemParams], simcfg: SimConfig,
             off = nearest_preset_offset(ux, params.L, params.Np)
             d2 = (ux - off) ** 2 + uy * uy + params.H ** 2
         los0 = u[2] < np.exp(-params.beta * np.sqrt(d2))
-        signals.append(_received(gains, d2, los0, params))
-    return [np.stack(pair) for pair in zip(
-        signals, _block_interference(group, simcfg, block, work))]
+        _received(gains, d2, los0, params, out=rows[0])
+    _block_interference(group, simcfg, block, work, out[:, 1])
 
 
-def _span_samples(group: list[SystemParams], simcfg: SimConfig, lo: int,
-                  hi: int) -> list[np.ndarray]:
-    """Samples of realizations lo..hi-1 at each member of group, cut from
-    the blocks covering them."""
+def _span_samples(group: list[SystemParams], simcfg: SimConfig,
+                  blocks: range) -> np.ndarray:
+    """(serving power, interference) rows of every realization of the
+    consecutive blocks `blocks`, one members x 2 x len(blocks) _BLOCK
+    array filled in place."""
     # one set of work areas, reused by every bin of every block: fresh
     # bin-sized arrays per step let the allocator return their pages to the
     # system and fault them in again on every bin.  Rows of words (and as
@@ -369,17 +364,18 @@ def _span_samples(group: list[SystemParams], simcfg: SimConfig, lo: int,
     work = {"words": np.empty(2 * rows * (_ROOM // 2 + 1), np.uint64),
             "field": np.empty((rows + 1) * _ROOM, np.float32),
             "powers": np.empty(3 * _ROOM)}
-    first = lo // _BLOCK
-    blocks = [_block_samples(group, simcfg, b, work)
-              for b in range(first, (hi - 1) // _BLOCK + 1)]
-    cut = slice(lo - first * _BLOCK, hi - first * _BLOCK)
-    return [np.concatenate(member, axis=1)[:, cut] for member in zip(*blocks)]
+    samples = np.zeros((len(group), 2, len(blocks) * _BLOCK))
+    for i, block in enumerate(blocks):
+        _block_samples(group, simcfg, block, work, samples[..., i * _BLOCK:(i + 1) * _BLOCK])
+    return samples
 
 
-def _spans(n: int, workers: int) -> list[tuple[int, int]]:
-    """One span of whole blocks per worker, so no block is computed twice."""
-    step = -(-n // (_BLOCK * workers)) * _BLOCK
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+def _spans(n: int, workers: int) -> list[range]:
+    """The ceil(n / _BLOCK) blocks of n realizations, cut into one range
+    of consecutive blocks per worker, so no block is computed twice."""
+    blocks = -(-n // _BLOCK)
+    step = -(-blocks // workers)
+    return [range(lo, min(lo + step, blocks)) for lo in range(0, blocks, step)]
 
 
 # SystemParams fields _simulate never reads; the reductions read them
@@ -394,11 +390,12 @@ def _draw_key(params: SystemParams) -> tuple:
                  if f.name not in _UNDRAWN)
 
 
-def _simulate(group: list[SystemParams], simcfg: SimConfig) -> list[np.ndarray]:
+def _simulate(group: list[SystemParams], simcfg: SimConfig) -> np.ndarray:
     """Rows (serving power, interference) of every realization, in index
-    order, at each member of group.  The members must share lam: the
-    draws are made once and reused by every member, and each member's
-    samples are the bytes it would get simulated alone."""
+    order, at each member of group: a members x 2 x n view of the spans'
+    blocks.  The members must share lam: the draws are made once and
+    reused by every member, and each member's samples are the bytes it
+    would get simulated alone."""
     if any(params.lam != group[0].lam for params in group):
         raise InvalidParameterError(
             f"a simulated group needs one shared lam, got "
@@ -407,15 +404,15 @@ def _simulate(group: list[SystemParams], simcfg: SimConfig) -> list[np.ndarray]:
         _check_run(params, simcfg)
     spans = _spans(simcfg.n_realizations, simcfg.workers)
     if len(spans) == 1:
-        return _span_samples(group, simcfg, *spans[0])
-    # imported here: a one-span run never loads multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    los, his = zip(*spans)
-    # the spans fix the bytes; the pool size only how many run at once
-    with ProcessPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
-        parts = list(pool.map(_span_samples, [group] * len(spans),
-                              [simcfg] * len(spans), los, his))
-    return [np.concatenate(member, axis=1) for member in zip(*parts)]
+        samples = _span_samples(group, simcfg, spans[0])
+    else:
+        # imported here: a one-span run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        # the spans fix the bytes; the pool size only how many run at once
+        with ProcessPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
+            samples = np.concatenate(list(pool.map(
+                _span_samples, [group] * len(spans), [simcfg] * len(spans), spans)), axis=2)
+    return samples[..., :simcfg.n_realizations]
 
 
 def _outage(samples: np.ndarray, params: SystemParams) -> tuple[float, float]:

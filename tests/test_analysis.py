@@ -729,6 +729,33 @@ def test_noise_only_averages_match_quadrature_oracle(rbar):
             == pytest.approx(_strip_mean(p, outage), abs=1e-8)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(log_R=st.floats(0.0, 3.0), log_H=st.floats(-1.0, 2.0),
+       N_L=st.integers(1, 10), N_N=st.integers(1, 10),
+       alpha_L=st.floats(2.0, 5.0), alpha_step=st.floats(0.0, 3.0),
+       log_margin=st.floats(-2.0, 2.0))
+def test_noise_only_upper_bound_over_the_geometry_domain(
+        log_R, log_H, N_L, N_N, alpha_L, alpha_step, log_margin):
+    # R from 1 to 1000, H from 0.1 to 100, shapes 1..10 and exponents up to
+    # 5, at a threshold 1e-2..1e2 times the mean SNR of a user at the
+    # median radius: the lam = 0 upper bound against scipy over the radius.
+    # The gate is the 1e-5 resolution AnalysisConfig states: over 1500
+    # random geometries the 96-node distance rule missed 1e-8 at 3.5 %, by
+    # up to 1.4e-6 where R / H and alpha are large (3.2e-10 at
+    # gl_order_rate = 192)
+    R = 10.0 ** log_R
+    params = SystemParams(lam=0.0, R=R, L=min(10.0, R), H=10.0 ** log_H, N_L=N_L,
+                          N_N=N_N, alpha_L=alpha_L, alpha_N=min(alpha_L + alpha_step, 5.0))
+    median_snr = math.hypot(R / math.sqrt(2.0), params.H) ** -params.alpha_N / params.xi
+    params = _at(10.0 ** log_margin / median_snr, params)
+
+    def outage(d0):
+        return _noise_only_outage(d0, params.epsilon, params)
+
+    assert an.outage_upper_bound(params, CFG) == pytest.approx(
+        _radial_mean(params, outage), abs=1e-5)
+
+
 def test_noise_only_outage_matches_planar_oracle_far_rim():
     # R >> L: each edge cell meets the rim a thousand half-lengths out,
     # where a rule that misses the rim's square root is ~3e-7 off
@@ -1008,6 +1035,22 @@ def test_noise_only_rate_matches_quadrature_oracle(params):
     single = params.with_(lam=0.0, Np=1)
     assert an.ergodic_rate(single, CFG) == pytest.approx(
         _noise_only_rate(single), abs=1e-8)
+
+
+@pytest.mark.parametrize("power", [1e-15, 1e-18, 1e-21])
+def test_low_snr_rate_is_first_order(power):
+    # far below unit mean SNR, log2(1 + S / xi) is S / (xi ln 2) to within
+    # a share S / (2 xi) of itself, so the rate is E[S] / (xi ln 2), E[S]
+    # the mean serving power (the Gamma gains have mean 1).  An absolute
+    # cut at the rate sum's lower end would lose all of it at 1e-21 W
+    params = PARAMS.with_(lam=0.0, Np=1, P=power)
+
+    def mean_power(d0):
+        p_los = math.exp(-params.beta * d0)
+        return p_los * d0 ** -params.alpha_L + (1.0 - p_los) * d0 ** -params.alpha_N
+
+    first_order = _radial_mean(params, mean_power) / (params.xi * math.log(2.0))
+    assert an.ergodic_rate(params, CFG) == pytest.approx(first_order, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("level,want", [(-1e-12, 0.0), (-1e-6, None), (math.nan, None),

@@ -427,6 +427,25 @@ def test_numeric_failure_prints_no_numpy_warnings(tmp_path, capsys, mode, sweep)
     assert "RuntimeWarning" not in err
 
 
+@pytest.mark.parametrize("mode", ["analyze", "bounds", "rate"])
+def test_narrow_distance_span_fails_its_row(tmp_path, capsys, mode):
+    # at H = 1e9 over R = 20 the serving distances span ln d0 by rounding
+    # alone: each mode's row says so, both files are still written, and
+    # numpy warns of nothing on the way
+    path = _write(tmp_path, f"mode: {mode}\nparams: {{H: 1.0e9}}\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main([str(path), "--out", str(out)]) == 1
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert (out / "report.json").exists()
+    [row] = _read_rows(out)
+    assert row["error"].startswith("NumericError: serving distances span only ln d0")
+    err = capsys.readouterr().err
+    assert "error at swept_value=None: NumericError" in err
+    assert "RuntimeWarning" not in err
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(Np=st.integers(0, 25).map(lambda k: 2 * k + 1),
        R=st.floats(1.0, 1000.0),

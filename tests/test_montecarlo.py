@@ -7,6 +7,7 @@ runs at the published operating points live in test_acceptance.py.
 """
 
 import concurrent.futures
+import contextlib
 import math
 import os
 import platform
@@ -146,16 +147,16 @@ def test_estimates_reproducible():
 
 
 def test_batch_size_invariance():
-    # the samples of n realizations are the same whatever batches they are
-    # cut into: batches below, on and past a block, none of them aligned
+    # the samples of n realizations are the same whatever runs of whole
+    # blocks they are cut into: one block, two, and all but the last of 8
     params = SystemParams()
     sim = mc.SimConfig(n_realizations=2000, seed=5)
-    ref = mc._simulate([params], sim)[0]
-    for batch in (137, 500, 1999):
+    ref = mc._simulate([params], sim)
+    for batch in (1, 2, 7):
         got = np.concatenate([
-            mc._span_samples([params], sim, lo, min(lo + batch, 2000))[0]
-            for lo in range(0, 2000, batch)], axis=1)
-        assert got.tobytes() == ref.tobytes()
+            mc._span_samples([params], sim, range(lo, min(lo + batch, 8)))
+            for lo in range(0, 8, batch)], axis=2)
+        assert got[..., :2000].tobytes() == ref.tobytes()
 
 
 def test_worker_count_invariance():
@@ -175,17 +176,17 @@ def test_worker_count_invariance_reports():
 
 
 def test_values_identical_across_block_cuts():
-    # 256-realization blocks: cuts below, on and just past a block edge,
+    # 256-realization blocks: a cut at either inner edge of three blocks,
     # and a worker count past the block count, all give the same samples
     params = SystemParams()
     sim = mc.SimConfig(n_realizations=600, seed=5)
-    ref = mc._span_samples([params], sim, 0, 600)[0]
-    for cut in (1, 255, 256, 257, 599):
-        got = np.concatenate([mc._span_samples([params], sim, 0, cut)[0],
-                              mc._span_samples([params], sim, cut, 600)[0]], axis=1)
+    ref = mc._span_samples([params], sim, range(3))
+    for cut in (1, 2):
+        got = np.concatenate([mc._span_samples([params], sim, range(cut)),
+                              mc._span_samples([params], sim, range(cut, 3))], axis=2)
         assert got.tobytes() == ref.tobytes()
-    par = mc._simulate([params], mc.SimConfig(n_realizations=600, seed=5, workers=8))[0]
-    assert par.tobytes() == ref.tobytes()
+    par = mc._simulate([params], mc.SimConfig(n_realizations=600, seed=5, workers=8))
+    assert par.tobytes() == ref[..., :600].tobytes()
 
 
 def test_bins_past_the_work_room_keep_their_bytes(monkeypatch):
@@ -199,26 +200,57 @@ def test_bins_past_the_work_room_keep_their_bytes(monkeypatch):
     assert mc._simulate([params], sim)[0].tobytes() == ref.tobytes()
 
 
+@contextlib.contextmanager
+def _serial_pool():
+    """Replace the process pool by one that runs the spans in turn in this
+    process; yields the list of pool sizes asked for."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    with pytest.MonkeyPatch.context() as patch:
+        # _simulate imports the pool from concurrent.futures when it needs one
+        patch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        yield sizes
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(n=st.integers(2, 1000), data=st.data())
-def test_span_cuts_concatenate_bytewise(n, data):
-    # R_sim = 1000 keeps about three interferers per realization
-    cut = data.draw(st.integers(1, n - 1))
+@given(n=st.integers(1, 1500), workers=st.integers(1, 8))
+def test_span_cuts_concatenate_bytewise(n, workers):
+    # the worker plan's spans partition the ceil(n / 256) blocks, and their
+    # samples, joined, are one span's bytes.  R_sim = 1000 keeps about
+    # three interferers per realization
+    blocks = range(-(-n // mc._BLOCK))
+    spans = mc._spans(n, workers)
+    assert len(spans) <= workers and all(spans)
+    assert [block for span in spans for block in span] == list(blocks)
     params = SystemParams()
-    sim = mc.SimConfig(n_realizations=n, seed=3, R_sim=1000.0)
-    whole = mc._span_samples([params], sim, 0, n)[0]
-    parts = np.concatenate([mc._span_samples([params], sim, 0, cut)[0],
-                            mc._span_samples([params], sim, cut, n)[0]], axis=1)
-    assert parts.tobytes() == whole.tobytes()
+    sim = mc.SimConfig(n_realizations=n, seed=3, R_sim=1000.0, workers=workers)
+    whole = mc._span_samples([params], sim, blocks)
+    with _serial_pool():
+        parts = mc._simulate([params], sim)
+    assert parts.shape == (1, 2, n)
+    assert parts.tobytes() == whole[..., :n].tobytes()
 
 
 @pytest.mark.parametrize("n,workers,blocks", [(600, 8, 3), (60_000, 1, 235)],
                          ids=["batch1", "default-batch"])
 def test_spans_compute_each_block_once(monkeypatch, n, workers, blocks):
-    # the worker plan cuts spans on block edges: ceil(n / 256) blocks, each
-    # computed once, whether each worker's batch is one block (more workers
-    # than blocks) or the whole run (one worker; lam = 0 keeps the 235
-    # blocks cheap)
+    # the worker plan partitions the ceil(n / 256) blocks into ranges, each
+    # block computed once, whether each worker's range is one block (more
+    # workers than blocks) or the whole run (one worker; lam = 0 keeps the
+    # 235 blocks cheap)
     calls = []
     block_samples = mc._block_samples
 
@@ -228,12 +260,11 @@ def test_spans_compute_each_block_once(monkeypatch, n, workers, blocks):
 
     monkeypatch.setattr(mc, "_block_samples", counted)
     spans = mc._spans(n, workers)
-    assert len(spans) <= workers
-    assert [lo for lo, _ in spans[1:]] == [hi for _, hi in spans[:-1]]
-    assert spans[0][0] == 0 and spans[-1][1] == n
+    assert len(spans) <= workers and all(spans)
+    assert [block for span in spans for block in span] == list(range(blocks))
     sim = mc.SimConfig(n_realizations=n, seed=5)
-    for lo, hi in spans:
-        mc._span_samples([SystemParams(lam=0.0)], sim, lo, hi)[0]
+    for span in spans:
+        mc._span_samples([SystemParams(lam=0.0)], sim, span)
     assert sorted(calls) == list(range(blocks))
 
 
@@ -626,30 +657,14 @@ def test_group_needs_one_lam():
                      mc.SimConfig(n_realizations=10))
 
 
-def test_pool_capped_at_cpu_count(monkeypatch):
+def test_pool_capped_at_cpu_count():
     # workers sets the spans, and so the bytes; the pool never outgrows
     # the machine.  The pool is replaced by one that runs spans in turn
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    # _simulate imports the pool from concurrent.futures when it needs one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     params = SystemParams()
     n = 256 * (os.cpu_count() + 2)
     wide = mc.SimConfig(n_realizations=n, seed=8, R_sim=1000.0, workers=5000)
-    samples = mc._simulate([params], wide)[0]
+    with _serial_pool() as sizes:
+        samples = mc._simulate([params], wide)[0]
     assert len(mc._spans(n, wide.workers)) > os.cpu_count()
     assert sizes == [os.cpu_count()]
     ref = mc._simulate([params], replace(wide, workers=1))[0]
