@@ -196,9 +196,6 @@ def _normalize(tree: dict) -> ExperimentConfig:
     params = _normalize_params(tree.get("params"))
     analysis = _normalize_section(tree.get("analysis"), "analysis", AnalysisConfig)
     sim = _normalize_section(tree.get("sim"), "sim", SimConfig)
-    if mode in ("compare", "rate") and sim.pinned_d0 is not None:
-        raise ConfigError(f"sim.pinned_d0: {mode} mode averages over the serving "
-                          "distance; only simulate mode pins it")
     simulated = sim if mode in ("simulate", "compare", "rate") else None
     sweep = _normalize_sweep(tree.get("sweep"), params, simulated)
     if sweep is None and simulated is not None:

@@ -109,26 +109,26 @@ class SimConfig:
 
     R_sim truncates the interferer field; it must exceed 2R of the params
     in force and keep lam pi R_sim^2 at most 2^20 expected interferers per
-    realization, and pinned_d0 must reach H (all in _check_run).  workers
-    only shapes execution, never results.
+    realization (both in _check_run).  workers only shapes execution, never
+    results.
     """
 
     n_realizations: int = 100_000
     R_sim: float = 5000.0
     seed: int = 12345
-    pinned_d0: float | None = None
     workers: int = 1
 
     def __post_init__(self):
         _integer(self.n_realizations, "n_realizations", 1)
         _positive(self.R_sim, "R_sim")
         _integer(self.seed, "seed", 0)
-        if self.pinned_d0 is not None:
-            _positive(self.pinned_d0, "pinned_d0")
         _integer(self.workers, "workers", 1)
 
 
 def _check_run(params: SystemParams, simcfg: SimConfig) -> None:
+    """Refuse a run at params that simcfg's field cannot hold: R_sim within
+    the cluster's reach 2R, more than 2^20 expected interferers per
+    realization, or a float32 field out of range."""
     R_sim = simcfg.R_sim
     if not R_sim > 2.0 * params.R:
         raise InvalidParameterError(
@@ -151,9 +151,6 @@ def _check_run(params: SystemParams, simcfg: SimConfig) -> None:
             raise InvalidParameterError(
                 f"lam={params.lam!r}, H={params.H!r} put lam pi = {lam_pi:.6g} or squared "
                 f"interferer distances up to {d2_far:.6g} past the float32 range of the field")
-    if simcfg.pinned_d0 is not None and simcfg.pinned_d0 < params.H:
-        raise InvalidParameterError(
-            f"pinned_d0={simcfg.pinned_d0!r} is below the antenna height {params.H!r}")
 
 
 def _key(seed: int, k: int, lane: int, block: int) -> int:
@@ -326,7 +323,9 @@ def _block_samples(group: list[SystemParams], simcfg: SimConfig,
                    block: int, work: dict, out: np.ndarray) -> None:
     """(serving power, interference) rows of block `block` (realizations
     block * _BLOCK ... block * _BLOCK + _BLOCK - 1) at each member of
-    group, written into out (members x 2 x _BLOCK, zeroed)."""
+    group, written into out (members x 2 x _BLOCK, zeroed).  Each served
+    user is drawn uniformly on its cluster's disc of radius R, and its
+    serving antenna is the preset nearest to its projection."""
     shapes = _shapes(group)
     # user radius, user angle, serving blockage; serving fading, as many
     # rows as the group's largest shape needs
@@ -334,17 +333,14 @@ def _block_samples(group: list[SystemParams], simcfg: SimConfig,
                 _BLOCK) >> 11) * 2.0 ** -53
     gains = _gamma_gains(u[3:], shapes)
     for params, rows in zip(group, out):
-        if simcfg.pinned_d0 is not None:
-            d2 = np.full(_BLOCK, simcfg.pinned_d0 * simcfg.pinned_d0)
-        else:
-            # typical cluster at the origin, its waveguide along the x
-            # axis (rotation invariance of everything else)
-            r_u = params.R * np.sqrt(u[0])
-            ang = _TWO_PI * u[1]
-            ux = r_u * np.cos(ang)
-            uy = r_u * np.sin(ang)
-            off = nearest_preset_offset(ux, params.L, params.Np)
-            d2 = (ux - off) ** 2 + uy * uy + params.H ** 2
+        # typical cluster at the origin, its waveguide along the x axis
+        # (rotation invariance of everything else)
+        r_u = params.R * np.sqrt(u[0])
+        ang = _TWO_PI * u[1]
+        ux = r_u * np.cos(ang)
+        uy = r_u * np.sin(ang)
+        off = nearest_preset_offset(ux, params.L, params.Np)
+        d2 = (ux - off) ** 2 + uy * uy + params.H ** 2
         los0 = u[2] < np.exp(-params.beta * np.sqrt(d2))
         _received(gains, d2, los0, params, out=rows[0])
     _block_interference(group, simcfg, block, work, out[:, 1])
@@ -408,8 +404,11 @@ def _simulate(group: list[SystemParams], simcfg: SimConfig) -> np.ndarray:
     else:
         # imported here: a one-span run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        # the spans fix the bytes; the pool size only how many run at once
-        with ProcessPoolExecutor(max_workers=min(len(spans), os.cpu_count() or 1)) as pool:
+        # the spans fix the bytes; the pool size only how many run at once,
+        # at most one per CPU this process may run on
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=min(len(spans), cpus)) as pool:
             samples = np.concatenate(list(pool.map(
                 _span_samples, [group] * len(spans), [simcfg] * len(spans), spans)), axis=2)
     return samples[..., :simcfg.n_realizations]

@@ -28,7 +28,7 @@ from pinchnet.geometry import SystemParams
 from test_analysis import (conditional_outage, lbar_derivatives, laplace_interference,
                            zeta_derivative)
 from test_finite_difference import finite_difference
-from test_montecarlo import laplace_estimate
+from test_montecarlo import laplace_estimate, pinned_samples
 
 CFG = an.AnalysisConfig()
 FIG2 = SystemParams()
@@ -47,10 +47,10 @@ def _binomial_se(p, n):
     return math.sqrt(p * (1.0 - p) / n)
 
 
-def _outage_gap(params, analytic, n, seed, pinned_d0=None):
-    """(gap, allowed) for a 3-sigma outage comparison at n realizations."""
-    sim = mc.SimConfig(n_realizations=n, seed=seed, pinned_d0=pinned_d0)
-    estimate, se = mc._outage(mc._simulate([params], sim)[0], params)
+def _outage_gap(params, analytic, samples):
+    """(gap, allowed, estimate) for a 3-sigma outage comparison of samples."""
+    n = samples.shape[1]
+    estimate, se = mc._outage(samples, params)
     se = max(se, _binomial_se(analytic, n))
     return abs(estimate - analytic), 3.0 * se, estimate
 
@@ -107,8 +107,9 @@ def test_criterion_3_conditional_outage(capsys):
         for eps in (0.5, 1.0, 3.0):
             params = FIG2.with_(Rbar=math.log2(1.0 + eps))
             analytic = conditional_outage(d0, params, CFG)
-            gap, allowed, est = _outage_gap(
-                params, analytic, N_FULL, seed, pinned_d0=d0)
+            samples = pinned_samples(
+                [params], mc.SimConfig(n_realizations=N_FULL, seed=seed), d0)[0]
+            gap, allowed, est = _outage_gap(params, analytic, samples)
             ratio = gap / allowed if allowed > 0 else math.inf
             if worst is None or ratio > worst[2]:
                 worst = (d0, eps, ratio, analytic, est)

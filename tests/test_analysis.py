@@ -664,7 +664,10 @@ def _polar_integral(f, xc, a, b, R, H):
     rho of rho times the angle of the circle of radius rho about (xc, 0)
     inside the region.  Each bound confines cos(theta) to an interval; the
     rim bound x^2 + y^2 <= R^2 reads xc^2 + 2 xc rho cos(theta) + rho^2 <= R^2.
-    The angle has kinks where a bound starts or stops to bind."""
+    The angle has kinks where a bound starts or stops to bind; kinks within
+    a relative 1e-12 of each other are one (a preset at its cell's centre
+    puts |a - xc| and |b - xc| an ulp apart, and a break between them
+    makes quad give up)."""
     def angle(rho):
         lo = max(-1.0, (a - xc) / rho)
         hi = min(1.0, (b - xc) / rho)
@@ -679,9 +682,14 @@ def _polar_integral(f, xc, a, b, R, H):
     top = R + abs(xc)
     kinks = {abs(a - xc), abs(b - xc), R - abs(xc)}
     kinks |= {math.sqrt((x - xc) ** 2 + R * R - x * x) for x in (a, b)}
-    return integrate.quad(lambda r: f(math.hypot(r, H)) * r * angle(r), 0.0, top,
-                          points=sorted(k for k in kinks if 0.0 < k < top),
-                          epsabs=0.0, epsrel=1e-11, limit=200)[0]
+    points = []
+    for k in sorted(k for k in kinks if 0.0 < k < top):
+        if not points or k > points[-1] * (1.0 + 1e-12):
+            points.append(k)
+    value, error = integrate.quad(lambda r: f(math.hypot(r, H)) * r * angle(r), 0.0, top,
+                                  points=points, epsabs=0.0, epsrel=1e-11, limit=200)
+    assert error <= 1e-11 * abs(value), f"quad missed its tolerance: {value!r} +- {error!r}"
+    return value
 
 
 def _polar_strip_mean(params, f):
@@ -769,11 +777,19 @@ def test_noise_only_outage_matches_planar_oracle_far_rim():
         == pytest.approx(_strip_mean(params, outage), abs=1e-8)
 
 
-@pytest.mark.parametrize("params", [PARAMS, PARAMS.with_(R=300.0, L=100.0)],
-                         ids=["default", "R300"])
+# presets at their cells' centres, with |a - xc| and |b - xc| an ulp apart
+_ULP_KINKS = PARAMS.with_(R=44.91361793930314, L=8.412754764289524, Np=11)
+
+
+@pytest.mark.parametrize("params", [
+    PARAMS, PARAMS.with_(R=300.0, L=100.0), _ULP_KINKS,
+    _ULP_KINKS.with_(H=0.3200589444587485, alpha_L=4.9435620598482215, alpha_N=5.0,
+                     N_L=8, N_N=1),
+], ids=["default", "R300", "ulp-kinks", "ulp-kinks-steep"])
 def test_polar_oracles_match_planar_oracles(params):
     # the radial-quad oracles of the lam > 0 test against the planar
-    # dblquad ones, on the noise-only outage where both are cheap
+    # dblquad ones, on the noise-only outage where both are cheap.  Kinks
+    # an ulp apart made quad give up, 1.9e-9 and 4.8e-5 off in the last two
     eps = 2.0 ** 10 - 1.0
     single = params.with_(lam=0.0)
 

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import tempfile
@@ -495,7 +496,6 @@ def test_config_error_exit_code(tmp_path, capsys):
         assert f"params: {field} must be" in capsys.readouterr().err
     # so do a noise term that overflows and a run the simulator would refuse
     for specs, message in ((("params.sigma2=1e300", "params.P=1e-300"), "params: noise term"),
-                           (("mode=simulate", "sim.pinned_d0=1.0"), "sim: pinned_d0=1.0"),
                            (("mode=rate", "sim.R_sim=40"), "sim: R_sim=40"),
                            (("mode=simulate", "sim.R_sim=1e200"), "sim: R_sim=1e+200"),
                            (("mode=simulate", "sim.R_sim=1.0e+9"),
@@ -515,17 +515,21 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert not (tmp_path / "results.csv").exists()
 
 
-@pytest.mark.parametrize("mode", ["compare", "rate"])
-def test_pinned_distance_only_in_simulate_mode(tmp_path, capsys, mode):
-    # compare and rate set the simulation beside the analysis, which
-    # averages over the serving distance: a simulation pinned at one d0
-    # estimates another quantity.  Simulate mode keeps the option.
-    path = _write(tmp_path, "sim: {pinned_d0: 20.0, n_realizations: 300}\n")
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_pinned_distance_is_unknown_key(tmp_path, capsys, mode):
+    # version 0.8.0 dropped sim.pinned_d0 (the conditional checks pin the
+    # serving distance in the tests), so a file, a 0.7.x report.json echo
+    # (which carries "pinned_d0": null) or an override naming it is refused
+    # like any unknown key, before anything is written
     out = tmp_path / "out"
-    assert cli.main([str(path), "--set", f"mode={mode}", "--out", str(out)]) == 2
-    assert "sim.pinned_d0" in capsys.readouterr().err
-    assert not (out / "results.csv").exists()
-    assert cli.main([str(path), "--set", "mode=simulate", "--out", str(out)]) == 0
+    echo = _write(tmp_path, json.dumps(
+        {"mode": mode, "sim": {"n_realizations": 300, "pinned_d0": None}}), name="echo.json")
+    plain = _write(tmp_path, f"mode: {mode}\nsim: {{n_realizations: 300}}\n")
+    for args in ([str(echo)], [str(plain), "--set", "sim.pinned_d0=20.0"]):
+        assert cli.main([*args, "--out", str(out)]) == 2
+        assert "sim.pinned_d0: unknown key" in capsys.readouterr().err
+        assert not out.exists()
+    assert cli.main([str(plain), "--out", str(out)]) == 0
 
 
 def test_out_naming_a_file_exits_before_running(tmp_path, capsys, monkeypatch):
@@ -556,6 +560,16 @@ def test_overflowing_dbm_is_config_error(tmp_path, capsys, config, spec, field):
     assert not (out / "results.csv").exists()
 
 
+def test_readme_configs_load(tmp_path):
+    # every yaml block of the README is a config the CLI accepts, so a
+    # removed or renamed key cannot linger in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```yaml\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) >= 2  # the compare example and the rate figure
+    for i, block in enumerate(blocks):
+        cli.load_config(_write(tmp_path, block, name=f"{i}.yaml"))
+
+
 def test_json_run_loads_no_yaml_or_pool(tmp_path):
     # a JSON config at one worker needs neither the YAML parser nor a
     # process pool, and start-up does not pay to import them
@@ -579,7 +593,7 @@ def test_json_run_loads_no_yaml_or_pool(tmp_path):
 _NUMBER_FIELDS = {
     "params": ("lam", "R", "L", "H", "beta", "alpha_L", "alpha_N", "f_c",
                "sigma2", "P", "Rbar", "bandwidth"),
-    "sim": ("R_sim", "pinned_d0"),
+    "sim": ("R_sim",),
 }
 _INTEGER_FIELDS = {
     "params": ("Np", "N_L", "N_N"),

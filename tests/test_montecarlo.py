@@ -40,6 +40,28 @@ def laplace_estimate(s, params, simcfg):
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
 
 
+def pinned_samples(group, simcfg, d0):
+    """_simulate(group, simcfg) with every serving distance pinned at d0:
+    each block's serving blockage and fading come from the simulator's own
+    head words, taken at d0 in place of the drawn user's distance.  The
+    interference rows are the simulator's, which never read the user's
+    position (the disc is centred at the typical user)."""
+    for params in group:
+        assert d0 >= params.H, f"d0={d0!r} is below the antenna height {params.H!r}"
+    samples = mc._simulate(group, simcfg)
+    shapes = mc._shapes(group)
+    d2 = np.full(mc._BLOCK, d0 * d0)
+    serving = []
+    for block in range(-(-simcfg.n_realizations // mc._BLOCK)):
+        key = mc._key(simcfg.seed, 0, mc._LANE_HEAD, block)
+        u = (mc._words(key, range(3 + shapes[-1]), mc._BLOCK) >> 11) * 2.0 ** -53
+        gains = mc._gamma_gains(u[3:], shapes)
+        serving.append([mc._received(gains, d2, u[2] < np.exp(-params.beta * np.sqrt(d2)),
+                                     params) for params in group])
+    samples[:, 0] = np.concatenate(serving, axis=1)[:, :simcfg.n_realizations]
+    return samples
+
+
 # ---------------------------------------------------------------- config
 
 def test_simconfig_defaults():
@@ -47,7 +69,6 @@ def test_simconfig_defaults():
     assert sim.n_realizations == 100_000
     assert sim.R_sim == 5000.0
     assert sim.seed == 12345
-    assert sim.pinned_d0 is None
     assert sim.workers == 1
 
 
@@ -59,11 +80,11 @@ def test_simconfig_defaults():
     {"seed": -1},
     {"seed": 2.5},
     {"R_sim": math.inf},
-    {"pinned_d0": 0.0},
-    {"pinned_d0": -3.0},
+    {"R_sim": math.nan},
+    {"workers": 2.0},
     {"workers": 0},
     {"R_sim": True},
-    {"pinned_d0": True},
+    {"workers": True},
     {"R_sim": "5000 m"},
 ])
 def test_simconfig_validation(kwargs):
@@ -128,12 +149,6 @@ def test_simulated_field_stays_in_float32_range(params, R_sim, refused):
         interference = mc._simulate([params], sim)[0][1]
     assert np.all(np.isfinite(interference))
     assert np.any(interference > 0.0) == (params.lam > 0.0)
-
-
-def test_pinned_distance_below_height_rejected():
-    sim = mc.SimConfig(n_realizations=10, pinned_d0=1.0)
-    with pytest.raises(InvalidParameterError):
-        mc._simulate([SystemParams(H=3.0)], sim)
 
 
 # ---------------------------------------------------------- determinism
@@ -629,25 +644,29 @@ _GROUP_VALUES = {"N_L": (1, 3, 8), "N_N": (1, 2, 6), "H": (2.0, 4.0, 8.0),
 @pytest.mark.parametrize("field", sorted(_GROUP_VALUES))
 def test_group_samples_equal_one_point_samples(field, pinned_d0, workers):
     # a group draws once and works out every member on the same draws;
-    # each member's samples keep the bytes of a one-point simulation
+    # each member's samples keep the bytes of a one-point simulation, and
+    # so do the pinned serving rows the conditional checks draw from them
     params = SystemParams()
-    sim = mc.SimConfig(n_realizations=600, seed=14, pinned_d0=pinned_d0,
-                       workers=workers)
+    sim = mc.SimConfig(n_realizations=600, seed=14, workers=workers)
+    simulate = (mc._simulate if pinned_d0 is None
+                else lambda group, sim: pinned_samples(group, sim, pinned_d0))
     group = [params.with_(**{field: value}) for value in _GROUP_VALUES[field]]
-    for member, samples in zip(group, mc._simulate(group, sim), strict=True):
-        assert samples.tobytes() == mc._simulate([member], sim)[0].tobytes()
+    for member, samples in zip(group, simulate(group, sim), strict=True):
+        assert samples.tobytes() == simulate([member], sim)[0].tobytes()
 
 
-def test_interference_ignores_user_position():
-    # the truncation disc is centred at the typical user, so pinning the
-    # serving distance moves the serving power but not one interference byte
+def test_interference_ignores_user_position(monkeypatch):
+    # the truncation disc is centred at the typical user, so redrawing the
+    # user (its head words from another lane) moves the serving power but
+    # not one interference byte: what lets pinned_samples keep the
+    # simulator's interference rows
     params = SystemParams()
-    free = mc.SimConfig(n_realizations=600, seed=15)
-    pinned = replace(free, pinned_d0=10.0)
-    (s_free, i_free), (s_pinned, i_pinned) = (
-        mc._simulate([params], sim)[0] for sim in (free, pinned))
-    assert i_pinned.tobytes() == i_free.tobytes()
-    assert s_pinned.tobytes() != s_free.tobytes()
+    sim = mc.SimConfig(n_realizations=600, seed=15)
+    signal, interference = mc._simulate([params], sim)[0]
+    monkeypatch.setattr(mc, "_LANE_HEAD", 2)
+    moved_signal, moved_interference = mc._simulate([params], sim)[0]
+    assert moved_interference.tobytes() == interference.tobytes()
+    assert not np.any(moved_signal == signal)
 
 
 def test_group_needs_one_lam():
@@ -657,18 +676,26 @@ def test_group_needs_one_lam():
                      mc.SimConfig(n_realizations=10))
 
 
-def test_pool_capped_at_cpu_count():
+def test_pool_capped_at_cpu_count(monkeypatch):
     # workers sets the spans, and so the bytes; the pool never outgrows
-    # the machine.  The pool is replaced by one that runs spans in turn
+    # the CPUs this process may run on, which an affinity mask can make
+    # fewer than the machine's.  The pool is replaced by one that runs
+    # spans in turn
     params = SystemParams()
     n = 256 * (os.cpu_count() + 2)
     wide = mc.SimConfig(n_realizations=n, seed=8, R_sim=1000.0, workers=5000)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
     with _serial_pool() as sizes:
         samples = mc._simulate([params], wide)[0]
     assert len(mc._spans(n, wide.workers)) > os.cpu_count()
-    assert sizes == [os.cpu_count()]
+    assert sizes == [cpus]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    with _serial_pool() as sizes:
+        one_cpu = mc._simulate([params], wide)[0]
+    assert sizes == [1]
     ref = mc._simulate([params], replace(wide, workers=1))[0]
-    assert samples.tobytes() == ref.tobytes()
+    assert samples.tobytes() == one_cpu.tobytes() == ref.tobytes()
 
 
 # ------------------------------------------------------------- trivials
@@ -713,8 +740,8 @@ def _pinned_rate_oracle(params, alpha, shape, seed):
     gain = stats.gamma(shape, scale=1.0 / shape)
     want = integrate.quad(lambda g: math.log2(1.0 + g * snr) * gain.pdf(g),
                           0.0, np.inf)[0]
-    got, se = mc._rate(mc._simulate(
-        [params], mc.SimConfig(n_realizations=20_000, seed=seed, pinned_d0=d0))[0], params)
+    got, se = mc._rate(pinned_samples(
+        [params], mc.SimConfig(n_realizations=20_000, seed=seed), d0)[0], params)
     return got, want, se
 
 
@@ -779,8 +806,8 @@ def test_pinned_distance_matches_conditional_outage():
     params = SystemParams(Rbar=3.0)
     d0 = 15.0
     analytic = conditional_outage(d0, params, CFG)
-    got, se = mc._outage(mc._simulate(
-        [params], mc.SimConfig(n_realizations=20_000, seed=23, pinned_d0=d0))[0], params)
+    got, se = mc._outage(pinned_samples(
+        [params], mc.SimConfig(n_realizations=20_000, seed=23), d0)[0], params)
     assert abs(got - analytic) <= 3.0 * se
 
 
