@@ -46,6 +46,7 @@ transforms, averaged over the same rule in ln d0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -111,7 +112,12 @@ def _tables(params: SystemParams, cfg: AnalysisConfig):
     pref is 2 pi lam.  Where interferers exist but the far field decays
     like r^-2 (the NLoS exponent, or the LoS one at beta = 0), the
     interference is infinite almost surely and NumericError is raised.
+    So it is where H^alpha_N, the least node D, leaves the normal double
+    range, where the ratios w/(N D) lose their digits or divide by zero.
     """
+    if not params.H >= sys.float_info.min ** (1.0 / params.alpha_N):
+        raise NumericError(f"interference transform: H^alpha_N = {params.H!r}^"
+                           f"{params.alpha_N!r} underflows the double range")
     far_alpha = params.alpha_N if params.beta > 0.0 else params.alpha_L
     if params.lam > 0.0 and far_alpha <= 2.0:
         raise NumericError(
@@ -139,22 +145,14 @@ def _xi_free(omega, max_order: int, tab):
     w = np.asarray(omega, dtype=float)[..., None]
     log_l = 0.0
     ts = [0.0] * max_order
-    # three buffers serve both branches: a fresh array per step would have
-    # its pages faulted in anew
-    shape = w.shape[:-1] + branches[0][0].shape
-    x, n_log, term = np.empty(shape), np.empty(shape), np.empty(shape)
     for a, D, N in branches:
-        np.log1p(np.divide(w, N * D, out=x), out=n_log)
-        n_log *= -N
-        np.multiply(a, np.expm1(n_log, out=term), out=term)
-        log_l = log_l + np.sum(term, axis=-1)
+        x = w / (N * D)
+        n_log = -N * np.log1p(x)
+        log_l = log_l + np.sum(a * np.expm1(n_log), axis=-1)
         if max_order:
-            # term becomes the node's a (1 + x)^-N, and x becomes x/(1 + x)
-            np.multiply(a, np.exp(n_log, out=term), out=term)
-            np.divide(x, np.add(x, 1.0, out=n_log), out=x)
+            term, x = a * np.exp(n_log), x / (x + 1.0)
         for k in range(1, max_order + 1):
-            term *= x
-            term *= (N + k - 1) / k
+            term = term * x * ((N + k - 1) / k)
             ts[k - 1] = ts[k - 1] + np.sum(term, axis=-1)
     return pref * log_l, [pref * t for t in ts]
 
@@ -367,8 +365,18 @@ _MEASURES = {
 
 
 def _average_rule(name: str, params: SystemParams, cfg: AnalysisConfig):
-    """The distance rule of the named average's measure."""
-    return _distance_rule(*_MEASURES[name](params, cfg.gl_order_rate), cfg.gl_order_rate)
+    """The distance rule of the named average's measure.  A measure whose
+    squared distances or areas pass the double range (R or H past about
+    1e153 m, or a subnormal L) raises NumericError."""
+    # a ratio over a rho near 0 overflows to an infinity that the measure's
+    # clips to [-1, 1] absorb; any other overflow leaves a distance or a
+    # weight that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        d0, weight = _MEASURES[name](params, cfg.gl_order_rate)
+    if not (np.all(np.isfinite(d0)) and np.all(np.isfinite(weight))):
+        raise NumericError(f"{name}: squared serving distances or areas overflow at "
+                           f"R = {params.R!r}, L = {params.L!r}, H = {params.H!r}")
+    return _distance_rule(d0, weight, cfg.gl_order_rate)
 
 
 def _spatial_average(name: str, params: SystemParams, cfg: AnalysisConfig) -> float:
@@ -425,17 +433,11 @@ def _distance_rule(d0: np.ndarray, weight: np.ndarray,
         raise NumericError(f"serving distances span only ln d0 in [{lo!r}, {hi!r}]: "
                            f"too narrow for a rule in ln d0")
     t = (ln_d - mid) / half
-    moments = np.empty(m)
-    moments[0] = np.sum(weight)
-    # T_k in three rotating buffers: a fresh array per degree would have
-    # its pages faulted in anew
-    two_t = 2.0 * t
-    prev, cheb, spare = np.ones_like(t), t, np.empty_like(t)
-    for k in range(1, m):
-        moments[k] = np.sum(np.multiply(weight, cheb, out=spare))
-        np.multiply(two_t, cheb, out=spare)
-        spare -= prev
-        prev, cheb, spare = cheb, spare, prev
+    two_t, prev, cheb = 2.0 * t, 1.0, t
+    moments = [np.sum(weight)]
+    for _ in range(1, m):
+        moments.append(np.sum(weight * cheb))
+        prev, cheb = cheb, two_t * cheb - prev
     theta = math.pi * (np.arange(m) + 0.5) / m
     coef = np.full(m, 2.0 / m)
     coef[0] = 1.0 / m
@@ -455,11 +457,14 @@ def ergodic_rate(params: SystemParams, cfg: AnalysisConfig) -> float:
     falling doubly exponentially past 1/xi: one trapezoid sum of step
     33.6 / gl_order_rate takes it from 1e-13 / max(E[d0^-alpha], xi) (the
     nats below are 1e-13 of the rate, or of 1 nat, whichever is less) to
-    40 / xi (e^{-z xi} < 5e-18 beyond).  A non-finite
-    rate, or one below zero by more than rounding, raises
-    NumericInstabilityError.
+    40 / xi (e^{-z xi} < 5e-18 beyond).  A xi so small that 40 / xi
+    overflows raises NumericError.  A non-finite rate, or one below zero by
+    more than rounding, raises NumericInstabilityError.
     """
     xi = params.xi
+    z_hi = 40.0 / xi
+    if not math.isfinite(z_hi):
+        raise NumericError(f"noise term xi = {xi!r}: the rate's cut-off 40/xi overflows")
     tab = _tables(params, cfg)
     d0, weight = _average_rule("outage probability", params, cfg)
     p_los = np.exp(-params.beta * d0)
@@ -477,7 +482,7 @@ def ergodic_rate(params: SystemParams, cfg: AnalysisConfig) -> float:
     # below z_lo the integrand is about E[d0^-alpha], so the sum cuts off
     # 1e-13 min(E[d0^-alpha] / xi, 1) nats: 1e-13 of the rate at low SNR
     mean_gain = sum(n * float(np.sum(w * gain)) for w, gain, n in branches)
-    nats = integrate_semi_infinite(integrand, 1e-13 / max(mean_gain, xi), 40.0 / xi,
+    nats = integrate_semi_infinite(integrand, 1e-13 / max(mean_gain, xi), z_hi,
                                    33.6 / cfg.gl_order_rate)
     rate = (1.0 / math.log(2.0)) * nats
     if not (math.isfinite(rate) and rate >= -_CLAMP):

@@ -220,7 +220,9 @@ def _apply_override(tree: dict, spec: str) -> None:
     *sections, key = keys
     node = tree
     for section in sections:
-        node = node.setdefault(section, {})
+        if node.get(section) is None:  # a section left empty in the file
+            node[section] = {}
+        node = node[section]
         if not isinstance(node, dict):
             raise ConfigError(f"--set {spec!r}: {section} is not a section")
     if sections == ["params"]:
@@ -237,7 +239,10 @@ def load_config(path, overrides=()) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"{path}: no such config file")
-    text = path.read_text()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read: {exc}") from exc
     try:
         # strict JSON first: YAML 1.1 misreads bare floats like 1e-06,
         # and report.json echoes must round-trip exactly

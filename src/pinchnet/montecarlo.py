@@ -146,7 +146,8 @@ def _check_run(params: SystemParams, simcfg: SimConfig) -> None:
         # A lam pi below that range puts r^2 >= _BIN / (lam pi) past it too
         lam_pi = params.lam * math.pi
         r_far = math.sqrt(_BIN * math.ceil(arrivals / _BIN) / lam_pi)
-        d2_far = (r_far + 0.5 * params.L) ** 2 + params.H ** 2
+        reach = r_far + 0.5 * params.L
+        d2_far = reach * reach + params.H * params.H  # inf, not OverflowError, past the range
         if not max(lam_pi, d2_far) <= _F32_MAX:
             raise InvalidParameterError(
                 f"lam={params.lam!r}, H={params.H!r} put lam pi = {lam_pi:.6g} or squared "

@@ -85,14 +85,21 @@ def integrate_semi_infinite(f: Callable, z_lo: float, z_hi: float, h: float) -> 
 
     ``f`` must be vectorized over the grid array.  Ends and step outside
     0 < z_lo <= z_hi < inf, 0 < h < inf raise InvalidParameterError.  A
-    non-finite integrand value raises NumericError naming its z, and so
-    does an end term h z_j f(z_j) above 1e-9 |sum| + 1e-13, where the ends
-    cut off mass.  np.sum reduces pairwise inside numpy, so the result
+    grid whose last node passes the double range raises NumericError, and
+    so do a non-finite integrand value, naming its z, and an end term
+    h z_j f(z_j) above 1e-9 |sum| + 1e-13, where the ends cut off mass.
+    np.sum reduces pairwise inside numpy, so the result
     does not depend on the BLAS thread count.
     """
     if not (0.0 < z_lo <= z_hi < math.inf and 0.0 < h < math.inf):
         raise InvalidParameterError(f"trapezoid grid z_lo={z_lo!r}, z_hi={z_hi!r}, h={h!r}")
-    z = z_lo * np.exp(h * np.arange(math.ceil(math.log(z_hi / z_lo) / h) + 1))
+    # the ends' ratio may pass the double range where their logs do not
+    n = math.ceil((math.log(z_hi) - math.log(z_lo)) / h)
+    with np.errstate(over="ignore"):
+        z = z_lo * np.exp(h * np.arange(n + 1))
+    if not math.isfinite(z[-1]):
+        raise NumericError(f"trapezoid grid from z_lo={z_lo!r} to z_hi={z_hi!r}: its last "
+                           f"node z_lo e^({n} h) passes the double range")
     vals = np.asarray(f(z), dtype=np.float64)
     bad = ~np.isfinite(vals)
     if np.any(bad):

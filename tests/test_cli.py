@@ -23,6 +23,7 @@ from pinchnet import analysis as an
 from pinchnet import cli
 from pinchnet import montecarlo as mc
 from pinchnet.errors import ConfigError, NumericError
+from pinchnet.geometry import SystemParams
 
 
 def _write(tmp_path, text, name="config.yaml"):
@@ -170,6 +171,22 @@ def test_overrides_apply_before_validation(tmp_path):
     assert cfg.params.Np == 21
     assert cfg.mode == "bounds"
     assert cfg.params.P == pytest.approx(1.0, rel=1e-12)
+
+
+def test_override_into_empty_section(tmp_path):
+    # "sim:" with nothing under it is YAML null, which loads as an empty
+    # section; an override into it fills it like any other
+    path = _write(tmp_path, "mode: analyze\nparams:\nsim:\n")
+    assert cli.load_config(path, ["sim.seed=3"]).sim.seed == 3
+    assert cli.load_config(path, ["params.Np=3"]).params.Np == 3
+
+
+def test_config_not_utf8_is_config_error(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_bytes(b"\xff\xfem\x00o\x00d\x00e\x00")
+    assert cli.main([str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {path}: cannot read" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_override_requires_key_value(tmp_path):
@@ -447,6 +464,56 @@ def test_narrow_distance_span_fails_its_row(tmp_path, capsys, mode):
     assert "RuntimeWarning" not in err
 
 
+@pytest.mark.parametrize("mode,params,message", [
+    ("analyze", "{R: 1.0e+160}", "NumericError: outage probability: squared serving distances"),
+    ("analyze", "{H: 1.0e-300}", "NumericError: interference transform: H^alpha_N"),
+    ("analyze", "{L: 1.0e-300}", None),
+    ("rate", "{H: 1.0e-160}", "NumericError: interference transform: H^alpha_N"),
+], ids=["R-1e160", "H-1e-300", "L-1e-300", "rate-H-1e-160"])
+def test_extreme_geometry_prints_no_numpy_warnings(tmp_path, capsys, mode, params, message):
+    # geometries the loader accepts: R^2 overflows the measure's areas, and
+    # H^alpha the transform's node distances underflow, so each row fails
+    # naming that quantity; at L = 1e-300 every preset sits at the center,
+    # where the outage is the one-preset value and a ratio over rho near 0
+    # overflows harmlessly; numpy warns of none of it
+    path = _write(tmp_path, f"mode: {mode}\nparams: {params}\nsim: {{n_realizations: 300}}\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = cli.main([str(path), "--out", str(out)])
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    [row] = _read_rows(out)
+    if message is None:
+        assert status == 0
+        one_preset = an.outage_probability(SystemParams(Np=1), an.AnalysisConfig())
+        assert float(row["analytic_outage"]) == pytest.approx(one_preset, rel=1e-8)
+    else:
+        assert status == 1
+        assert row["error"].startswith(message)
+
+
+@pytest.mark.parametrize("lam", [None, 0.0], ids=["default-lam", "lam-0"])
+@pytest.mark.parametrize("power", ["2970 dBm", "3080 dBm"])
+def test_rate_at_extreme_power_writes_its_row(tmp_path, capsys, power, lam):
+    # xi stays finite, so the loader takes both powers; but the trapezoid
+    # grid's end ratio 40/xi over z_lo overflows at 2970 dBm, and 40/xi
+    # itself at 3080 dBm: the row says so, and both files are written
+    params = f'{{P: "{power}"' + ("" if lam is None else f", lambda: {lam}") + "}"
+    path = _write(tmp_path, f"mode: rate\nparams: {params}\nsim: {{n_realizations: 300}}\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main([str(path), "--out", str(out)]) in (0, 1)
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert (out / "report.json").exists()
+    [row] = _read_rows(out)
+    if row["error"]:
+        assert row["error"].startswith("NumericError: ")
+    else:
+        assert math.isfinite(float(row["analytic_rate"]))
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(Np=st.integers(0, 25).map(lambda k: 2 * k + 1),
        R=st.floats(1.0, 1000.0),
@@ -503,6 +570,8 @@ def test_config_error_exit_code(tmp_path, capsys):
                            # past the float32 range of the interferer field
                            (("mode=simulate", "params.lam=1e-40"), "sim: lam=1e-40"),
                            (("mode=compare", "params.H=1e20"), "sim: lam=1e-06, H=1e+20"),
+                           # H^2 past the double range, too
+                           (("mode=rate", "params.H=1e200"), "sim: lam=1e-06, H=1e+200"),
                            (("mode=rate", "sweep.parameter=H", "sweep.values=[3, 1e20]"),
                             "sweep.values[1]: lam=1e-06, H=1e+20")):
         args = [arg for spec in specs for arg in ("--set", spec)]

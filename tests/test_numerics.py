@@ -6,6 +6,7 @@ scipy's exponential integral, step-halving refinement).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,18 @@ def test_semi_infinite_end_term_too_large_raises():
         _semi_infinite(lambda z: np.exp(-z), 1.0)
     with pytest.raises(NumericError, match="end term"):
         _semi_infinite(lambda z: (1.0 + z) ** -2, 1e14, z_lo=1e-3)
+
+
+def test_semi_infinite_grid_past_double_range_raises():
+    # the ends are doubles but their ratio 1e400 is not, so neither is the
+    # grid's last node: NumericError, before the integrand runs, and numpy
+    # warns of nothing
+    calls = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="double range"):
+            integrate_semi_infinite(lambda z: calls.append(z) or np.exp(-z), 1e-200, 1e200, STEP)
+    assert calls == []
 
 
 @pytest.mark.parametrize("z_lo,z_hi,h", [
