@@ -23,6 +23,9 @@ average is a 1-D measure in rho (_polar_rule): about each Voronoi cell's
 preset, or about the waveguide tip for the lower bound, the density is
 rho theta(rho) drho with theta the closed-form angle of the circle of
 radius rho inside the region, split into panels at the kinks of theta.
+The presets and their cells mirror about the disc centre, so the outage's
+measure holds rows only for the cells at x >= 0 and counts each row off
+the centre twice (_serving_rule).
 That measure, a few hundred points per cell, is reduced once per call to a
 short rule of Chebyshev nodes in ln d0 (_distance_rule), and the integrand
 is evaluated only at those nodes: the outage runs the a_m recursion there.
@@ -279,7 +282,9 @@ def _panel_rule(kinks: np.ndarray, order: int):
     on the last axis.  Each panel is mapped by t = lo + (hi - lo) sin^2(phi),
     which makes square-root ends analytic; a panel that starts off the
     origin takes the map in ln t instead, so that a panel reaching far past
-    its start still resolves the scale of its start.  Zero-width panels
+    its start still resolves the scale of its start.  A panel whose width
+    over its start overflows (a start near the subnormal range) takes its
+    span and nodes from the logs of its ends instead.  Zero-width panels
     carry zero weight."""
     x, w = (0.25 * math.pi * v for v in gauss_legendre_rule(order))
     phi = 0.25 * math.pi + x  # the [-1, 1] rule mapped onto [0, pi/2]
@@ -287,9 +292,13 @@ def _panel_rule(kinks: np.ndarray, order: int):
     lo = kinks[..., :-1, None]
     width = np.diff(kinks)[..., None]
     # a panel from the origin takes the plain map; its log span is unused
-    with np.errstate(divide="ignore", invalid="ignore"):
-        span = np.log1p(width / lo)
-        t = np.where(lo > 0.0, lo * np.exp(span * s), width * s)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = width / lo
+        near = np.isfinite(ratio)
+        span = np.where(near, np.log1p(ratio), np.log(lo + width) - np.log(lo))
+        # lo e^(span s), with lo moved into the exponent on a far panel
+        t = np.exp(np.where(near, 0.0, np.log(lo)) + span * s) * np.where(near, lo, 1.0)
+        t = np.where(lo > 0.0, t, width * s)
         jac = np.where(lo > 0.0, t * span, width)
     return t, np.where(width > 0.0, jac * w * np.sin(2.0 * phi), 0.0)
 
@@ -332,11 +341,20 @@ def _polar_rule(xc, a, b, R: float, H: float, order: int):
 def _serving_rule(params: SystemParams, order: int):
     """Serving distances and user-density weights of the outage average:
     the y > 0 half disc (density 2/(pi R^2) by symmetry), one polar row per
-    Voronoi cell about its preset; a single preset's is (0, -R, R)."""
-    R = params.R
-    rows = (preset_offsets(params.L, params.Np), *voronoi_cells(params.L, params.Np, R))
-    d0, weight = _polar_rule(*rows, R, params.H, order)
-    return d0, weight * (2.0 / (math.pi * R * R))
+    Voronoi cell about its preset; a single preset's is (0, -R, R).
+
+    The presets and cells are symmetric about x = 0, and the row of the
+    cell (-b, -a) about -xc is bit for bit that of (a, b) about xc: the
+    kinks are |a - xc|, |b - xc| and commuting products, lo and hi swap
+    with a change of sign, and asin is odd.  So only the rows from the
+    centre preset outward (xc >= 0) are built, and each but the centre row
+    counts twice."""
+    R, half = params.R, params.Np // 2
+    xc, a, b = (v[half:] for v in (preset_offsets(params.L, params.Np),
+                                   *voronoi_cells(params.L, params.Np, R)))
+    d0, weight = _polar_rule(xc, a, b, R, params.H, order)
+    density = np.where(np.arange(xc.size) > 0, 4.0, 2.0) / (math.pi * R * R)
+    return d0, (weight.reshape(xc.size, -1) * density[:, None]).ravel()
 
 
 def _continuum_rule(params: SystemParams, order: int):
@@ -367,7 +385,7 @@ _MEASURES = {
 def _average_rule(name: str, params: SystemParams, cfg: AnalysisConfig):
     """The distance rule of the named average's measure.  A measure whose
     squared distances or areas pass the double range (R or H past about
-    1e153 m, or a subnormal L) raises NumericError."""
+    1e153 m) raises NumericError."""
     # a ratio over a rho near 0 overflows to an infinity that the measure's
     # clips to [-1, 1] absorb; any other overflow leaves a distance or a
     # weight that is not finite
@@ -477,7 +495,11 @@ def ergodic_rate(params: SystemParams, cfg: AnalysisConfig) -> float:
         miss = 0.0
         for w, gain, n in branches:
             miss = miss + np.sum(w * -np.expm1(-n * np.log1p(zc * gain)), axis=-1)
-        return np.exp(_xi_free(z, 0, tab)[0] - z * xi) * miss / z
+        # a ratio z / (N D) past the double range (H near its floor) is inf,
+        # whose node term -a (1 - (1 + x)^-N) is then the exact limit -a
+        with np.errstate(over="ignore"):
+            log_l = _xi_free(z, 0, tab)[0]
+        return np.exp(log_l - z * xi) * miss / z
 
     # below z_lo the integrand is about E[d0^-alpha], so the sum cuts off
     # 1e-13 min(E[d0^-alpha] / xi, 1) nats: 1e-13 of the rate at low SNR

@@ -15,6 +15,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -546,6 +547,63 @@ def test_strip_weights_cover_half_disc():
             assert row.sum() == pytest.approx(_cell_area(a, b, R), rel=1e-13)
 
 
+def test_mirrored_cells_give_bytewise_equal_polar_rows():
+    # the fold of _serving_rule: the presets and cells mirror exactly about
+    # x = 0, and the polar row of cell Np - 1 - i about its preset is that
+    # of cell i, byte for byte, up to Np = 1001
+    for params in AREA_GEOMETRIES:
+        xc = preset_offsets(params.L, params.Np)
+        a, b = voronoi_cells(params.L, params.Np, params.R)
+        half = params.Np // 2
+        assert np.array_equal(xc[::-1], -xc)
+        assert np.array_equal(a[::-1], -b) and np.array_equal(b[::-1], -a)
+        rows = [an._polar_rule(x[:half], y[:half], z[:half], params.R, params.H,
+                               CFG.gl_order_rate)
+                for x, y, z in ((xc, a, b), (xc[::-1], a[::-1], b[::-1]))]
+        for left, right in zip(*rows):
+            assert left.tobytes() == right.tobytes()
+
+
+def _full_serving_rule(params, order):
+    """The outage measure with one polar row per Voronoi cell, none folded:
+    the oracle of _serving_rule's mirror fold."""
+    R = params.R
+    rows = (preset_offsets(params.L, params.Np), *voronoi_cells(params.L, params.Np, R))
+    d0, weight = an._polar_rule(*rows, R, params.H, order)
+    return d0, weight * (2.0 / (math.pi * R * R))
+
+
+@pytest.mark.parametrize("Np", [1, 3, 11, 51])
+@pytest.mark.parametrize("base", [PARAMS, RATE_PARAMS], ids=["default", "rate"])
+def test_folded_measure_matches_full_cell_oracle(monkeypatch, base, Np):
+    # folding the mirrored cells only reorders the distance rule's moment
+    # sums: the outage and the rate stay within 1e-14 of the unfolded
+    # measure's, and at one preset, where nothing folds, bit for bit
+    params = base.with_(Np=Np)
+    folded = an.outage_probability(params, CFG), an.ergodic_rate(params, CFG)
+    monkeypatch.setitem(an._MEASURES, "outage probability", _full_serving_rule)
+    full = an.outage_probability(params, CFG), an.ergodic_rate(params, CFG)
+    if Np == 1:
+        assert [v.hex() for v in folded] == [v.hex() for v in full]
+    else:
+        assert folded == pytest.approx(full, rel=1e-14, abs=0.0)
+
+
+def test_outage_rule_memory():
+    # the folded measure holds half the polar rows: building the Np = 201
+    # outage rule peaks at 2.5 MB of traced allocations, against 5.0 MB
+    # with a row per cell
+    params = SystemParams(Np=201)
+    an._average_rule("outage probability", params, CFG)  # the cached node rules
+    tracemalloc.start()
+    try:
+        an._average_rule("outage probability", params, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6
+
+
 def test_continuum_weights_cover_quarter_disc():
     # the density 4/(pi R^2) over the quarter disc: tip lobe plus side lobe
     for params in AREA_GEOMETRIES:
@@ -618,12 +676,30 @@ def _noise_only_outage(d0, eps, params):
                                     params.N_N * eps * d0 ** params.alpha_N * xi))
 
 
+def _coverage_edges(params):
+    """Horizontal distances rho at which a blockage branch's lam = 0 Gamma
+    tail crosses about 1/2, at d0 = (eps xi)^(-1/alpha_B), and at twice
+    that d0, by where the tail has mostly gone: the covered disc about a
+    serving point and its rim.  The outage climbs from near 0 to near 1
+    across the rim, which can be too thin for quad to see on a long
+    interval, so each oracle breaks its rho or y range at both."""
+    scale = params.epsilon * params.xi
+    edges = []
+    for alpha in (params.alpha_L, params.alpha_N):
+        edge = scale ** (-1.0 / alpha) if scale > 0.0 else math.inf
+        for d0 in (edge, 2.0 * edge):
+            if params.H < d0 < math.inf:
+                edges.append(math.sqrt((d0 - params.H) * (d0 + params.H)))
+    return edges
+
+
 def _radial_mean(params, f):
     """Mean of f(d0) over a user uniform on the disc, served from above
     the center: scipy over the radius."""
     R, H = params.R, params.H
-    val = integrate.quad(lambda r: f(math.hypot(r, H)) * r,
-                         0.0, R, epsabs=1e-13, epsrel=1e-12)[0]
+    val = integrate.quad(lambda r: f(math.hypot(r, H)) * r, 0.0, R,
+                         points=_coverage_edges(params),
+                         epsabs=1e-13, epsrel=1e-12, limit=200)[0]
     return 2.0 / R ** 2 * val
 
 
@@ -644,26 +720,33 @@ def _strip_mean(params, f, epsabs=1e-11):
 def _segment_mean(params, f):
     """Mean of f(d0) over a user uniform on the disc, served from the
     nearest point of the waveguide segment: scipy over the x > 0, y > 0
-    quarter disc, split at the tip where the distance has a kink."""
+    quarter disc, over y inside over x, split at the tip where the distance
+    has a kink; each coverage edge breaks the y range where it crosses the
+    column, and the x range where it leaves the axis beyond the tip."""
     R, H, tip = params.R, params.H, 0.5 * params.L
+    edges = _coverage_edges(params)
 
-    def at(y, x):
-        rho = y if x <= tip else math.hypot(x - tip, y)
-        return f(math.hypot(rho, H))
+    def column(x):
+        top = math.sqrt(max(R * R - x * x, 0.0))
+        dx = max(x - tip, 0.0)
+        cuts = [math.sqrt((e - dx) * (e + dx)) for e in edges if dx < e]
+        return integrate.quad(lambda y: f(math.hypot(math.hypot(dx, y), H)), 0.0, top,
+                              points=cuts, epsabs=1e-11, epsrel=1e-11, limit=200)[0]
 
-    total = sum(integrate.dblquad(at, lo, hi, 0.0,
-                                  lambda x: math.sqrt(max(R * R - x * x, 0.0)),
-                                  epsabs=1e-11, epsrel=1e-11)[0]
+    # quad drops the break points outside its interval
+    total = sum(integrate.quad(column, lo, hi, points=[tip + e for e in edges],
+                               epsabs=1e-11, epsrel=1e-11, limit=200)[0]
                 for lo, hi in ((0.0, tip), (tip, R)))
     return 4.0 / (math.pi * R ** 2) * total
 
 
-def _polar_integral(f, xc, a, b, R, H):
+def _polar_integral(f, xc, a, b, R, H, edges=()):
     """Integral of f(sqrt(rho^2 + H^2)) over {a <= x <= b, y >= 0, inside
     the disc of radius R}, rho the distance to (xc, 0): one scipy quad over
     rho of rho times the angle of the circle of radius rho about (xc, 0)
-    inside the region.  Each bound confines cos(theta) to an interval; the
-    rim bound x^2 + y^2 <= R^2 reads xc^2 + 2 xc rho cos(theta) + rho^2 <= R^2.
+    inside the region, broken also at the radii edges (_coverage_edges).
+    Each bound confines cos(theta) to an interval; the rim bound
+    x^2 + y^2 <= R^2 reads xc^2 + 2 xc rho cos(theta) + rho^2 <= R^2.
     The angle has kinks where a bound starts or stops to bind; kinks within
     a relative 1e-12 of each other are one (a preset at its cell's centre
     puts |a - xc| and |b - xc| an ulp apart, and a break between them
@@ -680,7 +763,7 @@ def _polar_integral(f, xc, a, b, R, H):
         return math.acos(lo) - math.acos(hi) if lo < hi else 0.0
 
     top = R + abs(xc)
-    kinks = {abs(a - xc), abs(b - xc), R - abs(xc)}
+    kinks = {abs(a - xc), abs(b - xc), R - abs(xc), *edges}
     kinks |= {math.sqrt((x - xc) ** 2 + R * R - x * x) for x in (a, b)}
     points = []
     for k in sorted(k for k in kinks if 0.0 < k < top):
@@ -695,8 +778,8 @@ def _polar_integral(f, xc, a, b, R, H):
 def _polar_strip_mean(params, f):
     """_strip_mean by one radial quad per strip, about the strip's preset:
     fast enough for an f that costs a transform evaluation per call."""
-    R = params.R
-    total = sum(_polar_integral(f, xn, a, b, R, params.H)
+    R, edges = params.R, _coverage_edges(params)
+    total = sum(_polar_integral(f, xn, a, b, R, params.H, edges)
                 for xn, a, b in zip(preset_offsets(params.L, params.Np),
                                     *voronoi_cells(params.L, params.Np, R)))
     return 2.0 / (math.pi * R ** 2) * total
@@ -707,11 +790,12 @@ def _polar_segment_mean(params, f):
     is |y| over a width min(L/2, sqrt(R^2 - y^2)); beyond the tip, polar
     about the tip."""
     R, H, tip = params.R, params.H, 0.5 * params.L
+    edges = _coverage_edges(params)
     side = integrate.quad(
         lambda y: f(math.hypot(y, H)) * min(tip, math.sqrt(max(R * R - y * y, 0.0))),
-        0.0, R, points=[math.sqrt(R * R - tip * tip)], epsabs=0.0, epsrel=1e-11,
-        limit=200)[0]
-    return 4.0 / (math.pi * R ** 2) * (side + _polar_integral(f, tip, tip, R, R, H))
+        0.0, R, points=[math.sqrt(R * R - tip * tip), *edges],
+        epsabs=0.0, epsrel=1e-11, limit=200)[0]
+    return 4.0 / (math.pi * R ** 2) * (side + _polar_integral(f, tip, tip, R, R, H, edges))
 
 
 @pytest.mark.parametrize("rbar", [8.0, 10.0])
@@ -800,6 +884,34 @@ def test_polar_oracles_match_planar_oracles(params):
         _strip_mean(single, outage), abs=1e-12)
     assert _polar_segment_mean(single, outage) == pytest.approx(
         _segment_mean(single, outage), abs=1e-12)
+
+
+def test_oracles_resolve_the_coverage_edge():
+    # lam = 0 and a threshold of 1 / (the mean SNR at the median radius),
+    # as in the upper-bound property above: the outage is near 1, and the
+    # covered sliver beside the waveguide is about 0.6 m wide.  Without
+    # breaks at the coverage edges the quad oracles stepped across it and
+    # read 1.0000000000, 1.2e-5 off.  With them the planar and polar
+    # oracles agree, and the averages meet them within 1e-8 at the doubled
+    # gl_order_rate; the default 96-node rules stay within the 1e-5
+    # resolution AnalysisConfig states (measured 2.3e-7 for the lower bound
+    # and 1.9e-8 for the outage: ROADMAP item 6)
+    params = SystemParams(lam=0.0, R=529.07, L=9.22, Np=5, H=0.159, alpha_L=3.62,
+                          alpha_N=4.44, N_L=7, N_N=4)
+    params = _at(math.hypot(params.R / math.sqrt(2.0), params.H) ** params.alpha_N
+                 * params.xi, params)
+
+    def outage(d0):
+        return _noise_only_outage(d0, params.epsilon, params)
+
+    lower = _segment_mean(params, outage)
+    assert _polar_segment_mean(params, outage) == pytest.approx(lower, abs=1e-12)
+    mean = _polar_strip_mean(params, outage)
+    assert lower < mean < 1.0 - 1e-6
+    for cfg, gate in ((an.AnalysisConfig(gl_order_rate=2 * CFG.gl_order_rate), 1e-8),
+                      (CFG, 1e-5)):
+        assert an.outage_lower_bound(params, cfg) == pytest.approx(lower, abs=gate)
+        assert an.outage_probability(params, cfg) == pytest.approx(mean, abs=gate)
 
 
 def test_averages_match_quadrature_oracle_with_interference():
