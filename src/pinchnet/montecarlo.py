@@ -258,8 +258,9 @@ def _block_interference(group: list[SystemParams], simcfg: SimConfig,
     and the gain of each fading shape depend on lam alone, so each bin is
     drawn once and only the preset choice, distances, blockage and
     received powers are worked out per member, each realization's run of
-    powers summed by one reduceat.  Every bin-sized intermediate lives in
-    views of work's areas (_span_samples).
+    powers summed by one reduceat, all in views of work's two areas
+    (_span_samples): the field rows are the words' spare until the draws
+    fill them, and the words, dead once drawn, leave their rows to the powers.
     """
     lam = group[0].lam
     limit = lam * math.pi * simcfg.R_sim * simcfg.R_sim
@@ -273,8 +274,8 @@ def _block_interference(group: list[SystemParams], simcfg: SimConfig,
             _poisson_cdf(), (_words(key, [0], _BLOCK)[0] >> 11) * 2.0 ** -53, side="right")
         m = int(counts.sum())
         half = -(-m // 2)
-        words = _rows(work["words"], 2 * rows, half)
-        words = _words(key, range(1, rows + 1), half, out=words[:rows], spare=words[rows:])
+        words = _words(key, range(1, rows + 1), half, out=_rows(work["words"], rows, half),
+                       spare=_rows(work["field"].view(np.uint64), rows, half))
         # 24-bit uniforms (h >> 8) 2^-24 of the first m 32-bit halves h of
         # each row, low half first on any byte order: exact in float32
         halves = words.astype("<u8", copy=False).view("<u4")[:, :m]
@@ -286,7 +287,7 @@ def _block_interference(group: list[SystemParams], simcfg: SimConfig,
         # the first four become r2, two_r_cos, proj and axial in place
         r2, two_r_cos, proj, axial, u_block = draws[:_MARKS]
         d2 = draws[rows]
-        power, spare, flags = _rows(work["powers"], 3, m)
+        power, spare, flags = _rows(work["words"].view(np.float64), 3, m)
         los = flags.view(bool)[:m]
         np.multiply(r2, _BIN, out=r2)
         r2 += _BIN * k
@@ -352,15 +353,14 @@ def _span_samples(group: list[SystemParams], simcfg: SimConfig,
     """(serving power, interference) rows of every realization of the
     consecutive blocks `blocks`, one members x 2 x len(blocks) _BLOCK
     array filled in place."""
-    # one set of work areas, reused by every bin of every block: fresh
-    # bin-sized arrays per step let the allocator return their pages to the
-    # system and fault them in again on every bin.  Rows of words (and as
-    # many to work in), float32 rows for the marks, exponentials and squared
-    # distances, and float64 rows for the powers and the flags
+    # two work areas, reused by every bin of every block: fresh bin-sized
+    # arrays per step let the allocator return their pages and fault them in
+    # again on every bin.  Rows of words, later the float64 powers, inverse
+    # and flags (3 _ROOM fit: rows >= 6), and float32 rows for the marks,
+    # exponentials and squared distances, first the words' spare
     rows = _MARKS + _shapes(group)[-1]
-    work = {"words": np.empty(2 * rows * (_ROOM // 2 + 1), np.uint64),
-            "field": np.empty((rows + 1) * _ROOM, np.float32),
-            "powers": np.empty(3 * _ROOM)}
+    work = {"words": np.empty(rows * (_ROOM // 2 + 1), np.uint64),
+            "field": np.empty((rows + 1) * _ROOM, np.float32)}
     samples = np.zeros((len(group), 2, len(blocks) * _BLOCK))
     for i, block in enumerate(blocks):
         _block_samples(group, simcfg, block, work, samples[..., i * _BLOCK:(i + 1) * _BLOCK])

@@ -14,6 +14,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -204,15 +205,42 @@ def test_values_identical_across_block_cuts():
     assert par.tobytes() == ref[..., :600].tobytes()
 
 
-def test_bins_past_the_work_room_keep_their_bytes(monkeypatch):
+# the rate figure's group: its members differ in Np alone
+_RATE_GROUP = [SystemParams(lam=1e-5, R=100.0, L=100.0, H=4.0, alpha_N=4.0, beta=0.01,
+                            Np=n) for n in (1, 3, 11)]
+
+
+@pytest.mark.parametrize("group,R_sim", [([SystemParams()], 5000.0), (_RATE_GROUP, 3000.0)],
+                         ids=["outage", "rate-group"])
+def test_bins_past_the_work_room_keep_their_bytes(monkeypatch, group, R_sim):
     # a bin with more arrivals than a span's work rows hold works in a
-    # fresh array: with room for the mean count alone, about half the bins
-    # do, and every sample keeps its bytes
-    params = SystemParams()
-    sim = mc.SimConfig(n_realizations=600, seed=5)
-    ref = mc._simulate([params], sim)[0]
+    # fresh array: with room for the mean count m = 8192 alone, about half
+    # the bins do, and every sample keeps its bytes.  Each role checks its
+    # own room (8 rows here): the draws fall back past m = 8192, the words
+    # past 8194 while the powers still take the words' area, and the spare
+    # in the field rows only past 9216, 11 standard deviations out
+    sim = mc.SimConfig(n_realizations=600, R_sim=R_sim, seed=5)
+    ref = mc._simulate(group, sim)
     monkeypatch.setattr(mc, "_ROOM", mc._BIN * mc._BLOCK)
-    assert mc._simulate([params], sim)[0].tobytes() == ref.tobytes()
+    assert mc._simulate(group, sim).tobytes() == ref.tobytes()
+
+
+def test_span_work_memory():
+    # a span's two work areas take 0.63 MB at the default geometry (8 rows):
+    # the words' rows, which hold the powers once the draws are made, and
+    # the float32 field rows, which work as the words' spare before.  One
+    # warm one-block span peaks at about 0.73 MB of traced allocations,
+    # against 1.25 MB with a spare and a powers area of their own
+    params = SystemParams()
+    sim = mc.SimConfig(n_realizations=mc._BLOCK)
+    mc._span_samples([params], sim, range(1))  # the cached count table
+    tracemalloc.start()
+    try:
+        mc._span_samples([params], sim, range(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.9e6
 
 
 @contextlib.contextmanager
@@ -633,10 +661,11 @@ def test_draw_key_matches_sample_bytes(field):
 
 
 # one group per field, its members differing in that field alone; the
-# N_L and N_N groups mix fading shapes, and so exponential row counts
+# N_L and N_N groups mix fading shapes, and so exponential row counts, and
+# the Np group's values are the rate figure's
 _GROUP_VALUES = {"N_L": (1, 3, 8), "N_N": (1, 2, 6), "H": (2.0, 4.0, 8.0),
                  "R": (10.0, 20.0, 400.0), "beta": (0.0, 0.01, 0.2),
-                 "alpha_N": (2.5, 3.0, 4.5)}
+                 "alpha_N": (2.5, 3.0, 4.5), "Np": (1, 3, 11)}
 
 
 @pytest.mark.parametrize("workers", [1, 3])
