@@ -59,13 +59,7 @@ from .errors import NumericError, NumericInstabilityError, _integer
 from .geometry import SystemParams, preset_offsets, voronoi_cells
 from .numerics import gauss_legendre_rule, integrate_semi_infinite
 
-__all__ = [
-    "AnalysisConfig",
-    "outage_probability",
-    "outage_upper_bound",
-    "outage_lower_bound",
-    "ergodic_rate",
-]
+__all__ = ["AnalysisConfig", "ergodic_rate"]
 
 # Rounding window of a probability (and of the rate below 0): a value up to
 # this far outside [0, 1] is rounded onto it; anything further, or not
@@ -374,7 +368,12 @@ def _continuum_rule(params: SystemParams, order: int):
             np.concatenate([w_tip, w_side.ravel()]) * (4.0 / (math.pi * R * R)))
 
 
-# the (d0, weight) measure of each spatial average, by its name in errors
+# the (d0, weight) measure of each spatial average of a user uniform on the
+# disc, by its name in errors: the outage serves the user from its Voronoi
+# strip's preset, the upper bound from one antenna fixed at the centre, the
+# lower bound from an antenna anywhere on the waveguide (the nearest point
+# of the segment).  Each average is _average(_transform(_average_rule(name,
+# params, cfg), params, cfg), params, name), reduced at params.xi
 _MEASURES = {
     "outage probability": _serving_rule,
     "outage upper bound": lambda params, order: _serving_rule(params.with_(Np=1), order),
@@ -395,38 +394,6 @@ def _average_rule(name: str, params: SystemParams, cfg: AnalysisConfig):
         raise NumericError(f"{name}: squared serving distances or areas overflow at "
                            f"R = {params.R!r}, L = {params.L!r}, H = {params.H!r}")
     return _distance_rule(d0, weight, cfg.gl_order_rate)
-
-
-def _spatial_average(name: str, params: SystemParams, cfg: AnalysisConfig) -> float:
-    """The named average: the transform of its rule, reduced at params.xi."""
-    return _average(_transform(_average_rule(name, params, cfg), params, cfg), params, name)
-
-
-def outage_probability(params: SystemParams, cfg: AnalysisConfig) -> float:
-    """Spatially averaged outage of the typical user.
-
-    Averages the conditional outage over the user position, uniform on the
-    disc, with the serving preset fixed per Voronoi strip of the waveguide.
-    Np = 1 reduces to the radial fixed-antenna form.
-    """
-    return _spatial_average("outage probability", params, cfg)
-
-
-def outage_upper_bound(params: SystemParams, cfg: AnalysisConfig) -> float:
-    """Outage of a single antenna fixed at the disc center's preset.
-
-    (2/R^2) int_0^R P_out(sqrt(r^2 + H^2)) r dr.
-    """
-    return _spatial_average("outage upper bound", params, cfg)
-
-
-def outage_lower_bound(params: SystemParams, cfg: AnalysisConfig) -> float:
-    """Outage when the antenna can sit anywhere on the waveguide.
-
-    The serving point is the nearest point of the segment: the perpendicular
-    foot alongside it, the tip beyond it.
-    """
-    return _spatial_average("outage lower bound", params, cfg)
 
 
 def _distance_rule(d0: np.ndarray, weight: np.ndarray,

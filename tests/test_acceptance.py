@@ -26,6 +26,7 @@ from pinchnet import cli
 from pinchnet import montecarlo as mc
 from pinchnet.geometry import SystemParams
 from test_analysis import (conditional_outage, lbar_derivatives, laplace_interference,
+                           outage_lower_bound, outage_probability, outage_upper_bound,
                            zeta_derivative)
 from test_finite_difference import finite_difference
 from test_montecarlo import laplace_estimate, pinned_samples
@@ -127,7 +128,7 @@ def test_criterion_4_outage_curve(capsys):
     gaps = []
     for i, dbm in enumerate(range(0, 31, 5)):
         params = FIG2.with_(P=10.0 ** (dbm / 10.0) / 1000.0)
-        value = an.outage_probability(params, CFG)
+        value = outage_probability(params, CFG)
         analytic.append(value)
         estimate, se = mc._outage(mc._simulate(
             [params], mc.SimConfig(n_realizations=N_FULL, seed=401 + i))[0], params)
@@ -148,16 +149,16 @@ def test_criterion_5_preset_bounds(capsys):
     monotone = True
     for eps in (0.5, 1.0, 3.0, 7.0):
         params = FIG2.with_(Rbar=math.log2(1.0 + eps))
-        lower = an.outage_lower_bound(params, CFG)
-        upper = an.outage_upper_bound(params, CFG)
+        lower = outage_lower_bound(params, CFG)
+        upper = outage_upper_bound(params, CFG)
         previous = math.inf
         for npresets in (3, 11, 51):
-            value = an.outage_probability(params.with_(Np=npresets), CFG)
+            value = outage_probability(params.with_(Np=npresets), CFG)
             worst_violation = max(worst_violation, lower - value, value - upper)
             if value > previous + 1e-12:
                 monotone = False
             previous = value
-        dense = an.outage_probability(params.with_(Np=201), CFG)
+        dense = outage_probability(params.with_(Np=201), CFG)
         tail_gap = max(tail_gap, abs(dense - lower))
     ok = worst_violation <= 1e-12 and monotone and tail_gap <= 1e-3
     _emit(capsys, 5, ok,
@@ -236,8 +237,8 @@ def test_criterion_9_resolution_robustness(capsys):
     # analysis: double every quadrature knob at once
     dense = an.AnalysisConfig(K=2 * CFG.K, gl_order_rate=2 * CFG.gl_order_rate)
     outage_params = FIG2
-    outage_shift = abs(an.outage_probability(outage_params, CFG)
-                       - an.outage_probability(outage_params, dense))
+    outage_shift = abs(outage_probability(outage_params, CFG)
+                       - outage_probability(outage_params, dense))
     rate_params = FIG3.with_(Np=3)
     rate_shift = abs(an.ergodic_rate(rate_params, CFG)
                      - an.ergodic_rate(rate_params, dense))
@@ -249,7 +250,7 @@ def test_criterion_9_resolution_robustness(capsys):
         for radius in (5000.0, 10_000.0))
     sim_outage_shift = abs(near - far)
     outage_se = max(near_se,
-                    _binomial_se(an.outage_probability(outage_params, CFG), 20_000))
+                    _binomial_se(outage_probability(outage_params, CFG), 20_000))
 
     (near, rate_se), (far, _) = (
         mc._rate(mc._simulate([rate_params], mc.SimConfig(

@@ -23,7 +23,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
-from scipy.special import gammaincc
+from scipy.special import gammainc, gammaincc
 from hypothesis import assume, given, settings, strategies as st
 
 from pinchnet import analysis as an
@@ -82,6 +82,33 @@ def conditional_outage(d0, params, cfg):
     rule = (np.array([float(d0)]), np.array([1.0]))
     return an._average(an._transform(rule, params, cfg), params,
                        f"conditional outage at d0={d0!r}")
+
+
+# The spatial averages, composed as cli.run composes them: the named
+# measure's distance rule, its xi-free transform, the reduction at xi.
+# test_acceptance, test_cli and test_montecarlo import them from here.
+
+def _spatial_average(name, params, cfg):
+    return an._average(an._transform(an._average_rule(name, params, cfg), params, cfg),
+                       params, name)
+
+
+def outage_probability(params, cfg):
+    """Outage of a user uniform on the disc, served by the preset of its
+    Voronoi strip; Np = 1 is the radial fixed-antenna form."""
+    return _spatial_average("outage probability", params, cfg)
+
+
+def outage_upper_bound(params, cfg):
+    """Outage of one antenna fixed at the disc centre's preset:
+    (2/R^2) int_0^R P_out(sqrt(r^2 + H^2)) r dr."""
+    return _spatial_average("outage upper bound", params, cfg)
+
+
+def outage_lower_bound(params, cfg):
+    """Outage of an antenna that can sit anywhere on the waveguide: the
+    user is served from the nearest point of the segment."""
+    return _spatial_average("outage lower bound", params, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +236,7 @@ _FAR_FIELD_2 = pytest.mark.parametrize("changes", [{"alpha_N": 2.0}, {"beta": 0.
 @_FAR_FIELD_2
 def test_divergent_interference_raises(changes):
     params = PARAMS.with_(**changes)
-    for average in (an.outage_probability, an.outage_lower_bound, an.ergodic_rate):
+    for average in (outage_probability, outage_lower_bound, an.ergodic_rate):
         with pytest.raises(NumericError, match="interference diverges"):
             average(params, CFG)
 
@@ -475,26 +502,26 @@ def test_conditional_outage_is_one_where_coverage_terms_overflow(shapes, eps, d0
 
 def test_outage_zero_threshold_everywhere():
     p = _at(0.0)
-    assert an.outage_probability(p, CFG) == 0.0
-    assert an.outage_upper_bound(p, CFG) == 0.0
-    assert an.outage_lower_bound(p, CFG) == 0.0
+    assert outage_probability(p, CFG) == 0.0
+    assert outage_upper_bound(p, CFG) == 0.0
+    assert outage_lower_bound(p, CFG) == 0.0
 
 
 def test_single_preset_equals_upper_bound():
     p1 = _at(1.0, PARAMS.with_(Np=1))
     # one rule, the polar row (0, -R, R), serves both
-    assert an.outage_probability(p1, CFG) == an.outage_upper_bound(p1, CFG)
+    assert outage_probability(p1, CFG) == outage_upper_bound(p1, CFG)
 
 
 @pytest.mark.parametrize("eps", [0.5, 1.0, 3.0, 7.0])
 def test_bound_sandwich_and_monotone_in_presets(eps):
-    vals = [an.outage_probability(_at(eps, PARAMS.with_(Np=n)), CFG)
+    vals = [outage_probability(_at(eps, PARAMS.with_(Np=n)), CFG)
             for n in (3, 11, 51)]
-    lower = an.outage_lower_bound(_at(eps), CFG)
-    upper = an.outage_upper_bound(_at(eps), CFG)
+    lower = outage_lower_bound(_at(eps), CFG)
+    upper = outage_upper_bound(_at(eps), CFG)
     assert all(a >= b for a, b in zip(vals, vals[1:]))
     assert lower <= vals[-1] and vals[0] <= upper
-    assert lower <= an.outage_probability(_at(eps), CFG) <= upper
+    assert lower <= outage_probability(_at(eps), CFG) <= upper
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -505,14 +532,14 @@ def test_outage_monotone_in_target_rate(geometry, rbar, step):
     # outage does not fall, up to rounding, over target rates of 0 to 20
     # bits, across which it runs from 0 to 1 at both geometries
     params = {"default": PARAMS, "rate": RATE_PARAMS}[geometry]
-    low = an.outage_probability(params.with_(Rbar=rbar), CFG)
-    high = an.outage_probability(params.with_(Rbar=rbar + step), CFG)
+    low = outage_probability(params.with_(Rbar=rbar), CFG)
+    high = outage_probability(params.with_(Rbar=rbar + step), CFG)
     assert low <= high + 1e-12
 
 
 def test_dense_presets_reach_lower_bound():
-    got = an.outage_probability(_at(1.0, PARAMS.with_(Np=201)), CFG)
-    lower = an.outage_lower_bound(_at(1.0), CFG)
+    got = outage_probability(_at(1.0, PARAMS.with_(Np=201)), CFG)
+    lower = outage_lower_bound(_at(1.0), CFG)
     assert got == pytest.approx(lower, abs=1e-3)
     assert got >= lower - 1e-12
 
@@ -580,9 +607,9 @@ def test_folded_measure_matches_full_cell_oracle(monkeypatch, base, Np):
     # sums: the outage and the rate stay within 1e-14 of the unfolded
     # measure's, and at one preset, where nothing folds, bit for bit
     params = base.with_(Np=Np)
-    folded = an.outage_probability(params, CFG), an.ergodic_rate(params, CFG)
+    folded = outage_probability(params, CFG), an.ergodic_rate(params, CFG)
     monkeypatch.setitem(an._MEASURES, "outage probability", _full_serving_rule)
-    full = an.outage_probability(params, CFG), an.ergodic_rate(params, CFG)
+    full = outage_probability(params, CFG), an.ergodic_rate(params, CFG)
     if Np == 1:
         assert [v.hex() for v in folded] == [v.hex() for v in full]
     else:
@@ -636,7 +663,7 @@ def test_outage_near_one_at_large_radius():
     # sum to 1 well inside the 1e-9 clamp window; a rule off by 3.9e-9 here
     # made the average raise
     params = _at(1e7, SystemParams(lam=1e-7, H=1.0, alpha_N=6.0, R=1000.0, L=100.0))
-    assert an.outage_probability(params, CFG) == pytest.approx(1.0, abs=1e-9)
+    assert outage_probability(params, CFG) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_nonfinite_outage_raises():
@@ -646,7 +673,7 @@ def test_nonfinite_outage_raises():
         with pytest.raises(NumericInstabilityError):
             conditional_outage(5.0, _at(1e307), CFG)
         with pytest.raises(NumericInstabilityError):
-            an.outage_probability(_at(1e307), CFG)
+            outage_probability(_at(1e307), CFG)
 
 
 @pytest.mark.parametrize("level,raises", [(1.0 + 1e-6, True), (1.0 + 1e-12, False)],
@@ -656,8 +683,8 @@ def test_spatial_averages_clamp_only_rounding(monkeypatch, level, raises):
     # a probability to be clamped; rounding-level excess reads exactly 1
     monkeypatch.setattr(an, "_outage_batch",
                         lambda transform, params: np.full(transform.d0.shape, level))
-    for average in (an.outage_probability, an.outage_upper_bound,
-                    an.outage_lower_bound):
+    for average in (outage_probability, outage_upper_bound,
+                    outage_lower_bound):
         if raises:
             with pytest.raises(NumericInstabilityError):
                 average(_at(1.0), CFG)
@@ -667,13 +694,14 @@ def test_spatial_averages_clamp_only_rounding(monkeypatch, level, raises):
 
 def _noise_only_outage(d0, eps, params):
     """Exact conditional outage without interferers: a blockage-weighted
-    mix of Gamma(N, 1/N) tails at the scaled noise level."""
+    mix of Gamma(N, 1/N) distribution functions at the scaled noise level,
+    summed as they are, so that an outage far below 1 keeps its digits
+    (1 minus the tails leaves it rounding noise of 1e-16)."""
     xi = params.xi
     p_los = math.exp(-params.beta * d0)
-    return 1.0 - (
-        p_los * gammaincc(params.N_L, params.N_L * eps * d0 ** params.alpha_L * xi)
-        + (1.0 - p_los) * gammaincc(params.N_N,
-                                    params.N_N * eps * d0 ** params.alpha_N * xi))
+    return (p_los * gammainc(params.N_L, params.N_L * eps * d0 ** params.alpha_L * xi)
+            + (1.0 - p_los) * gammainc(params.N_N,
+                                       params.N_N * eps * d0 ** params.alpha_N * xi))
 
 
 def _coverage_edges(params):
@@ -819,16 +847,16 @@ def test_noise_only_averages_match_quadrature_oracle(rbar):
     def outage(d0):
         return _noise_only_outage(d0, eps, params)
 
-    assert an.outage_upper_bound(params, CFG) == pytest.approx(
+    assert outage_upper_bound(params, CFG) == pytest.approx(
         _radial_mean(params, outage), abs=1e-8)
-    assert an.outage_lower_bound(params, CFG) == pytest.approx(
+    assert outage_lower_bound(params, CFG) == pytest.approx(
         _segment_mean(params, outage), abs=1e-8)
     single = params.with_(Np=1)
-    assert an.outage_probability(single, CFG) \
+    assert outage_probability(single, CFG) \
         == pytest.approx(_radial_mean(single, outage), abs=1e-8)
     for n in (11, 51):
         p = params.with_(Np=n)
-        assert an.outage_probability(p, CFG) \
+        assert outage_probability(p, CFG) \
             == pytest.approx(_strip_mean(p, outage), abs=1e-8)
 
 
@@ -855,8 +883,57 @@ def test_noise_only_upper_bound_over_the_geometry_domain(
     def outage(d0):
         return _noise_only_outage(d0, params.epsilon, params)
 
-    assert an.outage_upper_bound(params, CFG) == pytest.approx(
+    assert outage_upper_bound(params, CFG) == pytest.approx(
         _radial_mean(params, outage), abs=1e-5)
+
+
+# the upper-bound property's lam = 0 domain, for the properties below
+_NOISE_ONLY_DOMAIN = st.fixed_dictionaries(dict(
+    log_R=st.floats(0.0, 3.0), log_H=st.floats(-1.0, 2.0),
+    N_L=st.integers(1, 10), N_N=st.integers(1, 10),
+    alpha_L=st.floats(2.0, 5.0), alpha_step=st.floats(0.0, 3.0),
+    log_margin=st.floats(-2.0, 2.0)))
+
+
+def _noise_only_domain_params(log_R, log_H, N_L, N_N, alpha_L, alpha_step, log_margin,
+                              Np=1):
+    """A geometry of _NOISE_ONLY_DOMAIN with Np presets, built as the
+    upper-bound property builds it: at a threshold 10^log_margin over the
+    mean SNR of a user at the median radius."""
+    R = 10.0 ** log_R
+    params = SystemParams(lam=0.0, R=R, L=min(10.0, R), Np=Np, H=10.0 ** log_H, N_L=N_L,
+                          N_N=N_N, alpha_L=alpha_L, alpha_N=min(alpha_L + alpha_step, 5.0))
+    median_snr = math.hypot(R / math.sqrt(2.0), params.H) ** -params.alpha_N / params.xi
+    return _at(10.0 ** log_margin / median_snr, params)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(domain=_NOISE_ONLY_DOMAIN, Np=st.sampled_from([3, 5]))
+def test_noise_only_outage_over_the_geometry_domain(domain, Np):
+    # the upper-bound property's domain and 1e-5 gate, with three or five
+    # presets: the lam = 0 outage against scipy over the radius about each
+    # Voronoi strip's preset
+    params = _noise_only_domain_params(Np=Np, **domain)
+
+    def outage(d0):
+        return _noise_only_outage(d0, params.epsilon, params)
+
+    assert outage_probability(params, CFG) == pytest.approx(
+        _polar_strip_mean(params, outage), abs=1e-5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(domain=_NOISE_ONLY_DOMAIN)
+def test_noise_only_lower_bound_over_the_geometry_domain(domain):
+    # the upper-bound property's domain and 1e-5 gate: the lam = 0 lower
+    # bound against scipy beside the waveguide and about its tip
+    params = _noise_only_domain_params(**domain)
+
+    def outage(d0):
+        return _noise_only_outage(d0, params.epsilon, params)
+
+    assert outage_lower_bound(params, CFG) == pytest.approx(
+        _polar_segment_mean(params, outage), abs=1e-5)
 
 
 def test_noise_only_outage_matches_planar_oracle_far_rim():
@@ -868,7 +945,7 @@ def test_noise_only_outage_matches_planar_oracle_far_rim():
     def outage(d0):
         return _noise_only_outage(d0, eps, params)
 
-    assert an.outage_probability(params, CFG) \
+    assert outage_probability(params, CFG) \
         == pytest.approx(_strip_mean(params, outage), abs=1e-8)
 
 
@@ -922,8 +999,8 @@ def test_oracles_resolve_the_coverage_edge():
     assert lower < mean < 1.0 - 1e-6
     for cfg, gate in ((an.AnalysisConfig(gl_order_rate=2 * CFG.gl_order_rate), 1e-8),
                       (CFG, 1e-5)):
-        assert an.outage_lower_bound(params, cfg) == pytest.approx(lower, abs=gate)
-        assert an.outage_probability(params, cfg) == pytest.approx(mean, abs=gate)
+        assert outage_lower_bound(params, cfg) == pytest.approx(lower, abs=gate)
+        assert outage_probability(params, cfg) == pytest.approx(mean, abs=gate)
 
 
 def test_averages_match_quadrature_oracle_with_interference():
@@ -936,11 +1013,11 @@ def test_averages_match_quadrature_oracle_with_interference():
         def outage(d0):
             return conditional_outage(d0, params, CFG)
 
-        assert an.outage_probability(params, CFG) == pytest.approx(
+        assert outage_probability(params, CFG) == pytest.approx(
             _polar_strip_mean(params, outage), abs=1e-8)
-        assert an.outage_upper_bound(params, CFG) == pytest.approx(
+        assert outage_upper_bound(params, CFG) == pytest.approx(
             _radial_mean(params, outage), abs=1e-8)
-        assert an.outage_lower_bound(params, CFG) == pytest.approx(
+        assert outage_lower_bound(params, CFG) == pytest.approx(
             _polar_segment_mean(params, outage), abs=1e-8)
 
 
@@ -958,10 +1035,12 @@ _HEX_SCRIPT = """
 from pinchnet import analysis as an
 from pinchnet.geometry import SystemParams
 cfg = an.AnalysisConfig()
+def average(name, p):
+    return an._average(an._transform(an._average_rule(name, p, cfg), p, cfg), p, name)
 for n in (11, 51):
-    print(an.outage_probability(SystemParams(Np=n), cfg).hex())
+    print(average("outage probability", SystemParams(Np=n)).hex())
 p = SystemParams()
-print(an.outage_upper_bound(p, cfg).hex(), an.outage_lower_bound(p, cfg).hex())
+print(average("outage upper bound", p).hex(), average("outage lower bound", p).hex())
 rate = SystemParams(alpha_N=4.0, lam=1e-5, R=100.0, L=100.0, H=4.0, P=1.0, Np=3)
 print(an.ergodic_rate(rate, cfg).hex())
 """
@@ -982,11 +1061,14 @@ import math, sys
 from pinchnet import analysis as an
 from pinchnet.geometry import SystemParams
 cfg = an.AnalysisConfig()
+def outage(p):
+    rule = an._average_rule("outage probability", p, cfg)
+    return an._average(an._transform(rule, p, cfg), p, "outage probability")
 p = SystemParams()
 if sys.argv[1] == "widened":
     # an earlier call at the same noise level and a far higher threshold
-    an.outage_probability(p.with_(Rbar=math.log2(1 + 1e4 * p.epsilon)), cfg)
-print(an.outage_probability(p, cfg).hex())
+    outage(p.with_(Rbar=math.log2(1 + 1e4 * p.epsilon)))
+print(outage(p).hex())
 """
 
 
@@ -1032,8 +1114,8 @@ def test_transform_key_matches_transform_bytes(field):
 def test_outage_stable_under_order_doubling():
     fine = an.AnalysisConfig(K=2 * CFG.K, gl_order_rate=2 * CFG.gl_order_rate)
     for eps in (0.5, 1.0, 3.0):
-        assert abs(an.outage_probability(_at(eps), CFG)
-                   - an.outage_probability(_at(eps), fine)) < 1e-5
+        assert abs(outage_probability(_at(eps), CFG)
+                   - outage_probability(_at(eps), fine)) < 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end tests for the config-driven command line tool."""
 
+import ast
 import csv
 import hashlib
 import importlib
@@ -24,6 +25,7 @@ from pinchnet import cli
 from pinchnet import montecarlo as mc
 from pinchnet.errors import ConfigError, NumericError
 from pinchnet.geometry import SystemParams
+from test_analysis import outage_lower_bound, outage_probability, outage_upper_bound
 
 
 def _write(tmp_path, text, name="config.yaml"):
@@ -301,7 +303,7 @@ def test_sweep_transforms_once_per_key(tmp_path, monkeypatch, mode, parameter,
                                        values, transforms):
     # points that differ only in P, sigma2 or f_c reduce one transform per
     # spatial average (three in bounds mode, one otherwise); every row
-    # still equals the public function at its own point
+    # still equals the average composed afresh at its own point
     path = _write(tmp_path, (
         f"mode: {mode}\n"
         "sim: {n_realizations: 600, seed: 19}\n"
@@ -321,13 +323,13 @@ def test_sweep_transforms_once_per_key(tmp_path, monkeypatch, mode, parameter,
     assert len(calls) == transforms
     cfg = cli.load_config(path)
     rows = json.loads((out / "report.json").read_text())["rows"]
-    public = {"analytic_outage": an.outage_probability}
+    averages = {"analytic_outage": outage_probability}
     if mode == "bounds":
-        public.update(upper_bound=an.outage_upper_bound,
-                      lower_bound=an.outage_lower_bound)
+        averages.update(upper_bound=outage_upper_bound,
+                        lower_bound=outage_lower_bound)
     for row, (_, params) in zip(rows, cli._points(cfg.params, cfg.sweep),
                                 strict=True):
-        for column, function in public.items():
+        for column, function in averages.items():
             assert float.hex(row[column]) == float.hex(function(params, cfg.analysis))
         assert row["wall_time_analysis"] > 0.0
         # a group's first row times its transforms, its other rows none
@@ -500,7 +502,7 @@ def test_extreme_geometry_prints_no_numpy_warnings(tmp_path, capsys, mode, param
         assert math.isfinite(float(row["analytic_rate"]))
     else:
         assert status == 0
-        one_preset = an.outage_probability(SystemParams(Np=1), an.AnalysisConfig())
+        one_preset = outage_probability(SystemParams(Np=1), an.AnalysisConfig())
         assert float(row["analytic_outage"]) == pytest.approx(one_preset, rel=1e-8)
 
 
@@ -763,15 +765,43 @@ def test_package_version_matches_pyproject():
     assert versions == [cli.__version__]
 
 
-@pytest.mark.parametrize("module", ["pinchnet", *(
-    f"pinchnet.{info.name}" for info in pkgutil.iter_modules(
-        [str(Path(cli.__file__).parent)]))])
+# the package and each of its modules
+_MODULES = ["pinchnet", *(f"pinchnet.{info.name}" for info in pkgutil.iter_modules(
+    [str(Path(cli.__file__).parent)]))]
+
+
+@pytest.mark.parametrize("module", _MODULES)
 def test_star_import_finds_every_public_name(module):
     # a name deleted from a module but left in its __all__ fails here
     namespace = {}
     exec(f"from {module} import *", namespace)
     exported = getattr(importlib.import_module(module), "__all__", None)
     assert exported is None or set(exported) <= set(namespace)
+
+
+def _referenced_names(path: Path) -> set:
+    """Every name the code of a source file refers to: bare names,
+    attributes and imported names (strings, __all__ included, do not count)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_public_names_are_used_inside_the_package(module):
+    # nothing in src/ exists only for the tests: every name a module
+    # exports is referenced by another module of the package
+    imported = importlib.import_module(module)
+    own = Path(imported.__file__)
+    used = set().union(*(_referenced_names(path)
+                         for path in own.parent.glob("*.py") if path != own))
+    assert sorted(set(getattr(imported, "__all__", [])) - used) == []
 
 
 @pytest.mark.parametrize("workload", list(_WORKLOAD_DIGESTS))

@@ -28,7 +28,7 @@ from pinchnet import analysis as an
 from pinchnet import montecarlo as mc
 from pinchnet.errors import InvalidParameterError
 from pinchnet.geometry import SystemParams
-from test_analysis import conditional_outage
+from test_analysis import conditional_outage, outage_probability
 
 CFG = an.AnalysisConfig()
 
@@ -825,7 +825,7 @@ def test_truncation_radius_insensitive():
 def test_matches_analysis_without_interference():
     # lam = 0 with a large blockage exponent exercises the NLoS branch alone
     params = SystemParams(lam=0.0, beta=1e3, Np=1, Rbar=4.0)
-    analytic = an.outage_probability(params, CFG)
+    analytic = outage_probability(params, CFG)
     got, se = mc._outage(
         mc._simulate([params], mc.SimConfig(n_realizations=20_000, seed=17))[0], params)
     assert abs(got - analytic) <= 3.0 * se
