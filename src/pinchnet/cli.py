@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import itertools
 import json
@@ -45,7 +46,6 @@ from .montecarlo import SimConfig, _check_run, _draw_key, _outage, _rate, _simul
 MODES = ("analyze", "simulate", "compare", "bounds", "rate")
 
 _NOISE_DENSITY_DBM = -174.0        # thermal floor per Hz
-_DEFAULT_BANDWIDTH = 1.0e8
 
 _PARAM_ALIASES = {"lambda": "lam"}
 _POWER_FIELDS = ("P", "sigma2")
@@ -118,11 +118,6 @@ def _parse_value(where: str, field: str, raw):
     return float(_finite(raw, field)) if power else raw
 
 
-def _noise_power(bandwidth: float) -> float:
-    dbm = _NOISE_DENSITY_DBM + 10.0 * math.log10(bandwidth)
-    return 10.0 ** (dbm / 10.0) / 1000.0
-
-
 @contextlib.contextmanager
 def _refusing(context: str):
     """Turn an InvalidParameterError inside into a ConfigError naming context."""
@@ -152,9 +147,10 @@ def _normalize_params(section) -> SystemParams:
     with _refusing("params"):
         kwargs = {_PARAM_ALIASES.get(key, key): _parse_value(f"params.{key}", key, value)
                   for key, value in section.items()}
-        if "sigma2" not in kwargs:
-            bandwidth = kwargs.pop("bandwidth", _DEFAULT_BANDWIDTH)
-            kwargs["sigma2"] = _noise_power(_positive(bandwidth, "bandwidth"))
+        if "bandwidth" in kwargs:  # else SystemParams' floor over 100 MHz
+            bandwidth = _positive(kwargs.pop("bandwidth"), "bandwidth")
+            dbm = _NOISE_DENSITY_DBM + 10.0 * math.log10(bandwidth)
+            kwargs["sigma2"] = 10.0 ** (dbm / 10.0) / 1000.0
         return SystemParams(**kwargs)
 
 
@@ -269,47 +265,11 @@ def _points(params: SystemParams, sweep: Sweep | None) -> list:
             for value in sweep.values]
 
 
-def _compute_row(cfg: ExperimentConfig, params: SystemParams, swept_value,
-                 samples, average) -> ResultRow:
-    """One row; samples(params) gives the simulator's draw at params, and
-    average(params, name) the spatial average of that name in
-    analysis._MEASURES, as outage_probability and the bounds compute it."""
-    row = ResultRow(swept_value=swept_value)
-    mode = cfg.mode
-    try:
-        if mode in ("analyze", "compare", "bounds"):
-            t0 = time.perf_counter()
-            row.analytic_outage = average(params, "outage probability")
-            if mode == "bounds":
-                row.upper_bound = average(params, "outage upper bound")
-                row.lower_bound = average(params, "outage lower bound")
-            row.wall_time_analysis = time.perf_counter() - t0
-        if mode in ("simulate", "compare"):
-            t0 = time.perf_counter()
-            row.sim_outage, row.sim_std_error = _outage(samples(params), params)
-            row.wall_time_sim = time.perf_counter() - t0
-        if mode == "compare":
-            gap = abs(row.analytic_outage - row.sim_outage)
-            row.agreement = bool(gap <= max(0.01, 3.0 * row.sim_std_error))
-        if mode == "rate":
-            t0 = time.perf_counter()
-            row.analytic_rate = ergodic_rate(params, cfg.analysis)
-            row.wall_time_analysis = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            row.sim_rate, row.sim_std_error = _rate(samples(params), params)
-            row.wall_time_sim = time.perf_counter() - t0
-    except NumericError as exc:
-        row.error = f"{type(exc).__name__}: {exc}"
-    return row
-
-
 def _format_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, float):
         return np.format_float_positional(
             value, precision=9, unique=False, fractional=False, trim="-")
@@ -317,16 +277,11 @@ def _format_cell(value) -> str:
 
 
 def _write_csv(rows, path: Path) -> None:
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        cells = []
-        for column in CSV_COLUMNS:
-            cell = _format_cell(getattr(row, column))
-            if "," in cell or '"' in cell or "\n" in cell:
-                cell = '"' + cell.replace('"', '""') + '"'
-            cells.append(cell)
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows([_format_cell(getattr(row, column)) for column in CSV_COLUMNS]
+                         for row in rows)
 
 
 def _write_report(cfg: ExperimentConfig, rows, path: Path) -> None:
@@ -357,18 +312,10 @@ def run(cfg: ExperimentConfig, out_dir) -> int:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    group, drawn = {}, None
-
-    def samples(params: SystemParams) -> np.ndarray:
-        nonlocal drawn
-        if drawn is None:
-            # the whole lam group at once, on the group's first call
-            drawn = dict(zip(group, _simulate(list(group.values()), cfg.sim)))
-        return drawn[_draw_key(params)]
-
     transformed_key, transformed = None, {}
 
     def average(params: SystemParams, name: str) -> float:
+        """The spatial average name of analysis._MEASURES at params."""
         nonlocal transformed_key, transformed
         key = _transform_key(params)
         if key != transformed_key:
@@ -379,14 +326,42 @@ def run(cfg: ExperimentConfig, out_dir) -> int:
             transformed[name] = _transform(rule, params, cfg.analysis)
         return _average(transformed[name], params, name)
 
-    rows = []
+    mode, rows = cfg.mode, []
     for _, members in itertools.groupby(_points(cfg.params, cfg.sweep),
                                         key=lambda point: point[1].lam):
         members = list(members)
-        # one lam group's samples alive at a time
-        group, drawn = {_draw_key(params): params for _, params in members}, None
-        rows += [_compute_row(cfg, params, value, samples, average)
-                 for value, params in members]
+        drawn = samples = None  # one lam group's samples alive at a time
+        for value, params in members:
+            row = ResultRow(swept_value=value)
+            rows.append(row)
+            try:
+                if mode != "simulate":
+                    t0 = time.perf_counter()
+                    if mode == "rate":
+                        row.analytic_rate = ergodic_rate(params, cfg.analysis)
+                    else:
+                        row.analytic_outage = average(params, "outage probability")
+                    if mode == "bounds":
+                        row.upper_bound = average(params, "outage upper bound")
+                        row.lower_bound = average(params, "outage lower bound")
+                    row.wall_time_analysis = time.perf_counter() - t0
+                if mode in ("simulate", "compare", "rate"):
+                    t0 = time.perf_counter()
+                    if drawn is None:
+                        # the whole lam group at once, by its first row that simulates
+                        group = {_draw_key(point): point for _, point in members}
+                        drawn = dict(zip(group, _simulate(list(group.values()), cfg.sim)))
+                    samples = drawn[_draw_key(params)]
+                    if mode == "rate":
+                        row.sim_rate, row.sim_std_error = _rate(samples, params)
+                    else:
+                        row.sim_outage, row.sim_std_error = _outage(samples, params)
+                    row.wall_time_sim = time.perf_counter() - t0
+                if mode == "compare":
+                    gap = abs(row.analytic_outage - row.sim_outage)
+                    row.agreement = bool(gap <= max(0.01, 3.0 * row.sim_std_error))
+            except NumericError as exc:
+                row.error = f"{type(exc).__name__}: {exc}"
 
     _write_csv(rows, out_dir / "results.csv")
     _write_report(cfg, rows, out_dir / "report.json")

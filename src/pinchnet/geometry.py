@@ -66,9 +66,9 @@ class SystemParams:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name == "Np":
-                _odd(value)
+                object.__setattr__(self, f.name, _odd(value))
             elif f.type == "int":
-                _integer(value, f.name, 1)
+                object.__setattr__(self, f.name, _integer(value, f.name, 1))
             elif f.name in ("R", "L", "H", "f_c", "sigma2", "P"):
                 _positive(value, f.name)
             else:
@@ -112,10 +112,10 @@ class SystemParams:
 # -------------------- preset geometry --------------------
 
 def _odd(Np) -> int:
-    """Np, if it is an odd positive integer: a preset count."""
+    """Np as an int, if it is an odd positive integer: a preset count."""
     if _integer(Np, "Np", 1) % 2 == 0:
         raise InvalidParameterError(f"Np must be odd, got {Np!r}")
-    return Np
+    return int(Np)
 
 
 def preset_offsets(L: float, Np: int) -> np.ndarray:

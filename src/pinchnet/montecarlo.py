@@ -119,10 +119,9 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        _integer(self.n_realizations, "n_realizations", 1)
+        for name, minimum in (("n_realizations", 1), ("seed", 0), ("workers", 1)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, minimum))
         _positive(self.R_sim, "R_sim")
-        _integer(self.seed, "seed", 0)
-        _integer(self.workers, "workers", 1)
 
 
 def _check_run(params: SystemParams, simcfg: SimConfig) -> None:

@@ -878,7 +878,7 @@ def test_noise_only_upper_bound_over_the_geometry_domain(
     params = SystemParams(lam=0.0, R=R, L=min(10.0, R), H=10.0 ** log_H, N_L=N_L,
                           N_N=N_N, alpha_L=alpha_L, alpha_N=min(alpha_L + alpha_step, 5.0))
     median_snr = math.hypot(R / math.sqrt(2.0), params.H) ** -params.alpha_N / params.xi
-    params = _at(10.0 ** log_margin / median_snr, params)
+    params = _at(10.0 ** log_margin * median_snr, params)
 
     def outage(d0):
         return _noise_only_outage(d0, params.epsilon, params)
@@ -898,13 +898,13 @@ _NOISE_ONLY_DOMAIN = st.fixed_dictionaries(dict(
 def _noise_only_domain_params(log_R, log_H, N_L, N_N, alpha_L, alpha_step, log_margin,
                               Np=1):
     """A geometry of _NOISE_ONLY_DOMAIN with Np presets, built as the
-    upper-bound property builds it: at a threshold 10^log_margin over the
+    upper-bound property builds it: at a threshold 10^log_margin times the
     mean SNR of a user at the median radius."""
     R = 10.0 ** log_R
     params = SystemParams(lam=0.0, R=R, L=min(10.0, R), Np=Np, H=10.0 ** log_H, N_L=N_L,
                           N_N=N_N, alpha_L=alpha_L, alpha_N=min(alpha_L + alpha_step, 5.0))
     median_snr = math.hypot(R / math.sqrt(2.0), params.H) ** -params.alpha_N / params.xi
-    return _at(10.0 ** log_margin / median_snr, params)
+    return _at(10.0 ** log_margin * median_snr, params)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -17,6 +17,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -382,6 +383,24 @@ def test_report_echo_reproduces_csv(tmp_path):
     assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
 
 
+def test_rate_of_one_realization_has_zero_std_error(tmp_path):
+    # one sample has no spread to estimate: its standard error reads 0
+    path = _write(tmp_path, "mode: rate\nsim: {n_realizations: 1, seed: 3}\n")
+    assert cli.main([str(path), "--out", str(tmp_path)]) == 0
+    (row,) = _read_rows(tmp_path)
+    assert row["sim_std_error"] == "0"
+    assert row["sim_rate"] != ""
+
+
+def test_numpy_integer_params_run_and_report(tmp_path):
+    # SystemParams keeps the int it checked, so report.json can echo it
+    cfg = cli.ExperimentConfig(mode="analyze", params=SystemParams(Np=np.int64(3)),
+                               analysis=an.AnalysisConfig(), sim=mc.SimConfig())
+    assert cli.run(cfg, tmp_path) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["config"]["params"]["Np"] == 3
+
+
 def test_report_rows_carry_wall_times(tmp_path):
     path = _write(tmp_path, "mode: analyze\n")
     out = tmp_path / "out"
@@ -419,6 +438,21 @@ def test_numeric_failure_marks_row_and_exit_status(tmp_path, monkeypatch):
     assert "synthetic instability" in rows[1]["error"]
     assert rows[1]["analytic_outage"] == ""
     assert rows[2]["error"] == ""
+
+
+def test_failing_row_error_is_quoted_in_csv(tmp_path, monkeypatch):
+    # an error cell holding the delimiter, the quote and a line break is
+    # quoted, its quotes doubled
+    def failing(transform, params, context):
+        raise NumericError('a, "b"\nc')
+
+    monkeypatch.setattr(cli, "_average", failing)
+    path = _write(tmp_path, "mode: analyze\n")
+    assert cli.main([str(path), "--out", str(tmp_path)]) == 1
+    assert (tmp_path / "results.csv").read_bytes() == (
+        b"swept_value,analytic_outage,sim_outage,sim_std_error,analytic_rate,"
+        b"sim_rate,upper_bound,lower_bound,agreement,error\n"
+        b',,,,,,,,,"NumericError: a, ""b""\nc"\n')
 
 
 @pytest.mark.parametrize("mode,sweep", [
@@ -612,6 +646,30 @@ def test_pinned_distance_is_unknown_key(tmp_path, capsys, mode):
         assert "sim.pinned_d0: unknown key" in capsys.readouterr().err
         assert not out.exists()
     assert cli.main([str(plain), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("config,specs,message", [
+    ('mode: analyze\nparams: {P: "1.2.3 dBm"}\n', (),
+     "params.P: malformed dBm value '1.2.3 dBm'"),
+    ("mode: analyze\nparams: [1, 2]\n", (), "params: expected a mapping, got list"),
+    ("mode: analyze\nsweep: {parameter: P, values: []}\n", (),
+     "sweep.values: expected a non-empty list"),
+    ("mode: analyze\n", (".=1",), "--set '.=1': empty key"),
+    ("mode: analyze\n", ("params.P=[unclosed",),
+     "params: P must be a finite number, got '[unclosed'"),
+    ("mode: analyze\n", ("mode.x=1",), "--set 'mode.x=1': mode is not a section"),
+    ("mode: [unclosed\n", (), "parse error"),
+], ids=["malformed-dBm", "params-list", "empty-sweep", "empty-key", "unparsed-set",
+        "set-into-value", "parse-error"])
+def test_config_refusals_name_their_cause(tmp_path, capsys, config, specs, message):
+    # each refusal stops at load time with its message and writes nothing;
+    # an override that YAML cannot parse is kept as its text
+    path = _write(tmp_path, config)
+    out = tmp_path / "out"
+    args = [arg for spec in specs for arg in ("--set", spec)]
+    assert cli.main([str(path), *args, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
 
 
 def test_out_naming_a_file_exits_before_running(tmp_path, capsys, monkeypatch):

@@ -451,6 +451,19 @@ def test_seeds_past_64_bits_simulate_apart():
     assert not np.array_equal(big[1], nxt[1])
 
 
+def test_numpy_integer_fields_are_stored_as_int():
+    # a numpy integer passes the integer check, and SimConfig keeps the int
+    # it checked, so the seed's limbs and the run's sizes are Python ints
+    sim = mc.SimConfig(n_realizations=np.int64(300), seed=np.int64(5),
+                       workers=np.int64(1))
+    params = SystemParams()
+    np.testing.assert_array_equal(
+        mc._simulate([params], sim)[0],
+        mc._simulate([params], mc.SimConfig(n_realizations=300, seed=5))[0])
+    assert all(type(getattr(sim, name)) is int
+               for name in ("n_realizations", "seed", "workers"))
+
+
 def test_lanes_bins_and_rows_give_different_words():
     # every (seed, bin, lane, block) has its own key, seeds past 2^64
     # included, and every row of a stream its own counters: no two of
