@@ -36,7 +36,7 @@ average is two steps: a xi-free transform (_transform: the distance rule,
 and log L_I with the interference part of the t_k at the nodes), then a
 reduction at one xi (_average).  The transform is a value a caller may pass
 to several reductions; nothing is kept between calls, so every result is a
-pure function of (params, AnalysisConfig): eps and xi are params properties.
+pure function of params: eps and xi are params properties.
 
 The ergodic rate needs no Taylor terms.  Hamdi's lemma (IEEE Trans.
 Commun. 58(2), 2010) gives
@@ -50,16 +50,16 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericError, NumericInstabilityError, _integer
+from .errors import NumericError, NumericInstabilityError
 from .geometry import SystemParams, preset_offsets, voronoi_cells
 from .numerics import gauss_legendre_rule, integrate_semi_infinite
 
-__all__ = ["AnalysisConfig", "ergodic_rate"]
+__all__ = ["ergodic_rate"]
 
 # Rounding window of a probability (and of the rate below 0): a value up to
 # this far outside [0, 1] is rounded onto it; anything further, or not
@@ -67,35 +67,25 @@ __all__ = ["AnalysisConfig", "ergodic_rate"]
 _CLAMP = 1e-9
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """Quadrature orders.
-
-    K: Gauss-Legendre order of the interference transform
-    gl_order_rate: order of every 1-D rule: each rho-panel of the polar
-        measure, and the Chebyshev nodes of every serving-distance rule;
-        the rate's trapezoid step in ln z is 33.6 / gl_order_rate
-    """
-
-    # defaults sized so that doubling any order moves results by well
-    # under 1e-5 even at the dense-cluster rate geometry (lam=1e-5, R=100);
-    # 128 transform nodes keep log L_I within 1e-11 of mpmath for omega up
-    # to 1e8 at the default and rate geometries, where 96 leave 1e-9;
-    # 96 serving-distance nodes keep the averages 1.3e-11 off independent
-    # quadrature at R = 1000, L = 100, where 48 nodes leave 3e-7
-    K: int = 128
-    gl_order_rate: int = 96
-
-    def __post_init__(self):
-        for name in ("K", "gl_order_rate"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
+# Quadrature orders: _K is the Gauss-Legendre order of the interference
+# transform; _ORDER is the order of every 1-D rule (each rho-panel of the
+# polar measure, and the Chebyshev nodes of every serving-distance rule),
+# and the rate's trapezoid step in ln z is 33.6 / _ORDER.  Sized so that
+# doubling either moves results by well under 1e-5 even at the
+# dense-cluster rate geometry (lam=1e-5, R=100); 128 transform nodes keep
+# log L_I within 1e-11 of mpmath for omega up to 1e8 at the default and
+# rate geometries, where 96 leave 1e-9; 96 serving-distance nodes keep the
+# averages 1.3e-11 off independent quadrature at R = 1000, L = 100, where
+# 48 nodes leave 3e-7.  Every function reads them at call time.
+_K = 128
+_ORDER = 96
 
 
 # ---------------------------------------------------------------------------
 # node tables
 
 
-def _tables(params: SystemParams, cfg: AnalysisConfig):
+def _tables(params: SystemParams):
     """Node data of the interference transform: (pref, ((a_L, D_L, N_L),
     (a_N, D_N, N_N))).
 
@@ -120,7 +110,7 @@ def _tables(params: SystemParams, cfg: AnalysisConfig):
         raise NumericError(
             f"interference diverges: lam = {params.lam!r} > 0 with far-field "
             f"path-loss exponent {far_alpha!r} <= 2")
-    x, w = gauss_legendre_rule(cfg.K)
+    x, w = gauss_legendre_rule(_K)
     phi = 0.25 * math.pi * (1.0 + x)
     tan = np.tan(phi)
     d = np.hypot(params.H * tan * tan, params.H)
@@ -198,8 +188,8 @@ _XI_FIELDS = frozenset({"P", "sigma2", "f_c"})
 
 
 def _transform_key(params: SystemParams) -> tuple:
-    """The params fields _transform reads: under one AnalysisConfig, equal
-    keys give equal transforms of the rules built from params."""
+    """The params fields _transform reads: equal keys give equal transforms
+    of the rules built from params."""
     return tuple(getattr(params, f.name) for f in fields(params)
                  if f.name not in _XI_FIELDS)
 
@@ -215,7 +205,7 @@ class _Transform(NamedTuple):
     branches: tuple
 
 
-def _transform(rule, params: SystemParams, cfg: AnalysisConfig) -> _Transform:
+def _transform(rule, params: SystemParams) -> _Transform:
     """The xi-free part of the mean conditional outage over a (d0, weight)
     rule, at its nodes (an average's rule comes from _average_rule).
 
@@ -225,7 +215,7 @@ def _transform(rule, params: SystemParams, cfg: AnalysisConfig) -> _Transform:
     reduction, so numpy's warnings about it are silenced.
     """
     d0, weight = rule
-    tab = _tables(params, cfg)
+    tab = _tables(params)
     p_los = np.exp(-params.beta * d0)
     branches = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -373,7 +363,7 @@ def _continuum_rule(params: SystemParams, order: int):
 # strip's preset, the upper bound from one antenna fixed at the centre, the
 # lower bound from an antenna anywhere on the waveguide (the nearest point
 # of the segment).  Each average is _average(_transform(_average_rule(name,
-# params, cfg), params, cfg), params, name), reduced at params.xi
+# params), params), params, name), reduced at params.xi
 _MEASURES = {
     "outage probability": _serving_rule,
     "outage upper bound": lambda params, order: _serving_rule(params.with_(Np=1), order),
@@ -381,7 +371,7 @@ _MEASURES = {
 }
 
 
-def _average_rule(name: str, params: SystemParams, cfg: AnalysisConfig):
+def _average_rule(name: str, params: SystemParams):
     """The distance rule of the named average's measure.  A measure whose
     squared distances or areas pass the double range (R or H past about
     1e153 m) raises NumericError."""
@@ -389,11 +379,11 @@ def _average_rule(name: str, params: SystemParams, cfg: AnalysisConfig):
     # clips to [-1, 1] absorb; any other overflow leaves a distance or a
     # weight that is not finite
     with np.errstate(over="ignore", invalid="ignore"):
-        d0, weight = _MEASURES[name](params, cfg.gl_order_rate)
+        d0, weight = _MEASURES[name](params, _ORDER)
     if not (np.all(np.isfinite(d0)) and np.all(np.isfinite(weight))):
         raise NumericError(f"{name}: squared serving distances or areas overflow at "
                            f"R = {params.R!r}, L = {params.L!r}, H = {params.H!r}")
-    return _distance_rule(d0, weight, cfg.gl_order_rate)
+    return _distance_rule(d0, weight, _ORDER)
 
 
 def _distance_rule(d0: np.ndarray, weight: np.ndarray,
@@ -431,7 +421,7 @@ def _distance_rule(d0: np.ndarray, weight: np.ndarray,
     return np.exp(mid + half * np.cos(theta)), weights
 
 
-def ergodic_rate(params: SystemParams, cfg: AnalysisConfig) -> float:
+def ergodic_rate(params: SystemParams) -> float:
     """(1/ln2) int_0^inf z^-1 e^{-z xi} L_I(z) (1 - E[M_S(z | d0)]) dz.
 
     This is E[log2(1 + SINR)] of the typical user (Hamdi's lemma).
@@ -440,7 +430,7 @@ def ergodic_rate(params: SystemParams, cfg: AnalysisConfig) -> float:
     runs through the outage's distance rule, built once per call.
     In ln z the integrand is analytic, rising like z E[d0^-alpha] and
     falling doubly exponentially past 1/xi: one trapezoid sum of step
-    33.6 / gl_order_rate takes it from 1e-13 / max(E[d0^-alpha], xi) (the
+    33.6 / _ORDER takes it from 1e-13 / max(E[d0^-alpha], xi) (the
     nats below are 1e-13 of the rate, or of 1 nat, whichever is less) to
     40 / xi (e^{-z xi} < 5e-18 beyond).  A xi so small that 40 / xi
     overflows raises NumericError.  A non-finite rate, or one below zero by
@@ -450,8 +440,8 @@ def ergodic_rate(params: SystemParams, cfg: AnalysisConfig) -> float:
     z_hi = 40.0 / xi
     if not math.isfinite(z_hi):
         raise NumericError(f"noise term xi = {xi!r}: the rate's cut-off 40/xi overflows")
-    tab = _tables(params, cfg)
-    d0, weight = _average_rule("outage probability", params, cfg)
+    tab = _tables(params)
+    d0, weight = _average_rule("outage probability", params)
     p_los = np.exp(-params.beta * d0)
     branches = ((weight * p_los, d0 ** -params.alpha_L / params.N_L, params.N_L),
                 (weight * (1.0 - p_los), d0 ** -params.alpha_N / params.N_N, params.N_N))
@@ -472,7 +462,7 @@ def ergodic_rate(params: SystemParams, cfg: AnalysisConfig) -> float:
     # 1e-13 min(E[d0^-alpha] / xi, 1) nats: 1e-13 of the rate at low SNR
     mean_gain = sum(n * float(np.sum(w * gain)) for w, gain, n in branches)
     nats = integrate_semi_infinite(integrand, 1e-13 / max(mean_gain, xi), z_hi,
-                                   33.6 / cfg.gl_order_rate)
+                                   33.6 / _ORDER)
     rate = (1.0 / math.log(2.0)) * nats
     if not (math.isfinite(rate) and rate >= -_CLAMP):
         raise NumericInstabilityError(

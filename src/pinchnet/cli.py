@@ -7,7 +7,6 @@ A single YAML (or JSON) document describes one experiment::
       lambda: 1.0e-6         # alias for lam
       P: "20 dBm"            # powers accept "x dBm" strings or plain watts
       bandwidth: 1.0e8       # Hz, only used to derive sigma2 when absent
-    analysis: {K: 100}
     sim: {n_realizations: 100000, seed: 12345, workers: 1}
     sweep:
       parameter: P
@@ -37,8 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (AnalysisConfig, _average, _average_rule, _transform,
-                       _transform_key, ergodic_rate)
+from .analysis import _average, _average_rule, _transform, _transform_key, ergodic_rate
 from .errors import ConfigError, InvalidParameterError, NumericError, _finite, _positive
 from .geometry import SystemParams
 from .montecarlo import SimConfig, _check_run, _draw_key, _outage, _rate, _simulate
@@ -51,7 +49,7 @@ _PARAM_ALIASES = {"lambda": "lam"}
 _POWER_FIELDS = ("P", "sigma2")
 
 _PARAM_FIELDS = {f.name for f in dataclasses.fields(SystemParams)}
-_TOP_LEVEL = ("mode", "params", "analysis", "sim", "sweep")
+_TOP_LEVEL = ("mode", "params", "sim", "sweep")
 
 _DBM_PATTERN = re.compile(r"^\s*([-+]?[0-9.eE+-]+)\s*dBm\s*$")
 
@@ -88,7 +86,6 @@ class Sweep:
 class ExperimentConfig:
     mode: str
     params: SystemParams
-    analysis: AnalysisConfig
     sim: SimConfig
     sweep: Sweep | None = None
 
@@ -190,15 +187,13 @@ def _normalize(tree: dict) -> ExperimentConfig:
     if mode not in MODES:
         raise ConfigError(f"mode: expected one of {'/'.join(MODES)}, got {mode!r}")
     params = _normalize_params(tree.get("params"))
-    analysis = _normalize_section(tree.get("analysis"), "analysis", AnalysisConfig)
     sim = _normalize_section(tree.get("sim"), "sim", SimConfig)
     simulated = sim if mode in ("simulate", "compare", "rate") else None
     sweep = _normalize_sweep(tree.get("sweep"), params, simulated)
     if sweep is None and simulated is not None:
         with _refusing("sim"):
             _check_run(params, sim)
-    return ExperimentConfig(mode=mode, params=params, analysis=analysis,
-                            sim=sim, sweep=sweep)
+    return ExperimentConfig(mode=mode, params=params, sim=sim, sweep=sweep)
 
 
 def _apply_override(tree: dict, spec: str) -> None:
@@ -322,8 +317,7 @@ def run(cfg: ExperimentConfig, out_dir) -> int:
             # one key's transforms alive at a time
             transformed_key, transformed = key, {}
         if name not in transformed:
-            rule = _average_rule(name, params, cfg.analysis)
-            transformed[name] = _transform(rule, params, cfg.analysis)
+            transformed[name] = _transform(_average_rule(name, params), params)
         return _average(transformed[name], params, name)
 
     mode, rows = cfg.mode, []
@@ -338,7 +332,7 @@ def run(cfg: ExperimentConfig, out_dir) -> int:
                 if mode != "simulate":
                     t0 = time.perf_counter()
                     if mode == "rate":
-                        row.analytic_rate = ergodic_rate(params, cfg.analysis)
+                        row.analytic_rate = ergodic_rate(params)
                     else:
                         row.analytic_outage = average(params, "outage probability")
                     if mode == "bounds":

@@ -31,7 +31,6 @@ from test_analysis import (conditional_outage, lbar_derivatives, laplace_interfe
 from test_finite_difference import finite_difference
 from test_montecarlo import laplace_estimate, pinned_samples
 
-CFG = an.AnalysisConfig()
 FIG2 = SystemParams()
 FIG3 = SystemParams(alpha_N=4.0, lam=1e-5, R=100.0, L=100.0, H=4.0, P=1.0)
 
@@ -60,7 +59,7 @@ def test_criterion_1_interference_laplace(capsys):
     t0 = time.perf_counter()
     worst = None
     for i, s in enumerate((0.1, 1.0, 10.0)):
-        closed = laplace_interference(s, FIG2, CFG)
+        closed = laplace_interference(s, FIG2)
         estimate, se = laplace_estimate(
             s, FIG2, mc.SimConfig(n_realizations=N_FULL, seed=101 + i))
         z = abs(estimate - closed) / se
@@ -82,16 +81,16 @@ def test_criterion_2_series_derivatives(capsys):
     worst = 0.0
     for omega in (0.1, 0.5, 2.0):
         for order, h in ((1, 1e-3), (2, 2e-3)):
-            zeta = zeta_derivative(order, omega, params, CFG)
+            zeta = zeta_derivative(order, omega, params)
             zeta_fd = finite_difference(
-                lambda w: math.log(laplace_interference(w, params, CFG))
+                lambda w: math.log(laplace_interference(w, params))
                 - w * xi,
                 omega, order=order, h=h)
             worst = max(worst, abs(zeta - zeta_fd) / abs(zeta_fd))
 
-            lbar = lbar_derivatives(omega, order, params, CFG)[order]
+            lbar = lbar_derivatives(omega, order, params)[order]
             lbar_fd = finite_difference(
-                lambda w: lbar_derivatives(w, 0, params, CFG)[0],
+                lambda w: lbar_derivatives(w, 0, params)[0],
                 omega, order=order, h=h)
             worst = max(worst, abs(lbar - lbar_fd) / abs(lbar_fd))
     ok = worst <= 1e-6
@@ -107,7 +106,7 @@ def test_criterion_3_conditional_outage(capsys):
     for d0 in (4.0, 8.0, 15.0):
         for eps in (0.5, 1.0, 3.0):
             params = FIG2.with_(Rbar=math.log2(1.0 + eps))
-            analytic = conditional_outage(d0, params, CFG)
+            analytic = conditional_outage(d0, params)
             samples = pinned_samples(
                 [params], mc.SimConfig(n_realizations=N_FULL, seed=seed), d0)[0]
             gap, allowed, est = _outage_gap(params, analytic, samples)
@@ -128,7 +127,7 @@ def test_criterion_4_outage_curve(capsys):
     gaps = []
     for i, dbm in enumerate(range(0, 31, 5)):
         params = FIG2.with_(P=10.0 ** (dbm / 10.0) / 1000.0)
-        value = outage_probability(params, CFG)
+        value = outage_probability(params)
         analytic.append(value)
         estimate, se = mc._outage(mc._simulate(
             [params], mc.SimConfig(n_realizations=N_FULL, seed=401 + i))[0], params)
@@ -149,16 +148,16 @@ def test_criterion_5_preset_bounds(capsys):
     monotone = True
     for eps in (0.5, 1.0, 3.0, 7.0):
         params = FIG2.with_(Rbar=math.log2(1.0 + eps))
-        lower = outage_lower_bound(params, CFG)
-        upper = outage_upper_bound(params, CFG)
+        lower = outage_lower_bound(params)
+        upper = outage_upper_bound(params)
         previous = math.inf
         for npresets in (3, 11, 51):
-            value = outage_probability(params.with_(Np=npresets), CFG)
+            value = outage_probability(params.with_(Np=npresets))
             worst_violation = max(worst_violation, lower - value, value - upper)
             if value > previous + 1e-12:
                 monotone = False
             previous = value
-        dense = outage_probability(params.with_(Np=201), CFG)
+        dense = outage_probability(params.with_(Np=201))
         tail_gap = max(tail_gap, abs(dense - lower))
     ok = worst_violation <= 1e-12 and monotone and tail_gap <= 1e-3
     _emit(capsys, 5, ok,
@@ -172,7 +171,7 @@ def test_criterion_6_rate_claims(capsys):
     results = {}
     for i, npresets in enumerate((1, 3)):
         params = FIG3.with_(Np=npresets)
-        analytic = an.ergodic_rate(params, CFG)
+        analytic = an.ergodic_rate(params)
         estimate, se = mc._rate(
             mc._simulate([params], mc.SimConfig(seed=601 + i, **sim))[0], params)
         results[npresets] = (analytic, estimate, se)
@@ -194,7 +193,7 @@ def test_criterion_7_layout_invariance(capsys):
     for npresets in (1, 11):
         for length in (10.0, 100.0):
             params = FIG2.with_(Np=npresets, L=length, R=60.0)
-            values = tuple(laplace_interference(s, params, CFG)
+            values = tuple(laplace_interference(s, params)
                            for s in (0.1, 1.0, 10.0))
             if reference is None:
                 reference = values
@@ -233,15 +232,17 @@ def test_criterion_8_worker_determinism(capsys, tmp_path):
     assert ok
 
 
-def test_criterion_9_resolution_robustness(capsys):
-    # analysis: double every quadrature knob at once
-    dense = an.AnalysisConfig(K=2 * CFG.K, gl_order_rate=2 * CFG.gl_order_rate)
+def test_criterion_9_resolution_robustness(capsys, monkeypatch):
+    # analysis: double both quadrature orders at once
     outage_params = FIG2
-    outage_shift = abs(outage_probability(outage_params, CFG)
-                       - outage_probability(outage_params, dense))
+    outage = outage_probability(outage_params)
     rate_params = FIG3.with_(Np=3)
-    rate_shift = abs(an.ergodic_rate(rate_params, CFG)
-                     - an.ergodic_rate(rate_params, dense))
+    rate = an.ergodic_rate(rate_params)
+    with monkeypatch.context() as dense:
+        dense.setattr(an, "_K", 2 * an._K)
+        dense.setattr(an, "_ORDER", 2 * an._ORDER)
+        outage_shift = abs(outage - outage_probability(outage_params))
+        rate_shift = abs(rate - an.ergodic_rate(rate_params))
 
     # simulation: double the truncation radius under a common seed
     (near, near_se), (far, _) = (
@@ -250,7 +251,7 @@ def test_criterion_9_resolution_robustness(capsys):
         for radius in (5000.0, 10_000.0))
     sim_outage_shift = abs(near - far)
     outage_se = max(near_se,
-                    _binomial_se(outage_probability(outage_params, CFG), 20_000))
+                    _binomial_se(outage, 20_000))
 
     (near, rate_se), (far, _) = (
         mc._rate(mc._simulate([rate_params], mc.SimConfig(

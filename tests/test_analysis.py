@@ -24,14 +24,13 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 from scipy.special import gammainc, gammaincc
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pinchnet import analysis as an
-from pinchnet.errors import InvalidParameterError, NumericError, NumericInstabilityError
+from pinchnet.errors import NumericError, NumericInstabilityError
 from pinchnet.geometry import SPEED_OF_LIGHT, SystemParams, preset_offsets, voronoi_cells
 from test_finite_difference import finite_difference
 
-CFG = an.AnalysisConfig()
 PARAMS = SystemParams()
 XI = PARAMS.xi
 
@@ -53,34 +52,34 @@ def _at(eps, params=PARAMS):
 # use: the node tables, the xi-free transform and its reduction at xi.
 # test_acceptance and test_montecarlo import them from here.
 
-def laplace_interference(s, params, cfg):
+def laplace_interference(s, params):
     """L_I(s), the Laplace transform of the aggregate interference."""
-    return float(np.exp(an._xi_free(float(s), 0, an._tables(params, cfg))[0]))
+    return float(np.exp(an._xi_free(float(s), 0, an._tables(params))[0]))
 
 
-def zeta_derivative(j, omega, params, cfg):
+def zeta_derivative(j, omega, params):
     """j-th derivative (j >= 1) of zeta(w) = log L_I(w) - w xi at omega,
     j! t_j / (-w)^j from the engine's t_j, whose noise part is w xi at j = 1."""
-    t = float(an._xi_free(float(omega), j, an._tables(params, cfg))[1][j - 1])
+    t = float(an._xi_free(float(omega), j, an._tables(params))[1][j - 1])
     if j == 1:
         t += omega * params.xi
     return math.factorial(j) * t / (-omega) ** j
 
 
-def lbar_derivatives(omega, max_order, params, cfg):
+def lbar_derivatives(omega, max_order, params):
     """L-bar(w) = L_I(w) e^{-w xi} and its derivatives 0..max_order at omega,
     L-bar m! a_m / (-w)^m from the engine's coverage-sum terms a_m = b_m s^m."""
-    xi_free = an._xi_free(float(omega), max_order, an._tables(params, cfg))
+    xi_free = an._xi_free(float(omega), max_order, an._tables(params))
     log_lbar, s, b = an._lbar_series(float(omega), *xi_free, params.xi)
     return [float(math.exp(log_lbar) * math.factorial(m) * b_m * s ** m / (-omega) ** m)
             for m, b_m in enumerate(b)]
 
 
-def conditional_outage(d0, params, cfg):
+def conditional_outage(d0, params):
     """Outage of a user served from distance d0: the average over a
     one-point rule."""
     rule = (np.array([float(d0)]), np.array([1.0]))
-    return an._average(an._transform(rule, params, cfg), params,
+    return an._average(an._transform(rule, params), params,
                        f"conditional outage at d0={d0!r}")
 
 
@@ -88,42 +87,31 @@ def conditional_outage(d0, params, cfg):
 # measure's distance rule, its xi-free transform, the reduction at xi.
 # test_acceptance, test_cli and test_montecarlo import them from here.
 
-def _spatial_average(name, params, cfg):
-    return an._average(an._transform(an._average_rule(name, params, cfg), params, cfg),
+def _spatial_average(name, params):
+    return an._average(an._transform(an._average_rule(name, params), params),
                        params, name)
 
 
-def outage_probability(params, cfg):
+def outage_probability(params):
     """Outage of a user uniform on the disc, served by the preset of its
     Voronoi strip; Np = 1 is the radial fixed-antenna form."""
-    return _spatial_average("outage probability", params, cfg)
+    return _spatial_average("outage probability", params)
 
 
-def outage_upper_bound(params, cfg):
+def outage_upper_bound(params):
     """Outage of one antenna fixed at the disc centre's preset:
     (2/R^2) int_0^R P_out(sqrt(r^2 + H^2)) r dr."""
-    return _spatial_average("outage upper bound", params, cfg)
+    return _spatial_average("outage upper bound", params)
 
 
-def outage_lower_bound(params, cfg):
+def outage_lower_bound(params):
     """Outage of an antenna that can sit anywhere on the waveguide: the
     user is served from the nearest point of the segment."""
-    return _spatial_average("outage lower bound", params, cfg)
+    return _spatial_average("outage lower bound", params)
 
 
 # ---------------------------------------------------------------------------
 # config
-
-
-def test_config_rejects_bad_orders():
-    with pytest.raises(InvalidParameterError):
-        an.AnalysisConfig(K=0)
-    with pytest.raises(InvalidParameterError):
-        an.AnalysisConfig(K=True)
-    with pytest.raises(InvalidParameterError):
-        an.AnalysisConfig(gl_order_rate=-3)
-    with pytest.raises(InvalidParameterError):
-        an.AnalysisConfig(gl_order_rate=1.5)
 
 
 def test_outage_inputs_from_system():
@@ -134,8 +122,8 @@ def test_outage_inputs_from_system():
     same_xi = PARAMS.with_(sigma2=2 * PARAMS.sigma2, P=2 * PARAMS.P)
     assert same_xi.xi == PARAMS.xi
     for d0 in (3.5, 7.5, 40.0):
-        assert (conditional_outage(d0, same_xi, CFG)
-                == conditional_outage(d0, PARAMS, CFG))
+        assert (conditional_outage(d0, same_xi)
+                == conditional_outage(d0, PARAMS))
 
 
 # ---------------------------------------------------------------------------
@@ -143,28 +131,28 @@ def test_outage_inputs_from_system():
 
 
 def test_laplace_at_zero_is_one():
-    assert laplace_interference(0.0, PARAMS, CFG) == 1.0
+    assert laplace_interference(0.0, PARAMS) == 1.0
 
 
 def test_laplace_no_interferers_is_one():
     p0 = PARAMS.with_(lam=0.0)
     for s in (0.0, 0.3, 7.0, 1e4):
-        assert laplace_interference(s, p0, CFG) == 1.0
+        assert laplace_interference(s, p0) == 1.0
 
 
 def test_laplace_decreasing_and_bounded():
     grid = np.logspace(-4, 4, 33)
-    vals = [laplace_interference(float(s), PARAMS, CFG) for s in grid]
+    vals = [laplace_interference(float(s), PARAMS) for s in grid]
     assert all(0.0 < v <= 1.0 for v in vals)
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_laplace_ignores_waveguide_layout():
     # the interferer field knows nothing about the serving presets
-    ref = [laplace_interference(s, PARAMS, CFG) for s in (0.1, 1.0, 10.0)]
+    ref = [laplace_interference(s, PARAMS) for s in (0.1, 1.0, 10.0)]
     for variant in (PARAMS.with_(Np=1), PARAMS.with_(Np=51),
                     PARAMS.with_(L=2.0), PARAMS.with_(L=30.0, R=40.0)):
-        got = [laplace_interference(s, variant, CFG) for s in (0.1, 1.0, 10.0)]
+        got = [laplace_interference(s, variant) for s in (0.1, 1.0, 10.0)]
         assert got == ref
 
 
@@ -203,7 +191,7 @@ def _quad_log_laplace(z, params):
     ids=["s=0.1", "s=10", "s=1e4", "s=1e8", "s=1e12"])
 def test_transform_matches_closed_form_at_alpha_4(s, log_rel, t1_rel):
     params = PARAMS.with_(alpha_L=4.0, alpha_N=4.0, N_L=1, N_N=1, beta=0.0)
-    tab = an._tables(params, CFG)
+    tab = an._tables(params)
     root, h2 = math.sqrt(s), params.H ** 2
     log_l = -params.lam * math.pi * root * math.atan(root / h2)
     t1 = params.lam * math.pi * s * (math.atan(root / h2) / (2.0 * root)
@@ -221,7 +209,7 @@ def test_transform_matches_quadrature_oracle(params, s):
     # the transform within 8e-9 of it (alpha_N = 3.2 at s = 1e8); a rule
     # converging like K^-2 in the tail is 6.8e-7 off on the default
     # geometry at s = 1 at K = 400, and 7.4e-4 at s = 1e8
-    got = float(an._xi_free(s, 0, an._tables(params, CFG))[0])
+    got = float(an._xi_free(s, 0, an._tables(params))[0])
     assert got == pytest.approx(_quad_log_laplace(s, params), rel=2e-8)
 
 
@@ -238,7 +226,7 @@ def test_divergent_interference_raises(changes):
     params = PARAMS.with_(**changes)
     for average in (outage_probability, outage_lower_bound, an.ergodic_rate):
         with pytest.raises(NumericError, match="interference diverges"):
-            average(params, CFG)
+            average(params)
 
 
 @_FAR_FIELD_2
@@ -250,7 +238,7 @@ def test_far_field_exponent_2_without_interferers_is_gamma_tail(changes):
     want = 1.0 - (
         p_los * gammaincc(p0.N_L, p0.N_L * p0.epsilon * d0 ** p0.alpha_L * XI)
         + (1.0 - p_los) * gammaincc(p0.N_N, p0.N_N * p0.epsilon * d0 ** p0.alpha_N * XI))
-    assert conditional_outage(d0, p0, CFG) == pytest.approx(want, rel=1e-10)
+    assert conditional_outage(d0, p0) == pytest.approx(want, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +247,8 @@ def test_far_field_exponent_2_without_interferers_is_gamma_tail(changes):
 
 def test_zeta_no_interferers_closed_form():
     p0 = PARAMS.with_(lam=0.0)
-    assert zeta_derivative(1, 0.5, p0, CFG) == -XI
-    assert zeta_derivative(2, 0.5, p0, CFG) == 0.0
+    assert zeta_derivative(1, 0.5, p0) == -XI
+    assert zeta_derivative(2, 0.5, p0) == 0.0
 
 
 @pytest.mark.parametrize("omega", [0.1, 0.5, 2.0])
@@ -269,10 +257,10 @@ def test_zeta_matches_finite_difference(omega, order, h):
     xi = PARAMS_FD.xi
 
     def zeta(w):
-        return math.log(laplace_interference(w, PARAMS_FD, CFG)) - w * xi
+        return math.log(laplace_interference(w, PARAMS_FD)) - w * xi
 
     fd = finite_difference(zeta, omega, order, h)
-    got = zeta_derivative(order, omega, PARAMS_FD, CFG)
+    got = zeta_derivative(order, omega, PARAMS_FD)
     assert got == pytest.approx(fd, rel=1e-6)
 
 
@@ -282,21 +270,21 @@ def test_zeta_matches_finite_difference_default_density(order, h):
     # ~1e-16 absolute, which finite differences amplify past 1e-6 relative;
     # differencing the exponent itself (the same function, evaluated
     # stably) restores the headroom
-    tab = an._tables(PARAMS, CFG)
+    tab = an._tables(PARAMS)
 
     def zeta(w):
         return float(an._xi_free(w, 0, tab)[0]) - w * XI
 
     fd = finite_difference(zeta, 0.5, order, h)
-    got = zeta_derivative(order, 0.5, PARAMS, CFG)
+    got = zeta_derivative(order, 0.5, PARAMS)
     assert got == pytest.approx(fd, rel=1e-6)
 
 
 def test_zeta_scales_linearly_in_density():
     # the node sum is proportional to lam by construction, so the default
     # density case is pinned by the well-conditioned lam = 1e-2 case
-    tab_lo = an._tables(PARAMS, CFG)
-    tab_hi = an._tables(PARAMS.with_(lam=1e-2), CFG)
+    tab_lo = an._tables(PARAMS)
+    tab_hi = an._tables(PARAMS.with_(lam=1e-2))
     for w in (0.1, 0.7, 3.0):
         lo = float(an._xi_free(w, 0, tab_lo)[0])
         hi = float(an._xi_free(w, 0, tab_hi)[0])
@@ -304,13 +292,13 @@ def test_zeta_scales_linearly_in_density():
 
 
 def test_lbar_order_zero_at_origin():
-    assert lbar_derivatives(0.0, 0, PARAMS, CFG)[0] == 1.0
+    assert lbar_derivatives(0.0, 0, PARAMS)[0] == 1.0
 
 
 def test_lbar_no_interferers_closed_form():
     p0 = PARAMS.with_(lam=0.0)
     omega = 0.7
-    got = lbar_derivatives(omega, 3, p0, CFG)
+    got = lbar_derivatives(omega, 3, p0)
     base = math.exp(-omega * XI)
     for j, v in enumerate(got):
         assert v == pytest.approx((-XI) ** j * base, rel=1e-13)
@@ -318,8 +306,8 @@ def test_lbar_no_interferers_closed_form():
 
 def test_lbar_consistent_with_laplace():
     omega = 1.3
-    got = lbar_derivatives(omega, 0, PARAMS, CFG)[0]
-    want = laplace_interference(omega, PARAMS, CFG) * math.exp(-omega * XI)
+    got = lbar_derivatives(omega, 0, PARAMS)[0]
+    want = laplace_interference(omega, PARAMS) * math.exp(-omega * XI)
     assert got == pytest.approx(want, rel=1e-14)
 
 
@@ -327,10 +315,10 @@ def test_lbar_consistent_with_laplace():
 @pytest.mark.parametrize("order,h", [(1, 1e-3), (2, 2e-3)])
 def test_lbar_matches_finite_difference(omega, order, h):
     def lbar(w):
-        return lbar_derivatives(w, 0, PARAMS_FD, CFG)[0]
+        return lbar_derivatives(w, 0, PARAMS_FD)[0]
 
     fd = finite_difference(lbar, omega, order, h)
-    got = lbar_derivatives(omega, order, PARAMS_FD, CFG)[order]
+    got = lbar_derivatives(omega, order, PARAMS_FD)[order]
     assert got == pytest.approx(fd, rel=1e-6)
 
 
@@ -339,22 +327,22 @@ def test_lbar_matches_finite_difference(omega, order, h):
 
 
 def test_conditional_outage_zero_threshold():
-    assert conditional_outage(5.0, _at(0.0), CFG) == 0.0
+    assert conditional_outage(5.0, _at(0.0)) == 0.0
 
 
 def test_conditional_outage_huge_threshold():
-    assert conditional_outage(5.0, _at(1e12), CFG) == pytest.approx(1.0, abs=1e-6)
+    assert conditional_outage(5.0, _at(1e12)) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_conditional_outage_monotone_in_threshold():
-    vals = [conditional_outage(6.0, _at(e), CFG)
+    vals = [conditional_outage(6.0, _at(e))
             for e in np.logspace(-2, 2, 17)]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
 def test_conditional_outage_monotone_in_distance():
     grid = np.linspace(PARAMS.H, 2 * PARAMS.R, 25)
-    vals = [conditional_outage(float(d), _at(1.0), CFG) for d in grid]
+    vals = [conditional_outage(float(d), _at(1.0)) for d in grid]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
@@ -370,8 +358,8 @@ def test_conditional_outage_is_a_probability_monotone_in_threshold(
     # (past 1e6 the outage is 1 to rounding at every d0 here): the outage
     # lies in [0, 1] and a higher threshold does not lower it
     params = PARAMS.with_(N_L=N_L, N_N=N_N, lam=lam)
-    low = conditional_outage(d0, _at(10.0 ** log_eps, params), CFG)
-    high = conditional_outage(d0, _at(10.0 ** (log_eps + log_step), params), CFG)
+    low = conditional_outage(d0, _at(10.0 ** log_eps, params))
+    high = conditional_outage(d0, _at(10.0 ** (log_eps + log_step), params))
     assert 0.0 <= low <= high + 1e-12 and high <= 1.0
 
 
@@ -389,11 +377,11 @@ def test_conditional_outage_no_interferers_gamma_tail():
             want = 1.0 - (
                 p_los * gammaincc(p0.N_L, p0.N_L * eps * d0 ** p0.alpha_L * XI)
                 + (1.0 - p_los) * gammaincc(p0.N_N, p0.N_N * eps * d0 ** p0.alpha_N * XI))
-            got = conditional_outage(d0, p0, CFG)
+            got = conditional_outage(d0, p0)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-15)
 
 
-def _mp_conditional_outage(d0, params, cfg):
+def _mp_conditional_outage(d0, params):
     """Conditional outage at d0 by the alternating derivative series in
     mpmath at 30 digits: 1 - sum_B p_B sum_{j<N_B} (-w)^j/j! L-bar^(j)(w),
     with zeta^(j) summed per node term through the derivative ratio
@@ -401,7 +389,7 @@ def _mp_conditional_outage(d0, params, cfg):
     zeta^(j-i) L-bar^(i).  It shares only the node tables with analysis."""
     mp = mpmath.mp.clone()
     mp.dps = 30
-    pref, tables = an._tables(params, cfg)
+    pref, tables = an._tables(params)
     xi = mp.mpf(params.xi)
     p_los = math.exp(-params.beta * d0)
     outage = mp.mpf(1)
@@ -432,17 +420,17 @@ def _mp_conditional_outage(d0, params, cfg):
 
 
 @pytest.mark.parametrize("shape", [170, 200])
-def test_large_shapes_match_mpmath_series(shape):
+def test_large_shapes_match_mpmath_series(shape, monkeypatch):
     # from shape 170 on, N^j and (N + j - 1)!/(N - 1)! leave the double
     # range; the coverage sum forms neither, and matches the series in
     # mpmath at outages near 0.29 and 0.92 that the interferers alone cause
     # (without them both read 0).  K = 40 keeps the oracle under a second
     # per threshold: both sides use the same nodes
-    cfg = an.AnalysisConfig(K=40)
+    monkeypatch.setattr(an, "_K", 40)
     for eps in (30.0, 300.0):
         params = _at(eps, PARAMS.with_(lam=1e-4, N_L=shape, N_N=shape))
-        want = _mp_conditional_outage(5.0, params, cfg)
-        assert conditional_outage(5.0, params, cfg) == pytest.approx(want, rel=0, abs=1e-14)
+        want = _mp_conditional_outage(5.0, params)
+        assert conditional_outage(5.0, params) == pytest.approx(want, rel=0, abs=1e-14)
 
 
 @pytest.mark.parametrize("shape", [720, 1000, 1500])
@@ -460,19 +448,19 @@ def test_shapes_past_700_match_gamma_tail(shape):
     for ratio in (0.9, 1.0):
         p = _at(ratio / (d0 ** params.alpha_L * params.xi), params)
         want = gammaincc(shape, shape * p.epsilon * d0 ** p.alpha_L * p.xi)
-        assert 1.0 - conditional_outage(d0, p, CFG) == pytest.approx(want, rel=1e-10)
+        assert 1.0 - conditional_outage(d0, p) == pytest.approx(want, rel=1e-10)
 
 
 @pytest.mark.parametrize("shape,lam,eps", [(3, 1e-4, 1e3), (8, 1e-6, 1e4),
                                            (40, 1e-4, 1e4)])
-def test_scaled_coverage_terms_match_mpmath_series(shape, lam, eps):
+def test_scaled_coverage_terms_match_mpmath_series(shape, lam, eps, monkeypatch):
     # t_1 exceeds N - 1 on both blockage branches here, so the coverage
     # terms are carried scaled (s > 1); the outages are 0.990, 0.877 and
     # 1 - 4e-14
-    cfg = an.AnalysisConfig(K=40)
+    monkeypatch.setattr(an, "_K", 40)
     params = _at(eps, PARAMS.with_(lam=lam, N_L=shape, N_N=shape))
-    want = _mp_conditional_outage(5.0, params, cfg)
-    assert conditional_outage(5.0, params, cfg) == pytest.approx(want, rel=0, abs=1e-14)
+    want = _mp_conditional_outage(5.0, params)
+    assert conditional_outage(5.0, params) == pytest.approx(want, rel=0, abs=1e-14)
 
 
 @pytest.mark.parametrize("eps", [1e40, 1e42, 1e47])
@@ -482,7 +470,7 @@ def test_conditional_outage_overflowing_threshold_is_one(eps):
     # unscaled coverage terms a_m overflow too from about 8.6e46; the
     # scaled ones stay finite, and the outage reads 1
     params = _at(eps, PARAMS.with_(N_L=8, N_N=8))
-    assert conditional_outage(5.0, params, CFG) == 1.0
+    assert conditional_outage(5.0, params) == 1.0
 
 
 @pytest.mark.parametrize("shapes,eps,d0", [
@@ -493,7 +481,7 @@ def test_conditional_outage_is_one_where_coverage_terms_overflow(shapes, eps, d0
     # unscaled, the a_m reach inf while L-bar reads 0 at each of these
     # (0 * inf = NaN); the true outage is 1 to double precision
     params = _at(eps, PARAMS.with_(N_L=shapes[0], N_N=shapes[1]))
-    assert conditional_outage(d0, params, CFG) == 1.0
+    assert conditional_outage(d0, params) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -502,26 +490,26 @@ def test_conditional_outage_is_one_where_coverage_terms_overflow(shapes, eps, d0
 
 def test_outage_zero_threshold_everywhere():
     p = _at(0.0)
-    assert outage_probability(p, CFG) == 0.0
-    assert outage_upper_bound(p, CFG) == 0.0
-    assert outage_lower_bound(p, CFG) == 0.0
+    assert outage_probability(p) == 0.0
+    assert outage_upper_bound(p) == 0.0
+    assert outage_lower_bound(p) == 0.0
 
 
 def test_single_preset_equals_upper_bound():
     p1 = _at(1.0, PARAMS.with_(Np=1))
     # one rule, the polar row (0, -R, R), serves both
-    assert outage_probability(p1, CFG) == outage_upper_bound(p1, CFG)
+    assert outage_probability(p1) == outage_upper_bound(p1)
 
 
 @pytest.mark.parametrize("eps", [0.5, 1.0, 3.0, 7.0])
 def test_bound_sandwich_and_monotone_in_presets(eps):
-    vals = [outage_probability(_at(eps, PARAMS.with_(Np=n)), CFG)
+    vals = [outage_probability(_at(eps, PARAMS.with_(Np=n)))
             for n in (3, 11, 51)]
-    lower = outage_lower_bound(_at(eps), CFG)
-    upper = outage_upper_bound(_at(eps), CFG)
+    lower = outage_lower_bound(_at(eps))
+    upper = outage_upper_bound(_at(eps))
     assert all(a >= b for a, b in zip(vals, vals[1:]))
     assert lower <= vals[-1] and vals[0] <= upper
-    assert lower <= outage_probability(_at(eps), CFG) <= upper
+    assert lower <= outage_probability(_at(eps)) <= upper
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -532,14 +520,14 @@ def test_outage_monotone_in_target_rate(geometry, rbar, step):
     # outage does not fall, up to rounding, over target rates of 0 to 20
     # bits, across which it runs from 0 to 1 at both geometries
     params = {"default": PARAMS, "rate": RATE_PARAMS}[geometry]
-    low = outage_probability(params.with_(Rbar=rbar), CFG)
-    high = outage_probability(params.with_(Rbar=rbar + step), CFG)
+    low = outage_probability(params.with_(Rbar=rbar))
+    high = outage_probability(params.with_(Rbar=rbar + step))
     assert low <= high + 1e-12
 
 
 def test_dense_presets_reach_lower_bound():
-    got = outage_probability(_at(1.0, PARAMS.with_(Np=201)), CFG)
-    lower = outage_lower_bound(_at(1.0), CFG)
+    got = outage_probability(_at(1.0, PARAMS.with_(Np=201)))
+    lower = outage_lower_bound(_at(1.0))
     assert got == pytest.approx(lower, abs=1e-3)
     assert got >= lower - 1e-12
 
@@ -565,12 +553,12 @@ def test_strip_weights_cover_half_disc():
     # the weights carry the user density 2/(pi R^2) over the half disc, and
     # each polar row measures its own Voronoi cell
     for params in AREA_GEOMETRIES:
-        d0, weight = an._serving_rule(params, CFG.gl_order_rate)
+        d0, weight = an._serving_rule(params, an._ORDER)
         assert weight.sum() == pytest.approx(1.0, rel=1e-13)
         assert np.all(d0 >= params.H)
         R, Np = params.R, params.Np
         for xn, a, b in zip(preset_offsets(params.L, Np), *voronoi_cells(params.L, Np, R)):
-            _, row = an._polar_rule(xn, a, b, R, params.H, CFG.gl_order_rate)
+            _, row = an._polar_rule(xn, a, b, R, params.H, an._ORDER)
             assert row.sum() == pytest.approx(_cell_area(a, b, R), rel=1e-13)
 
 
@@ -585,7 +573,7 @@ def test_mirrored_cells_give_bytewise_equal_polar_rows():
         assert np.array_equal(xc[::-1], -xc)
         assert np.array_equal(a[::-1], -b) and np.array_equal(b[::-1], -a)
         rows = [an._polar_rule(x[:half], y[:half], z[:half], params.R, params.H,
-                               CFG.gl_order_rate)
+                               an._ORDER)
                 for x, y, z in ((xc, a, b), (xc[::-1], a[::-1], b[::-1]))]
         for left, right in zip(*rows):
             assert left.tobytes() == right.tobytes()
@@ -607,9 +595,9 @@ def test_folded_measure_matches_full_cell_oracle(monkeypatch, base, Np):
     # sums: the outage and the rate stay within 1e-14 of the unfolded
     # measure's, and at one preset, where nothing folds, bit for bit
     params = base.with_(Np=Np)
-    folded = outage_probability(params, CFG), an.ergodic_rate(params, CFG)
+    folded = outage_probability(params), an.ergodic_rate(params)
     monkeypatch.setitem(an._MEASURES, "outage probability", _full_serving_rule)
-    full = outage_probability(params, CFG), an.ergodic_rate(params, CFG)
+    full = outage_probability(params), an.ergodic_rate(params)
     if Np == 1:
         assert [v.hex() for v in folded] == [v.hex() for v in full]
     else:
@@ -621,10 +609,10 @@ def test_outage_rule_memory():
     # outage rule peaks at 2.5 MB of traced allocations, against 5.0 MB
     # with a row per cell
     params = SystemParams(Np=201)
-    an._average_rule("outage probability", params, CFG)  # the cached node rules
+    an._average_rule("outage probability", params)  # the cached node rules
     tracemalloc.start()
     try:
-        an._average_rule("outage probability", params, CFG)
+        an._average_rule("outage probability", params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -634,7 +622,7 @@ def test_outage_rule_memory():
 def test_continuum_weights_cover_quarter_disc():
     # the density 4/(pi R^2) over the quarter disc: tip lobe plus side lobe
     for params in AREA_GEOMETRIES:
-        d0, weight = an._continuum_rule(params, CFG.gl_order_rate)
+        d0, weight = an._continuum_rule(params, an._ORDER)
         assert weight.sum() == pytest.approx(1.0, rel=1e-13)
         assert np.all(d0 >= params.H)
 
@@ -652,7 +640,7 @@ def test_measure_is_a_probability_over_the_geometry_domain(L, spread, half_np, H
     assume(R > 0.5 * L)  # a spread next to 1 can round onto the tip
     params = SystemParams(L=L, R=R, Np=2 * half_np + 1, H=H)
     for build in (an._serving_rule, an._continuum_rule):
-        d0, weight = build(params, CFG.gl_order_rate)
+        d0, weight = build(params, an._ORDER)
         assert np.all(weight >= 0.0)
         assert np.all(d0 >= H)
         assert abs(np.sum(weight) - 1.0) <= 1e-11
@@ -663,7 +651,7 @@ def test_outage_near_one_at_large_radius():
     # sum to 1 well inside the 1e-9 clamp window; a rule off by 3.9e-9 here
     # made the average raise
     params = _at(1e7, SystemParams(lam=1e-7, H=1.0, alpha_N=6.0, R=1000.0, L=100.0))
-    assert outage_probability(params, CFG) == pytest.approx(1.0, abs=1e-9)
+    assert outage_probability(params) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_nonfinite_outage_raises():
@@ -671,9 +659,9 @@ def test_nonfinite_outage_raises():
     # at eps = 1e307 omega itself leaves the double range
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericInstabilityError):
-            conditional_outage(5.0, _at(1e307), CFG)
+            conditional_outage(5.0, _at(1e307))
         with pytest.raises(NumericInstabilityError):
-            outage_probability(_at(1e307), CFG)
+            outage_probability(_at(1e307))
 
 
 @pytest.mark.parametrize("level,raises", [(1.0 + 1e-6, True), (1.0 + 1e-12, False)],
@@ -687,9 +675,9 @@ def test_spatial_averages_clamp_only_rounding(monkeypatch, level, raises):
                     outage_lower_bound):
         if raises:
             with pytest.raises(NumericInstabilityError):
-                average(_at(1.0), CFG)
+                average(_at(1.0))
         else:
-            assert average(_at(1.0), CFG) == 1.0
+            assert average(_at(1.0)) == 1.0
 
 
 def _noise_only_outage(d0, eps, params):
@@ -779,6 +767,18 @@ def _segment_mean(params, f):
     return 4.0 / (math.pi * R ** 2) * total
 
 
+def _break_points(kinks, top):
+    """The kinks inside (0, top), sorted, with kinks within a relative
+    1e-12 of each other taken as one: two breaks an ulp apart (a preset
+    at its cell's centre, or coverage edges of two exponents 1e-13 apart)
+    leave quad a subinterval too short to sample, and it gives up."""
+    points = []
+    for k in sorted(k for k in kinks if 0.0 < k < top):
+        if not points or k > points[-1] * (1.0 + 1e-12):
+            points.append(k)
+    return points
+
+
 def _polar_integral(f, xc, a, b, R, H, edges=()):
     """Integral of f(sqrt(rho^2 + H^2)) over {a <= x <= b, y >= 0, inside
     the disc of radius R}, rho the distance to (xc, 0): one scipy quad over
@@ -786,10 +786,8 @@ def _polar_integral(f, xc, a, b, R, H, edges=()):
     inside the region, broken also at the radii edges (_coverage_edges).
     Each bound confines cos(theta) to an interval; the rim bound
     x^2 + y^2 <= R^2 reads xc^2 + 2 xc rho cos(theta) + rho^2 <= R^2.
-    The angle has kinks where a bound starts or stops to bind; kinks within
-    a relative 1e-12 of each other are one (a preset at its cell's centre
-    puts |a - xc| and |b - xc| an ulp apart, and a break between them
-    makes quad give up)."""
+    The angle has kinks where a bound starts or stops to bind
+    (_break_points merges those within a relative 1e-12)."""
     def angle(rho):
         lo = max(-1.0, (a - xc) / rho)
         hi = min(1.0, (b - xc) / rho)
@@ -804,12 +802,9 @@ def _polar_integral(f, xc, a, b, R, H, edges=()):
     top = R + abs(xc)
     kinks = {abs(a - xc), abs(b - xc), R - abs(xc), *edges}
     kinks |= {math.sqrt((x - xc) ** 2 + R * R - x * x) for x in (a, b)}
-    points = []
-    for k in sorted(k for k in kinks if 0.0 < k < top):
-        if not points or k > points[-1] * (1.0 + 1e-12):
-            points.append(k)
     value, error = integrate.quad(lambda r: f(math.hypot(r, H)) * r * angle(r), 0.0, top,
-                                  points=points, epsabs=0.0, epsrel=1e-11, limit=200)
+                                  points=_break_points(kinks, top),
+                                  epsabs=0.0, epsrel=1e-11, limit=200)
     assert error <= 1e-11 * abs(value), f"quad missed its tolerance: {value!r} +- {error!r}"
     return value
 
@@ -832,7 +827,7 @@ def _polar_segment_mean(params, f):
     edges = _coverage_edges(params)
     side = integrate.quad(
         lambda y: f(math.hypot(y, H)) * min(tip, math.sqrt(max(R * R - y * y, 0.0))),
-        0.0, R, points=[math.sqrt(R * R - tip * tip), *edges],
+        0.0, R, points=_break_points([math.sqrt(R * R - tip * tip), *edges], R),
         epsabs=0.0, epsrel=1e-11, limit=200)[0]
     return 4.0 / (math.pi * R ** 2) * (side + _polar_integral(f, tip, tip, R, R, H, edges))
 
@@ -847,16 +842,16 @@ def test_noise_only_averages_match_quadrature_oracle(rbar):
     def outage(d0):
         return _noise_only_outage(d0, eps, params)
 
-    assert outage_upper_bound(params, CFG) == pytest.approx(
+    assert outage_upper_bound(params) == pytest.approx(
         _radial_mean(params, outage), abs=1e-8)
-    assert outage_lower_bound(params, CFG) == pytest.approx(
+    assert outage_lower_bound(params) == pytest.approx(
         _segment_mean(params, outage), abs=1e-8)
     single = params.with_(Np=1)
-    assert outage_probability(single, CFG) \
+    assert outage_probability(single) \
         == pytest.approx(_radial_mean(single, outage), abs=1e-8)
     for n in (11, 51):
         p = params.with_(Np=n)
-        assert outage_probability(p, CFG) \
+        assert outage_probability(p) \
             == pytest.approx(_strip_mean(p, outage), abs=1e-8)
 
 
@@ -870,10 +865,10 @@ def test_noise_only_upper_bound_over_the_geometry_domain(
     # R from 1 to 1000, H from 0.1 to 100, shapes 1..10 and exponents up to
     # 5, at a threshold 1e-2..1e2 times the mean SNR of a user at the
     # median radius: the lam = 0 upper bound against scipy over the radius.
-    # The gate is the 1e-5 resolution AnalysisConfig states: over 1500
-    # random geometries the 96-node distance rule missed 1e-8 at 3.5 %, by
-    # up to 1.4e-6 where R / H and alpha are large (3.2e-10 at
-    # gl_order_rate = 192)
+    # The gate is the 1e-5 resolution the quadrature orders are sized for:
+    # over 1500 random geometries the 96-node distance rule missed 1e-8 at
+    # 3.5 %, by up to 1.4e-6 where R / H and alpha are large (3.2e-10 at
+    # _ORDER = 192)
     R = 10.0 ** log_R
     params = SystemParams(lam=0.0, R=R, L=min(10.0, R), H=10.0 ** log_H, N_L=N_L,
                           N_N=N_N, alpha_L=alpha_L, alpha_N=min(alpha_L + alpha_step, 5.0))
@@ -883,7 +878,7 @@ def test_noise_only_upper_bound_over_the_geometry_domain(
     def outage(d0):
         return _noise_only_outage(d0, params.epsilon, params)
 
-    assert outage_upper_bound(params, CFG) == pytest.approx(
+    assert outage_upper_bound(params) == pytest.approx(
         _radial_mean(params, outage), abs=1e-5)
 
 
@@ -918,12 +913,16 @@ def test_noise_only_outage_over_the_geometry_domain(domain, Np):
     def outage(d0):
         return _noise_only_outage(d0, params.epsilon, params)
 
-    assert outage_probability(params, CFG) == pytest.approx(
+    assert outage_probability(params) == pytest.approx(
         _polar_strip_mean(params, outage), abs=1e-5)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(domain=_NOISE_ONLY_DOMAIN)
+# R = L = 1.778 and alpha_N 1e-13 above alpha_L: the two branches'
+# coverage edges lie 5e-14 apart, which the oracle's quads must merge
+@example(domain=dict(log_R=0.25, log_H=0.03125, N_L=2, N_N=1, alpha_L=2.0,
+                     alpha_step=1e-13, log_margin=0.0))
 def test_noise_only_lower_bound_over_the_geometry_domain(domain):
     # the upper-bound property's domain and 1e-5 gate: the lam = 0 lower
     # bound against scipy beside the waveguide and about its tip
@@ -932,7 +931,7 @@ def test_noise_only_lower_bound_over_the_geometry_domain(domain):
     def outage(d0):
         return _noise_only_outage(d0, params.epsilon, params)
 
-    assert outage_lower_bound(params, CFG) == pytest.approx(
+    assert outage_lower_bound(params) == pytest.approx(
         _polar_segment_mean(params, outage), abs=1e-5)
 
 
@@ -945,7 +944,7 @@ def test_noise_only_outage_matches_planar_oracle_far_rim():
     def outage(d0):
         return _noise_only_outage(d0, eps, params)
 
-    assert outage_probability(params, CFG) \
+    assert outage_probability(params) \
         == pytest.approx(_strip_mean(params, outage), abs=1e-8)
 
 
@@ -974,16 +973,16 @@ def test_polar_oracles_match_planar_oracles(params):
         _segment_mean(single, outage), abs=1e-12)
 
 
-def test_oracles_resolve_the_coverage_edge():
+def test_oracles_resolve_the_coverage_edge(monkeypatch):
     # lam = 0 and a threshold of 1 / (the mean SNR at the median radius),
     # as in the upper-bound property above: the outage is near 1, and the
     # covered sliver beside the waveguide is about 0.6 m wide.  Without
     # breaks at the coverage edges the quad oracles stepped across it and
     # read 1.0000000000, 1.2e-5 off.  With them the planar and polar
     # oracles agree, and the averages meet them within 1e-8 at the doubled
-    # gl_order_rate; the default 96-node rules stay within the 1e-5
-    # resolution AnalysisConfig states (measured 2.3e-7 for the lower bound
-    # and 1.9e-8 for the outage: ROADMAP item 6)
+    # _ORDER; the default 96-node rules stay within the 1e-5 resolution the
+    # orders are sized for (measured 2.3e-7 for the lower bound and 1.9e-8
+    # for the outage: ROADMAP item 6)
     params = SystemParams(lam=0.0, R=529.07, L=9.22, Np=5, H=0.159, alpha_L=3.62,
                           alpha_N=4.44, N_L=7, N_N=4)
     params = _at(math.hypot(params.R / math.sqrt(2.0), params.H) ** params.alpha_N
@@ -997,10 +996,27 @@ def test_oracles_resolve_the_coverage_edge():
     mean = _polar_strip_mean(params, outage)
     assert _strip_mean(params, outage) == pytest.approx(mean, abs=1e-12)
     assert lower < mean < 1.0 - 1e-6
-    for cfg, gate in ((an.AnalysisConfig(gl_order_rate=2 * CFG.gl_order_rate), 1e-8),
-                      (CFG, 1e-5)):
-        assert outage_lower_bound(params, cfg) == pytest.approx(lower, abs=gate)
-        assert outage_probability(params, cfg) == pytest.approx(mean, abs=gate)
+    for order, gate in ((2 * an._ORDER, 1e-8), (an._ORDER, 1e-5)):
+        monkeypatch.setattr(an, "_ORDER", order)
+        assert outage_lower_bound(params) == pytest.approx(lower, abs=gate)
+        assert outage_probability(params) == pytest.approx(mean, abs=gate)
+
+
+def test_worst_known_lower_bound_geometry(monkeypatch):
+    # the largest miss of the lower bound known at the default _ORDER
+    # (ROADMAP item 6), found by the property above: the 96-node rule is
+    # 4.85e-6 off the oracle, inside the 1e-5 resolution the orders are
+    # sized for; doubled it is 4.0e-9 off (3e-16 at 384)
+    params = SystemParams(lam=0.0, R=100.0, L=10.0, H=0.12134, alpha_L=4.0, alpha_N=5.0,
+                          N_L=8, N_N=3, Rbar=18.5727)
+
+    def outage(d0):
+        return _noise_only_outage(d0, params.epsilon, params)
+
+    oracle = _polar_segment_mean(params, outage)
+    for order, gate in ((an._ORDER, 1e-5), (2 * an._ORDER, 1e-8)):
+        monkeypatch.setattr(an, "_ORDER", order)
+        assert outage_lower_bound(params) == pytest.approx(oracle, abs=gate)
 
 
 def test_averages_match_quadrature_oracle_with_interference():
@@ -1011,13 +1027,13 @@ def test_averages_match_quadrature_oracle_with_interference():
     for params in (PARAMS, PARAMS.with_(R=300.0, L=100.0),
                    PARAMS.with_(R=1000.0, L=100.0)):
         def outage(d0):
-            return conditional_outage(d0, params, CFG)
+            return conditional_outage(d0, params)
 
-        assert outage_probability(params, CFG) == pytest.approx(
+        assert outage_probability(params) == pytest.approx(
             _polar_strip_mean(params, outage), abs=1e-8)
-        assert outage_upper_bound(params, CFG) == pytest.approx(
+        assert outage_upper_bound(params) == pytest.approx(
             _radial_mean(params, outage), abs=1e-8)
-        assert outage_lower_bound(params, CFG) == pytest.approx(
+        assert outage_lower_bound(params) == pytest.approx(
             _polar_segment_mean(params, outage), abs=1e-8)
 
 
@@ -1034,23 +1050,22 @@ def _run_fresh(script, *args, threads="1"):
 _HEX_SCRIPT = """
 from pinchnet import analysis as an
 from pinchnet.geometry import SystemParams
-cfg = an.AnalysisConfig()
 def average(name, p):
-    return an._average(an._transform(an._average_rule(name, p, cfg), p, cfg), p, name)
+    return an._average(an._transform(an._average_rule(name, p), p), p, name)
 for n in (11, 51):
     print(average("outage probability", SystemParams(Np=n)).hex())
 p = SystemParams()
 print(average("outage upper bound", p).hex(), average("outage lower bound", p).hex())
 rate = SystemParams(alpha_N=4.0, lam=1e-5, R=100.0, L=100.0, H=4.0, P=1.0, Np=3)
-print(an.ergodic_rate(rate, cfg).hex())
+print(an.ergodic_rate(rate).hex())
 """
 
 
 def test_analysis_bit_identical_across_blas_threads():
-    # analytic results are a pure function of (params, AnalysisConfig),
-    # bit for bit, whatever the BLAS thread count: every reduction (the
-    # distance rule's moments and weights, the averages, the rate panels)
-    # is an np.sum, never a BLAS dot
+    # analytic results are a pure function of params, bit for bit,
+    # whatever the BLAS thread count: every reduction (the distance rule's
+    # moments and weights, the averages, the rate panels) is an np.sum,
+    # never a BLAS dot
     outputs = [_run_fresh(_HEX_SCRIPT, threads=threads) for threads in ("1", "2")]
     assert outputs[0] == outputs[1]
     assert len(outputs[0].split()) == 5
@@ -1060,10 +1075,9 @@ _HISTORY_SCRIPT = """
 import math, sys
 from pinchnet import analysis as an
 from pinchnet.geometry import SystemParams
-cfg = an.AnalysisConfig()
 def outage(p):
-    rule = an._average_rule("outage probability", p, cfg)
-    return an._average(an._transform(rule, p, cfg), p, "outage probability")
+    rule = an._average_rule("outage probability", p)
+    return an._average(an._transform(rule, p), p, "outage probability")
 p = SystemParams()
 if sys.argv[1] == "widened":
     # an earlier call at the same noise level and a far higher threshold
@@ -1091,7 +1105,7 @@ def _transform_bytes(params):
     """The bytes of every array in the transforms of the three averages."""
     arrays = []
     for name in an._MEASURES:
-        t = an._transform(an._average_rule(name, params, CFG), params, CFG)
+        t = an._transform(an._average_rule(name, params), params)
         arrays += [t.d0, t.weight]
         for p_b, omega, log_l, zetas in t.branches:
             arrays += [p_b, omega, log_l, *zetas]
@@ -1111,11 +1125,12 @@ def test_transform_key_matches_transform_bytes(field):
     assert same_bytes == same_key == (field in ("P", "sigma2", "f_c"))
 
 
-def test_outage_stable_under_order_doubling():
-    fine = an.AnalysisConfig(K=2 * CFG.K, gl_order_rate=2 * CFG.gl_order_rate)
-    for eps in (0.5, 1.0, 3.0):
-        assert abs(outage_probability(_at(eps), CFG)
-                   - outage_probability(_at(eps), fine)) < 1e-5
+def test_outage_stable_under_order_doubling(monkeypatch):
+    values = [outage_probability(_at(eps)) for eps in (0.5, 1.0, 3.0)]
+    monkeypatch.setattr(an, "_K", 2 * an._K)
+    monkeypatch.setattr(an, "_ORDER", 2 * an._ORDER)
+    for eps, value in zip((0.5, 1.0, 3.0), values):
+        assert abs(value - outage_probability(_at(eps))) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -1154,7 +1169,7 @@ def test_rate_vanishes_under_dense_interference():
     # ergodic_rate is within 5e-15 of it from K = 128 on (the relative gap
     # is 4.4e-15 at K = 128, 5.6e-16 at 256 and 1.3e-15 at 1600)
     dense = SystemParams(lam=10.0)
-    rate = an.ergodic_rate(dense, CFG)
+    rate = an.ergodic_rate(dense)
     assert rate == pytest.approx(_quad_rate(dense), rel=1e-5)
     assert rate < 2e-4
 
@@ -1165,16 +1180,16 @@ def test_rate_sum_resolved_at_its_ends_and_step(monkeypatch, params):
     # the rate's trapezoid sum in ln z moves by under 1e-12 bits when its
     # step is halved and each end moved a decade further out, at a rate of
     # 4.7 bits and at one of 1.2e-4 bits
-    rate = an.ergodic_rate(params, CFG)
+    rate = an.ergodic_rate(params)
     trapezoid = an.integrate_semi_infinite
     monkeypatch.setattr(an, "integrate_semi_infinite", lambda f, z_lo, z_hi, h: trapezoid(
         f, 0.1 * z_lo, 10.0 * z_hi, 0.5 * h))
-    assert abs(an.ergodic_rate(params, CFG) - rate) < 1e-12
+    assert abs(an.ergodic_rate(params) - rate) < 1e-12
 
 
 def test_rate_monotone_in_power_without_interference():
     p0 = SystemParams(lam=0.0)
-    rates = [an.ergodic_rate(p0.with_(P=10 ** (dbm / 10) / 1000), CFG)
+    rates = [an.ergodic_rate(p0.with_(P=10 ** (dbm / 10) / 1000))
              for dbm in (40.0, 50.0, 60.0)]
     assert rates[0] < rates[1] < rates[2]
 
@@ -1201,33 +1216,34 @@ def _octave_panels(f, order):
     raise AssertionError(f"octave panels not converged: total {total!r}")
 
 
-def _threshold_rate(params, cfg):
+def _threshold_rate(params):
     """(1/ln2) int_0^inf (1 - P_out(eps)) / (1 + eps) d eps, with the
     outage averaged by the coverage sum over the serving-distance
     rule: the rate by a route that shares only L_I and the distance rule
     with the z-integral.  The rule is built once per call, as the rate
     builds it; each threshold moves the nodes omega, so takes a transform."""
-    rule = an._average_rule("outage probability", params, cfg)
+    rule = an._average_rule("outage probability", params)
 
     def outage(eps):
         at_eps = _at(eps, params)
-        return an._average(an._transform(rule, at_eps, cfg), at_eps, "outage probability")
+        return an._average(an._transform(rule, at_eps), at_eps, "outage probability")
 
     def integrand(eps):
         return np.array([(1.0 - outage(float(e))) / (1.0 + e) for e in eps])
 
-    return _octave_panels(integrand, cfg.gl_order_rate) / math.log(2.0)
+    return _octave_panels(integrand, an._ORDER) / math.log(2.0)
 
 
 @pytest.mark.parametrize("params", [RATE_PARAMS.with_(Np=1), RATE_PARAMS.with_(Np=3),
                                     PARAMS], ids=["rate-Np1", "rate-Np3", "default"])
-def test_rate_matches_threshold_integral(params):
+def test_rate_matches_threshold_integral(params, monkeypatch):
     # at 48 nodes, a third of the default's time, the oracle agrees within
     # 1.5e-12 at the default geometry and 3.4e-6 (Np = 1) and 1.4e-6
     # (Np = 3) at the rate geometry, where its own octave panels are the
     # less resolved rule: at 96 nodes the Np = 3 gap falls to 8.3e-8
-    assert an.ergodic_rate(params, CFG) == pytest.approx(
-        _threshold_rate(params, an.AnalysisConfig(gl_order_rate=48)), abs=1e-5)
+    rate = an.ergodic_rate(params)
+    monkeypatch.setattr(an, "_ORDER", 48)
+    assert rate == pytest.approx(_threshold_rate(params), abs=1e-5)
 
 
 def _noise_only_rate(params):
@@ -1255,7 +1271,7 @@ def _noise_only_rate(params):
 @pytest.mark.parametrize("params", [PARAMS, RATE_PARAMS], ids=["default", "rate"])
 def test_noise_only_rate_matches_quadrature_oracle(params):
     single = params.with_(lam=0.0, Np=1)
-    assert an.ergodic_rate(single, CFG) == pytest.approx(
+    assert an.ergodic_rate(single) == pytest.approx(
         _noise_only_rate(single), abs=1e-8)
 
 
@@ -1272,7 +1288,7 @@ def test_low_snr_rate_is_first_order(power):
         return p_los * d0 ** -params.alpha_L + (1.0 - p_los) * d0 ** -params.alpha_N
 
     first_order = _radial_mean(params, mean_power) / (params.xi * math.log(2.0))
-    assert an.ergodic_rate(params, CFG) == pytest.approx(first_order, rel=1e-9, abs=0.0)
+    assert an.ergodic_rate(params) == pytest.approx(first_order, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("level,want", [(-1e-12, 0.0), (-1e-6, None), (math.nan, None),
@@ -1284,6 +1300,6 @@ def test_rate_rejects_nonfinite_or_negative(monkeypatch, level, want):
     monkeypatch.setattr(an, "integrate_semi_infinite", lambda f, z_lo, z_hi, h: level)
     if want is None:
         with pytest.raises(NumericInstabilityError):
-            an.ergodic_rate(PARAMS, CFG)
+            an.ergodic_rate(PARAMS)
     else:
-        assert an.ergodic_rate(PARAMS, CFG) == want
+        assert an.ergodic_rate(PARAMS) == want

@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import textwrap
 import time
 import warnings
 from pathlib import Path
@@ -21,7 +22,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pinchnet import analysis as an
 from pinchnet import cli
 from pinchnet import montecarlo as mc
 from pinchnet.errors import ConfigError, NumericError
@@ -312,9 +312,9 @@ def test_sweep_transforms_once_per_key(tmp_path, monkeypatch, mode, parameter,
     calls = []
     transform = cli._transform
 
-    def counted(rule, params, acfg):
+    def counted(rule, params):
         t0 = time.perf_counter()
-        result = transform(rule, params, acfg)
+        result = transform(rule, params)
         calls.append((params, time.perf_counter() - t0))
         return result
 
@@ -331,7 +331,7 @@ def test_sweep_transforms_once_per_key(tmp_path, monkeypatch, mode, parameter,
     for row, (_, params) in zip(rows, cli._points(cfg.params, cfg.sweep),
                                 strict=True):
         for column, function in averages.items():
-            assert float.hex(row[column]) == float.hex(function(params, cfg.analysis))
+            assert float.hex(row[column]) == float.hex(function(params))
         assert row["wall_time_analysis"] > 0.0
         # a group's first row times its transforms, its other rows none
         assert row["wall_time_analysis"] >= sum(
@@ -374,7 +374,7 @@ def test_report_echo_reproduces_csv(tmp_path):
     report = json.loads((out_a / "report.json").read_text())
     assert report["version"]
     assert report["seed"] == 12345
-    assert set(report["config"]) == {"mode", "params", "analysis", "sim", "sweep"}
+    assert set(report["config"]) == {"mode", "params", "sim", "sweep"}
 
     echo_path = tmp_path / "echo.json"
     echo_path.write_text(json.dumps(report["config"]))
@@ -395,7 +395,7 @@ def test_rate_of_one_realization_has_zero_std_error(tmp_path):
 def test_numpy_integer_params_run_and_report(tmp_path):
     # SystemParams keeps the int it checked, so report.json can echo it
     cfg = cli.ExperimentConfig(mode="analyze", params=SystemParams(Np=np.int64(3)),
-                               analysis=an.AnalysisConfig(), sim=mc.SimConfig())
+                               sim=mc.SimConfig())
     assert cli.run(cfg, tmp_path) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["config"]["params"]["Np"] == 3
@@ -536,7 +536,7 @@ def test_extreme_geometry_prints_no_numpy_warnings(tmp_path, capsys, mode, param
         assert math.isfinite(float(row["analytic_rate"]))
     else:
         assert status == 0
-        one_preset = outage_probability(SystemParams(Np=1), an.AnalysisConfig())
+        one_preset = outage_probability(SystemParams(Np=1))
         assert float(row["analytic_outage"]) == pytest.approx(one_preset, rel=1e-8)
 
 
@@ -710,6 +710,14 @@ def test_readme_configs_load(tmp_path):
         cli.load_config(_write(tmp_path, block, name=f"{i}.yaml"))
 
 
+def test_cli_docstring_config_loads(tmp_path):
+    # likewise the example config of cli's module docstring, the indented
+    # block after its "::"
+    example = textwrap.dedent(cli.__doc__.split("::\n\n", 1)[1].split("\n\n", 1)[0])
+    cfg = cli.load_config(_write(tmp_path, example))
+    assert (cfg.mode, cfg.sweep.parameter) == ("compare", "P")
+
+
 def test_json_run_loads_no_yaml_or_pool(tmp_path):
     # a JSON config at one worker needs neither the YAML parser nor a
     # process pool, and start-up does not pay to import them
@@ -738,7 +746,6 @@ _NUMBER_FIELDS = {
 _INTEGER_FIELDS = {
     "params": ("Np", "N_L", "N_N"),
     "sim": ("n_realizations", "seed", "workers"),
-    "analysis": ("K", "gl_order_rate"),
 }
 _NO_NUMBERS = ("true", ".nan", ".inf", "-.inf")
 
@@ -871,27 +878,46 @@ def test_workload_csv_bytes_pinned(tmp_path, workload):
     assert got == digest
 
 
-@pytest.mark.parametrize("key,value", [
-    pytest.param("analysis.gl_order_2d", "64", id="gl_order_2d"),
-    pytest.param("analysis.gl_order_radial", "64", id="gl_order_radial"),
-    pytest.param("analysis.rate_prefactor", "0.5", id="rate_prefactor"),
-    pytest.param("analysis.tolerance", "1.0e-9", id="tolerance"),
-    pytest.param("sim.batch_size", "625", id="batch_size"),
-    pytest.param("bounds", "true", id="bounds"),
+@pytest.mark.parametrize("key,value,refused", [
+    pytest.param("analysis.K", "128", "config.analysis", id="K"),
+    pytest.param("analysis.gl_order_rate", "96", "config.analysis", id="gl_order_rate"),
+    pytest.param("analysis.gl_order_2d", "64", "config.analysis", id="gl_order_2d"),
+    pytest.param("analysis.gl_order_radial", "64", "config.analysis", id="gl_order_radial"),
+    pytest.param("analysis.rate_prefactor", "0.5", "config.analysis", id="rate_prefactor"),
+    pytest.param("analysis.tolerance", "1.0e-9", "config.analysis", id="tolerance"),
+    pytest.param("analysis", "", "config.analysis", id="analysis"),
+    pytest.param("sim.batch_size", "625", "sim.batch_size", id="batch_size"),
+    pytest.param("bounds", "true", "config.bounds", id="bounds"),
 ])
-def test_removed_analysis_orders_rejected(tmp_path, capsys, key, value):
-    # a removed key must stop the run rather than be ignored: the rule
-    # orders (gl_order_rate is the order of every 1-D rule), the rate
-    # prefactor and panel tolerance (now constants), the batch size (each
-    # worker runs one span) and the bounds flag (mode: bounds)
+def test_removed_analysis_orders_rejected(tmp_path, capsys, key, value, refused):
+    # a removed key must stop the run rather than be ignored: the whole
+    # analysis section (the quadrature orders are constants since 0.9.0),
+    # even left bare, the batch size (each worker runs one span) and the
+    # bounds flag (mode: bounds)
     section, _, name = key.rpartition(".")
     entry = f"{section}: {{{name}: {value}}}" if section else f"{name}: {value}"
     path = _write(tmp_path, f"mode: analyze\n{entry}\n")
-    assert cli.main([str(path)]) == 2
-    assert f"{key}: unknown" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert cli.main([str(path), "--out", str(out)]) == 2
+    assert f"{refused}: unknown key" in capsys.readouterr().err
     path = _write(tmp_path, "mode: analyze\n", name="plain.yaml")
-    assert cli.main([str(path), "--set", f"{key}={value}"]) == 2
-    assert f"{key}: unknown" in capsys.readouterr().err
+    assert cli.main([str(path), "--set", f"{key}={value}", "--out", str(out)]) == 2
+    assert f"{refused}: unknown key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analysis_section_of_an_old_echo_is_refused(tmp_path, capsys):
+    # a 0.8.0 report.json echoes "analysis": {"K": 128, "gl_order_rate": 96};
+    # that section is gone, so the echo exits 2 naming it and writes nothing
+    path = _write(tmp_path, "mode: analyze\n")
+    assert cli.main([str(path), "--out", str(tmp_path / "new")]) == 0
+    config = json.loads((tmp_path / "new" / "report.json").read_text())["config"]
+    echo = _write(tmp_path, json.dumps(
+        {**config, "analysis": {"K": 128, "gl_order_rate": 96}}), name="echo.json")
+    out = tmp_path / "old"
+    assert cli.main([str(echo), "--out", str(out)]) == 2
+    assert "config.analysis: unknown key" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

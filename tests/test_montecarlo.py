@@ -24,13 +24,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
-from pinchnet import analysis as an
 from pinchnet import montecarlo as mc
 from pinchnet.errors import InvalidParameterError
 from pinchnet.geometry import SystemParams
 from test_analysis import conditional_outage, outage_probability
 
-CFG = an.AnalysisConfig()
 
 
 def laplace_estimate(s, params, simcfg):
@@ -838,7 +836,7 @@ def test_truncation_radius_insensitive():
 def test_matches_analysis_without_interference():
     # lam = 0 with a large blockage exponent exercises the NLoS branch alone
     params = SystemParams(lam=0.0, beta=1e3, Np=1, Rbar=4.0)
-    analytic = outage_probability(params, CFG)
+    analytic = outage_probability(params)
     got, se = mc._outage(
         mc._simulate([params], mc.SimConfig(n_realizations=20_000, seed=17))[0], params)
     assert abs(got - analytic) <= 3.0 * se
@@ -847,7 +845,7 @@ def test_matches_analysis_without_interference():
 def test_pinned_distance_matches_conditional_outage():
     params = SystemParams(Rbar=3.0)
     d0 = 15.0
-    analytic = conditional_outage(d0, params, CFG)
+    analytic = conditional_outage(d0, params)
     got, se = mc._outage(pinned_samples(
         [params], mc.SimConfig(n_realizations=20_000, seed=23), d0)[0], params)
     assert abs(got - analytic) <= 3.0 * se
