@@ -2,4 +2,4 @@
 downlinks: a closed-form engine and an independent Monte Carlo simulator
 that cross-validate each other."""
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

@@ -6,7 +6,6 @@ A single YAML (or JSON) document describes one experiment::
     params:
       lambda: 1.0e-6         # alias for lam
       P: "20 dBm"            # powers accept "x dBm" strings or plain watts
-      bandwidth: 1.0e8       # Hz, only used to derive sigma2 when absent
     sim: {n_realizations: 100000, seed: 12345, workers: 1}
     sweep:
       parameter: P
@@ -27,7 +26,6 @@ import csv
 import dataclasses
 import itertools
 import json
-import math
 import re
 import sys
 import time
@@ -37,13 +35,11 @@ import numpy as np
 
 from . import __version__
 from .analysis import _average, _average_rule, _transform, _transform_key, ergodic_rate
-from .errors import ConfigError, InvalidParameterError, NumericError, _finite, _positive
+from .errors import ConfigError, InvalidParameterError, NumericError, _finite
 from .geometry import SystemParams
 from .montecarlo import SimConfig, _check_run, _draw_key, _outage, _rate, _simulate
 
 MODES = ("analyze", "simulate", "compare", "bounds", "rate")
-
-_NOISE_DENSITY_DBM = -174.0        # thermal floor per Hz
 
 _PARAM_ALIASES = {"lambda": "lam"}
 _POWER_FIELDS = ("P", "sigma2")
@@ -52,13 +48,6 @@ _PARAM_FIELDS = {f.name for f in dataclasses.fields(SystemParams)}
 _TOP_LEVEL = ("mode", "params", "sim", "sweep")
 
 _DBM_PATTERN = re.compile(r"^\s*([-+]?[0-9.eE+-]+)\s*dBm\s*$")
-
-# columns whose values never vary between identical-seed runs; wall times
-# stay out of the CSV so the determinism contract holds at the byte level
-CSV_COLUMNS = ("swept_value", "analytic_outage", "sim_outage",
-               "sim_std_error", "analytic_rate", "sim_rate", "upper_bound",
-               "lower_bound", "agreement", "error")
-
 
 @dataclasses.dataclass
 class ResultRow:
@@ -74,6 +63,12 @@ class ResultRow:
     wall_time_analysis: float | None = None
     wall_time_sim: float | None = None
     error: str | None = None
+
+
+# columns whose values never vary between identical-seed runs; wall times
+# stay out of the CSV so the determinism contract holds at the byte level
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRow)
+                    if not f.name.startswith("wall_time_"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -137,25 +132,14 @@ def _section(tree, context: str, allowed) -> dict:
 
 
 def _normalize_params(section) -> SystemParams:
-    section = _section(section, "params", {*_PARAM_FIELDS, *_PARAM_ALIASES, "bandwidth"})
-    for key, other in (*_PARAM_ALIASES.items(), ("bandwidth", "sigma2")):
+    section = _section(section, "params", {*_PARAM_FIELDS, *_PARAM_ALIASES})
+    for key, other in _PARAM_ALIASES.items():
         if key in section and other in section:
             raise ConfigError(f"params.{key}: conflicts with params.{other}; give one")
     with _refusing("params"):
-        kwargs = {_PARAM_ALIASES.get(key, key): _parse_value(f"params.{key}", key, value)
-                  for key, value in section.items()}
-        if "bandwidth" in kwargs:  # else SystemParams' floor over 100 MHz
-            bandwidth = _positive(kwargs.pop("bandwidth"), "bandwidth")
-            dbm = _NOISE_DENSITY_DBM + 10.0 * math.log10(bandwidth)
-            kwargs["sigma2"] = 10.0 ** (dbm / 10.0) / 1000.0
-        return SystemParams(**kwargs)
-
-
-def _normalize_section(section, context: str, cls):
-    section = _section(section, context, {f.name for f in dataclasses.fields(cls)})
-    with _refusing(context):
-        return cls(**{key: _parse_value(f"{context}.{key}", key, value)
-                      for key, value in section.items()})
+        return SystemParams(**{_PARAM_ALIASES.get(key, key):
+                               _parse_value(f"params.{key}", key, value)
+                               for key, value in section.items()})
 
 
 def _normalize_sweep(section, params: SystemParams, sim) -> Sweep | None:
@@ -187,7 +171,10 @@ def _normalize(tree: dict) -> ExperimentConfig:
     if mode not in MODES:
         raise ConfigError(f"mode: expected one of {'/'.join(MODES)}, got {mode!r}")
     params = _normalize_params(tree.get("params"))
-    sim = _normalize_section(tree.get("sim"), "sim", SimConfig)
+    section = _section(tree.get("sim"), "sim", {f.name for f in dataclasses.fields(SimConfig)})
+    with _refusing("sim"):
+        sim = SimConfig(**{key: _parse_value(f"sim.{key}", key, value)
+                           for key, value in section.items()})
     simulated = sim if mode in ("simulate", "compare", "rate") else None
     sweep = _normalize_sweep(tree.get("sweep"), params, simulated)
     if sweep is None and simulated is not None:
@@ -294,37 +281,30 @@ def run(cfg: ExperimentConfig, out_dir) -> int:
 
     Rows that hit a numeric failure carry the message in their error
     column; the files are still written and the exit status turns 1.
-    Consecutive points with the same lam share one simulation: it draws
-    once and keeps one sample set (2 * n_realizations floats) per distinct
-    draw key in the group, and points whose draw keys match reduce the
-    same samples.  The first row of such a group that simulates carries
-    the whole group's simulation in its wall_time_sim.
-    Likewise consecutive points whose transform keys match (every params
-    field but P, sigma2 and f_c) reduce one analysis transform per spatial
-    average, and the first row of such a group carries the transforms in
-    its wall_time_analysis.
+    Consecutive points with the same lam form a lam group, and what the
+    points of one group share lives for that group only.  Its simulation
+    draws once and keeps one sample set (2 * n_realizations floats) per
+    distinct draw key, which the points of that key reduce; and its points
+    with equal transform keys (every params field but P, sigma2 and f_c)
+    reduce one analysis transform per spatial average.  The first row that
+    needs a shared piece carries its cost: in wall_time_sim the whole
+    group's simulation, in wall_time_analysis the transforms it built.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    transformed_key, transformed = None, {}
-
-    def average(params: SystemParams, name: str) -> float:
-        """The spatial average name of analysis._MEASURES at params."""
-        nonlocal transformed_key, transformed
-        key = _transform_key(params)
-        if key != transformed_key:
-            # one key's transforms alive at a time
-            transformed_key, transformed = key, {}
-        if name not in transformed:
-            transformed[name] = _transform(_average_rule(name, params), params)
-        return _average(transformed[name], params, name)
-
     mode, rows = cfg.mode, []
+    # the spatial averages of analysis._MEASURES a row reports, by column
+    averages = {} if mode == "rate" else {"analytic_outage": "outage probability"}
+    if mode == "bounds":
+        averages.update(upper_bound="outage upper bound", lower_bound="outage lower bound")
     for _, members in itertools.groupby(_points(cfg.params, cfg.sweep),
                                         key=lambda point: point[1].lam):
         members = list(members)
-        drawn = samples = None  # one lam group's samples alive at a time
+        # one lam group's samples (by draw key) and transforms (by average
+        # and transform key) alive at a time
+        drawn = samples = None
+        transformed = {}
         for value, params in members:
             row = ResultRow(swept_value=value)
             rows.append(row)
@@ -333,11 +313,11 @@ def run(cfg: ExperimentConfig, out_dir) -> int:
                     t0 = time.perf_counter()
                     if mode == "rate":
                         row.analytic_rate = ergodic_rate(params)
-                    else:
-                        row.analytic_outage = average(params, "outage probability")
-                    if mode == "bounds":
-                        row.upper_bound = average(params, "outage upper bound")
-                        row.lower_bound = average(params, "outage lower bound")
+                    for column, name in averages.items():
+                        key = (name, _transform_key(params))
+                        if key not in transformed:
+                            transformed[key] = _transform(_average_rule(name, params), params)
+                        setattr(row, column, _average(transformed[key], params, name))
                     row.wall_time_analysis = time.perf_counter() - t0
                 if mode in ("simulate", "compare", "rate"):
                     t0 = time.perf_counter()

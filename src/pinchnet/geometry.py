@@ -76,9 +76,7 @@ class SystemParams:
         for name, value in (("lam", self.lam), ("beta", self.beta)):
             if not value >= 0:
                 raise InvalidParameterError(f"{name} must be >= 0, got {value!r}")
-        if not self.L / 2 < self.R:
-            raise InvalidParameterError(
-                f"waveguide must fit in the cluster: L/2 = {self.L / 2} >= R = {self.R}")
+        _fits(self.L, self.R)
         if not self.alpha_L >= 2:
             raise InvalidParameterError(f"alpha_L must be >= 2, got {self.alpha_L!r}")
         if not self.alpha_N >= self.alpha_L:
@@ -118,6 +116,18 @@ def _odd(Np) -> int:
     return int(Np)
 
 
+def _spacing(L, Np) -> float:
+    """Preset spacing L/(Np-1), or L for a single preset; L > 0, Np odd."""
+    return _positive(L, "L") / max(_odd(Np) - 1, 1)
+
+
+def _fits(L, R) -> None:
+    """Refuse a waveguide of length L that a cluster of radius R cannot hold."""
+    if not L / 2 < R:
+        raise InvalidParameterError(
+            f"waveguide must fit in the cluster: L/2 = {L / 2} >= R = {R}")
+
+
 def preset_offsets(L: float, Np: int) -> np.ndarray:
     """Signed offsets of the Np presets along the waveguide axis.
 
@@ -125,8 +135,7 @@ def preset_offsets(L: float, Np: int) -> np.ndarray:
     spacing delta = L/(Np-1), or L for a single preset, which sits at the
     center.
     """
-    delta = L / max(_odd(Np) - 1, 1)
-    return delta * (np.arange(1, Np + 1, dtype=np.float64) - (Np + 1) / 2.0)
+    return _spacing(L, Np) * (np.arange(1, Np + 1, dtype=np.float64) - (Np + 1) / 2.0)
 
 
 def nearest_preset_offset(proj, L: float, Np: int, out=None):
@@ -140,7 +149,7 @@ def nearest_preset_offset(proj, L: float, Np: int, out=None):
     preset.  A single preset's offset is 0, of either sign.
     """
     proj = np.asarray(proj, dtype=getattr(proj, "dtype", np.float64))
-    delta = L / max(_odd(Np) - 1, 1)
+    delta = _spacing(L, Np)
     half = (Np - 1) // 2
     idx = np.subtract(np.divide(proj, delta, out=out), 0.5, out=out)
     idx = np.clip(np.ceil(idx, out=out), -half, half, out=out)
@@ -154,8 +163,9 @@ def voronoi_cells(L: float, Np: int, R: float) -> tuple[np.ndarray, np.ndarray]:
     left to right, in the order of preset_offsets.
 
     Interior boundaries are midpoints between adjacent presets, and the
-    outer cells reach -R and R, so a single preset's cell is (-R, R).
+    outer cells reach -R and R > L/2, so a single preset's cell is (-R, R).
     """
-    inner = (L / max(_odd(Np) - 1, 1)) * (np.arange(1, Np) - Np / 2.0)
+    inner = _spacing(L, Np) * (np.arange(1, Np) - Np / 2.0)
+    _fits(L, R)
     edges = np.concatenate([[-R], inner, [R]])
     return edges[:-1], edges[1:]

@@ -61,6 +61,8 @@ def test_dbm_strings_convert_once(tmp_path):
         "  sigma2: \"-94 dBm\"\n")))
     assert cfg.params.P == pytest.approx(1.0, rel=1e-12)
     assert cfg.params.sigma2 == pytest.approx(10 ** (-12.4), rel=1e-12)
+    # -94 dBm, the -174 dBm/Hz floor over 100 MHz, is the default bit for bit
+    assert float.hex(cfg.params.sigma2) == float.hex(SystemParams().sigma2)
 
 
 def test_lambda_alias(tmp_path):
@@ -74,22 +76,6 @@ def test_lambda_alias(tmp_path):
         for key in ("lam", "lambda"):
             cfg = cli.load_config(config, [f"params.{key}=3.0e-6"])
             assert cfg.params.lam == 3.0e-6
-
-
-def test_bandwidth_sets_noise_floor(tmp_path):
-    cfg = cli.load_config(_write(tmp_path, (
-        "mode: analyze\n"
-        "params: {bandwidth: 1.0e6}\n")))
-    # 20 dB less bandwidth than the default floor
-    assert cfg.params.sigma2 == pytest.approx(10 ** (-14.4), rel=1e-12)
-
-
-def test_bandwidth_with_sigma2_conflicts(tmp_path):
-    path = _write(tmp_path, (
-        "mode: analyze\n"
-        "params: {bandwidth: 1.0e8, sigma2: 1.0e-12}\n"))
-    with pytest.raises(ConfigError, match="bandwidth"):
-        cli.load_config(path)
 
 
 def test_even_preset_count_rejected(tmp_path):
@@ -299,26 +285,35 @@ def test_sweep_draws_once_per_lam_group(tmp_path, monkeypatch, mode, parameter,
     ("compare", "f_c", "[3.5e9, 28.0e9, 60.0e9]", 1),
     ("bounds", "Rbar", "[0.5, 1.0, 2.0]", 9),
     ("analyze", "Np", "[3, 5, 11]", 3),
-], ids=["bounds-P", "analyze-sigma2", "compare-f_c", "bounds-Rbar", "analyze-Np"])
+    ("bounds", "Np", "[3, 5, 3]", 6),
+    ("analyze", "lam", "[1.0e-6, 2.0e-6, 1.0e-6]", 3),
+], ids=["bounds-P", "analyze-sigma2", "compare-f_c", "bounds-Rbar", "analyze-Np",
+        "bounds-Np-repeated", "analyze-lam-repeated"])
 def test_sweep_transforms_once_per_key(tmp_path, monkeypatch, mode, parameter,
                                        values, transforms):
-    # points that differ only in P, sigma2 or f_c reduce one transform per
-    # spatial average (three in bounds mode, one otherwise); every row
-    # still equals the average composed afresh at its own point
+    # points of one lam group that differ only in P, sigma2 or f_c reduce
+    # one transform per spatial average (three in bounds mode, one
+    # otherwise), wherever in the group they sit; lam groups share nothing.
+    # Every row still equals the average composed afresh at its own point
     path = _write(tmp_path, (
         f"mode: {mode}\n"
         "sim: {n_realizations: 600, seed: 19}\n"
         f"sweep: {{parameter: {parameter}, values: {values}}}\n"))
-    calls = []
-    transform = cli._transform
+    calls, started = [], []
+    transform, result_row = cli._transform, cli.ResultRow
 
     def counted(rule, params):
         t0 = time.perf_counter()
         result = transform(rule, params)
-        calls.append((params, time.perf_counter() - t0))
+        calls.append((len(started) - 1, time.perf_counter() - t0))
         return result
 
+    def row(**fields):
+        started.append(None)
+        return result_row(**fields)
+
     monkeypatch.setattr(cli, "_transform", counted)
+    monkeypatch.setattr(cli, "ResultRow", row)
     out = tmp_path / "out"
     assert cli.main([str(path), "--out", str(out)]) == 0
     assert len(calls) == transforms
@@ -328,14 +323,13 @@ def test_sweep_transforms_once_per_key(tmp_path, monkeypatch, mode, parameter,
     if mode == "bounds":
         averages.update(upper_bound=outage_upper_bound,
                         lower_bound=outage_lower_bound)
-    for row, (_, params) in zip(rows, cli._points(cfg.params, cfg.sweep),
-                                strict=True):
+    for i, (row, (_, params)) in enumerate(zip(rows, cli._points(cfg.params, cfg.sweep),
+                                               strict=True)):
         for column, function in averages.items():
             assert float.hex(row[column]) == float.hex(function(params))
         assert row["wall_time_analysis"] > 0.0
-        # a group's first row times its transforms, its other rows none
-        assert row["wall_time_analysis"] >= sum(
-            spent for at, spent in calls if at == params)
+        # a row times the transforms built while it ran, and only those
+        assert row["wall_time_analysis"] >= sum(spent for at, spent in calls if at == i)
 
 
 def test_compare_mode_flags_agreement(tmp_path):
@@ -710,6 +704,13 @@ def test_readme_configs_load(tmp_path):
         cli.load_config(_write(tmp_path, block, name=f"{i}.yaml"))
 
 
+def test_readme_csv_header_is_the_columns():
+    # the results.csv header the README documents is the one run writes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (header,) = re.findall(r"header\s+`([a-z_,]+)`", readme)
+    assert header == ",".join(cli.CSV_COLUMNS)
+
+
 def test_cli_docstring_config_loads(tmp_path):
     # likewise the example config of cli's module docstring, the indented
     # block after its "::"
@@ -740,7 +741,7 @@ def test_json_run_loads_no_yaml_or_pool(tmp_path):
 # every numeric config field, by section; the integer ones also refuse 3.0
 _NUMBER_FIELDS = {
     "params": ("lam", "R", "L", "H", "beta", "alpha_L", "alpha_N", "f_c",
-               "sigma2", "P", "Rbar", "bandwidth"),
+               "sigma2", "P", "Rbar"),
     "sim": ("R_sim",),
 }
 _INTEGER_FIELDS = {
@@ -766,8 +767,8 @@ def _bad_number_cases():
             id="sweep-Np" if value == "true" else f"sweep-Np={value}"))
     return cases + [
         # 10^400 is no float either, written as a float or as an integer
-        pytest.param('mode: analyze\nparams: {bandwidth: "1e400"}\n', "mode=analyze",
-                     "params: bandwidth", id="bandwidth=1e400"),
+        pytest.param('mode: analyze\nparams: {H: "1e400"}\n', "mode=analyze",
+                     "params: H", id="H=1e400"),
         pytest.param("mode: analyze\n", "params.R=1" + "0" * 400, "params: R",
                      id="R=10^400"),
         # two spellings of one field: neither may win silently
@@ -858,15 +859,40 @@ def _referenced_names(path: Path) -> set:
     return names
 
 
+def _private_names(path: Path) -> set:
+    """The private functions, classes and constants a source file defines
+    at module level (dunder names are no private names)."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _read_names(path: Path) -> set:
+    """Every name the code of a source file reads, bare or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
 @pytest.mark.parametrize("module", _MODULES)
 def test_public_names_are_used_inside_the_package(module):
     # nothing in src/ exists only for the tests: every name a module
-    # exports is referenced by another module of the package
+    # exports is referenced by another module of the package, and every
+    # private module-level name it defines is read somewhere in the package
     imported = importlib.import_module(module)
     own = Path(imported.__file__)
-    used = set().union(*(_referenced_names(path)
-                         for path in own.parent.glob("*.py") if path != own))
+    sources = list(own.parent.glob("*.py"))
+    used = set().union(*(_referenced_names(path) for path in sources if path != own))
     assert sorted(set(getattr(imported, "__all__", [])) - used) == []
+    read = set().union(*map(_read_names, sources))
+    assert sorted(_private_names(own) - read) == []
 
 
 @pytest.mark.parametrize("workload", list(_WORKLOAD_DIGESTS))
@@ -888,12 +914,14 @@ def test_workload_csv_bytes_pinned(tmp_path, workload):
     pytest.param("analysis", "", "config.analysis", id="analysis"),
     pytest.param("sim.batch_size", "625", "sim.batch_size", id="batch_size"),
     pytest.param("bounds", "true", "config.bounds", id="bounds"),
+    pytest.param("params.bandwidth", "1.0e+8", "params.bandwidth", id="bandwidth"),
 ])
 def test_removed_analysis_orders_rejected(tmp_path, capsys, key, value, refused):
     # a removed key must stop the run rather than be ignored: the whole
     # analysis section (the quadrature orders are constants since 0.9.0),
-    # even left bare, the batch size (each worker runs one span) and the
-    # bounds flag (mode: bounds)
+    # even left bare, the batch size (each worker runs one span), the
+    # bounds flag (mode: bounds) and the bandwidth (sigma2 takes "x dBm"
+    # since 0.10.0)
     section, _, name = key.rpartition(".")
     entry = f"{section}: {{{name}: {value}}}" if section else f"{name}: {value}"
     path = _write(tmp_path, f"mode: analyze\n{entry}\n")

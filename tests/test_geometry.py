@@ -302,6 +302,25 @@ def test_voronoi_bad_index():
             voronoi_cells(10.0, np_, 20.0)
 
 
+@pytest.mark.parametrize("L", [0.0, -1.0, math.nan])
+def test_preset_geometry_refuses_bad_length(L):
+    # a waveguide of no, negative or NaN length has no presets: without
+    # the check the offsets came out reversed, the cells zero-width, and
+    # the nearest preset a division by zero
+    for call in (lambda: preset_offsets(L, 3), lambda: voronoi_cells(L, 3, 1.0),
+                 lambda: nearest_preset_offset(np.array([0.3, -0.7]), L, 3)):
+        with pytest.raises(InvalidParameterError, match="L"):
+            call()
+
+
+@pytest.mark.parametrize("R", [5.0, 2.0, math.nan])
+def test_voronoi_refuses_waveguide_outside_cluster(R):
+    # as SystemParams does: cells reaching -R and R need R > L/2, or the
+    # outer cells come out empty or inverted
+    with pytest.raises(InvalidParameterError, match="fit in the cluster"):
+        voronoi_cells(10.0, 3, R)
+
+
 # ---------------- preset selection vs the Voronoi partition ----------------
 
 def test_realization_antenna_distribution_matches_cell_areas():
