@@ -24,7 +24,6 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import itertools
 import json
 import re
 import sys
@@ -281,14 +280,14 @@ def run(cfg: ExperimentConfig, out_dir) -> int:
 
     Rows that hit a numeric failure carry the message in their error
     column; the files are still written and the exit status turns 1.
-    Consecutive points with the same lam form a lam group, and what the
-    points of one group share lives for that group only.  Its simulation
-    draws once and keeps one sample set (2 * n_realizations floats) per
-    distinct draw key, which the points of that key reduce; and its points
-    with equal transform keys (every params field but P, sigma2 and f_c)
-    reduce one analysis transform per spatial average.  The first row that
-    needs a shared piece carries its cost: in wall_time_sim the whole
-    group's simulation, in wall_time_analysis the transforms it built.
+    What the points share lives for the whole run.  Its simulation draws
+    once, whatever lam each point has, and keeps one sample set
+    (2 * n_realizations floats) per distinct draw key, which the points of
+    that key reduce; and its points with equal transform keys (every
+    params field but P, sigma2 and f_c) reduce one analysis transform per
+    spatial average.  The first row that needs a shared piece carries its
+    cost: in wall_time_sim the whole run's simulation, in
+    wall_time_analysis the transforms it built.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -298,44 +297,41 @@ def run(cfg: ExperimentConfig, out_dir) -> int:
     averages = {} if mode == "rate" else {"analytic_outage": "outage probability"}
     if mode == "bounds":
         averages.update(upper_bound="outage upper bound", lower_bound="outage lower bound")
-    for _, members in itertools.groupby(_points(cfg.params, cfg.sweep),
-                                        key=lambda point: point[1].lam):
-        members = list(members)
-        # one lam group's samples (by draw key) and transforms (by average
-        # and transform key) alive at a time
-        drawn = samples = None
-        transformed = {}
-        for value, params in members:
-            row = ResultRow(swept_value=value)
-            rows.append(row)
-            try:
-                if mode != "simulate":
-                    t0 = time.perf_counter()
-                    if mode == "rate":
-                        row.analytic_rate = ergodic_rate(params)
-                    for column, name in averages.items():
-                        key = (name, _transform_key(params))
-                        if key not in transformed:
-                            transformed[key] = _transform(_average_rule(name, params), params)
-                        setattr(row, column, _average(transformed[key], params, name))
-                    row.wall_time_analysis = time.perf_counter() - t0
-                if mode in ("simulate", "compare", "rate"):
-                    t0 = time.perf_counter()
-                    if drawn is None:
-                        # the whole lam group at once, by its first row that simulates
-                        group = {_draw_key(point): point for _, point in members}
-                        drawn = dict(zip(group, _simulate(list(group.values()), cfg.sim)))
-                    samples = drawn[_draw_key(params)]
-                    if mode == "rate":
-                        row.sim_rate, row.sim_std_error = _rate(samples, params)
-                    else:
-                        row.sim_outage, row.sim_std_error = _outage(samples, params)
-                    row.wall_time_sim = time.perf_counter() - t0
-                if mode == "compare":
-                    gap = abs(row.analytic_outage - row.sim_outage)
-                    row.agreement = bool(gap <= max(0.01, 3.0 * row.sim_std_error))
-            except NumericError as exc:
-                row.error = f"{type(exc).__name__}: {exc}"
+    points = _points(cfg.params, cfg.sweep)
+    # the run's samples (by draw key) and transforms (by average and
+    # transform key)
+    drawn, transformed = None, {}
+    for value, params in points:
+        row = ResultRow(swept_value=value)
+        rows.append(row)
+        try:
+            if mode != "simulate":
+                t0 = time.perf_counter()
+                if mode == "rate":
+                    row.analytic_rate = ergodic_rate(params)
+                for column, name in averages.items():
+                    key = (name, _transform_key(params))
+                    if key not in transformed:
+                        transformed[key] = _transform(_average_rule(name, params), params)
+                    setattr(row, column, _average(transformed[key], params, name))
+                row.wall_time_analysis = time.perf_counter() - t0
+            if mode in ("simulate", "compare", "rate"):
+                t0 = time.perf_counter()
+                if drawn is None:
+                    # the whole run at once, by its first row that simulates
+                    group = {_draw_key(point): point for _, point in points}
+                    drawn = dict(zip(group, _simulate(list(group.values()), cfg.sim)))
+                samples = drawn[_draw_key(params)]
+                if mode == "rate":
+                    row.sim_rate, row.sim_std_error = _rate(samples, params)
+                else:
+                    row.sim_outage, row.sim_std_error = _outage(samples, params)
+                row.wall_time_sim = time.perf_counter() - t0
+            if mode == "compare":
+                gap = abs(row.analytic_outage - row.sim_outage)
+                row.agreement = bool(gap <= max(0.01, 3.0 * row.sim_std_error))
+        except NumericError as exc:
+            row.error = f"{type(exc).__name__}: {exc}"
 
     _write_csv(rows, out_dir / "results.csv")
     _write_report(cfg, rows, out_dir / "report.json")

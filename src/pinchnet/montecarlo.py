@@ -37,17 +37,15 @@ without disturbing the points both discs share, so the estimate shift
 measures truncation error rather than resampling noise.
 
 The draw never reads P, sigma2, f_c or Rbar: they enter only through xi
-and epsilon, when a reduction turns samples into an estimate.  And of the
-other fields only lam shapes the random numbers: the words, the radii and
-the mark trigonometry are the same whatever R, L, Np, H, beta, the
-path-loss exponents or the fading shapes are (each exponential row sits
-at its own counter).  So _simulate takes a group of params sharing lam,
-draws each bin once, takes one gain row per distinct fading shape, and
-works out only the preset choice, distances, blockage and received powers
+and epsilon, when a reduction turns samples into an estimate.  No other
+field shapes the words either (each exponential row sits at its own
+counter): lam sets only how many bins a point reads and the squared
+radius t / (lam pi) of an arrival time t.  So _simulate draws each bin
+once for a whole group of params, up to its largest limit, and works out
+only the radii, preset choice, distances, blockage and received powers
 per member; each member's samples are the bytes it gets simulated alone.
-The command line simulates consecutive sweep points with the same lam as
-one group, one member per distinct _draw_key, and reduces each point's
-samples at its own params.
+The command line simulates a run's points as one group, one member per
+distinct _draw_key, and reduces each point's samples at its own params.
 
 The interferer field is worked in float32: arrival times, squared radii,
 both cosines, preset offsets, squared distances and the blockage test.
@@ -246,27 +244,27 @@ def _block_interference(group: list[SystemParams], simcfg: SimConfig,
     The cluster centres are a stationary PPP, so the disc is centred at
     the typical user: an interferer's distance then needs only its centre
     distance r, the uniform angle psi between its waveguide and the line
-    to the user, and its preset offset.  The arrival times lam pi r^2 of
-    the disc's points are a unit-rate Poisson process on [0, lam pi R_sim^2]:
-    on each bin [_BIN k, _BIN (k + 1)), an independent Poisson count of
-    i.i.d. uniform points.  A bin's stream gives the 256 counts, then the
-    five mark rows and the fading exponentials, one column per arrival
-    (module docstring).  Bins are drawn up to the one holding the limit
-    lam pi R_sim^2 (compared in float32), whose arrivals past it get zero
-    gain: they add exact zeros to their sums.  All of that, both cosines
-    and the gain of each fading shape depend on lam alone, so each bin is
-    drawn once and only the preset choice, distances, blockage and
-    received powers are worked out per member, each realization's run of
-    powers summed by one reduceat, all in views of work's two areas
-    (_span_samples): the field rows are the words' spare until the draws
-    fill them, and the words, dead once drawn, leave their rows to the powers.
+    to the user, and its preset offset.  The arrival times t = lam pi r^2
+    of the disc's points are a unit-rate Poisson process on
+    [0, lam pi R_sim^2]: on each bin [_BIN k, _BIN (k + 1)), an independent
+    Poisson count of i.i.d. uniform points.  A bin's stream gives the 256
+    counts, then the five mark rows and the fading exponentials, one column
+    per arrival (module docstring).  Bins are drawn up to the one holding
+    the largest member's limit lam pi R_sim^2, each once, with its arrival
+    times, cos psi and each fading shape's gains.  A member reads the bins
+    up to the one holding its own limit, whose powers past it (compared in
+    float32) it masks to exact zeros, and works out r^2 = t / (lam pi),
+    2 r cos psi, the preset choice, distances, blockage and received
+    powers, each realization's run of powers summed by one reduceat, all
+    in views of work's two areas (_span_samples): the field rows are the
+    words' spare until the draws fill them, and the words, dead once drawn,
+    leave their rows to the powers.
     """
-    lam = group[0].lam
-    limit = lam * math.pi * simcfg.R_sim * simcfg.R_sim
+    limits = [params.lam * math.pi * simcfg.R_sim * simcfg.R_sim for params in group]
+    ends = [math.ceil(limit / _BIN) for limit in limits]
     shapes = _shapes(group)
     rows = _MARKS + shapes[-1]
-    bins = math.ceil(limit / _BIN)
-    for k in range(bins):
+    for k in range(max(ends)):
         key = _key(simcfg.seed, k, _LANE_FIELD, block)
         # row 0's 53-bit uniforms, inverted into the 256 counts
         counts = np.searchsorted(
@@ -283,28 +281,28 @@ def _block_interference(group: list[SystemParams], simcfg: SimConfig,
         draws[:rows] *= 2.0 ** -24
         gains = _gamma_gains(draws[_MARKS:rows], shapes)
         # arrival fractions, psi, cluster-user radius and angle, blockage;
-        # the first four become r2, two_r_cos, proj and axial in place
-        r2, two_r_cos, proj, axial, u_block = draws[:_MARKS]
+        # the first four become t, 2 cos psi, proj and axial in place
+        t, two_cos, proj, axial, u_block = draws[:_MARKS]
         d2 = draws[rows]
         power, spare, flags = _rows(work["words"].view(np.float64), 3, m)
+        # a member's r^2 and 2 r cos psi, dead before _received takes spare
+        r2, two_r_cos = spare.view(np.float32).reshape(2, m)
         los = flags.view(bool)[:m]
-        np.multiply(r2, _BIN, out=r2)
-        r2 += _BIN * k
-        if k == bins - 1:
-            inside = np.less_equal(r2, limit, out=los)
-            for gain in gains.values():
-                gain *= inside
-        r2 /= lam * math.pi
-        np.cos(np.multiply(two_r_cos, _TWO_PI, out=two_r_cos), out=two_r_cos)
-        two_r_cos *= 2.0
-        two_r_cos *= np.sqrt(r2, out=d2)
+        np.multiply(t, _BIN, out=t)
+        t += _BIN * k
+        np.cos(np.multiply(two_cos, _TWO_PI, out=two_cos), out=two_cos)
+        two_cos *= 2.0
         # a served user's projection onto its waveguide axis, over R; its
         # angle relative to that axis is uniform
         np.sqrt(proj, out=proj)
         proj *= np.cos(np.multiply(axial, _TWO_PI, out=axial), out=axial)
         present = np.flatnonzero(counts)
         starts = (np.cumsum(counts) - counts)[present]
-        for params, total in zip(group, out):
+        for params, limit, end, total in zip(group, limits, ends, out):
+            if k >= end:
+                continue
+            np.divide(t, params.lam * math.pi, out=r2)
+            np.multiply(np.sqrt(r2, out=two_r_cos), two_cos, out=two_r_cos)
             # each waveguide activates the preset nearest to its own served
             # user's projection: d^2 = r^2 + axial^2 + 2 r axial cos(psi) + H^2
             nearest_preset_offset(np.multiply(proj, params.R, out=axial),
@@ -317,6 +315,8 @@ def _block_interference(group: list[SystemParams], simcfg: SimConfig,
             np.exp(np.multiply(axial, -params.beta, out=axial), out=axial)
             np.less(u_block, axial, out=los)
             received = _received(gains, d2, los, params, out=power, spare=spare)
+            if k == end - 1:
+                received *= np.less_equal(t, limit, out=los)
             total[present] += np.add.reduceat(received, starts)
 
 
@@ -389,13 +389,9 @@ def _draw_key(params: SystemParams) -> tuple:
 def _simulate(group: list[SystemParams], simcfg: SimConfig) -> np.ndarray:
     """Rows (serving power, interference) of every realization, in index
     order, at each member of group: a members x 2 x n view of the spans'
-    blocks.  The members must share lam: the draws are made once and
-    reused by every member, and each member's samples are the bytes it
-    would get simulated alone."""
-    if any(params.lam != group[0].lam for params in group):
-        raise InvalidParameterError(
-            f"a simulated group needs one shared lam, got "
-            f"{[params.lam for params in group]!r}")
+    blocks.  The draws are made once and reused by every member, whatever
+    its lam, and each member's samples are the bytes it would get
+    simulated alone."""
     for params in group:
         _check_run(params, simcfg)
     spans = _spans(simcfg.n_realizations, simcfg.workers)

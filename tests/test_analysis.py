@@ -1133,6 +1133,16 @@ def test_outage_stable_under_order_doubling(monkeypatch):
         assert abs(value - outage_probability(_at(eps))) < 1e-5
 
 
+@pytest.mark.xfail(strict=True, reason="the transform maps r = H tan^2 phi, whose "
+                   "K nodes miss the integrand's knee far past a small H")
+@pytest.mark.parametrize("H", [1e-4, 1e-6])
+def test_outage_converged_at_small_height(H):
+    # the default-params outage converges to 0.00136212 as H shrinks: it
+    # reads that at H = 1e-2, and at H = 1e-4 and 1e-6 with _K = 2048.  At
+    # _K = 128 it reads 0.00122783 and 0.00249383 there, and raises nothing
+    assert outage_probability(PARAMS.with_(H=H)) == pytest.approx(0.00136212, rel=1e-5)
+
+
 # ---------------------------------------------------------------------------
 # ergodic rate
 

@@ -234,19 +234,20 @@ def test_worker_count_does_not_change_csv(tmp_path):
     assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
 
 
-@pytest.mark.parametrize("mode,parameter,values,draws", [
-    ("compare", "P", '["0 dBm", "15 dBm", "30 dBm"]', 1),
-    ("rate", "Rbar", "[0.5, 1.0, 2.0]", 1),
-    ("rate", "Np", "[1, 3, 11]", 1),
-    ("simulate", "H", "[2.0, 3.0, 5.0]", 1),
-    ("simulate", "lam", "[1.0e-6, 2.0e-6, 4.0e-6]", 3),
-], ids=["compare-P", "rate-Rbar", "rate-Np", "simulate-H", "simulate-lam"])
-def test_sweep_draws_once_per_lam_group(tmp_path, monkeypatch, mode, parameter,
-                                        values, draws):
-    # consecutive points with one lam share a simulation, and points whose
-    # draw keys match (they differ only in P, sigma2, f_c or Rbar) share
-    # samples; every row still equals a fresh one-point draw reduced at its
-    # own point
+@pytest.mark.parametrize("mode,parameter,values", [
+    ("compare", "P", '["0 dBm", "15 dBm", "30 dBm"]'),
+    ("rate", "Rbar", "[0.5, 1.0, 2.0]"),
+    ("rate", "Np", "[1, 3, 11]"),
+    ("simulate", "H", "[2.0, 3.0, 5.0]"),
+    ("simulate", "lam", "[1.0e-6, 2.0e-6, 4.0e-6]"),
+    ("simulate", "lam", "[1.0e-6, 2.0e-6, 1.0e-6]"),
+], ids=["compare-P", "rate-Rbar", "rate-Np", "simulate-H", "simulate-lam",
+        "simulate-lam-repeated"])
+def test_sweep_draws_once(tmp_path, monkeypatch, mode, parameter, values):
+    # every point of a run shares one simulation, whatever its lam, and
+    # points whose draw keys match (they differ only in P, sigma2, f_c or
+    # Rbar) share samples; every row still equals a fresh one-point draw
+    # reduced at its own point
     path = _write(tmp_path, (
         f"mode: {mode}\n"
         "sim: {n_realizations: 600, seed: 19}\n"
@@ -261,7 +262,7 @@ def test_sweep_draws_once_per_lam_group(tmp_path, monkeypatch, mode, parameter,
     monkeypatch.setattr(cli, "_simulate", counted)
     out = tmp_path / "out"
     assert cli.main([str(path), "--out", str(out)]) == 0
-    assert len(calls) == draws
+    assert len(calls) == 1
     cfg = cli.load_config(path)
     points = cli._points(cfg.params, cfg.sweep)
     # one member per distinct draw key
@@ -274,9 +275,8 @@ def test_sweep_draws_once_per_lam_group(tmp_path, monkeypatch, mode, parameter,
         assert float.hex(row[column]) == float.hex(estimate)
         assert float.hex(row["sim_std_error"]) == float.hex(se)
         assert row["wall_time_sim"] > 0.0
-    if draws == 1:
-        # the group's first row carries its simulation, the others a reduction
-        assert rows[0]["wall_time_sim"] > max(row["wall_time_sim"] for row in rows[1:])
+    # the first row carries the run's simulation, the others a reduction
+    assert rows[0]["wall_time_sim"] > max(row["wall_time_sim"] for row in rows[1:])
 
 
 @pytest.mark.parametrize("mode,parameter,values,transforms", [
@@ -286,15 +286,15 @@ def test_sweep_draws_once_per_lam_group(tmp_path, monkeypatch, mode, parameter,
     ("bounds", "Rbar", "[0.5, 1.0, 2.0]", 9),
     ("analyze", "Np", "[3, 5, 11]", 3),
     ("bounds", "Np", "[3, 5, 3]", 6),
-    ("analyze", "lam", "[1.0e-6, 2.0e-6, 1.0e-6]", 3),
+    ("analyze", "lam", "[1.0e-6, 2.0e-6, 1.0e-6]", 2),
 ], ids=["bounds-P", "analyze-sigma2", "compare-f_c", "bounds-Rbar", "analyze-Np",
         "bounds-Np-repeated", "analyze-lam-repeated"])
 def test_sweep_transforms_once_per_key(tmp_path, monkeypatch, mode, parameter,
                                        values, transforms):
-    # points of one lam group that differ only in P, sigma2 or f_c reduce
-    # one transform per spatial average (three in bounds mode, one
-    # otherwise), wherever in the group they sit; lam groups share nothing.
-    # Every row still equals the average composed afresh at its own point
+    # points that differ only in P, sigma2 or f_c reduce one transform per
+    # spatial average (three in bounds mode, one otherwise), wherever in the
+    # sweep they sit, a repeated lam included.  Every row still equals the
+    # average composed afresh at its own point
     path = _write(tmp_path, (
         f"mode: {mode}\n"
         "sim: {n_realizations: 600, seed: 19}\n"
@@ -902,6 +902,20 @@ def test_workload_csv_bytes_pinned(tmp_path, workload):
     assert cli.main([str(path), "--out", str(tmp_path)]) == 0
     got = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
     assert got == digest
+
+
+def test_density_figure_csv_bytes_pinned(tmp_path):
+    # the README outage-vs-density figure at 10^4 realizations: its seven
+    # lam share one draw, and the digest is the one each point gets
+    # simulated alone
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^\*\*Outage vs cluster density\*\*.*?^```yaml\n(.*?)^```$",
+                          readme, re.M | re.S)
+    path = _write(tmp_path, block)
+    assert cli.main([str(path), "--set", "sim.n_realizations=10000",
+                     "--out", str(tmp_path)]) == 0
+    got = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
+    assert got == "b7383a8c02b3b77f587b70567d66732e9e7235841adff9e9103c2da59134a8f9"
 
 
 @pytest.mark.parametrize("key,value,refused", [

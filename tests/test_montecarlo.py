@@ -672,11 +672,13 @@ def test_draw_key_matches_sample_bytes(field):
 
 
 # one group per field, its members differing in that field alone; the
-# N_L and N_N groups mix fading shapes, and so exponential row counts, and
-# the Np group's values are the rate figure's
+# N_L and N_N groups mix fading shapes, and so exponential row counts, the
+# lam values mix bin counts (none at lam = 0), and the Np values are the
+# rate figure's
 _GROUP_VALUES = {"N_L": (1, 3, 8), "N_N": (1, 2, 6), "H": (2.0, 4.0, 8.0),
                  "R": (10.0, 20.0, 400.0), "beta": (0.0, 0.01, 0.2),
-                 "alpha_N": (2.5, 3.0, 4.5), "Np": (1, 3, 11)}
+                 "alpha_N": (2.5, 3.0, 4.5), "Np": (1, 3, 11),
+                 "lam": (0.0, 1e-6, 4e-6)}
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -707,13 +709,6 @@ def test_interference_ignores_user_position(monkeypatch):
     moved_signal, moved_interference = mc._simulate([params], sim)[0]
     assert moved_interference.tobytes() == interference.tobytes()
     assert not np.any(moved_signal == signal)
-
-
-def test_group_needs_one_lam():
-    params = SystemParams()
-    with pytest.raises(InvalidParameterError, match="lam"):
-        mc._simulate([params, params.with_(lam=2e-6)],
-                     mc.SimConfig(n_realizations=10))
 
 
 def test_pool_capped_at_cpu_count(monkeypatch):
